@@ -3,8 +3,6 @@ foliation calculus (integrability, Frobenius powers mod p, tangency and
 determinantal loci), and numeric sampling of the hypergeometric isogeny locus.
 """
 
-from hodgeloci.periods import HAVE_COMPILED_KERNEL
-
 __version__ = "0.1.0"
 
-__all__ = ["HAVE_COMPILED_KERNEL", "__version__"]
+__all__ = ["__version__"]

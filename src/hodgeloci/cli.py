@@ -96,7 +96,7 @@ def _fracs_csv(text: str) -> List[Fraction]:
 # -- subcommand bodies ----------------------------------------------------------
 
 
-def run_denominator_table(config: Mapping, threads: int = 1, kernel: Optional[str] = None) -> str:
+def run_denominator_table(config: Mapping, threads: int = 1) -> str:
     """One row per basis element: rendered monomial, lcm, factorization.
 
     Output is byte-stable across runs and thread counts.
@@ -105,7 +105,7 @@ def run_denominator_table(config: Mapping, threads: int = 1, kernel: Optional[st
     betas = betas_from_config(config, fam)
 
     def row(b: periods.BetaIndex) -> str:
-        prof = periods.denominator_profile(periods.period_series(b, fam, kernel=kernel))
+        prof = periods.period_denominator_profile(b, fam)
         return f"{b.monomial_str()},{prof.lcm},{prof.factorization_str()}"
 
     if threads > 1:
@@ -117,7 +117,7 @@ def run_denominator_table(config: Mapping, threads: int = 1, kernel: Optional[st
 
 
 def _cmd_denominators(args) -> Tuple[str, int]:
-    return run_denominator_table(_load_config(args.config), args.threads, args.kernel), 0
+    return run_denominator_table(_load_config(args.config), args.threads), 0
 
 
 def _cmd_periods(args) -> Tuple[str, int]:
@@ -126,7 +126,7 @@ def _cmd_periods(args) -> Tuple[str, int]:
     betas = betas_from_config(cfg, fam)
 
     def entry(b):
-        ps = periods.period_series(b, fam, kernel=args.kernel)
+        ps = periods.period_series(b, fam)
         return {"beta": list(b.beta), "k": b.k, "monomial": b.monomial_str(),
                 "normalization": ps.normalization, "series": ps.series.to_doc()}
 
@@ -273,12 +273,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("periods", _cmd_periods, "period series for a deformation family config")
     p.add_argument("--config", required=True)
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--kernel", choices=("auto", "py", "c"), default=None)
 
     p = add("denominators", _cmd_denominators, "denominator table, one row per basis form")
     p.add_argument("--config", required=True)
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--kernel", choices=("auto", "py", "c"), default=None)
 
     p = add("eq1", _cmd_eq1, "independent full quartic-family series (35 monomials)")
     p.add_argument("--truncation", type=int, required=True)

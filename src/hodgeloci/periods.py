@@ -15,41 +15,26 @@ fractional parts of consecutive pairs (b_{2e}+1)/d, (b_{2e+1}+1)/d sum to 1.
 The scalar prefactor (-1)^{n/2} d^{n/2+1} (k-1)! / (2*pi*i)^{n/2} is carried
 as text metadata only: it is not a rational number.
 
-The tuple enumeration is the package's hot loop; it runs in a compiled
-kernel when available and in a pure-Python twin otherwise.
+The tuple enumeration is the package's hot loop.  It lives in
+``_coeff_kernel_py``, which walks only the residue classes of ``a mod d`` that
+pass the pair condition and returns integer (numerator, denominator) pairs
+already in graded-lexicographic order, so the engine adds no sort and no
+re-validation on top of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from math import factorial, gcd, lcm
+from typing import Dict, List, Sequence, Tuple
 
 from hodgeloci import _coeff_kernel_py
 from hodgeloci.errors import NotIntegral
 from hodgeloci.series import SparseSeries, grlex_key
 
-try:
-    from hodgeloci import _coeff_kernel  # compiled extension
-
-    HAVE_COMPILED_KERNEL = True
-except ImportError:
-    _coeff_kernel = None
-    HAVE_COMPILED_KERNEL = False
-
-
-def _kernel_for(which: Optional[str]):
-    if which in (None, "auto"):
-        return _coeff_kernel if HAVE_COMPILED_KERNEL else _coeff_kernel_py
-    if which == "py":
-        return _coeff_kernel_py
-    if which == "c":
-        if not HAVE_COMPILED_KERNEL:
-            raise RuntimeError("compiled kernel is not available")
-        return _coeff_kernel
-    raise ValueError(f"unknown kernel {which!r}")
-
+# denominator profiles trial-divide by every factor up to this bound
+_TRIAL_BOUND = 10 ** 6
 
 # -- elementary pieces --------------------------------------------------------
 
@@ -225,17 +210,30 @@ def period_coefficient(a: Sequence[int], beta: BetaIndex, family: FamilySpec) ->
     return sign * dcoef / afact
 
 
-def period_series(beta, family: FamilySpec, kernel: Optional[str] = None) -> PeriodSeries:
-    """All coefficients of t^a with total degree <= family.truncation."""
+def _kernel_terms(beta, family: FamilySpec):
+    """The validated beta and the kernel's (a, num, den) list, in grlex order."""
     raw_beta = beta.beta if isinstance(beta, BetaIndex) else beta
     beta = BetaIndex.make(raw_beta, family.d)  # propagates NotIntegral
-    mod = _kernel_for(kernel)
-    raw = mod.coefficient_terms(beta.beta, family.d, family.monomials, family.truncation)
-    raw.sort(key=lambda t: grlex_key(t[0]))
+    if len(beta.beta) != family.n + 2:
+        raise ValueError(f"beta {beta.beta} does not have {family.n + 2} entries")
+    return beta, _coeff_kernel_py.coefficient_terms(beta.beta, family.d, family.monomials,
+                                                    family.truncation)
+
+
+def period_series(beta, family: FamilySpec) -> PeriodSeries:
+    """All coefficients of t^a with total degree <= family.truncation."""
+    beta, raw = _kernel_terms(beta, family)
     terms: Dict[Tuple[int, ...], Fraction] = {a: Fraction(num, den) for a, num, den in raw}
-    series = SparseSeries(family.nparams, terms, truncation=family.truncation)
+    series = SparseSeries._trusted(family.nparams, terms, family.truncation)
     return PeriodSeries(family, beta, series,
                         _normalization_text(family.n, family.d, beta.k))
+
+
+def period_denominator_profile(beta, family: FamilySpec) -> DenominatorProfile:
+    """``denominator_profile(period_series(beta, family))``, taken straight from
+    the kernel's integers without building Fractions or a series."""
+    _, raw = _kernel_terms(beta, family)
+    return _factor_lcm(lcm(*(den // gcd(num, den) for _, num, den in raw)), _TRIAL_BOUND)
 
 
 def quartic_full_family_series(truncation: int) -> SparseSeries:
@@ -326,16 +324,18 @@ def griffiths_basis(d: int, n: int) -> List[BetaIndex]:
     return out
 
 
-def denominator_profile(x, bound: int = 10 ** 6) -> DenominatorProfile:
+def denominator_profile(x, bound: int = _TRIAL_BOUND) -> DenominatorProfile:
     """lcm of all coefficient denominators, factored by trial division.
 
     A remainder above the bound that is too large to be certified prime is
     reported as the unfactored cofactor.
     """
     series = x.series if isinstance(x, PeriodSeries) else x
-    total = 1
-    for c in series.terms.values():
-        total = lcm(total, c.denominator)
+    return _factor_lcm(lcm(*(c.denominator for c in series.terms.values())), bound)
+
+
+def _factor_lcm(total: int, bound: int) -> DenominatorProfile:
+    """Profile of ``total``: trial division by every factor up to ``bound``."""
     rem = total
     factors = {}
     p = 2

@@ -85,6 +85,18 @@ class SparseSeries:
     # -- constructors -----------------------------------------------------
 
     @classmethod
+    def _trusted(cls, nvars: int, terms: dict, truncation: Optional[int]) -> "SparseSeries":
+        """Adopt ``terms`` as is, with no coercion, merging or checks: for engine
+        output whose keys are distinct non-negative int tuples of length ``nvars``
+        and total degree <= ``truncation``, and whose values are nonzero Fractions."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "truncation", truncation)
+        object.__setattr__(self, "laurent", (False,) * nvars)
+        object.__setattr__(self, "terms", terms)
+        return self
+
+    @classmethod
     def zero(cls, nvars, truncation=None, laurent=None):
         return cls(nvars, {}, truncation, laurent)
 

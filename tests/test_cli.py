@@ -202,13 +202,6 @@ class TestHypergeoCommands:
             assert abs(t1 - t2) < 1e-7 and resid < 1e-8
 
 
-class TestKernelFlag:
-    def test_kernels_emit_identical_tables(self, capsys, toy_config):
-        a = run(capsys, "denominators", "--config", toy_config, "--kernel", "py")
-        b = run(capsys, "denominators", "--config", toy_config, "--kernel", "auto")
-        assert a == b
-
-
 def test_module_invocation_subprocess(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     cfg = tmp_path / "family.json"

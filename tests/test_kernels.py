@@ -1,63 +1,68 @@
-"""The compiled and pure coefficient kernels must be interchangeable."""
+"""The residue-class kernel against the closed formula, and the engine paths
+built on its output."""
 
-import random
+from fractions import Fraction
+from itertools import product
 
-import pytest
+import hypothesis.strategies as st
+from hypothesis import given, settings
 
 from hodgeloci import _coeff_kernel_py
-from hodgeloci.periods import HAVE_COMPILED_KERNEL, FamilySpec, griffiths_basis, period_series
+from hodgeloci.periods import (FamilySpec, denominator_profile, griffiths_basis,
+                               period_coefficient, period_denominator_profile,
+                               period_series, quartic_full_monomials)
+from hodgeloci.series import SparseSeries, grlex_key
 
 
-def random_family(rng, d, n, nmono, trunc):
-    nv = n + 2
-    monos = set()
-    while len(monos) < nmono:
-        cuts = sorted(rng.randint(0, d) for _ in range(nv - 1))
-        parts = [cuts[0]] + [b - a for a, b in zip(cuts, cuts[1:])] + [d - cuts[-1]]
-        monos.add(tuple(parts))
-    return FamilySpec(n, d, tuple(sorted(monos)), trunc)
+@st.composite
+def families(draw, max_d=5, max_monomials=4, max_trunc=8):
+    """A quartic-surface-shaped family (n = 2) of degree d <= max_d."""
+    d = draw(st.integers(2, max_d))
+    cuts = st.lists(st.integers(0, d), min_size=3, max_size=3).map(sorted)
+    weight_d = cuts.map(lambda c: (c[0], c[1] - c[0], c[2] - c[1], d - c[2]))
+    monos = draw(st.lists(weight_d, max_size=max_monomials, unique=True))
+    return FamilySpec(2, d, tuple(monos), draw(st.integers(0, max_trunc)))
 
 
-needs_compiled = pytest.mark.skipif(not HAVE_COMPILED_KERNEL,
-                                    reason="compiled kernel not built")
+def simplex(m, trunc):
+    return [a for a in product(range(trunc + 1), repeat=m) if sum(a) <= trunc]
 
 
-@needs_compiled
-def test_twins_agree_on_random_families():
-    from hodgeloci import _coeff_kernel
-
-    rng = random.Random(42)
-    for _ in range(25):
-        d = rng.choice([2, 3, 4, 5])
-        fam = random_family(rng, d, 2, rng.randint(1, 4), rng.randint(0, 6))
-        for beta in griffiths_basis(d, 2)[:3]:
-            args = (beta.beta, d, fam.monomials, fam.truncation)
-            assert _coeff_kernel.coefficient_terms(*args) == \
-                _coeff_kernel_py.coefficient_terms(*args)
-
-
-@needs_compiled
-def test_twins_agree_on_quartic_family():
-    from hodgeloci import _coeff_kernel
-
-    fam = FamilySpec(2, 4, ((1, 3, 0, 0), (0, 1, 3, 0), (0, 0, 1, 3), (3, 0, 0, 1)), 12)
-    for beta in griffiths_basis(4, 2):
-        args = (beta.beta, 4, fam.monomials, fam.truncation)
-        assert _coeff_kernel.coefficient_terms(*args) == \
-            _coeff_kernel_py.coefficient_terms(*args)
+@settings(max_examples=100, deadline=None)
+@given(families())
+def test_kernel_matches_closed_formula_on_the_simplex(fam):
+    for beta in griffiths_basis(fam.d, fam.n):
+        terms = _coeff_kernel_py.coefficient_terms(beta.beta, fam.d, fam.monomials,
+                                                   fam.truncation)
+        keys = [grlex_key(a) for a, _, _ in terms]
+        assert keys == sorted(set(keys))  # strictly ascending graded-lex
+        emitted = {a: Fraction(num, den) for a, num, den in terms}
+        for a in simplex(fam.nparams, fam.truncation):
+            assert emitted.pop(a, 0) == period_coefficient(a, beta, fam)
+        assert not emitted  # nothing outside the simplex
 
 
-@needs_compiled
-def test_series_identical_across_kernels():
-    fam = FamilySpec(2, 4, ((1, 3, 0, 0), (0, 1, 3, 0), (0, 0, 1, 3), (3, 0, 0, 1)), 10)
-    a = period_series((0, 0, 0, 0), fam, kernel="c").series
-    b = period_series((0, 0, 0, 0), fam, kernel="py").series
-    assert a == b
+@settings(max_examples=40, deadline=None)
+@given(families())
+def test_trusted_series_equals_validated_construction(fam):
+    for beta in griffiths_basis(fam.d, fam.n):
+        series = period_series(beta, fam).series
+        raw = _coeff_kernel_py.coefficient_terms(beta.beta, fam.d, fam.monomials,
+                                                 fam.truncation)
+        checked = SparseSeries(fam.nparams, [(a, Fraction(num, den)) for a, num, den in raw],
+                               truncation=fam.truncation)
+        assert series == checked and hash(series) == hash(checked)
+
+
+@settings(max_examples=40, deadline=None)
+@given(families())
+def test_integer_denominator_path_matches_series_profile(fam):
+    for beta in griffiths_basis(fam.d, fam.n):
+        assert period_denominator_profile(beta, fam) == \
+            denominator_profile(period_series(beta, fam))
 
 
 def test_pure_kernel_handles_many_variables():
     # 35-variable enumeration at low degree: recursion depth equals set size
-    from hodgeloci.periods import quartic_full_monomials
-
     terms = _coeff_kernel_py.coefficient_terms((0, 0, 0, 0), 4, quartic_full_monomials(), 1)
     assert len(terms) == 9

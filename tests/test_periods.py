@@ -110,12 +110,12 @@ class TestPeriodCoefficient:
 class TestPeriodSeries:
     def test_truncation_zero_is_empty(self, beta0):
         fam = FamilySpec(2, 4, I35, 0)
-        ps = period_series(beta0, fam, kernel="py")
+        ps = period_series(beta0, fam)
         assert ps.series.is_zero()
 
     def test_degree_one_terms_against_brute_force(self, beta0):
         fam = FamilySpec(2, 4, I35, 1)
-        ps = period_series(beta0, fam, kernel="py")
+        ps = period_series(beta0, fam)
         # independent oracle: literal fractional-part arithmetic per monomial
         expected = set()
         for idx, alpha in enumerate(I35):
@@ -134,10 +134,15 @@ class TestPeriodSeries:
         with pytest.raises(NotIntegral):
             period_series((1, 0, 0, 0), fam)
 
+    def test_beta_length_must_match_family(self):
+        fam = FamilySpec(2, 4, I4, 2)
+        with pytest.raises(ValueError):
+            period_series((1,) * 8, fam)  # integral pole order, but eight slots
+
     def test_survivors_satisfy_pair_condition_and_denominator_bound(self):
         fam = FamilySpec(2, 4, I4, 8)
         for beta in ((0, 0, 0, 0), (1, 1, 1, 1), (2, 2, 2, 2)):
-            ps = period_series(beta, fam, kernel="py")
+            ps = period_series(beta, fam)
             for a, c in ps.series.terms.items():
                 bcheck = [b + sum(v * alpha[j] for v, alpha in zip(a, I4))
                           for j, b in enumerate(beta)]
@@ -150,7 +155,7 @@ class TestPeriodSeries:
 
     def test_sign_flip_changes_signs_but_not_profile(self):
         fam = FamilySpec(2, 4, I4, 6)
-        ps = period_series((1, 1, 1, 1), fam, kernel="py")
+        ps = period_series((1, 1, 1, 1), fam)
         for i in range(4):
             flipped = ps.series.sign_flip(i)
             assert denominator_profile(flipped) == denominator_profile(ps.series)
@@ -166,7 +171,7 @@ class TestPeriodSeries:
 class TestCrossPath:
     def test_full_family_agreement_low_degree(self, fam35, beta0):
         direct = quartic_full_family_series(3)
-        engine = period_series(beta0, fam35, kernel="py")
+        engine = period_series(beta0, fam35)
         assert direct == engine.series
 
     def test_constant_term_vanishes(self):
@@ -280,7 +285,7 @@ def test_cubic_fourfold_family():
 
     fam = FamilySpec(4, 3, ((1, 2, 0, 0, 0, 0), (0, 0, 1, 2, 0, 0), (0, 0, 0, 0, 2, 1)), 6)
     for beta in ((0,) * 6, (1,) * 6):
-        ps = period_series(beta, fam, kernel="py")
+        ps = period_series(beta, fam)
         bidx = BetaIndex.make(beta, 3)
         for a in monomials_upto_oracle(3, 6):
             assert ps.series.coefficient(a) == period_coefficient(a, bidx, fam)
@@ -303,8 +308,8 @@ def test_monomial_order_equivariance():
     perm = (2, 0, 3, 1)
     fam_p = FamilySpec(2, 4, tuple(I4[i] for i in perm), 6)
     for beta in ((0, 0, 0, 0), (1, 1, 1, 1)):
-        base = period_series(beta, fam, kernel="py").series
-        permuted = period_series(beta, fam_p, kernel="py").series
+        base = period_series(beta, fam).series
+        permuted = period_series(beta, fam_p).series
         remapped = {tuple(a[perm.index(j)] for j in range(4)): c
                     for a, c in permuted.terms.items()}
         assert remapped == base.terms
@@ -314,7 +319,7 @@ def test_kernel_matches_readable_path():
     rng = random.Random(3)
     fam = FamilySpec(2, 4, I4, 5)
     beta = BetaIndex.make((1, 1, 1, 1), 4)
-    ps = period_series(beta, fam, kernel="py")
+    ps = period_series(beta, fam)
     for _ in range(200):
         a = tuple(rng.randint(0, 2) for _ in range(4))
         if sum(a) > 5:
