@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import List, Mapping, Optional, Sequence, Tuple
 
@@ -96,28 +95,21 @@ def _fracs_csv(text: str) -> List[Fraction]:
 # -- subcommand bodies ----------------------------------------------------------
 
 
-def run_denominator_table(config: Mapping, threads: int = 1) -> str:
+def run_denominator_table(config: Mapping) -> str:
     """One row per basis element: rendered monomial, lcm, factorization.
 
-    Output is byte-stable across runs and thread counts.
+    Output is byte-stable across runs.
     """
     fam = family_from_config(config)
-    betas = betas_from_config(config, fam)
-
-    def row(b: periods.BetaIndex) -> str:
+    rows = []
+    for b in betas_from_config(config, fam):
         prof = periods.period_denominator_profile(b, fam)
-        return f"{b.monomial_str()},{prof.lcm},{prof.factorization_str()}"
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(row, betas))
-    else:
-        rows = [row(b) for b in betas]
-    return "monomial,lcm,factorization\n" + "".join(r + "\n" for r in rows)
+        rows.append(f"{b.monomial_str()},{prof.lcm},{prof.factorization_str()}\n")
+    return "monomial,lcm,factorization\n" + "".join(rows)
 
 
 def _cmd_denominators(args) -> Tuple[str, int]:
-    return run_denominator_table(_load_config(args.config), args.threads), 0
+    return run_denominator_table(_load_config(args.config)), 0
 
 
 def _cmd_periods(args) -> Tuple[str, int]:
@@ -130,11 +122,7 @@ def _cmd_periods(args) -> Tuple[str, int]:
         return {"beta": list(b.beta), "k": b.k, "monomial": b.monomial_str(),
                 "normalization": ps.normalization, "series": ps.series.to_doc()}
 
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(entry, betas))
-    else:
-        results = [entry(b) for b in betas]
+    results = [entry(b) for b in betas]
     doc = {"family": {"n": fam.n, "d": fam.d, "I": [list(a) for a in fam.monomials],
                       "truncation": fam.truncation},
            "results": results}
@@ -227,6 +215,15 @@ def _cmd_sch(args) -> Tuple[str, int]:
     return "".join(l + "\n" for l in lines) if lines else "0\n", 0
 
 
+def _locus_exit_code(sample: hypergeo.LocusSample) -> int:
+    """1 (UNKNOWN) when a residual is not below the tolerance, naming each such
+    point on stderr; 0 otherwise."""
+    for t1, _, r in sample.flagged:
+        print(f"unknown: t1={t1:.12g} has residual {r:.3e}, not below tol {sample.tol:g}",
+              file=sys.stderr)
+    return 1 if sample.flagged else 0
+
+
 def _cmd_hypergeo_locus(args) -> Tuple[str, int]:
     if args.grid < 1:
         raise ValueError("grid must have at least one point")
@@ -240,7 +237,7 @@ def _cmd_hypergeo_locus(args) -> Tuple[str, int]:
     lines = ["t1,t2,residual"]
     lines += [f"{t1:.12g},{t2:.12g},{r:.3e}" for t1, t2, r in sample.points]
     lines += [f"# skipped: t1={t1:.12g} (target ratio out of range)" for t1 in sample.skipped]
-    return "".join(l + "\n" for l in lines), 0
+    return "".join(l + "\n" for l in lines), _locus_exit_code(sample)
 
 
 def _cmd_hypergeo_witness(args) -> Tuple[str, int]:
@@ -251,7 +248,7 @@ def _cmd_hypergeo_witness(args) -> Tuple[str, int]:
         lines.append(f"{t1:.12g},{t2:.12g},{r:.3e}")
     else:
         lines.append(f"# skipped: t1={args.t1:.12g} (target ratio out of range)")
-    return "".join(l + "\n" for l in lines), 0
+    return "".join(l + "\n" for l in lines), _locus_exit_code(sample)
 
 
 # -- argument parsing -------------------------------------------------------------
@@ -272,11 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("periods", _cmd_periods, "period series for a deformation family config")
     p.add_argument("--config", required=True)
-    p.add_argument("--threads", type=int, default=1)
 
     p = add("denominators", _cmd_denominators, "denominator table, one row per basis form")
     p.add_argument("--config", required=True)
-    p.add_argument("--threads", type=int, default=1)
 
     p = add("eq1", _cmd_eq1, "independent full quartic-family series (35 monomials)")
     p.add_argument("--truncation", type=int, required=True)
@@ -355,8 +350,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.output}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

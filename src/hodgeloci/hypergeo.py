@@ -8,18 +8,21 @@ The locus function
 
     F(1 - t1) F(t2) - N F(1 - t2) F(t1)
 
-vanishes exactly when tau(t1) = N * tau(t2); its zero locus is sampled by
-inverting tau with bisection.  Coefficients are generated exactly (Fractions)
-once per parameter triple and cached as floats; evaluation truncates
-adaptively using the geometric tail bound |next term| / (1 - z).
+vanishes exactly when tau(t1) = N * tau(t2).  Both directions are closed
+forms (Borwein & Borwein, *Pi and the AGM*, 1987, ch. 1-2; DLMF 19.8 and
+23.15): F(z) = 1/AGM(1, sqrt(1-z)), and the inverse of tau is the modular
+lambda function, t = lambda(i*s) = (theta2(q)/theta3(q))^4 with q = e^{-pi s}.
+The exact series ``hyp2f1`` is kept as the cross-check oracle, and
+``eval_2f1`` sums any 2F1 in floats with the geometric tail bound
+|next term| / (1 - z).
 """
 
 from __future__ import annotations
 
-import threading
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from hodgeloci.errors import OutOfDomain, TargetOutOfRange
 
@@ -78,100 +81,77 @@ def hyp2f1(params: HypParams, order: int) -> TruncSeries1D:
     return TruncSeries1D(tuple(coeffs))
 
 
-# float coefficient cache, extended on demand, keyed by parameters; the lists
-# are append-only, so readers only need the lock while extending
-_FLOAT_COEFFS: Dict[HypParams, List[float]] = {}
-_EXACT_LAST: Dict[HypParams, Fraction] = {}
-_CACHE_LOCK = threading.Lock()
-
-
-def _float_coeffs(params: HypParams, n: int) -> List[float]:
-    cached = _FLOAT_COEFFS.get(params)
-    if cached is not None and len(cached) > n:
-        return cached
-    with _CACHE_LOCK:
-        cached = _FLOAT_COEFFS.get(params)
-        if cached is None:
-            cached = [1.0]
-            _FLOAT_COEFFS[params] = cached
-            _EXACT_LAST[params] = Fraction(1)
-        if len(cached) <= n:
-            a, b, c = params.a, params.b, params.c
-            last = _EXACT_LAST[params]
-            for k in range(len(cached) - 1, n):
-                last = last * (a + k) * (b + k) / ((c + k) * (k + 1))
-                cached.append(float(last))
-            _EXACT_LAST[params] = last
-    return cached
-
-
 def eval_2f1(params: HypParams, z: float, tol: float = 1e-12) -> float:
     """Adaptively truncated evaluation for 0 <= z < 1.
 
-    Stops when the geometric tail bound |term| / (1 - z) drops below tol;
-    sound whenever the term ratio stays below 1, which holds for the
-    parameter ranges used here (a, b <= c + 1 termwise check enforced).
+    Sums the term recurrence in floats and stops when the geometric tail
+    bound |next term| / (1 - z) drops below tol; sound whenever the
+    coefficients do not increase from there on, as for PARAMS_HALF.
     """
     if not 0.0 <= z < 1.0:
         raise OutOfDomain(f"series evaluation needs 0 <= z < 1, got {z}")
+    a, b, c = float(params.a), float(params.b), float(params.c)
     total = 0.0
-    zp = 1.0
+    term = 1.0
     n = 0
-    block = 64
-    coeffs = _float_coeffs(params, block)
     while True:
-        while n < len(coeffs):
-            term = coeffs[n] * zp
-            total += term
-            zp *= z
-            n += 1
-            if n > 8 and abs(coeffs[n - 1] * zp) / (1.0 - z) < tol:
-                return total
-        block *= 2
-        coeffs = _float_coeffs(params, block)
+        total += term
+        term *= (a + n) * (b + n) / ((c + n) * (n + 1)) * z
+        n += 1
+        if n > 8 and abs(term) / (1.0 - z) < tol:
+            return total
 
 
-def tau_of_t(t: float, tol: float = 1e-12) -> float:
-    """Imaginary part of the period ratio: F(1-t)/F(t) on [DELTA, 1-DELTA]."""
+def _agm(x: float, y: float) -> float:
+    """Arithmetic-geometric mean of two positive floats.  Convergence is
+    quadratic: once the relative gap is below 1e-9, the next arithmetic mean
+    is the limit to within about 1e-19 relative."""
+    while abs(x - y) > 1e-9 * x:
+        x, y = 0.5 * (x + y), math.sqrt(x * y)
+    return 0.5 * (x + y)
+
+
+def _lambda(s: float) -> float:
+    """Modular lambda at i*s for s >= 1: (theta2(q)/theta3(q))^4 with
+    q = e^{-pi s} <= e^{-pi}, where the first omitted term of either theta
+    sum is below q^16 < 1e-21 relative."""
+    q = math.exp(-math.pi * s)
+    theta2 = 2.0 * q ** 0.25 * sum(q ** (n * (n + 1)) for n in range(4))
+    theta3 = 1.0 + 2.0 * sum(q ** (n * n) for n in range(1, 4))
+    return (theta2 / theta3) ** 4
+
+
+def tau_of_t(t: float) -> float:
+    """Imaginary part of the period ratio on [DELTA, 1-DELTA]:
+    F(1-t)/F(t) = AGM(1, sqrt(1-t)) / AGM(1, sqrt(t))."""
     if not DELTA <= t <= 1.0 - DELTA:
         raise OutOfDomain(f"t = {t} outside [{DELTA}, {1.0 - DELTA}]")
-    return eval_2f1(PARAMS_HALF, 1.0 - t, tol) / eval_2f1(PARAMS_HALF, t, tol)
+    return _agm(1.0, math.sqrt(1.0 - t)) / _agm(1.0, math.sqrt(t))
 
 
-def invert_tau(s_target: float, tol: float = 1e-10) -> float:
-    """The t with tau(t) = s_target, by bisection on the decreasing ratio."""
+def invert_tau(s_target: float) -> float:
+    """The t with tau(t) = s_target: the modular lambda at i*s_target, taken as
+    1 - lambda(i/s_target) below 1 so that its theta series converge fast."""
     if s_target <= 0.0:
         raise TargetOutOfRange("the imaginary period ratio is positive")
-    lo, hi = DELTA, 1.0 - DELTA
-    f_lo = tau_of_t(lo)
-    f_hi = tau_of_t(hi)
+    f_lo = tau_of_t(DELTA)
+    f_hi = tau_of_t(1.0 - DELTA)
     if not f_hi <= s_target <= f_lo:
         raise TargetOutOfRange(
             f"target {s_target} outside attained range [{f_hi:.6g}, {f_lo:.6g}]")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        val = tau_of_t(mid)
-        if abs(val - s_target) < tol:
-            return mid
-        if val > s_target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-16:
-            return mid
-    return 0.5 * (lo + hi)
+    return _lambda(s_target) if s_target >= 1.0 else 1.0 - _lambda(1.0 / s_target)
 
 
-def locus_function(t1: float, t2: float, n_iso: int, tol: float = 1e-12) -> float:
-    """F(1-t1) F(t2) - N F(1-t2) F(t1), the defining function of the degree-N
-    isogeny locus; each distinct argument is evaluated exactly once, so the
-    N = 1 diagonal vanishes identically."""
+def locus_function(t1: float, t2: float, n_iso: int) -> float:
+    """F(1-t1) F(t2) - N F(1-t2) F(t1) with F(z) = 1/AGM(1, sqrt(1-z)), the
+    defining function of the degree-N isogeny locus; each distinct argument is
+    evaluated exactly once, so the N = 1 diagonal vanishes identically."""
     if not (DELTA <= t1 <= 1.0 - DELTA and DELTA <= t2 <= 1.0 - DELTA):
         raise OutOfDomain("arguments must lie in the margin interval")
     values: Dict[float, float] = {}
     for z in (1.0 - t1, t2, 1.0 - t2, t1):
         if z not in values:
-            values[z] = eval_2f1(PARAMS_HALF, z, tol)
+            values[z] = 1.0 / _agm(1.0, math.sqrt(1.0 - z))
     return values[1.0 - t1] * values[t2] - n_iso * values[1.0 - t2] * values[t1]
 
 
@@ -191,15 +171,18 @@ class LocusSample:
 
 def sample_locus(n_iso: int, t1_grid: Sequence[float], tol: float = 1e-8) -> LocusSample:
     """For each grid point t1, solve tau(t2) = tau(t1)/N and record the
-    residual of the locus function; out-of-range targets are skipped."""
+    residual of the locus function; out-of-range targets are skipped.  Points
+    whose residual is not below tol are reported by ``flagged``."""
     if n_iso < 1:
         raise ValueError("the isogeny degree must be a positive integer")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     points = []
     skipped = []
     for t1 in t1_grid:
         target = tau_of_t(t1) / n_iso
         try:
-            t2 = invert_tau(target, tol=min(tol * 1e-2, 1e-10))
+            t2 = invert_tau(target)
         except TargetOutOfRange:
             skipped.append(t1)
             continue

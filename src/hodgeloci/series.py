@@ -143,7 +143,10 @@ class SparseSeries:
 
     def sorted_terms(self):
         """Terms in graded-lexicographic order."""
-        return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]))
+        if self.is_laurent():
+            return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]))
+        # every exponent is non-negative, so the total degree is the plain sum
+        return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]))
 
     def is_laurent(self) -> bool:
         return any(self.laurent)

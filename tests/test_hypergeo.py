@@ -1,14 +1,23 @@
 import math
 from fractions import Fraction
+from functools import lru_cache
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from hodgeloci.errors import OutOfDomain, TargetOutOfRange
-from hodgeloci.hypergeo import (DELTA, PARAMS_HALF, HypParams, eval_2f1, hyp2f1,
+from hodgeloci.hypergeo import (DELTA, PARAMS_HALF, HypParams, _agm, eval_2f1, hyp2f1,
                                 invert_tau, locus_function, sample_locus, tau_of_t)
 from hodgeloci.periods import pochhammer
 
 LAMBDA_2I = 17 - 12 * math.sqrt(2)  # value of the modular lambda at 2i
+ORACLE_ORDER = 700
+
+
+@lru_cache(maxsize=None)
+def _exact_half_coefficients():
+    return hyp2f1(PARAMS_HALF, ORACLE_ORDER).coefficients
 
 
 class TestSeries:
@@ -43,6 +52,18 @@ class TestSeries:
             exact = hyp2f1(PARAMS_HALF, 400).eval_float(z)
             assert abs(exact - eval_2f1(PARAMS_HALF, z, 1e-13)) < 1e-11
 
+    @settings(max_examples=100, deadline=None)
+    @given(z=st.floats(0.0, 0.95), n=st.integers(0, ORACLE_ORDER))
+    def test_agm_value_within_exact_partial_sum_bounds(self, z, n):
+        # the coefficients are positive and decrease, so the partial sum S_n
+        # satisfies S_n <= F(z) <= S_n + c_n z^n / (1 - z)
+        coeffs = _exact_half_coefficients()[:n + 1]
+        partial = math.fsum(float(c) * z ** k for k, c in enumerate(coeffs))
+        tail = float(coeffs[-1]) * z ** n / (1.0 - z)
+        value = 1.0 / _agm(1.0, math.sqrt(1.0 - z))
+        slack = 1e-14
+        assert partial - slack <= value <= partial + tail + slack
+
     def test_tail_bound_soundness(self):
         # doubling the truncation moves the value by less than the bound used
         for z in (0.2, 0.5, 0.8, 0.95):
@@ -75,15 +96,24 @@ class TestTau:
 
 class TestInvert:
     def test_unit_target(self):
-        assert abs(invert_tau(1.0, tol=1e-12) - 0.5) < 1e-10
+        assert abs(invert_tau(1.0) - 0.5) < 1e-10
 
     def test_classical_value_at_two(self):
-        assert abs(invert_tau(2.0, tol=1e-10) - LAMBDA_2I) < 1e-6
+        assert abs(invert_tau(2.0) - LAMBDA_2I) < 1e-6
+
+    def test_lambda_at_two_to_rounding(self):
+        assert abs(invert_tau(2.0) - LAMBDA_2I) < 1e-14
+        assert abs(invert_tau(0.5) - (1 - LAMBDA_2I)) < 1e-14
+
+    @settings(max_examples=200, deadline=None)
+    @given(t=st.floats(DELTA, 1.0 - DELTA))
+    def test_round_trip_to_rounding(self, t):
+        assert abs(invert_tau(tau_of_t(t)) - t) < 1e-13
 
     def test_round_trip(self):
         tol = 1e-10
         for t in (0.2, 0.4, 0.6, 0.8):
-            assert abs(invert_tau(tau_of_t(t), tol=tol) - t) < 10 * tol
+            assert abs(invert_tau(tau_of_t(t)) - t) < 10 * tol
 
     def test_out_of_range(self):
         with pytest.raises(TargetOutOfRange):
@@ -98,7 +128,7 @@ class TestLocusFunction:
             assert locus_function(t, t, 1) == 0.0
 
     def test_degree_two_zero(self):
-        t2 = invert_tau(0.5, tol=1e-12)
+        t2 = invert_tau(0.5)
         assert abs(locus_function(0.5, t2, 2)) < 1e-8
 
     def test_degree_two_nonzero_on_diagonal(self):

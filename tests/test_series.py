@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import series_st
-from hodgeloci.series import SparseSeries, total_degree
+from hodgeloci.series import SparseSeries, grlex_key, total_degree
 
 
 def S(nvars, terms, trunc=None):
@@ -110,6 +110,12 @@ def test_doc_is_graded_lex_sorted():
     s = S(2, {(2, 0): 1, (0, 1): 2, (0, 0): 3, (1, 0): 4})
     es = [tuple(t["e"]) for t in s.to_doc()["terms"]]
     assert es == [(0, 0), (0, 1), (1, 0), (2, 0)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(series_st(nvars=3, max_deg=4, max_terms=8))
+def test_sorted_terms_follow_grlex_key(s):
+    assert [e for e, _ in s.sorted_terms()] == sorted(s.terms, key=grlex_key)
 
 
 def test_laurent_round_trip():
