@@ -4,7 +4,8 @@ Subcommands: periods, denominators, eq1, griffiths, foliation-check, gm,
 pcurvature, sch, tangency, solve-linear, hypergeo-locus, hypergeo-witness,
 steenbrink.  All tabular output is comma-delimited with a header row; series
 and matrices are emitted in the canonical JSON document format.  Exit codes:
-0 success, 1 UNKNOWN verdict, 2 invalid input, 3 resource limit.
+0 success, 1 UNKNOWN verdict, 2 invalid input, 3 resource limit, 4 internal
+error (a failed self-check or any other unexpected exception).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from hodgeloci.gauss_manin import (HodgeBlocks, block_foliation_forms,
 from hodgeloci.series import SparseSeries
 
 _INVALID_INPUT = (
-    ValueError, KeyError, TypeError, OSError, RuntimeError, json.JSONDecodeError,
+    ValueError, KeyError, TypeError, OSError, json.JSONDecodeError,
     ParseError, NotIntegral, NotIntegrable, OutOfDomain, TargetOutOfRange,
     TransversalityViolation, DenominatorDivisibleByP,
 )
@@ -53,9 +54,16 @@ def betas_from_config(cfg: Mapping, fam: periods.FamilySpec) -> List[periods.Bet
     return [periods.BetaIndex.make(tuple(int(x) for x in b), fam.d) for b in beta]
 
 
-def _load_config(path: str) -> Mapping:
+def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"JSON nested too deeply: {path}") from None
+
+
+def _load_config(path: str) -> Mapping:
+    cfg = _load_json(path)
     if not isinstance(cfg, dict):
         raise ValueError("config must be a JSON object")
     return cfg
@@ -73,8 +81,7 @@ def _context(args) -> PolyContext:
 
 
 def _load_form_matrix(path: str, ctx: PolyContext) -> FormMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _load_json(path)
     if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
         raise ValueError("matrix file must be a JSON array of arrays of 1-form expressions")
     return FormMatrix(ctx, [[exprparse.parse_oneform(e, ctx) for e in row] for row in data])
@@ -349,6 +356,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _INVALID_INPUT as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # InternalCheckFailed, or a bug: never exit 1 (UNKNOWN)
+        import traceback  # only on this path: importing it costs start-up time
+
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return 4
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:

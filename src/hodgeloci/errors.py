@@ -33,6 +33,10 @@ class ResourceLimit(RuntimeError):
     """Input exceeds the configured resource bound."""
 
 
+class InternalCheckFailed(RuntimeError):
+    """An identity the package verifies on its own output does not hold: a bug, not bad input."""
+
+
 class ParseError(ValueError):
     """Expression syntax error, with the offending position."""
 

@@ -24,6 +24,10 @@ from hodgeloci.series import SparseSeries, grlex_key
 
 _BASIS_RANK = {None: 0, "d": 1, "D": 2}
 
+# Parentheses deeper than this are rejected as input errors, well before the
+# recursive descent (three frames per level) reaches Python's recursion limit.
+MAX_NESTING = 100
+
 
 @dataclass(frozen=True)
 class Term:
@@ -110,6 +114,7 @@ class _Parser:
     def __init__(self, text: str, ctx: PolyContext):
         self.toks = _Tokenizer(text)
         self.ctx = ctx
+        self.depth = 0
 
     def expect(self, kind: str) -> Tuple[str, str, int]:
         tok = self.toks.next()
@@ -184,8 +189,12 @@ class _Parser:
         kind, text, pos = self.toks.next()
         zero = (0,) * self.ctx.nvars
         if kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
+            self.depth += 1
             inner = self.expr()
             self.expect(")")
+            self.depth -= 1
             return inner
         if kind == "NAME":
             if text in ("d", "D") and self.toks.peek()[0] == "(":

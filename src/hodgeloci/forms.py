@@ -282,23 +282,94 @@ def d_oneform(w: OneForm) -> TwoForm:
     comps = {}
     for i in range(n):
         for j in range(i + 1, n):
+            if not (w.comps[i] or w.comps[j]):
+                continue
             c = w.comps[j].diff(i) - w.comps[i].diff(j)
             if not c.is_zero():
                 comps[(i, j)] = c
     return TwoForm(w.ctx, comps)
 
 
+def _truncation(c) -> Optional[int]:
+    """A component's truncation; GF(p) polynomials have none."""
+    return getattr(c, "truncation", None)
+
+
+def _min_trunc(*ts) -> Optional[int]:
+    return min((t for t in ts if t is not None), default=None)
+
+
+def _capped(c, t: Optional[int]):
+    """c with its truncation lowered to t when t is below it."""
+    if t is None or (c.truncation is not None and c.truncation <= t):
+        return c
+    return c.truncate(t)
+
+
+def _wedge_into(acc: dict, a: OneForm, b: OneForm) -> None:
+    """Add a ^ b into ``acc``, two-form components keyed by (i, j) with i < j.
+
+    Only products of nonzero components are formed.  Each component of a ^ b
+    is still cut to the truncation that the full a_i b_j - a_j b_i would have
+    (zero factors included), and a sum that cancels leaves ``acc``, exactly as
+    adding ``wedge(a, b)`` as a TwoForm would.
+    """
+    _check_ctx(a, b)
+    na = [(i, c) for i, c in enumerate(a.comps) if c]
+    nb = [(j, c) for j, c in enumerate(b.comps) if c]
+    part = {}
+    for i, ai in na:
+        for j, bj in nb:
+            if i == j:
+                continue
+            p = ai * bj
+            key = (i, j) if i < j else (j, i)
+            s = part.get(key)
+            if i < j:
+                part[key] = p if s is None else s + p
+            else:
+                part[key] = -p if s is None else s - p
+    ta = [_truncation(c) for c in a.comps]
+    tb = [_truncation(c) for c in b.comps]
+    for key, w in part.items():
+        i, j = key
+        w = _capped(w, _min_trunc(ta[i], ta[j], tb[i], tb[j]))
+        if not w:
+            continue
+        s = acc.get(key)
+        if s is None:
+            acc[key] = w
+            continue
+        s = s + w
+        if s:
+            acc[key] = s
+        else:
+            del acc[key]
+
+
 def wedge(a: OneForm, b: OneForm) -> TwoForm:
     """(a ^ b)_{ij} = a_i b_j - a_j b_i for i < j."""
-    _check_ctx(a, b)
-    n = a.ctx.nvars
     comps = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = a.comps[i] * b.comps[j] - a.comps[j] * b.comps[i]
-            if not c.is_zero():
-                comps[(i, j)] = c
+    _wedge_into(comps, a, b)
     return TwoForm(a.ctx, comps)
+
+
+def scaled_sum(ctx: PolyContext, pairs) -> OneForm:
+    """sum_j f_j * w_j over (polynomial, 1-form) pairs, term by term.
+
+    A zero f_j is skipped when neither it nor any component of w_j has a
+    truncation: its product adds nothing.  Any other zero product is still
+    added, because its truncation caps the sum's.  When every pair is skipped
+    the sum is the zero of the last skipped factor's ring.
+    """
+    acc = zero = None
+    for f, w in pairs:
+        if not f and _truncation(f) is None and all(_truncation(c) is None for c in w.comps):
+            zero = f
+            continue
+        term = w.scale(f)
+        acc = term if acc is None else acc + term
+    return acc if acc is not None else OneForm.zero(ctx, like=zero)
 
 
 def pairing_eval(w: OneForm, v: Sequence, t: Sequence) -> Fraction:
@@ -357,10 +428,10 @@ class FormMatrix:
         for i in range(r):
             row = []
             for k in range(c):
-                acc = TwoForm.zero(self.ctx)
+                acc = {}
                 for j in range(m):
-                    acc = acc + wedge(self.entries[i][j], other.entries[j][k])
-                row.append(acc)
+                    _wedge_into(acc, self.entries[i][j], other.entries[j][k])
+                row.append(TwoForm(self.ctx, acc))
             out.append(row)
         return out
 
@@ -369,14 +440,7 @@ class FormMatrix:
         r, c = self.shape
         if len(xs) != c:
             raise ValueError("length mismatch")
-        out = []
-        for i in range(r):
-            acc = None
-            for j in range(c):
-                term = self.entries[i][j].scale(xs[j])
-                acc = term if acc is None else acc + term
-            out.append(acc if acc is not None else OneForm.zero(self.ctx))
-        return out
+        return [scaled_sum(self.ctx, zip(xs, self.entries[i])) for i in range(r)]
 
     def mul_poly_mat(self, s: Sequence[Sequence]) -> "FormMatrix":
         """B * S with S a matrix of polynomials."""
@@ -384,35 +448,18 @@ class FormMatrix:
         if len(s) != c:
             raise ValueError("shape mismatch")
         cols = len(s[0])
-        out = []
-        for i in range(r):
-            row = []
-            for k in range(cols):
-                acc = None
-                for j in range(c):
-                    term = self.entries[i][j].scale(s[j][k])
-                    acc = term if acc is None else acc + term
-                row.append(acc)
-            out.append(row)
-        return FormMatrix(self.ctx, out)
+        return FormMatrix(self.ctx, [
+            [scaled_sum(self.ctx, ((s[j][k], self.entries[i][j]) for j in range(c)))
+             for k in range(cols)] for i in range(r)])
 
     def pre_mul_poly_mat(self, s: Sequence[Sequence]) -> "FormMatrix":
         """S * B with S a matrix of polynomials."""
         r, c = self.shape
-        rows = len(s)
         if len(s[0]) != r:
             raise ValueError("shape mismatch")
-        out = []
-        for i in range(rows):
-            row = []
-            for k in range(c):
-                acc = None
-                for j in range(r):
-                    term = self.entries[j][k].scale(s[i][j])
-                    acc = term if acc is None else acc + term
-                row.append(acc)
-            out.append(row)
-        return FormMatrix(self.ctx, out)
+        return FormMatrix(self.ctx, [
+            [scaled_sum(self.ctx, ((si[j], self.entries[j][k]) for j in range(r)))
+             for k in range(c)] for si in s])
 
     def __add__(self, other):
         if not isinstance(other, FormMatrix):
@@ -483,10 +530,10 @@ def wedge_matvec(a: FormMatrix, forms: Sequence[OneForm]) -> List[TwoForm]:
         raise ValueError("length mismatch")
     out = []
     for i in range(r):
-        acc = TwoForm.zero(a.ctx)
+        acc = {}
         for j in range(c):
-            acc = acc + wedge(a.entries[i][j], forms[j])
-        out.append(acc)
+            _wedge_into(acc, a.entries[i][j], forms[j])
+        out.append(TwoForm(a.ctx, acc))
     return out
 
 

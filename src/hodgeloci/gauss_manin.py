@@ -16,11 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-from hodgeloci.errors import NotIntegrable, TransversalityViolation
+from hodgeloci.errors import InternalCheckFailed, NotIntegrable, TransversalityViolation
 from hodgeloci.forms import (FormMatrix, OneForm, PolyContext, d_poly, poly_mat_d,
-                             poly_mat_identity)
+                             poly_mat_identity, scaled_sum)
 from hodgeloci.series import SparseSeries
 
 
@@ -290,42 +290,30 @@ def block_foliation_forms(b: FormMatrix, blocks: HodgeBlocks) -> BlockFoliation:
 
     ranges = blocks.ranges()
 
-    def rows_of_block_times_x(i: int, js: Sequence[int]) -> List[OneForm]:
+    def rows_times_x(i: int, j0: int, j1: int) -> List[OneForm]:
+        """The rows of block row i times x, over block columns j0..j1."""
         r0, r1 = ranges[i]
-        out = []
-        for r in range(r0, r1):
-            acc = OneForm.zero(ctx_ext)
-            for j in js:
-                c0, c1 = ranges[j]
-                for c in range(c0, c1):
-                    acc = acc + b_ext.entries[r][c].scale(x_col[c])
-            out.append(acc)
-        return out
+        c0, c1 = ranges[j0][0], ranges[j1][1]
+        return [scaled_sum(ctx_ext, zip(x_col[c0:c1], b_ext.entries[r][c0:c1]))
+                for r in range(r0, r1)]
 
     forms: List[OneForm] = []
     ivhs = _block_of(b, blocks, half - 1, half)
     # middle pairing rows: 0 = (ivhs block) * x^{m/2}
-    forms.extend(rows_of_block_times_x(half - 1, [half]))
+    forms.extend(rows_times_x(half - 1, half, half))
     # dx^i = sum of allowed blocks times x^j, for i = m/2 .. m
     for i in range(half, blocks.m + 1):
         r0, r1 = ranges[i]
-        js = list(range(half, min(i + 1, blocks.m) + 1))
-        bx = rows_of_block_times_x(i, js)
+        bx = rows_times_x(i, half, min(i + 1, blocks.m))
         for offset, r in enumerate(range(r0, r1)):
             dx = d_poly(x_col[r], ctx_ext)
             forms.append(dx - bx[offset])
 
     # span identity against the assembly
-    s = asm.s
-    ac = asm.foliation_forms
+    s_ac = FormMatrix(ctx_ext, [[f] for f in asm.foliation_forms]).pre_mul_poly_mat(asm.s)
+    bx = b_ext.mul_poly_vec(x_col)
     for r in range(blocks.total):
-        acc = OneForm.zero(ctx_ext)
-        for k in range(blocks.total):
-            acc = acc + ac[k].scale(s[r][k])
-        rhs_bx = OneForm.zero(ctx_ext)
-        for k in range(blocks.total):
-            rhs_bx = rhs_bx + b_ext.entries[r][k].scale(x_col[k])
-        rhs = -(d_poly(x_col[r], ctx_ext) - rhs_bx)
-        if acc != rhs:
-            raise RuntimeError("assembled foliation does not match the block equations")
+        if s_ac.entries[r][0] != -(d_poly(x_col[r], ctx_ext) - bx[r]):
+            raise InternalCheckFailed(
+                f"assembled foliation does not match the block equations in row {r}")
     return BlockFoliation(ctx_ext, tuple(forms), ivhs, asm)

@@ -103,6 +103,8 @@ def sch_ideal(v: VectorField, ws: Sequence[VectorField]):
 
 def sch_contains_point(v: VectorField, ws: Sequence[VectorField], t: Sequence) -> bool:
     """True iff every minor generator vanishes at the point t."""
+    if len(t) != v.ctx.nvars:
+        raise ValueError(f"point has {len(t)} coordinates, expected {v.ctx.nvars}")
     ideal = sch_ideal(v, ws)
     return all(not g.eval_exact(t) for g in ideal.gens)
 

@@ -41,6 +41,13 @@ class SparseSeries:
 
     Values are immutable after construction; all operations return new
     objects and are safe to share between threads.
+
+    The public constructor coerces and checks every term.  Arithmetic results
+    (``+``, ``-``, negation, ``scale``, ``*``, ``diff``) skip that pass and are
+    built with ``_trusted``: their operands are already valid, so their terms
+    are distinct int tuples of the right length with negative entries only on
+    Laurent variables and nonzero ``Fraction`` values.  Each operation drops
+    the terms above the result's truncation itself.
     """
 
     __slots__ = ("nvars", "truncation", "laurent", "terms")
@@ -85,14 +92,16 @@ class SparseSeries:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def _trusted(cls, nvars: int, terms: dict, truncation: Optional[int]) -> "SparseSeries":
-        """Adopt ``terms`` as is, with no coercion, merging or checks: for engine
-        output whose keys are distinct non-negative int tuples of length ``nvars``
-        and total degree <= ``truncation``, and whose values are nonzero Fractions."""
+    def _trusted(cls, nvars: int, terms: dict, truncation: Optional[int],
+                 laurent: Optional[Tuple[bool, ...]] = None) -> "SparseSeries":
+        """Adopt ``terms`` as is, with no coercion, merging or checks: for values
+        whose keys are distinct int tuples of length ``nvars``, negative only on
+        variables flagged in ``laurent`` (a bool tuple; default none), of total
+        degree <= ``truncation``, and whose values are nonzero Fractions."""
         self = object.__new__(cls)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "truncation", truncation)
-        object.__setattr__(self, "laurent", (False,) * nvars)
+        object.__setattr__(self, "laurent", (False,) * nvars if laurent is None else laurent)
         object.__setattr__(self, "terms", terms)
         return self
 
@@ -167,35 +176,49 @@ class SparseSeries:
             return a
         return min(a, b)
 
+    def _terms_within(self, trunc: Optional[int]) -> dict:
+        """The stored terms of total degree <= trunc (None: all of them)."""
+        if trunc is None or (self.truncation is not None and self.truncation <= trunc):
+            return self.terms
+        return {e: c for e, c in self.terms.items() if total_degree(e) <= trunc}
+
+    def _add_signed(self, other: "SparseSeries", negate: bool) -> "SparseSeries":
+        """self + other, or self - other when ``negate``, in one pass."""
+        self._check_compatible(other)
+        trunc = self._min_trunc(self.truncation, other.truncation)
+        out = dict(self._terms_within(trunc))
+        for e, c in other._terms_within(trunc).items():
+            s = out.get(e)
+            if s is None:
+                out[e] = -c if negate else c
+                continue
+            s = s - c if negate else s + c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+        return SparseSeries._trusted(self.nvars, out, trunc, self.laurent)
+
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.ring_constant(other)
         if not isinstance(other, SparseSeries):
             return NotImplemented
-        self._check_compatible(other)
-        trunc = self._min_trunc(self.truncation, other.truncation)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-        return SparseSeries(self.nvars, out, trunc, self.laurent)
+        return self._add_signed(other, False)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        return SparseSeries(self.nvars, {e: -c for e, c in self.terms.items()},
-                            self.truncation, self.laurent)
+        return SparseSeries._trusted(self.nvars, {e: -c for e, c in self.terms.items()},
+                                     self.truncation, self.laurent)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.ring_constant(other)
         if not isinstance(other, SparseSeries):
             return NotImplemented
-        return self.__add__(-other)
+        return self._add_signed(other, True)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -204,8 +227,8 @@ class SparseSeries:
         c = _coerce(c)
         if not c:
             return self.ring_zero()
-        return SparseSeries(self.nvars, {e: c * v for e, v in self.terms.items()},
-                            self.truncation, self.laurent)
+        return SparseSeries._trusted(self.nvars, {e: c * v for e, v in self.terms.items()},
+                                     self.truncation, self.laurent)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -215,17 +238,19 @@ class SparseSeries:
         self._check_compatible(other)
         trunc = self._min_trunc(self.truncation, other.truncation)
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                if trunc is not None and total_degree(e) > trunc:
-                    continue
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
-        return SparseSeries(self.nvars, out, trunc, self.laurent)
+        if self.terms and other.terms:
+            for e1, c1 in self.terms.items():
+                for e2, c2 in other.terms.items():
+                    e = tuple(x + y for x, y in zip(e1, e2))
+                    if trunc is not None and total_degree(e) > trunc:
+                        continue
+                    s = out.get(e)
+                    s = c1 * c2 if s is None else s + c1 * c2
+                    if s:
+                        out[e] = s
+                    else:
+                        del out[e]
+        return SparseSeries._trusted(self.nvars, out, trunc, self.laurent)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -254,15 +279,17 @@ class SparseSeries:
 
     def diff(self, i: int) -> "SparseSeries":
         """Partial derivative with respect to variable i."""
+        trunc = None if self.truncation is None else max(self.truncation - 1, 0)
         out = {}
         for e, c in self.terms.items():
             k = e[i]
             if k == 0:
                 continue
-            e2 = e[:i] + (k - 1,) + e[i + 1:]
-            out[e2] = c * k
-        trunc = None if self.truncation is None else max(self.truncation - 1, 0)
-        return SparseSeries(self.nvars, out, trunc, self.laurent)
+            # x_i^k with k < 0 keeps its degree, which may now exceed the bound
+            if k < 0 and trunc is not None and total_degree(e) > trunc:
+                continue
+            out[e[:i] + (k - 1,) + e[i + 1:]] = c * k
+        return SparseSeries._trusted(self.nvars, out, trunc, self.laurent)
 
     # -- evaluation ----------------------------------------------------------
 

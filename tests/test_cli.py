@@ -1,12 +1,16 @@
+import hashlib
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
 import pytest
 
+from hodgeloci import cli
 from hodgeloci.cli import main, run_denominator_table
+from hodgeloci.errors import InternalCheckFailed
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -17,6 +21,18 @@ TOY_CONFIG = {
     "truncation": 4,
     "beta": "griffiths",
 }
+
+
+# Failures injected into a command body: each must exit 4, never 1 or 2.
+CRASHES = {"InternalCheckFailed": InternalCheckFailed("span identity fails"),
+           "RuntimeError": RuntimeError("unexpected state"),
+           "ZeroDivisionError": ZeroDivisionError("division by zero")}
+
+
+def failing(exc):
+    def body(args):
+        raise exc
+    return body
 
 
 def run(capsys, *argv):
@@ -30,6 +46,44 @@ def toy_config(tmp_path):
     path = tmp_path / "family.json"
     path.write_text(json.dumps(TOY_CONFIG))
     return str(path)
+
+
+def _poly_str(terms):
+    """(c*t1^a*t2^b + ...) from {(a, b): c}; "(0)" when empty."""
+    out = ""
+    for e, c in sorted(terms.items()):
+        mono = "".join(f"*t{v + 1}^{k}" for v, k in enumerate(e) if k)
+        sign = (" - " if c < 0 else " + ") if out else ("-" if c < 0 else "")
+        out += f"{sign}{abs(c)}{mono}"
+    return f"({out or 0})"
+
+
+def _d_str(terms):
+    """The 1-form d(sum c*t^e), written out by partial derivatives."""
+    parts = []
+    for v in range(2):
+        part = {e[:v] + (e[v] - 1,) + e[v + 1:]: c * e[v] for e, c in terms.items() if e[v]}
+        if part:
+            parts.append(f"{_poly_str(part)}*d(t{v + 1})")
+    return "(" + (" + ".join(parts) or "0") + ")"
+
+
+def seeded_gm_matrix(rng):
+    """B = dY * Y^{-1} over t1, t2 for Y = I + N, with N seeded on the first column
+    and the last row (blocks 1,2,1): integrable and transversal.  Y^{-1} = I - N + N^2,
+    written as unexpanded products for the expression parser to multiply out."""
+    n = [[{} for _ in range(4)] for _ in range(4)]
+    for i, j in [(1, 0), (2, 0), (3, 0), (3, 1), (3, 2)]:
+        n[i][j] = {e: rng.choice((-3, -2, -1, 1, 2, 3)) for e in ((1, 0), (0, 1), (1, 1), (2, 0))}
+    y_inv = [[f"{int(i == j)} - {_poly_str(n[i][j])} + "
+              + " + ".join(f"{_poly_str(n[i][k])}*{_poly_str(n[k][j])}" for k in range(4))
+              for j in range(4)] for i in range(4)]
+    return [[" + ".join(f"{_d_str(n[i][k])}*({y_inv[k][j]})" for k in range(4))
+             for j in range(4)] for i in range(4)]
+
+
+# stdout of the gm command on seeded_gm_matrix(random.Random(5)); it must not move
+GM_SHA256 = "9ad0c0973088b964bd659d71630d0132089536680f4372bef5fb903642417c27"
 
 
 class TestExitCodes:
@@ -69,12 +123,28 @@ class TestExitCodes:
         (["hypergeo-witness", "--N", "2", "--t1", "0.5", "--tol", "1e-300"], 1, "unknown: t1="),
         (["griffiths", "--d", "4", "--n", "2", "--output", "{missing}"], 2, "error: cannot write"),
         (["griffiths", "--d", "4", "--n", "2", "--output", "{dir}"], 2, "error: cannot write"),
+        (["sch", "--vars", "x,y", "--field", "D(x)", "--module", "x*D(x)", "--point", "1"], 2,
+         "error: point has 1 coordinates, expected 2"),
+        (["sch", "--vars", "x,y", "--field", "(" * 101 + "x" + ")" * 101 + "*D(x)",
+          "--module", "D(y)"], 2, "error: parentheses nested deeper than 100"),
+        (["gm", "--vars", "t1", "--matrix", "{deep}", "--m", "2", "--blocks", "0,1,0"], 2,
+         "error: JSON nested too deeply: "),
+        (["denominators", "--config", "{deep}"], 2, "error: JSON nested too deeply: "),
+        (["griffiths", "--d", "4", "--n", "2"], 4, "error: internal: InternalCheckFailed: "),
+        (["griffiths", "--d", "4", "--n", "2"], 4, "error: internal: RuntimeError: "),
+        (["griffiths", "--d", "4", "--n", "2"], 4, "error: internal: ZeroDivisionError: "),
     ])
-    def test_exit_code_and_stderr_prefix(self, capsys, tmp_path, argv, code, prefix):
-        argv = [a.format(missing=tmp_path / "missing" / "x", dir=tmp_path) for a in argv]
+    def test_exit_code_and_stderr_prefix(self, capsys, monkeypatch, tmp_path, argv, code,
+                                         prefix):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000)  # json.load runs out of stack on it
+        argv = [a.format(missing=tmp_path / "missing" / "x", dir=tmp_path, deep=deep)
+                for a in argv]
+        if code == 4:  # the command body fails with the exception the prefix names
+            monkeypatch.setattr(cli, "_cmd_griffiths", failing(CRASHES[prefix.split(": ")[2]]))
         got, out, err = run(capsys, *argv)
         assert got == code and err.startswith(prefix)
-        if code == 2:
+        if code in (2, 4):
             assert out == ""
         else:  # an UNKNOWN verdict prints the same table as a passing run
             passing = [a if a != "1e-300" else "1e-8" for a in argv]
@@ -178,6 +248,22 @@ class TestFoliationCommands:
         assert doc["checks"]["dA_eq_AwedgeA"] is True
         assert doc["checks"]["block_span_matches"] is True
         assert doc["ivhs_block"] == [["d(t1)", "2*d(t2)"]]
+
+    @pytest.mark.parametrize("rows, names, m, blocks, sha256", [
+        (seeded_gm_matrix(random.Random(5)), "t1,t2", 2, "1,2,1", GM_SHA256),
+        ([["0*d(t1)"]], "t1", 2, "0,1,0",
+         "9c36bc11a854c3084dd0233226751a28f0c199e67f57ac372cb98adf0e05c53b"),
+        ([["0", "0", "0"], ["d(t1)", "0", "0"], ["0", "d(t1)", "0"]], "t1", 4, "0,1,1,1,0",
+         "79a120368e5caccd0daf654570d808385dc5079dce8b10206aa94d05f157e2e1"),
+    ], ids=["seeded-1,2,1", "empty-outer-0,1,0", "empty-outer-0,1,1,1,0"])
+    def test_gm_output_is_pinned(self, capsys, tmp_path, rows, names, m, blocks, sha256):
+        matrix = tmp_path / "B.json"
+        matrix.write_text(json.dumps(rows))
+        code, out, _ = run(capsys, "gm", "--vars", names, "--matrix", str(matrix),
+                           "--m", str(m), "--blocks", blocks)
+        assert code == 0
+        assert json.loads(out)["checks"] == {"dA_eq_AwedgeA": True, "block_span_matches": True}
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
     def test_sch_command(self, capsys):
         code, out, _ = run(capsys, "sch", "--vars", "x,y",

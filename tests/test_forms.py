@@ -6,7 +6,8 @@ import pytest
 from hodgeloci.forms import (FormMatrix, OneForm, PolyContext, TwoForm, VectorField,
                              d_oneform, d_poly, integrability_check, pairing_eval,
                              poly_mat_d, poly_mat_identity, poly_mat_mul,
-                             unipotent_inverse, wedge)
+                             unipotent_inverse, wedge, wedge_matvec)
+from hodgeloci.modp import ModPoly
 from hodgeloci.series import SparseSeries
 
 CTX = PolyContext(("x", "y"))
@@ -128,3 +129,114 @@ def test_laurent_context_derivative():
     ctx = PolyContext(("x",), (True,))
     xinv = ctx.monomial((-1,))
     assert xinv.diff(0) == ctx.monomial((-2,), -1)
+
+
+# -- wedge products and polynomial scaling against their dense definitions -------------
+#
+# The library visits only nonzero components.  The references below form every
+# product, zero factors included, so they also fix the truncation of each result.
+
+LCTX = PolyContext(("x", "y", "z", "w"), (True, False, False, False))
+MCTX = PolyContext(("x", "y", "z", "w"))
+P = 7
+
+
+def sparse_comp(rng, ctx):
+    """Mostly zero; a zero still carries a truncation, which the sum must keep."""
+    trunc = rng.choice([None, None, 1, 2, 3, 5])
+    terms = {}
+    if rng.random() < 0.3:
+        for _ in range(rng.randint(1, 3)):
+            e = tuple(rng.randint(-1 if flag else 0, 2) for flag in ctx.laurent)
+            terms[e] = Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3]))
+    return SparseSeries(ctx.nvars, terms, trunc, ctx.laurent)
+
+
+def modp_comp(rng, ctx):
+    terms = {}
+    if rng.random() < 0.3:
+        for _ in range(rng.randint(1, 3)):
+            terms[tuple(rng.randint(0, 2) for _ in range(ctx.nvars))] = rng.randint(1, P - 1)
+    return ModPoly(P, ctx.nvars, terms)
+
+
+def rand_form(rng, ctx, comp):
+    return OneForm(ctx, tuple(comp(rng, ctx) for _ in range(ctx.nvars)))
+
+
+def dense_wedge(a, b):
+    n = a.ctx.nvars
+    return TwoForm(a.ctx, {(i, j): a.comps[i] * b.comps[j] - a.comps[j] * b.comps[i]
+                           for i in range(n) for j in range(i + 1, n)})
+
+
+def dense_sum(terms, zero):
+    acc = zero
+    for t in terms:
+        acc = acc + t
+    return acc
+
+
+def dense_scaled_sum(pairs):
+    """sum_j f_j * w_j, every product formed, folded from the first term."""
+    acc = None
+    for f, w in pairs:
+        acc = w.scale(f) if acc is None else acc + w.scale(f)
+    return acc
+
+
+CASES = [(LCTX, sparse_comp), (MCTX, modp_comp)]
+
+
+class TestDenseDefinitions:
+    @pytest.mark.parametrize("ctx, comp", CASES)
+    def test_wedge(self, ctx, comp):
+        rng = random.Random(41)
+        for _ in range(300):
+            a, b = rand_form(rng, ctx, comp), rand_form(rng, ctx, comp)
+            assert wedge(a, b) == dense_wedge(a, b)
+
+    @pytest.mark.parametrize("ctx, comp", CASES)
+    def test_wedge_mul_and_matvec(self, ctx, comp):
+        rng = random.Random(43)
+        zero = TwoForm.zero(ctx)
+        for _ in range(20):
+            r, m, c = rng.randint(1, 3), rng.randint(1, 4), rng.randint(1, 3)
+            a = FormMatrix(ctx, [[rand_form(rng, ctx, comp) for _ in range(m)] for _ in range(r)])
+            b = FormMatrix(ctx, [[rand_form(rng, ctx, comp) for _ in range(c)] for _ in range(m)])
+            want = [[dense_sum((dense_wedge(a.entries[i][j], b.entries[j][k]) for j in range(m)),
+                               zero) for k in range(c)] for i in range(r)]
+            assert a.wedge_mul(b) == want
+            col = [row[0] for row in b.entries]
+            assert wedge_matvec(a, col) == [row[0] for row in want]
+
+    def test_cancelling_sum_keeps_later_truncation(self):
+        # the first two wedges cancel, so only the third one's truncation (none) is left
+        x, y = LCTX.var("x").truncate(1), LCTX.var("y")
+        z = LCTX.zero()
+        dy = OneForm(LCTX, (z, LCTX.one(), z, z))
+        a = FormMatrix(LCTX, [[OneForm(LCTX, (x, z, z, z)), OneForm(LCTX, (-x, z, z, z)),
+                               OneForm(LCTX, (y, z, z, z))]])
+        b = FormMatrix(LCTX, [[dy], [dy], [dy]])
+        got = a.wedge_mul(b)[0][0]
+        assert got == dense_sum([dense_wedge(a.entries[0][j], b.entries[j][0]) for j in range(3)],
+                                TwoForm.zero(LCTX))
+        assert got.comps == {(0, 1): y} and got.comps[(0, 1)].truncation is None
+
+    @pytest.mark.parametrize("ctx, comp", CASES)
+    def test_polynomial_scaling(self, ctx, comp):
+        rng = random.Random(47)
+        for _ in range(30):
+            r, c = rng.randint(1, 3), rng.randint(1, 4)
+            a = FormMatrix(ctx, [[rand_form(rng, ctx, comp) for _ in range(c)]
+                                 for _ in range(r)])
+            xs = [comp(rng, ctx) for _ in range(c)]
+            s = [[comp(rng, ctx) for _ in range(2)] for _ in range(c)]
+            t = [[comp(rng, ctx) for _ in range(r)] for _ in range(2)]
+            assert a.mul_poly_vec(xs) == [dense_scaled_sum(zip(xs, row)) for row in a.entries]
+            assert a.mul_poly_mat(s).entries == tuple(
+                tuple(dense_scaled_sum((s[j][k], a.entries[i][j]) for j in range(c))
+                      for k in range(2)) for i in range(r))
+            assert a.pre_mul_poly_mat(t).entries == tuple(
+                tuple(dense_scaled_sum((t[i][j], a.entries[j][k]) for j in range(r))
+                      for k in range(c)) for i in range(2))

@@ -1,9 +1,11 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
-from hodgeloci.errors import NotIntegrable, TransversalityViolation
+from hodgeloci import gauss_manin
+from hodgeloci.errors import InternalCheckFailed, NotIntegrable, TransversalityViolation
 from hodgeloci.forms import (FormMatrix, OneForm, PolyContext, d_oneform, d_poly,
                              integrability_check, poly_mat_d, poly_mat_identity,
                              poly_mat_mul, unipotent_inverse, wedge_matvec)
@@ -200,6 +202,16 @@ class TestBlockFoliation:
             dac = [d_oneform(f) for f in asm.foliation_forms]
             awac = wedge_matvec(asm.a, asm.foliation_forms)
             assert dac == awac  # d(A*C) = A ^ (A*C)
+
+    def test_span_mismatch_is_an_internal_failure(self, monkeypatch):
+        def corrupted(b, blocks):
+            asm = gm_assemble(b, blocks)
+            return dataclasses.replace(asm, foliation_forms=tuple(-f for f in asm.foliation_forms))
+
+        b = block_pattern_connection(random.Random(3))
+        monkeypatch.setattr(gauss_manin, "gm_assemble", corrupted)
+        with pytest.raises(InternalCheckFailed, match="block equations"):
+            block_foliation_forms(b, BLOCKS)
 
     def test_ivhs_block_accessor(self):
         rng = random.Random(7)

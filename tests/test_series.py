@@ -5,7 +5,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import series_st
+from conftest import fractions_st, series_st
 from hodgeloci.series import SparseSeries, grlex_key, total_degree
 
 
@@ -127,3 +127,94 @@ def test_immutable():
     s = S(1, {(1,): 1})
     with pytest.raises(AttributeError):
         s.nvars = 2
+
+
+# -- arithmetic results against the validating constructor ---------------------------
+#
+# Arithmetic builds its results without re-validating them.  Each operation is
+# rebuilt here from the operands' raw terms through ``SparseSeries(...)``, which
+# coerces, merges, drops zeros and drops terms above the truncation itself.
+
+
+def _min_trunc(a, b):
+    return b if a is None else a if b is None else min(a, b)
+
+
+def _rebuilt(op, a, b, c, i):
+    n, lau = a.nvars, a.laurent
+    if op == "add":
+        terms = list(a.terms.items()) + list(b.terms.items())
+        return SparseSeries(n, terms, _min_trunc(a.truncation, b.truncation), lau)
+    if op == "sub":
+        terms = list(a.terms.items()) + [(e, -v) for e, v in b.terms.items()]
+        return SparseSeries(n, terms, _min_trunc(a.truncation, b.truncation), lau)
+    if op == "neg":
+        return SparseSeries(n, {e: -v for e, v in a.terms.items()}, a.truncation, lau)
+    if op == "scale":
+        return SparseSeries(n, {e: c * v for e, v in a.terms.items()}, a.truncation, lau)
+    if op == "mul":
+        terms = [(tuple(x + y for x, y in zip(e1, e2)), v1 * v2)
+                 for e1, v1 in a.terms.items() for e2, v2 in b.terms.items()]
+        return SparseSeries(n, terms, _min_trunc(a.truncation, b.truncation), lau)
+    assert op == "diff"
+    terms = [(e[:i] + (e[i] - 1,) + e[i + 1:], v * e[i]) for e, v in a.terms.items() if e[i]]
+    trunc = None if a.truncation is None else max(a.truncation - 1, 0)
+    return SparseSeries(n, terms, trunc, lau)
+
+
+_OPS = {"add": lambda a, b, c, i: a + b, "sub": lambda a, b, c, i: a - b,
+        "neg": lambda a, b, c, i: -a, "scale": lambda a, b, c, i: a.scale(c),
+        "mul": lambda a, b, c, i: a * b, "diff": lambda a, b, c, i: a.diff(i)}
+
+
+def _check_op(op, a, b, c=Fraction(2), i=0):
+    got = _OPS[op](a, b, c, i)
+    want = _rebuilt(op, a, b, c, i)
+    assert got == want
+    assert got.laurent == a.laurent
+    assert all(type(v) is Fraction and v for v in got.terms.values())
+    assert all(type(e) is tuple and all(type(x) is int for x in e) for e in got.terms)
+
+
+@st.composite
+def compatible_pair_st(draw):
+    """Two series over the same variables and Laurent flags, each with its own
+    truncation (None or finite), on a small exponent box so that terms collide."""
+    nvars = draw(st.integers(1, 3))
+    lau = tuple(draw(st.lists(st.booleans(), min_size=nvars, max_size=nvars)))
+
+    def one():
+        trunc = draw(st.one_of(st.none(), st.integers(0, 4)))
+        terms = {}
+        for _ in range(draw(st.integers(0, 5))):
+            e = tuple(draw(st.integers(-2 if flag else 0, 3)) for flag in lau)
+            terms[e] = draw(fractions_st())
+        return SparseSeries(nvars, terms, trunc, lau)
+
+    return one(), one()
+
+
+@pytest.mark.parametrize("op", sorted(_OPS))
+@settings(max_examples=100, deadline=None)
+@given(pair=compatible_pair_st(), c=fractions_st(), i=st.integers(0, 2))
+def test_arithmetic_matches_validating_constructor(op, pair, c, i):
+    a, b = pair
+    _check_op(op, a, b, c, i % a.nvars)
+
+
+def test_sum_drops_terms_above_the_smaller_truncation():
+    # x^3 is valid in the exact polynomial but not at truncation 2
+    a = S(2, {(3, 0): 1, (0, 1): 1})
+    b = S(2, {(0, 1): 1, (1, 1): -1}, trunc=2)
+    for op in ("add", "sub"):
+        _check_op(op, a, b)
+        _check_op(op, b, a)
+    assert (a + b).terms == {(0, 1): 2, (1, 1): -1}
+    assert (b - a).terms == {(1, 1): -1}
+
+
+def test_diff_on_laurent_variable_drops_terms_whose_degree_stays():
+    # d/dx of x^-1 y^2 is -x^-2 y^2: still degree 2, above the new bound 1
+    s = SparseSeries(2, {(-1, 2): 1, (-1, 1): 3}, truncation=2, laurent=(True, False))
+    _check_op("diff", s, s, i=0)
+    assert s.diff(0) == SparseSeries(2, {(-2, 1): -3}, truncation=1, laurent=(True, False))
