@@ -17,19 +17,15 @@ from fractions import Fraction
 from typing import List, Mapping, Optional, Sequence, Tuple
 
 from hodgeloci import exprparse, hypergeo, ideals, pcurvature, periods
-from hodgeloci.errors import (DenominatorDivisibleByP, NotIntegrable, NotIntegral,
-                              OutOfDomain, ParseError, ResourceLimit, TargetOutOfRange,
-                              TransversalityViolation)
+from hodgeloci.errors import DenominatorDivisibleByP, ResourceLimit
 from hodgeloci.forms import FormMatrix, PolyContext, integrability_check
 from hodgeloci.gauss_manin import (HodgeBlocks, block_foliation_forms,
                                    linear_solve_series)
 from hodgeloci.series import SparseSeries
 
-_INVALID_INPUT = (
-    ValueError, KeyError, TypeError, OSError, json.JSONDecodeError,
-    ParseError, NotIntegral, NotIntegrable, OutOfDomain, TargetOutOfRange,
-    TransversalityViolation, DenominatorDivisibleByP,
-)
+# ValueError also covers json.JSONDecodeError and every input error of errors.py
+# except DenominatorDivisibleByP
+_INVALID_INPUT = (ValueError, KeyError, TypeError, OSError, DenominatorDivisibleByP)
 
 
 # -- config and context helpers ---------------------------------------------------
@@ -84,6 +80,11 @@ def _load_form_matrix(path: str, ctx: PolyContext) -> FormMatrix:
     data = _load_json(path)
     if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
         raise ValueError("matrix file must be a JSON array of arrays of 1-form expressions")
+    for i, row in enumerate(data):
+        for j, e in enumerate(row):
+            if not isinstance(e, str):
+                raise ValueError(f"matrix entry [{i}][{j}] is not a 1-form expression "
+                                 f"string: {json.dumps(e)}")
     return FormMatrix(ctx, [[exprparse.parse_oneform(e, ctx) for e in row] for row in data])
 
 

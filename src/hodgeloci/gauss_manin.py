@@ -21,7 +21,7 @@ from typing import Dict, List, Tuple
 from hodgeloci.errors import InternalCheckFailed, NotIntegrable, TransversalityViolation
 from hodgeloci.forms import (FormMatrix, OneForm, PolyContext, d_poly, poly_mat_d,
                              poly_mat_identity, scaled_sum)
-from hodgeloci.series import SparseSeries
+from hodgeloci.series import SparseSeries, monomials_upto
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,8 @@ class HodgeBlocks:
             raise ValueError(f"expected {self.m + 1} block sizes")
         if any(s < 0 for s in sizes):
             raise ValueError("block sizes must be non-negative")
+        if not any(sizes):
+            raise ValueError("block sizes are all zero: there are no fiber coordinates")
         if any(sizes[i] != sizes[self.m - i] for i in range(self.m + 1)):
             raise ValueError("block sizes are inconsistent: not symmetric")
 
@@ -71,23 +73,6 @@ class HodgeBlocks:
 
 
 # -- series solver ---------------------------------------------------------------
-
-
-def _monomials_of_degree(nvars: int, deg: int) -> List[Tuple[int, ...]]:
-    out = []
-
-    def descend(i, prefix, rem):
-        if i == nvars - 1:
-            out.append(tuple(prefix + [rem]))
-            return
-        for v in range(rem + 1):
-            descend(i + 1, prefix + [v], rem - v)
-
-    if nvars == 0:
-        return []
-    descend(0, [], deg)
-    out.sort()
-    return out
 
 
 def linear_solve_series(b: FormMatrix, order: int) -> List[List[SparseSeries]]:
@@ -135,28 +120,27 @@ def linear_solve_series(b: FormMatrix, order: int) -> List[List[SparseSeries]]:
                     total += c1 * c2
         return total
 
-    for deg in range(1, order + 1):
-        for mono in _monomials_of_degree(nv, deg):
-            i = next(j for j, x in enumerate(mono) if x)
-            prev = mono[:i] + (mono[i] - 1,) + mono[i + 1:]
-            for r in range(h):
-                for c in range(h):
-                    val = product_coeff(i, r, c, prev) / mono[i]
-                    if val:
-                        y[r][c][mono] = val
+    # graded-lex order: every coefficient of lower degree is known in time
+    for mono in monomials_upto(nv, order)[1:]:
+        i = next(j for j, x in enumerate(mono) if x)
+        prev = mono[:i] + (mono[i] - 1,) + mono[i + 1:]
+        for r in range(h):
+            for c in range(h):
+                val = product_coeff(i, r, c, prev) / mono[i]
+                if val:
+                    y[r][c][mono] = val
 
     # verify dY = B*Y in every direction through degree order-1
-    for deg in range(order):
-        for mono in _monomials_of_degree(nv, deg):
-            for i in range(nv):
-                up = mono[:i] + (mono[i] + 1,) + mono[i + 1:]
-                for r in range(h):
-                    for c in range(h):
-                        lhs = y[r][c].get(up, Fraction(0)) * up[i]
-                        if lhs != product_coeff(i, r, c, mono):
-                            raise NotIntegrable(
-                                f"no consistent solution at degree {deg + 1} "
-                                f"(entry ({r},{c}), direction {ctx.names[i]})")
+    for mono in monomials_upto(nv, order - 1):
+        for i in range(nv):
+            up = mono[:i] + (mono[i] + 1,) + mono[i + 1:]
+            for r in range(h):
+                for c in range(h):
+                    lhs = y[r][c].get(up, Fraction(0)) * up[i]
+                    if lhs != product_coeff(i, r, c, mono):
+                        raise NotIntegrable(
+                            f"no consistent solution at degree {sum(mono) + 1} "
+                            f"(entry ({r},{c}), direction {ctx.names[i]})")
     return [[SparseSeries(nv, y[r][c], truncation=order) for c in range(h)]
             for r in range(h)]
 

@@ -5,18 +5,22 @@ cofactor degrees capped by the caller, so a positive answer is a certificate
 (YES) while failure of the bounded search is only UNKNOWN, never a disproof.
 The same linear-algebra reduction computes degree-bounded generating sets of
 the annihilator of a list of 1-forms, optionally relative to an ideal.
+
+Each system is dense, one row per monomial up to the row degree, and is
+filled column by column from the generators' terms: column (g, m) holds the
+coefficients of g * x^m, and every entry no such product reaches is zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from hodgeloci import linalg
 from hodgeloci.forms import OneForm, PolyContext, VectorField
 from hodgeloci.modp import ModPoly
-from hodgeloci.series import SparseSeries
+from hodgeloci.series import SparseSeries, monomials_upto
 
 YES = "YES"
 UNKNOWN = "UNKNOWN"
@@ -41,22 +45,6 @@ class IdealGens:
         return max((g.degree() for g in self.gens), default=0)
 
 
-def monomials_upto(nvars: int, deg: int) -> List[Tuple[int, ...]]:
-    """All exponent vectors of total degree <= deg, graded-lex order."""
-    out = []
-
-    def descend(i, prefix, rem):
-        if i == nvars:
-            out.append(tuple(prefix))
-            return
-        for v in range(rem + 1):
-            descend(i + 1, prefix + [v], rem - v)
-
-    descend(0, [], deg)
-    out.sort(key=lambda e: (sum(e), e))
-    return out
-
-
 def _field_of(polys) -> Optional[int]:
     """None for rational coefficients, p for GF(p)."""
     for f in polys:
@@ -67,6 +55,23 @@ def _field_of(polys) -> Optional[int]:
 
 def _zero_scalar(p):
     return 0 if p else Fraction(0)
+
+
+def _product_rows(row_index: Dict[Tuple[int, ...], int],
+                  cols: Sequence[Tuple[Mapping, Tuple[int, ...]]], zero) -> List[list]:
+    """Dense matrix with one row per monomial of ``row_index`` ({monomial: row})
+    whose column k holds the coefficients of g * x^m for ``(g_terms, m) =
+    cols[k]``; every other entry is ``zero``.
+
+    Each column is filled from the terms of g alone.  Every product x^(e+m)
+    is a row monomial: exponents are non-negative, and callers take the row
+    degree at least the cofactor degree of m plus the degree of g.
+    """
+    rows = [[zero] * len(cols) for _ in range(len(row_index))]
+    for k, (g_terms, m) in enumerate(cols):
+        for e, c in g_terms.items():
+            rows[row_index[tuple(x + y for x, y in zip(e, m))]][k] = c
+    return rows
 
 
 def _reject_laurent(polys):
@@ -87,22 +92,12 @@ def ideal_membership_bounded(f, gens: IdealGens, deg: int) -> str:
     _reject_laurent([f, *gens.gens])
     nv = f.nvars
     p = _field_of([f, *gens.gens])
-    cof_monos = monomials_upto(nv, deg)
     rowdeg = max(f.degree(), deg + gens.max_degree())
     row_monos = monomials_upto(nv, rowdeg)
-    cols = [(j, m) for j in range(len(gens.gens)) for m in cof_monos]
-    a_rows = []
-    b = []
-    for rm in row_monos:
-        row = []
-        for j, m in cols:
-            shifted = tuple(x - y for x, y in zip(rm, m))
-            if any(x < 0 for x in shifted):
-                row.append(_zero_scalar(p))
-            else:
-                row.append(gens.gens[j].coefficient(shifted))
-        a_rows.append(row)
-        b.append(f.coefficient(rm))
+    row_index = {rm: r for r, rm in enumerate(row_monos)}
+    a_rows = _product_rows(row_index, [(g.terms, m) for g in gens.gens
+                                       for m in monomials_upto(nv, deg)], _zero_scalar(p))
+    b = [f.coefficient(rm) for rm in row_monos]
     sol = linalg.solve_modp(a_rows, b, p) if p else linalg.solve_rational(a_rows, b)
     return YES if sol is not None else UNKNOWN
 
@@ -142,34 +137,21 @@ def dual_theta_bounded(omega_gens: Sequence[OneForm], deg: Optional[int] = None,
     v_monos = monomials_upto(nv, deg)
     v_cols = [(i, m) for i in range(nv) for m in v_monos]
     cof_monos = monomials_upto(nv, cofactor_deg) if ideal_gens else []
-    h_cols = [(wi, j, m) for wi in range(len(omega_gens))
-              for j in range(len(ideal_gens)) for m in cof_monos]
+    # the cofactor columns of 1-form wi: -g_j * x^m, nonzero only in block wi
+    h_cols = [({e: -c for e, c in g.terms.items()}, m) for g in ideal_gens for m in cof_monos]
+    no_h_cols = [({}, m) for _, m in h_cols]
 
     rowdeg = deg + omega_deg
     if ideal_gens:
         rowdeg = max(rowdeg, cofactor_deg + max(g.degree() for g in ideal_gens))
-    row_monos = monomials_upto(nv, rowdeg)
+    row_index = {rm: r for r, rm in enumerate(monomials_upto(nv, rowdeg))}
 
     rows = []
     for wi, w in enumerate(omega_gens):
-        for rm in row_monos:
-            row = []
-            for i, m in v_cols:
-                shifted = tuple(x - y for x, y in zip(rm, m))
-                if any(x < 0 for x in shifted):
-                    row.append(_zero_scalar(p))
-                else:
-                    row.append(w.comps[i].coefficient(shifted))
-            for hwi, j, m in h_cols:
-                if hwi != wi:
-                    row.append(_zero_scalar(p))
-                    continue
-                shifted = tuple(x - y for x, y in zip(rm, m))
-                if any(x < 0 for x in shifted):
-                    row.append(_zero_scalar(p))
-                else:
-                    row.append(-ideal_gens[j].coefficient(shifted))
-            rows.append(row)
+        cols = [(w.comps[i].terms, m) for i, m in v_cols]
+        for other in range(len(omega_gens)):
+            cols += h_cols if other == wi else no_h_cols
+        rows += _product_rows(row_index, cols, _zero_scalar(p))
 
     null = linalg.nullspace_modp(rows, p) if p else linalg.nullspace_rational(rows)
     nval = len(v_cols)

@@ -24,6 +24,7 @@ re-validation on top of it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm
@@ -31,7 +32,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from hodgeloci import _coeff_kernel_py
 from hodgeloci.errors import NotIntegral
-from hodgeloci.series import SparseSeries, grlex_key
+from hodgeloci.series import SparseSeries, grlex_key, monomials_upto
 
 # denominator profiles trial-divide by every factor up to this bound
 _TRIAL_BOUND = 10 ** 6
@@ -288,12 +289,7 @@ def quartic_full_family_series(truncation: int) -> SparseSeries:
 
 def quartic_full_monomials() -> Tuple[Tuple[int, ...], ...]:
     """All 35 exponent vectors of weight 4 in four variables, graded-lex order."""
-    out = []
-    for i in range(5):
-        for j in range(5 - i):
-            for k in range(5 - i - j):
-                out.append((i, j, k, 4 - i - j - k))
-    return tuple(sorted(out, key=grlex_key))
+    return tuple(e for e in monomials_upto(4, 4) if sum(e) == 4)
 
 
 def griffiths_basis(d: int, n: int) -> List[BetaIndex]:
@@ -305,21 +301,9 @@ def griffiths_basis(d: int, n: int) -> List[BetaIndex]:
     if n <= 0 or n % 2:
         raise ValueError("n must be a positive even integer")
     nv = n + 2
-    out = []
-    beta = [0] * nv
-
-    def descend(i: int):
-        if i == nv:
-            total = sum(beta) + nv
-            if total % d == 0:
-                out.append(BetaIndex(tuple(beta), total // d))
-            return
-        for v in range(d - 1):
-            beta[i] = v
-            descend(i + 1)
-        beta[i] = 0
-
-    descend(0)
+    out = [BetaIndex(beta, (sum(beta) + nv) // d)
+           for beta in itertools.product(range(d - 1), repeat=nv)
+           if (sum(beta) + nv) % d == 0]
     out.sort(key=lambda b: (b.k, grlex_key(b.beta)))
     return out
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 Exponent = Tuple[int, ...]
 
@@ -24,6 +24,18 @@ def total_degree(e: Sequence[int]) -> int:
 
 def grlex_key(e: Sequence[int]):
     return (total_degree(e), tuple(e))
+
+
+def monomials_upto(nvars: int, deg: int) -> List[Exponent]:
+    """Every exponent vector of ``nvars`` non-negative entries and total degree
+    <= ``deg``, in graded-lex order (none when ``deg`` < 0)."""
+    # exact[t]: the vectors of total degree t over the variables added so far,
+    # in lex order; prepending a first entry in increasing order keeps it
+    exact = [[()] if t == 0 else [] for t in range(deg + 1)]
+    for _ in range(nvars):
+        exact = [[(v,) + e for v in range(t + 1) for e in exact[t - v]]
+                 for t in range(deg + 1)]
+    return [e for layer in exact for e in layer]
 
 
 def _coerce(c) -> Fraction:

@@ -133,12 +133,21 @@ class TestExitCodes:
         (["griffiths", "--d", "4", "--n", "2"], 4, "error: internal: InternalCheckFailed: "),
         (["griffiths", "--d", "4", "--n", "2"], 4, "error: internal: RuntimeError: "),
         (["griffiths", "--d", "4", "--n", "2"], 4, "error: internal: ZeroDivisionError: "),
+        (["gm", "--vars", "t", "--matrix", "{empty}", "--m", "2", "--blocks", "0,0,0"], 2,
+         "error: block sizes are all zero: there are no fiber coordinates"),
+        (["gm", "--vars", "t", "--matrix", "{int_entry}", "--m", "2", "--blocks", "0,1,0"], 2,
+         "error: matrix entry [0][0] is not a 1-form expression string: 1"),
+        (["gm", "--vars", "t", "--matrix", "{object_entry}", "--m", "2", "--blocks", "0,1,0"], 2,
+         'error: matrix entry [0][0] is not a 1-form expression string: {"a": 1}'),
     ])
     def test_exit_code_and_stderr_prefix(self, capsys, monkeypatch, tmp_path, argv, code,
                                          prefix):
-        deep = tmp_path / "deep.json"
-        deep.write_text("[" * 100000)  # json.load runs out of stack on it
-        argv = [a.format(missing=tmp_path / "missing" / "x", dir=tmp_path, deep=deep)
+        files = {"deep": "[" * 100000,  # json.load runs out of stack on it
+                 "empty": "[]", "int_entry": "[[1]]", "object_entry": '[[{"a": 1}]]'}
+        for name, text in files.items():
+            (tmp_path / f"{name}.json").write_text(text)
+        argv = [a.format(missing=tmp_path / "missing" / "x", dir=tmp_path,
+                         **{name: tmp_path / f"{name}.json" for name in files})
                 for a in argv]
         if code == 4:  # the command body fails with the exception the prefix names
             monkeypatch.setattr(cli, "_cmd_griffiths", failing(CRASHES[prefix.split(": ")[2]]))

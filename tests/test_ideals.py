@@ -1,6 +1,14 @@
+from fractions import Fraction
+
+import hypothesis.strategies as st
+from hypothesis import given, settings
+
+from conftest import series_st
 from hodgeloci.forms import OneForm, PolyContext, VectorField
-from hodgeloci.ideals import (UNKNOWN, YES, IdealGens, dual_theta_bounded,
-                              ideal_membership_bounded, monomials_upto, tangency_check)
+from hodgeloci.ideals import (UNKNOWN, YES, IdealGens, _product_rows, dual_theta_bounded,
+                              ideal_membership_bounded, tangency_check)
+from hodgeloci.modp import ModPoly
+from hodgeloci.series import monomials_upto
 
 CTX = PolyContext(("x", "y"))
 X, Y = CTX.var("x"), CTX.var("y")
@@ -24,10 +32,6 @@ class TestMembership:
         zero = IdealGens(CTX, ())
         assert ideal_membership_bounded(CTX.zero(), zero, 2) == YES
         assert ideal_membership_bounded(X, zero, 2) == UNKNOWN
-
-    def test_monomials_upto_counts(self):
-        assert len(monomials_upto(2, 3)) == 10
-        assert monomials_upto(2, 1) == [(0, 0), (0, 1), (1, 0)]
 
 
 class TestDualTheta:
@@ -95,3 +99,35 @@ class TestTangency:
         zero = IdealGens(CTX, ())
         for v in dual_theta_bounded([OMEGA], 2):
             assert tangency_check(v, [OMEGA], zero, 4) == YES
+
+
+@st.composite
+def generators_st(draw):
+    """Up to three generators over Q or over GF(7) on three variables."""
+    series = [draw(series_st(nvars=3, max_deg=2)) for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        return series, Fraction(0)
+    return [ModPoly(7, 3, {e: int(c * c.denominator) for e, c in g.terms.items()})
+            for g in series], 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(gens_zero=generators_st(), cofactor_deg=st.integers(0, 2),
+       extra_deg=st.integers(0, 1), negate=st.booleans())
+def test_product_rows_match_the_per_entry_definition(gens_zero, cofactor_deg, extra_deg,
+                                                     negate):
+    # entry (rm, (g, m)) of the system is the coefficient of x^rm in +-g * x^m
+    gens, zero = gens_zero
+    row_monos = monomials_upto(3, cofactor_deg + max(g.degree() for g in gens) + extra_deg)
+    cols = [(g, m) for g in gens for m in monomials_upto(3, cofactor_deg)]
+    sign = -1 if negate else 1
+    rows = _product_rows({rm: r for r, rm in enumerate(row_monos)},
+                         [({e: sign * c for e, c in g.terms.items()}, m) for g, m in cols],
+                         zero)
+    assert len(rows) == len(row_monos)
+    for rm, row in zip(row_monos, rows):
+        assert len(row) == len(cols)
+        for got, (g, m) in zip(row, cols):
+            shifted = tuple(x - y for x, y in zip(rm, m))
+            want = zero if min(shifted) < 0 else sign * g.coefficient(shifted)
+            assert got == want and type(got) is type(want)

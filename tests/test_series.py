@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import fractions_st, series_st
-from hodgeloci.series import SparseSeries, grlex_key, total_degree
+from hodgeloci.series import SparseSeries, grlex_key, monomials_upto, total_degree
 
 
 def S(nvars, terms, trunc=None):
@@ -218,3 +219,14 @@ def test_diff_on_laurent_variable_drops_terms_whose_degree_stays():
     s = SparseSeries(2, {(-1, 2): 1, (-1, 1): 3}, truncation=2, laurent=(True, False))
     _check_op("diff", s, s, i=0)
     assert s.diff(0) == SparseSeries(2, {(-2, 1): -3}, truncation=1, laurent=(True, False))
+
+
+def test_monomials_upto_enumerates_the_simplex_in_grlex_order():
+    for n in range(5):
+        for d in range(-1, 7):
+            brute = sorted((e for e in itertools.product(range(d + 1), repeat=n)
+                            if sum(e) <= d), key=lambda e: (sum(e), e))
+            assert monomials_upto(n, d) == brute, (n, d)
+            assert len(brute) == (math.comb(n + d, n) if d >= 0 else 0)
+    assert len(monomials_upto(2, 3)) == 10
+    assert monomials_upto(2, 1) == [(0, 0), (0, 1), (1, 0)]
