@@ -584,7 +584,3 @@ def unipotent_inverse(y: Sequence[Sequence], ctx: PolyContext) -> List[List]:
         sign = -1 if k & 1 else 1
         out = [[a + (sign * b) for a, b in zip(r1, r2)] for r1, r2 in zip(out, power)]
     return out
-
-
-def poly_mat_eval(s: Sequence[Sequence], point) -> List[List[Fraction]]:
-    return [[f.eval_exact(point) for f in row] for row in s]

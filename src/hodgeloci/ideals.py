@@ -6,15 +6,15 @@ cofactor degrees capped by the caller, so a positive answer is a certificate
 The same linear-algebra reduction computes degree-bounded generating sets of
 the annihilator of a list of 1-forms, optionally relative to an ideal.
 
-Each system is dense, one row per monomial up to the row degree, and is
-filled column by column from the generators' terms: column (g, m) holds the
-coefficients of g * x^m, and every entry no such product reaches is zero.
+Each system is sparse, one ``{column: value}`` row per monomial up to the row
+degree, and is filled column by column from the generators' terms: column
+(g, m) holds the coefficients of g * x^m, and every entry no such product
+reaches is absent (zero).  ``linalg`` eliminates on those rows directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from hodgeloci import linalg
@@ -53,21 +53,17 @@ def _field_of(polys) -> Optional[int]:
     return None
 
 
-def _zero_scalar(p):
-    return 0 if p else Fraction(0)
-
-
 def _product_rows(row_index: Dict[Tuple[int, ...], int],
-                  cols: Sequence[Tuple[Mapping, Tuple[int, ...]]], zero) -> List[list]:
-    """Dense matrix with one row per monomial of ``row_index`` ({monomial: row})
-    whose column k holds the coefficients of g * x^m for ``(g_terms, m) =
-    cols[k]``; every other entry is ``zero``.
+                  cols: Sequence[Tuple[Mapping, Tuple[int, ...]]]) -> List[dict]:
+    """Sparse rows, one ``{column: value}`` dict per monomial of ``row_index``
+    ({monomial: row}), whose column k holds the coefficients of g * x^m for
+    ``(g_terms, m) = cols[k]``; every other entry is absent.
 
     Each column is filled from the terms of g alone.  Every product x^(e+m)
     is a row monomial: exponents are non-negative, and callers take the row
     degree at least the cofactor degree of m plus the degree of g.
     """
-    rows = [[zero] * len(cols) for _ in range(len(row_index))]
+    rows = [{} for _ in range(len(row_index))]
     for k, (g_terms, m) in enumerate(cols):
         for e, c in g_terms.items():
             rows[row_index[tuple(x + y for x, y in zip(e, m))]][k] = c
@@ -93,12 +89,10 @@ def ideal_membership_bounded(f, gens: IdealGens, deg: int) -> str:
     nv = f.nvars
     p = _field_of([f, *gens.gens])
     rowdeg = max(f.degree(), deg + gens.max_degree())
-    row_monos = monomials_upto(nv, rowdeg)
-    row_index = {rm: r for r, rm in enumerate(row_monos)}
-    a_rows = _product_rows(row_index, [(g.terms, m) for g in gens.gens
-                                       for m in monomials_upto(nv, deg)], _zero_scalar(p))
-    b = [f.coefficient(rm) for rm in row_monos]
-    sol = linalg.solve_modp(a_rows, b, p) if p else linalg.solve_rational(a_rows, b)
+    row_index = {rm: r for r, rm in enumerate(monomials_upto(nv, rowdeg))}
+    cols = [(g.terms, m) for g in gens.gens for m in monomials_upto(nv, deg)]
+    b = {row_index[e]: c for e, c in f.terms.items()}
+    sol = linalg.solve(_product_rows(row_index, cols), len(cols), b, p=p)
     return YES if sol is not None else UNKNOWN
 
 
@@ -151,12 +145,12 @@ def dual_theta_bounded(omega_gens: Sequence[OneForm], deg: Optional[int] = None,
         cols = [(w.comps[i].terms, m) for i, m in v_cols]
         for other in range(len(omega_gens)):
             cols += h_cols if other == wi else no_h_cols
-        rows += _product_rows(row_index, cols, _zero_scalar(p))
+        rows += _product_rows(row_index, cols)
 
-    null = linalg.nullspace_modp(rows, p) if p else linalg.nullspace_rational(rows)
+    null = linalg.nullspace(rows, len(cols), p=p)
     nval = len(v_cols)
-    v_parts = [vec[:nval] for vec in null if any(vec[:nval])]
-    reduced = linalg.rref_modp(v_parts, p) if p else linalg.rref_rational(v_parts)
+    v_parts = [{j: x for j, x in enumerate(vec[:nval]) if x} for vec in null]
+    reduced = linalg.rref([part for part in v_parts if part], nval, p=p)
 
     fields = []
     for vec in reduced:

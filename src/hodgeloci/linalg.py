@@ -1,55 +1,95 @@
-"""Exact linear algebra over Q and over GF(p).
+"""Exact sparse linear algebra over Q and over GF(p).
 
-The rational routines run fraction-free (Bareiss) elimination on integer
-matrices obtained by clearing row denominators, so every intermediate value
-stays an exact integer; back-substitution is done with Fractions on the
-integer echelon form.  The GF(p) routines use plain modular elimination.
-All pivot choices are first-nonzero, making results deterministic.
+A matrix is a list of rows, each a ``{column: value}`` dict over
+``range(ncols)``; a missing column is zero.  Every public function takes
+``(rows, ncols, ..., p=None)``: with ``p`` None the values are read as
+``Fraction``s, otherwise as integers mod the prime ``p``.
+
+One Gauss-Jordan routine serves them all.  It takes the columns in increasing
+order and, within a column, pivots on the row with the fewest nonzeros
+(Markowitz); a column -> rows index means only rows holding the pivot column
+are touched.  Because the columns go in order, the pivot columns are the
+lexicographically first independent set whichever row is picked, so the
+reduced rows, the solution with every free variable set to 0 and the
+nullspace vector of each free column are unique.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+
+Row = Dict[int, object]
 
 
-def _integer_rows(rows) -> List[List[int]]:
+def _scalar(value, p: Optional[int]):
+    return Fraction(value) if p is None else int(value) % p
+
+
+def _field_rows(rows, ncols: int, p: Optional[int]) -> List[Row]:
+    """Fresh rows over the field, zeros dropped; every column in range(ncols)."""
     out = []
     for row in rows:
-        fr = [Fraction(x) for x in row]
-        mult = lcm(*(f.denominator for f in fr)) if fr else 1
-        out.append([int(f * mult) for f in fr])
+        new = {}
+        for j, v in row.items():
+            if not (isinstance(j, int) and 0 <= j < ncols):
+                raise ValueError(f"column index {j!r} is outside range({ncols})")
+            v = _scalar(v, p)
+            if v:
+                new[j] = v
+        out.append(new)
     return out
 
 
-def _bareiss(mat: List[List[int]]) -> Tuple[List[List[int]], List[int]]:
-    """In-place fraction-free row echelon; returns (matrix, pivot columns)."""
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
-    pivots = []
-    prev = 1
-    r = 0
+def _eliminate(rows: List[Row], ncols: int, p: Optional[int]) -> List[Tuple[int, Row]]:
+    """Reduce ``rows`` (field values, no zeros) in place to reduced row echelon
+    form; return the nonzero rows as ``(pivot column, row)`` pairs in column
+    order, each row 1 at its pivot and 0 at every other pivot column."""
+    holding = [set() for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j in row:
+            holding[j].add(i)
+    reduced = []
+    used = set()
     for c in range(ncols):
-        if r >= nrows:
-            break
-        pr = next((i for i in range(r, nrows) if mat[i][c]), None)
-        if pr is None:
+        candidates = [i for i in holding[c] if i not in used]
+        if not candidates:
             continue
-        if pr != r:
-            mat[r], mat[pr] = mat[pr], mat[r]
-        piv = mat[r][c]
-        for i in range(r + 1, nrows):
-            mic = mat[i][c]
-            row_i = mat[i]
-            row_r = mat[r]
-            for j in range(c + 1, ncols):
-                row_i[j] = (piv * row_i[j] - mic * row_r[j]) // prev
-            row_i[c] = 0
-        prev = piv
-        pivots.append(c)
-        r += 1
-    return mat, pivots
+        r = min(candidates, key=lambda i: (len(rows[i]), i))  # fewest nonzeros
+        prow = rows[r]
+        if p is None:
+            inv = 1 / prow[c]
+            for j in prow:
+                prow[j] *= inv
+        else:
+            inv = pow(prow[c], -1, p)
+            for j in prow:
+                prow[j] = prow[j] * inv % p
+        used.add(r)
+        reduced.append((c, prow))
+        for i in list(holding[c]):
+            if i == r:
+                continue
+            row = rows[i]
+            f = row[c]
+            for j, v in prow.items():
+                x = row.get(j, 0) - f * v
+                if p is not None:
+                    x %= p
+                if x:
+                    if j not in row:
+                        holding[j].add(i)
+                    row[j] = x
+                else:
+                    del row[j]
+                    holding[j].discard(i)
+    return reduced
+
+
+def _dense(row: Row, ncols: int, p: Optional[int]) -> tuple:
+    zero = _scalar(0, p)
+    return tuple(row.get(j, zero) for j in range(ncols))
 
 
 def _normalize_vector(vec: Sequence[Fraction]) -> Tuple[Fraction, ...]:
@@ -67,143 +107,54 @@ def _normalize_vector(vec: Sequence[Fraction]) -> Tuple[Fraction, ...]:
     return tuple(Fraction(x) for x in ints)
 
 
-def nullspace_rational(rows) -> List[Tuple[Fraction, ...]]:
-    """Basis of the right nullspace of a rational matrix.
-
-    Returns ncols - rank vectors, one per free column, each in primitive
-    integer form.  An empty row list means every vector is in the nullspace.
-    """
-    rows = [list(r) for r in rows]
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    if any(len(r) != ncols for r in rows):
-        raise ValueError("matrix is not rectangular")
-    mat, pivots = _bareiss(_integer_rows(rows))
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        x = [Fraction(0)] * ncols
-        x[f] = Fraction(1)
-        for r in range(len(pivots) - 1, -1, -1):
-            c = pivots[r]
-            s = sum((Fraction(mat[r][j]) * x[j] for j in range(c + 1, ncols)),
-                    Fraction(0))
-            x[c] = -s / mat[r][c]
-        basis.append(_normalize_vector(x))
-    return basis
-
-
-def rank_rational(rows) -> int:
-    rows = [list(r) for r in rows]
-    if not rows:
-        return 0
-    _, pivots = _bareiss(_integer_rows(rows))
-    return len(pivots)
-
-
-def solve_rational(rows, rhs) -> Optional[List[Fraction]]:
-    """One exact solution of A x = b (free variables set to 0), or None."""
-    rows = [list(r) + [b] for r, b in zip(rows, rhs)]
-    if not rows:
-        return []
-    ncols = len(rows[0]) - 1
-    mat, pivots = _bareiss(_integer_rows(rows))
-    if pivots and pivots[-1] == ncols:
-        return None  # pivot in the augmented column: inconsistent
-    x = [Fraction(0)] * ncols
-    for r in range(len(pivots) - 1, -1, -1):
-        c = pivots[r]
-        s = sum((Fraction(mat[r][j]) * x[j] for j in range(c + 1, ncols)),
-                Fraction(0))
-        x[c] = (Fraction(mat[r][ncols]) - s) / mat[r][c]
+def solve(rows, ncols: int, rhs, p: Optional[int] = None) -> Optional[list]:
+    """One exact solution of A x = b with every free variable set to 0, or
+    None when the system is inconsistent.  ``rhs`` is a sequence with one
+    entry per row, or a sparse ``{row: value}`` mapping."""
+    rows = _field_rows(rows, ncols, p)
+    if not isinstance(rhs, Mapping):
+        if len(rhs) != len(rows):
+            raise ValueError(f"{len(rhs)} right-hand sides for {len(rows)} rows")
+        rhs = dict(enumerate(rhs))
+    for i, b in rhs.items():
+        if not (isinstance(i, int) and 0 <= i < len(rows)):
+            raise ValueError(f"right-hand side row {i!r} is outside range({len(rows)})")
+        b = _scalar(b, p)
+        if b:
+            rows[i][ncols] = b  # the augmented column
+    zero = _scalar(0, p)
+    x = [zero] * ncols
+    for c, row in _eliminate(rows, ncols + 1, p):
+        if c == ncols:
+            return None  # pivot in the augmented column: inconsistent
+        x[c] = row.get(ncols, zero)
     return x
 
 
-def rref_rational(rows) -> List[Tuple[Fraction, ...]]:
-    """Nonzero rows of the reduced row echelon form (canonical spanning set)."""
-    mat = [[Fraction(x) for x in r] for r in rows]
-    if not mat:
-        return []
-    ncols = len(mat[0])
-    r = 0
-    for c in range(ncols):
-        if r >= len(mat):
-            break
-        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        piv = mat[r][c]
-        mat[r] = [v / piv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        r += 1
-    return [tuple(row) for row in mat[:r] if any(row)]
-
-
-# -- GF(p) ------------------------------------------------------------------
-
-
-def _modp_echelon(mat: List[List[int]], p: int) -> Tuple[List[List[int]], List[int]]:
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        pr = next((i for i in range(r, nrows) if mat[i][c] % p), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = pow(mat[r][c], -1, p)
-        mat[r] = [(v * inv) % p for v in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][c] % p:
-                f = mat[i][c]
-                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-    return mat, pivots
-
-
-def nullspace_modp(rows, p: int) -> List[Tuple[int, ...]]:
-    rows = [[int(x) % p for x in r] for r in rows]
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    mat, pivots = _modp_echelon(rows, p)
-    free = [c for c in range(ncols) if c not in pivots]
+def nullspace(rows, ncols: int, p: Optional[int] = None) -> List[tuple]:
+    """Basis of the right nullspace: ncols - rank vectors, one per free column
+    in increasing order.  Over Q each is in primitive integer form; an empty
+    row list gives the ncols unit vectors."""
+    reduced = _eliminate(_field_rows(rows, ncols, p), ncols, p)
+    pivots = {c for c, _ in reduced}
     basis = []
-    for f in free:
-        x = [0] * ncols
-        x[f] = 1
-        for r, c in enumerate(pivots):
-            x[c] = (-sum(mat[r][j] * x[j] for j in range(c + 1, ncols))) % p
-        basis.append(tuple(x))
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        x = {f: 1}
+        for c, row in reduced:
+            if f in row:
+                x[c] = -row[f] if p is None else -row[f] % p
+        vec = _dense(x, ncols, p)
+        basis.append(vec if p is not None else _normalize_vector(vec))
     return basis
 
 
-def solve_modp(rows, rhs, p: int) -> Optional[List[int]]:
-    aug = [[int(x) % p for x in r] + [int(b) % p] for r, b in zip(rows, rhs)]
-    if not aug:
-        return []
-    ncols = len(aug[0]) - 1
-    mat, pivots = _modp_echelon(aug, p)
-    if pivots and pivots[-1] == ncols:
-        return None
-    x = [0] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = (mat[r][ncols] - sum(mat[r][j] * x[j] for j in range(c + 1, ncols))) % p
-    return x
+def rref(rows, ncols: int, p: Optional[int] = None) -> List[tuple]:
+    """Nonzero rows of the reduced row echelon form (a canonical spanning set)."""
+    return [_dense(row, ncols, p)
+            for _, row in _eliminate(_field_rows(rows, ncols, p), ncols, p)]
 
 
-def rref_modp(rows, p: int) -> List[Tuple[int, ...]]:
-    rows = [[int(x) % p for x in r] for r in rows]
-    if not rows:
-        return []
-    mat, pivots = _modp_echelon(rows, p)
-    return [tuple(row) for row in mat[:len(pivots)]]
+def rank(rows, ncols: int, p: Optional[int] = None) -> int:
+    return len(_eliminate(_field_rows(rows, ncols, p), ncols, p))

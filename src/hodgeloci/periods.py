@@ -176,10 +176,6 @@ class DenominatorProfile:
             parts.append(f"cofactor:{self.unfactored_cofactor}")
         return " * ".join(parts)
 
-    @property
-    def prime_support(self) -> Tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
 
 # -- the engine ---------------------------------------------------------------
 

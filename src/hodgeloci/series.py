@@ -285,10 +285,6 @@ class SparseSeries:
         new = d if self.truncation is None else min(d, self.truncation)
         return SparseSeries(self.nvars, self.terms, new, self.laurent)
 
-    def as_polynomial(self) -> "SparseSeries":
-        """Reinterpret the stored terms as an exact polynomial (drops the bound)."""
-        return SparseSeries(self.nvars, self.terms, None, self.laurent)
-
     def diff(self, i: int) -> "SparseSeries":
         """Partial derivative with respect to variable i."""
         trunc = None if self.truncation is None else max(self.truncation - 1, 0)

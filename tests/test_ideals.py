@@ -1,14 +1,19 @@
+import random
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
+import dense_linalg
 from conftest import series_st
+from hodgeloci import ideals
 from hodgeloci.forms import OneForm, PolyContext, VectorField
 from hodgeloci.ideals import (UNKNOWN, YES, IdealGens, _product_rows, dual_theta_bounded,
                               ideal_membership_bounded, tangency_check)
-from hodgeloci.modp import ModPoly
-from hodgeloci.series import monomials_upto
+from hodgeloci.modp import ModPoly, mod_reduce
+from hodgeloci.pcurvature import oneform_mod_reduce
+from hodgeloci.series import SparseSeries, monomials_upto
 
 CTX = PolyContext(("x", "y"))
 X, Y = CTX.var("x"), CTX.var("y")
@@ -122,12 +127,36 @@ def test_product_rows_match_the_per_entry_definition(gens_zero, cofactor_deg, ex
     cols = [(g, m) for g in gens for m in monomials_upto(3, cofactor_deg)]
     sign = -1 if negate else 1
     rows = _product_rows({rm: r for r, rm in enumerate(row_monos)},
-                         [({e: sign * c for e, c in g.terms.items()}, m) for g, m in cols],
-                         zero)
+                         [({e: sign * c for e, c in g.terms.items()}, m) for g, m in cols])
     assert len(rows) == len(row_monos)
     for rm, row in zip(row_monos, rows):
-        assert len(row) == len(cols)
-        for got, (g, m) in zip(row, cols):
+        assert set(row) <= set(range(len(cols)))
+        for k, (g, m) in enumerate(cols):
             shifted = tuple(x - y for x, y in zip(rm, m))
             want = zero if min(shifted) < 0 else sign * g.coefficient(shifted)
-            assert got == want and type(got) is type(want)
+            got = row.get(k, zero)  # a missing key means zero
+            assert got == want
+            if k in row:
+                assert type(got) is type(want)
+
+
+@pytest.mark.parametrize("p", [None, 101])
+def test_dual_theta_matches_the_dense_oracle(monkeypatch, p):
+    # two random degree-3 1-forms in three variables, relative to a random quadric
+    rng = random.Random(6)
+
+    def rand_poly(deg, nterms):
+        return SparseSeries(3, {m: Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 3))
+                                for m in rng.sample(monomials_upto(3, deg), nterms)})
+
+    ctx = PolyContext(("x", "y", "z"))
+    forms = [OneForm(ctx, tuple(rand_poly(3, 4) for _ in range(3))) for _ in range(2)]
+    quadric = rand_poly(2, 4)
+    if p:
+        forms = [oneform_mod_reduce(w, p) for w in forms]
+        quadric = mod_reduce(quadric, p)
+    ibar = IdealGens(ctx, (quadric,))
+    fields = dual_theta_bounded(forms, 4, ibar=ibar, cofactor_deg=4)
+    assert fields
+    monkeypatch.setattr(ideals, "linalg", dense_linalg)
+    assert dual_theta_bounded(forms, 4, ibar=ibar, cofactor_deg=4) == fields
