@@ -1,9 +1,9 @@
 """Vector fields and differential forms with polynomial coefficients.
 
-Components may be exact rational polynomials (SparseSeries, truncation None
-or finite) or GF(p) polynomials (ModPoly); the operations only assume ring
-arithmetic plus ``diff``.  Two-form components are stored on ordered index
-pairs i < j only.
+Components are ``SparseSeries``: exact rational polynomials or truncated
+series (truncation None or finite), or polynomials over GF(p) (``p`` set, no
+truncation); the operations only assume ring arithmetic plus ``diff``.
+Two-form components are stored on ordered index pairs i < j only.
 """
 
 from __future__ import annotations
@@ -290,11 +290,6 @@ def d_oneform(w: OneForm) -> TwoForm:
     return TwoForm(w.ctx, comps)
 
 
-def _truncation(c) -> Optional[int]:
-    """A component's truncation; GF(p) polynomials have none."""
-    return getattr(c, "truncation", None)
-
-
 def _min_trunc(*ts) -> Optional[int]:
     return min((t for t in ts if t is not None), default=None)
 
@@ -329,8 +324,8 @@ def _wedge_into(acc: dict, a: OneForm, b: OneForm) -> None:
                 part[key] = p if s is None else s + p
             else:
                 part[key] = -p if s is None else s - p
-    ta = [_truncation(c) for c in a.comps]
-    tb = [_truncation(c) for c in b.comps]
+    ta = [c.truncation for c in a.comps]
+    tb = [c.truncation for c in b.comps]
     for key, w in part.items():
         i, j = key
         w = _capped(w, _min_trunc(ta[i], ta[j], tb[i], tb[j]))
@@ -364,7 +359,7 @@ def scaled_sum(ctx: PolyContext, pairs) -> OneForm:
     """
     acc = zero = None
     for f, w in pairs:
-        if not f and _truncation(f) is None and all(_truncation(c) is None for c in w.comps):
+        if not f and f.truncation is None and all(c.truncation is None for c in w.comps):
             zero = f
             continue
         term = w.scale(f)

@@ -10,6 +10,10 @@ Each system is sparse, one ``{column: value}`` row per monomial up to the row
 degree, and is filled column by column from the generators' terms: column
 (g, m) holds the coefficients of g * x^m, and every entry no such product
 reaches is absent (zero).  ``linalg`` eliminates on those rows directly.
+
+Polynomials are ``SparseSeries`` over Q or over GF(p) (``p`` set), and the
+system is solved in that field.  All inputs of one call must share it;
+mixing fields raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from hodgeloci import linalg
 from hodgeloci.forms import OneForm, PolyContext, VectorField
-from hodgeloci.modp import ModPoly
 from hodgeloci.series import SparseSeries, monomials_upto
 
 YES = "YES"
@@ -46,11 +49,11 @@ class IdealGens:
 
 
 def _field_of(polys) -> Optional[int]:
-    """None for rational coefficients, p for GF(p)."""
-    for f in polys:
-        if isinstance(f, ModPoly):
-            return f.p
-    return None
+    """The shared coefficient field: None for Q, p for GF(p)."""
+    fields = {f.p for f in polys}
+    if len(fields) > 1:
+        raise ValueError("mod-p ring mismatch")
+    return fields.pop() if fields else None
 
 
 def _product_rows(row_index: Dict[Tuple[int, ...], int],
@@ -160,10 +163,7 @@ def dual_theta_bounded(omega_gens: Sequence[OneForm], deg: Optional[int] = None,
             for ci, (vi, m) in enumerate(v_cols):
                 if vi == i and vec[ci]:
                     terms[m] = vec[ci]
-            if p:
-                comps.append(ModPoly(p, nv, terms))
-            else:
-                comps.append(SparseSeries(nv, terms, laurent=ctx.laurent))
+            comps.append(SparseSeries(nv, terms, laurent=None if p else ctx.laurent, p=p))
         fields.append(VectorField(ctx, tuple(comps)))
     return fields
 

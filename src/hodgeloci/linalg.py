@@ -3,7 +3,9 @@
 A matrix is a list of rows, each a ``{column: value}`` dict over
 ``range(ncols)``; a missing column is zero.  Every public function takes
 ``(rows, ncols, ..., p=None)``: with ``p`` None the values are read as
-``Fraction``s, otherwise as integers mod the prime ``p``.
+``Fraction``s, otherwise as their residues mod the prime ``p``
+(``series.residue``: a rational a/b is a * b^-1, and DenominatorDivisibleByP
+is raised when p divides b).
 
 One Gauss-Jordan routine serves them all.  It takes the columns in increasing
 order and, within a column, pivots on the row with the fewest nonzeros
@@ -20,11 +22,13 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from hodgeloci.series import residue
+
 Row = Dict[int, object]
 
 
 def _scalar(value, p: Optional[int]):
-    return Fraction(value) if p is None else int(value) % p
+    return Fraction(value) if p is None else residue(value, p)
 
 
 def _field_rows(rows, ncols: int, p: Optional[int]) -> List[Row]:

@@ -1,12 +1,15 @@
-"""Sparse multivariate polynomials with coefficients in GF(p)."""
+"""Reduction of exact polynomials modulo a prime.
+
+A polynomial over GF(p) is a ``SparseSeries`` with ``p`` set.  ``ModPoly``
+is the shorthand constructor of one; it keeps the name of the class it
+replaced, which tests and ``perfbench/tracer.py`` still look up.
+"""
 
 from __future__ import annotations
 
 from math import isqrt
-from typing import Mapping, Sequence
 
-from hodgeloci.errors import DenominatorDivisibleByP
-from hodgeloci.series import SparseSeries, grlex_key
+from hodgeloci.series import SparseSeries
 
 
 def is_prime(n: int) -> bool:
@@ -22,183 +25,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class ModPoly:
-    """Polynomial over GF(p); no negative exponents, no stored zero residues."""
-
-    __slots__ = ("p", "nvars", "terms")
-
-    def __init__(self, p: int, nvars: int, terms=None):
-        if p < 2:
-            raise ValueError("modulus must be a prime >= 2")
-        clean = {}
-        if terms:
-            items = terms.items() if isinstance(terms, Mapping) else terms
-            for e, c in items:
-                e = tuple(int(x) for x in e)
-                if len(e) != nvars:
-                    raise ValueError(f"exponent {e} has wrong length for {nvars} variables")
-                if any(x < 0 for x in e):
-                    raise ValueError("negative exponents are not defined mod p")
-                c = int(c) % p
-                if c:
-                    acc = (clean.get(e, 0) + c) % p
-                    if acc:
-                        clean[e] = acc
-                    elif e in clean:
-                        del clean[e]
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ModPoly is immutable")
-
-    @classmethod
-    def zero(cls, p, nvars):
-        return cls(p, nvars, {})
-
-    @classmethod
-    def constant(cls, p, nvars, c):
-        return cls(p, nvars, {(0,) * nvars: c})
-
-    @classmethod
-    def variable(cls, p, nvars, i):
-        e = [0] * nvars
-        e[i] = 1
-        return cls(p, nvars, {tuple(e): 1})
-
-    def ring_zero(self):
-        return ModPoly(self.p, self.nvars, {})
-
-    def ring_one(self):
-        return ModPoly.constant(self.p, self.nvars, 1)
-
-    def ring_constant(self, c):
-        return ModPoly.constant(self.p, self.nvars, c)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def coefficient(self, e) -> int:
-        return self.terms.get(tuple(e), 0)
-
-    def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]))
-
-    def _check(self, other):
-        if self.p != other.p or self.nvars != other.nvars:
-            raise ValueError("mod-p ring mismatch")
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = self.ring_constant(other)
-        if not isinstance(other, ModPoly):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = (out.get(e, 0) + c) % self.p
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-        return ModPoly(self.p, self.nvars, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ModPoly(self.p, self.nvars, {e: self.p - c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = self.ring_constant(other)
-        if not isinstance(other, ModPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, c: int):
-        c %= self.p
-        if not c:
-            return self.ring_zero()
-        return ModPoly(self.p, self.nvars, {e: (c * v) % self.p for e, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        if not isinstance(other, ModPoly):
-            return NotImplemented
-        self._check(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                s = (out.get(e, 0) + c1 * c2) % self.p
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
-        return ModPoly(self.p, self.nvars, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        return NotImplemented
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not defined")
-        out = self.ring_one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
-
-    def diff(self, i: int):
-        out = {}
-        for e, c in self.terms.items():
-            k = e[i]
-            if k == 0 or k % self.p == 0:
-                continue
-            e2 = e[:i] + (k - 1,) + e[i + 1:]
-            out[e2] = (c * k) % self.p
-        return ModPoly(self.p, self.nvars, out)
-
-    def eval_exact(self, point: Sequence[int]) -> int:
-        if len(point) != self.nvars:
-            raise ValueError("point length does not match nvars")
-        pt = [int(x) % self.p for x in point]
-        total = 0
-        for e, c in self.sorted_terms():
-            v = c
-            for x, k in zip(pt, e):
-                if k:
-                    v = (v * pow(x, k, self.p)) % self.p
-            total = (total + v) % self.p
-        return total
-
-    def __eq__(self, other):
-        if not isinstance(other, ModPoly):
-            return NotImplemented
-        return self.p == other.p and self.nvars == other.nvars and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.p, self.nvars, tuple(sorted(self.terms.items()))))
-
-    def __repr__(self):
-        shown = ", ".join(f"{e}:{c}" for e, c in self.sorted_terms()[:6])
-        return f"ModPoly(p={self.p}, nvars={self.nvars}, {{{shown}}})"
+def ModPoly(p: int, nvars: int, terms=None) -> SparseSeries:
+    """The polynomial over GF(p) with the given terms, each coefficient reduced."""
+    return SparseSeries(nvars, terms, p=p)
 
 
-def mod_reduce(f: SparseSeries, p: int) -> ModPoly:
+def mod_reduce(f: SparseSeries, p: int) -> SparseSeries:
     """Coefficientwise reduction of an exact polynomial modulo a prime.
 
     Raises DenominatorDivisibleByP when a coefficient is not p-integral.
@@ -207,12 +39,4 @@ def mod_reduce(f: SparseSeries, p: int) -> ModPoly:
         raise ValueError(f"{p} is not prime")
     if f.truncation is not None:
         raise ValueError("mod-p reduction is defined for exact polynomials only")
-    out = {}
-    for e, c in f.terms.items():
-        if any(x < 0 for x in e):
-            raise ValueError("Laurent exponents cannot be reduced mod p")
-        if c.denominator % p == 0:
-            raise DenominatorDivisibleByP(
-                f"coefficient {c} of {e} has denominator divisible by {p}")
-        out[e] = (c.numerator * pow(c.denominator, -1, p)) % p
-    return ModPoly(p, f.nvars, out)
+    return SparseSeries(f.nvars, f.terms, p=p)

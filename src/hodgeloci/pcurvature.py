@@ -14,7 +14,8 @@ from typing import List, Sequence
 
 from hodgeloci.errors import ResourceLimit
 from hodgeloci.forms import OneForm, VectorField
-from hodgeloci.modp import ModPoly, is_prime, mod_reduce
+from hodgeloci.modp import is_prime, mod_reduce
+from hodgeloci.series import SparseSeries
 
 MAX_FROBENIUS_PRIME = 101
 
@@ -40,16 +41,17 @@ def vf_pow_p(v: VectorField, p: int) -> VectorField:
     if p > MAX_FROBENIUS_PRIME:
         raise ResourceLimit(
             f"p = {p} exceeds the iterated-application bound {MAX_FROBENIUS_PRIME}")
-    if isinstance(v.comps[0], ModPoly):
-        if v.comps[0].p != p:
-            raise ValueError("vector field is reduced at a different prime")
-        vbar = v
-    else:
+    field = v.comps[0].p
+    if field is None:
         vbar = vf_mod_reduce(v, p)
+    elif field != p:
+        raise ValueError("vector field is reduced at a different prime")
+    else:
+        vbar = v
     n = v.ctx.nvars
     comps = []
     for i in range(n):
-        f = ModPoly.variable(p, n, i)
+        f = SparseSeries.variable(n, i, p=p)
         for _ in range(p):
             f = vbar.apply(f)
         comps.append(f)
@@ -117,6 +119,6 @@ def pcurvature_tangency(v: VectorField, omega_gens: Sequence[OneForm],
 
     vp = vf_pow_p(v, p)
     omegas_p = [oneform_mod_reduce(w, p) for w in omega_gens]
-    gens_p = tuple(mod_reduce(g, p) for g in getattr(ibar, "gens", ibar))
+    gens_p = tuple(mod_reduce(g, p) for g in ibar.gens)
     ibar_p = IdealGens(v.ctx, gens_p)
     return tangency_check(vp, omegas_p, ibar_p, deg)

@@ -1,11 +1,13 @@
-"""Sparse multivariate power series and polynomials with exact rational coefficients.
+"""Sparse multivariate power series and polynomials over Q or GF(p).
 
-A value is a map from exponent vectors to nonzero ``Fraction`` coefficients,
-optionally truncated by total degree.  ``truncation=None`` means the value is
-an exact polynomial.  Variables flagged as Laurent admit negative exponents;
-the total degree of an exponent vector counts only its non-negative entries.
-The canonical term order everywhere is graded-lexicographic: sort by total
-degree first, then by the exponent tuple.
+A value is a map from exponent vectors to nonzero coefficients: ``Fraction``s
+over Q (``p`` None), or ints in ``[1, p)`` over GF(p).  A rational value may be
+truncated by total degree; ``truncation=None`` means it is an exact
+polynomial.  Variables flagged as Laurent admit negative exponents; the total
+degree of an exponent vector counts only its non-negative entries.  A GF(p)
+value is always an exact polynomial with no Laurent variables.  The canonical
+term order everywhere is graded-lexicographic: sort by total degree first,
+then by the exponent tuple.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from typing import List, Mapping, Optional, Sequence, Tuple
+
+from hodgeloci.errors import DenominatorDivisibleByP
 
 Exponent = Tuple[int, ...]
 
@@ -48,24 +52,41 @@ def _coerce(c) -> Fraction:
     raise TypeError(f"not an exact rational: {c!r}")
 
 
+def residue(c, p: int) -> int:
+    """The image in GF(p) of an exact rational a/b: a * b^-1 mod p.
+
+    Raises DenominatorDivisibleByP when p divides b.
+    """
+    if isinstance(c, int):
+        return c % p
+    c = _coerce(c)
+    if c.denominator % p == 0:
+        raise DenominatorDivisibleByP(f"coefficient {c} has denominator divisible by {p}")
+    return c.numerator * pow(c.denominator, -1, p) % p
+
+
 class SparseSeries:
-    """Total-degree-truncated sparse series (or exact polynomial) over Q.
+    """Total-degree-truncated sparse series (or exact polynomial) over Q, or
+    a polynomial over GF(p) when ``p`` is set.
 
     Values are immutable after construction; all operations return new
-    objects and are safe to share between threads.
+    objects and are safe to share between threads.  Operands of a binary
+    operation must share ``nvars``, the Laurent flags and ``p``.
 
-    The public constructor coerces and checks every term.  Arithmetic results
+    The public constructor coerces and checks every term; with ``p`` set it
+    maps each rational to its residue (``residue``).  Arithmetic results
     (``+``, ``-``, negation, ``scale``, ``*``, ``diff``) skip that pass and are
     built with ``_trusted``: their operands are already valid, so their terms
     are distinct int tuples of the right length with negative entries only on
-    Laurent variables and nonzero ``Fraction`` values.  Each operation drops
-    the terms above the result's truncation itself.
+    Laurent variables.  Each operation drops the terms above the result's
+    truncation itself; over GF(p) it computes with ints and reduces them mod p
+    once at the end.
     """
 
-    __slots__ = ("nvars", "truncation", "laurent", "terms")
+    __slots__ = ("nvars", "truncation", "laurent", "terms", "p")
 
     def __init__(self, nvars: int, terms=None, truncation: Optional[int] = None,
-                 laurent: Optional[Sequence[bool]] = None):
+                 laurent: Optional[Sequence[bool]] = None, p: Optional[int] = None):
         if nvars < 0:
             raise ValueError("nvars must be non-negative")
         if truncation is not None and truncation < 0:
@@ -73,6 +94,11 @@ class SparseSeries:
         lau = tuple(bool(b) for b in laurent) if laurent is not None else (False,) * nvars
         if len(lau) != nvars:
             raise ValueError("laurent flag count does not match nvars")
+        if p is not None:
+            if p < 2:
+                raise ValueError("modulus must be a prime >= 2")
+            if truncation is not None or any(lau):
+                raise ValueError("GF(p) values are exact polynomials with no Laurent variables")
         clean = {}
         if terms:
             items = terms.items() if isinstance(terms, Mapping) else terms
@@ -85,10 +111,11 @@ class SparseSeries:
                         raise ValueError(f"negative exponent on non-Laurent variable {i}")
                 if truncation is not None and total_degree(e) > truncation:
                     continue
-                c = _coerce(c)
+                c = _coerce(c) if p is None else residue(c, p)
                 if c:
                     acc = clean.get(e)
-                    c = c if acc is None else acc + c
+                    if acc is not None:
+                        c = acc + c if p is None else (acc + c) % p
                     if c:
                         clean[e] = c
                     elif e in clean:
@@ -97,6 +124,7 @@ class SparseSeries:
         object.__setattr__(self, "truncation", truncation)
         object.__setattr__(self, "laurent", lau)
         object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "p", p)
 
     def __setattr__(self, name, value):
         raise AttributeError("SparseSeries is immutable")
@@ -105,16 +133,19 @@ class SparseSeries:
 
     @classmethod
     def _trusted(cls, nvars: int, terms: dict, truncation: Optional[int],
-                 laurent: Optional[Tuple[bool, ...]] = None) -> "SparseSeries":
+                 laurent: Optional[Tuple[bool, ...]] = None,
+                 p: Optional[int] = None) -> "SparseSeries":
         """Adopt ``terms`` as is, with no coercion, merging or checks: for values
         whose keys are distinct int tuples of length ``nvars``, negative only on
         variables flagged in ``laurent`` (a bool tuple; default none), of total
-        degree <= ``truncation``, and whose values are nonzero Fractions."""
+        degree <= ``truncation``, and whose values are nonzero Fractions, or
+        ints in [1, p) when ``p`` is set."""
         self = object.__new__(cls)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "truncation", truncation)
         object.__setattr__(self, "laurent", (False,) * nvars if laurent is None else laurent)
         object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "p", p)
         return self
 
     @classmethod
@@ -122,27 +153,27 @@ class SparseSeries:
         return cls(nvars, {}, truncation, laurent)
 
     @classmethod
-    def constant(cls, nvars, c, truncation=None, laurent=None):
-        return cls(nvars, {(0,) * nvars: _coerce(c)}, truncation, laurent)
+    def constant(cls, nvars, c, truncation=None, laurent=None, p=None):
+        return cls(nvars, {(0,) * nvars: _coerce(c)}, truncation, laurent, p)
 
     @classmethod
-    def variable(cls, nvars, i, truncation=None, laurent=None):
+    def variable(cls, nvars, i, truncation=None, laurent=None, p=None):
         e = [0] * nvars
         e[i] = 1
-        return cls(nvars, {tuple(e): Fraction(1)}, truncation, laurent)
+        return cls(nvars, {tuple(e): Fraction(1)}, truncation, laurent, p)
 
     @classmethod
     def monomial(cls, nvars, e, c=1, truncation=None, laurent=None):
         return cls(nvars, {tuple(e): _coerce(c)}, truncation, laurent)
 
     def ring_zero(self):
-        return SparseSeries(self.nvars, {}, self.truncation, self.laurent)
+        return SparseSeries(self.nvars, {}, self.truncation, self.laurent, self.p)
 
     def ring_one(self):
-        return SparseSeries.constant(self.nvars, 1, self.truncation, self.laurent)
+        return self.ring_constant(1)
 
     def ring_constant(self, c):
-        return SparseSeries.constant(self.nvars, c, self.truncation, self.laurent)
+        return SparseSeries.constant(self.nvars, c, self.truncation, self.laurent, self.p)
 
     # -- basic queries -----------------------------------------------------
 
@@ -152,11 +183,11 @@ class SparseSeries:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def coefficient(self, e) -> Fraction:
-        return self.terms.get(tuple(e), Fraction(0))
+    def coefficient(self, e):
+        return self.terms.get(tuple(e), Fraction(0) if self.p is None else 0)
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.nvars, Fraction(0))
+    def constant_term(self):
+        return self.coefficient((0,) * self.nvars)
 
     def degree(self) -> int:
         """Maximal total degree of a stored term (0 for the zero value)."""
@@ -179,6 +210,8 @@ class SparseSeries:
             raise ValueError(f"variable-count mismatch: {self.nvars} vs {other.nvars}")
         if self.laurent != other.laurent:
             raise ValueError("Laurent flag mismatch")
+        if self.p != other.p:
+            raise ValueError("mod-p ring mismatch")
 
     @staticmethod
     def _min_trunc(a, b):
@@ -209,7 +242,15 @@ class SparseSeries:
                 out[e] = s
             else:
                 del out[e]
-        return SparseSeries._trusted(self.nvars, out, trunc, self.laurent)
+        return self._result(out, trunc)
+
+    def _result(self, terms: dict, trunc: Optional[int]) -> "SparseSeries":
+        """A value in this series' ring from valid terms; over GF(p) their
+        values are any ints, reduced here with the zero residues dropped."""
+        p = self.p
+        if p is not None:
+            terms = {e: r for e, c in terms.items() if (r := c % p)}
+        return SparseSeries._trusted(self.nvars, terms, trunc, self.laurent, p)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -222,8 +263,7 @@ class SparseSeries:
         return self.__add__(other)
 
     def __neg__(self):
-        return SparseSeries._trusted(self.nvars, {e: -c for e, c in self.terms.items()},
-                                     self.truncation, self.laurent)
+        return self._result({e: -c for e, c in self.terms.items()}, self.truncation)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -236,11 +276,10 @@ class SparseSeries:
         return (-self).__add__(other)
 
     def scale(self, c) -> "SparseSeries":
-        c = _coerce(c)
+        c = _coerce(c) if self.p is None else residue(c, self.p)
         if not c:
             return self.ring_zero()
-        return SparseSeries._trusted(self.nvars, {e: c * v for e, v in self.terms.items()},
-                                     self.truncation, self.laurent)
+        return self._result({e: c * v for e, v in self.terms.items()}, self.truncation)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -262,7 +301,7 @@ class SparseSeries:
                         out[e] = s
                     else:
                         del out[e]
-        return SparseSeries._trusted(self.nvars, out, trunc, self.laurent)
+        return self._result(out, trunc)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -283,7 +322,7 @@ class SparseSeries:
 
     def truncate(self, d: int) -> "SparseSeries":
         new = d if self.truncation is None else min(d, self.truncation)
-        return SparseSeries(self.nvars, self.terms, new, self.laurent)
+        return SparseSeries(self.nvars, self.terms, new, self.laurent, self.p)
 
     def diff(self, i: int) -> "SparseSeries":
         """Partial derivative with respect to variable i."""
@@ -297,7 +336,7 @@ class SparseSeries:
             if k < 0 and trunc is not None and total_degree(e) > trunc:
                 continue
             out[e[:i] + (k - 1,) + e[i + 1:]] = c * k
-        return SparseSeries._trusted(self.nvars, out, trunc, self.laurent)
+        return self._result(out, trunc)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -314,18 +353,20 @@ class SparseSeries:
             total += v
         return total
 
-    def eval_exact(self, point: Sequence) -> Fraction:
+    def eval_exact(self, point: Sequence):
+        """The exact value at ``point``: a ``Fraction``, or an int in [0, p)."""
         if len(point) != self.nvars:
             raise ValueError("point length does not match nvars")
-        pt = [_coerce(x) for x in point]
-        total = Fraction(0)
+        p = self.p
+        pt = [_coerce(x) if p is None else residue(x, p) for x in point]
+        total = Fraction(0) if p is None else 0
         for e, c in self.sorted_terms():
             v = c
             for x, k in zip(pt, e):
                 if k:
                     v *= x ** k
             total += v
-        return total
+        return total if p is None else total % p
 
     # -- transforms ------------------------------------------------------------
 
@@ -334,7 +375,7 @@ class SparseSeries:
         return SparseSeries(
             self.nvars,
             {e: (-c if e[i] & 1 else c) for e, c in self.terms.items()},
-            self.truncation, self.laurent)
+            self.truncation, self.laurent, self.p)
 
     def embed(self, nvars: int, positions: Sequence[int],
               laurent: Optional[Sequence[bool]] = None) -> "SparseSeries":
@@ -348,7 +389,7 @@ class SparseSeries:
             for old, new in enumerate(positions):
                 e2[new] = e[old]
             out[tuple(e2)] = c
-        return SparseSeries(nvars, out, self.truncation, laurent)
+        return SparseSeries(nvars, out, self.truncation, laurent, self.p)
 
     # -- comparison / presentation ----------------------------------------------
 
@@ -356,17 +397,19 @@ class SparseSeries:
         if not isinstance(other, SparseSeries):
             return NotImplemented
         return (self.nvars == other.nvars and self.truncation == other.truncation
-                and self.laurent == other.laurent and self.terms == other.terms)
+                and self.laurent == other.laurent and self.p == other.p
+                and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((self.nvars, self.truncation, self.laurent,
+        return hash((self.nvars, self.truncation, self.laurent, self.p,
                      tuple(sorted(self.terms.items()))))
 
     def __repr__(self):
         shown = ", ".join(f"{e}:{c}" for e, c in self.sorted_terms()[:6])
         more = "" if len(self.terms) <= 6 else f", +{len(self.terms) - 6} terms"
+        field = "" if self.p is None else f"p={self.p}, "
         return (f"SparseSeries(nvars={self.nvars}, truncation={self.truncation}, "
-                f"{{{shown}{more}}})")
+                f"{field}{{{shown}{more}}})")
 
     # -- canonical serialization -----------------------------------------------
 

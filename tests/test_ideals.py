@@ -38,6 +38,18 @@ class TestMembership:
         assert ideal_membership_bounded(CTX.zero(), zero, 2) == YES
         assert ideal_membership_bounded(X, zero, 2) == UNKNOWN
 
+    def test_mixed_coefficient_fields_are_rejected(self):
+        # 1/2 over Q is not in (x) over GF(7); mixing the fields must not answer
+        half = SparseSeries(1, {(0,): Fraction(1, 2)})
+        x_mod_7 = IdealGens(PolyContext(("x",)), (ModPoly(7, 1, {(1,): 1}),))
+        with pytest.raises(ValueError, match="mod-p ring mismatch"):
+            ideal_membership_bounded(half, x_mod_7, 2)
+        x_mod_5 = IdealGens(PolyContext(("x",)), (ModPoly(5, 1, {(1,): 1}),))
+        with pytest.raises(ValueError, match="mod-p ring mismatch"):
+            ideal_membership_bounded(ModPoly(7, 1, {(1,): 1}), x_mod_5, 2)
+        with pytest.raises(ValueError, match="mod-p ring mismatch"):
+            dual_theta_bounded([oneform_mod_reduce(OMEGA, 5)], 1, ibar=XY_IDEAL)
+
 
 class TestDualTheta:
     def test_remark_example_annihilator(self):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 import dense_linalg
 from conftest import fractions_st
+from hodgeloci.errors import DenominatorDivisibleByP
 from hodgeloci.linalg import nullspace, rank, rref, solve
 
 
@@ -94,6 +95,14 @@ def test_modp_nullspace_and_solve():
     x = solve(sparse([[1, 2], [3, 4]]), 2, [5, 6], p=p)
     assert [(x[0] + 2 * x[1]) % p, (3 * x[0] + 4 * x[1]) % p] == [5, 6]
     assert solve(sparse([[1, 1], [2, 2]]), 2, [1, 3], p=p) is None
+
+
+def test_modp_reads_rationals_as_residues():
+    # 1/2 is 4 mod 7, so x = 1 / (1/2) = 2; a truncated entry would be 0
+    assert solve([{0: Fraction(1, 2)}], 1, [1], p=7) == [2]
+    assert solve([{0: 1}], 1, [Fraction(1, 2)], p=7) == [4]
+    with pytest.raises(DenominatorDivisibleByP):
+        solve([{0: Fraction(1, 7)}], 1, [1], p=7)
 
 
 class TestValidation:

@@ -5,7 +5,7 @@ import pytest
 
 from hodgeloci.errors import DenominatorDivisibleByP
 from hodgeloci.modp import ModPoly, is_prime, mod_reduce
-from hodgeloci.series import SparseSeries
+from hodgeloci.series import SparseSeries, residue
 
 
 def test_is_prime_small():
@@ -19,6 +19,19 @@ def test_examples():
     assert mod_reduce(g, 7) == ModPoly(7, 1, {(1,): 4})
     with pytest.raises(DenominatorDivisibleByP):
         mod_reduce(SparseSeries(1, {(1,): Fraction(1, 5)}), 5)
+    # a rational coefficient is inverted mod p, not truncated to 0
+    assert ModPoly(7, 1, {(0,): Fraction(1, 2)}) == ModPoly(7, 1, {(0,): 4})
+    with pytest.raises(DenominatorDivisibleByP):
+        ModPoly(7, 1, {(0,): Fraction(1, 7)})
+
+
+@pytest.mark.parametrize("other", [ModPoly(5, 1, {(1,): 1}), SparseSeries(1, {(1,): 1})])
+def test_arithmetic_across_fields_is_rejected(other):
+    f = ModPoly(7, 1, {(1,): 1, (0,): 3})
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        for a, b in ((f, other), (other, f)):
+            with pytest.raises(ValueError, match="mod-p ring mismatch"):
+                op(a, b)
 
 
 def test_rejects_composite_and_laurent():
@@ -47,6 +60,16 @@ def test_reduction_is_ring_homomorphism():
                 continue
             assert mod_reduce(f * g, p) == fr * gr
             assert mod_reduce(f + g, p) == fr + gr
+            assert mod_reduce(f - g, p) == fr - gr
+            assert mod_reduce(-f, p) == -fr
+            c = Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 6]))
+            assert mod_reduce(f.scale(c), p) == fr.scale(c) == fr * c
+            for i in range(2):
+                assert mod_reduce(f.diff(i), p) == fr.diff(i)
+            n = rng.randint(0, 4)
+            assert mod_reduce(f ** n, p) == fr ** n
+            point = [rng.randint(-5, 5) for _ in range(2)]
+            assert fr.eval_exact(point) == residue(f.eval_exact(point), p)
 
 
 def test_derivative_drops_p_multiples():
