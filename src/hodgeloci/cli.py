@@ -21,7 +21,6 @@ from hodgeloci.errors import DenominatorDivisibleByP, ResourceLimit
 from hodgeloci.forms import FormMatrix, PolyContext, integrability_check
 from hodgeloci.gauss_manin import (HodgeBlocks, block_foliation_forms,
                                    linear_solve_series)
-from hodgeloci.series import SparseSeries
 
 # ValueError also covers json.JSONDecodeError and every input error of errors.py
 # except DenominatorDivisibleByP
@@ -88,8 +87,8 @@ def _load_form_matrix(path: str, ctx: PolyContext) -> FormMatrix:
     return FormMatrix(ctx, [[exprparse.parse_oneform(e, ctx) for e in row] for row in data])
 
 
-def _series_doc_str(s: SparseSeries) -> str:
-    return json.dumps(s.to_doc(), separators=(",", ":"))
+def _json(doc) -> str:
+    return json.dumps(doc, separators=(",", ":"))
 
 
 def _ints_csv(text: str) -> List[int]:
@@ -123,22 +122,19 @@ def _cmd_denominators(args) -> Tuple[str, int]:
 def _cmd_periods(args) -> Tuple[str, int]:
     cfg = _load_config(args.config)
     fam = family_from_config(cfg)
-    betas = betas_from_config(cfg, fam)
-
-    def entry(b):
-        ps = periods.period_series(b, fam)
-        return {"beta": list(b.beta), "k": b.k, "monomial": b.monomial_str(),
-                "normalization": ps.normalization, "series": ps.series.to_doc()}
-
-    results = [entry(b) for b in betas]
-    doc = {"family": {"n": fam.n, "d": fam.d, "I": [list(a) for a in fam.monomials],
-                      "truncation": fam.truncation},
-           "results": results}
-    return json.dumps(doc, separators=(",", ":")) + "\n", 0
+    family = {"n": fam.n, "d": fam.d, "I": [list(a) for a in fam.monomials],
+              "truncation": fam.truncation}
+    rows = []
+    for b in betas_from_config(cfg, fam):
+        head = _json({"beta": list(b.beta), "k": b.k, "monomial": b.monomial_str(),
+                      "normalization": periods.normalization_text(fam.n, fam.d, b.k)})
+        # the series object goes in as the header's last key
+        rows.append(f'{head[:-1]},"series":{periods.period_series_json(b, fam)}}}')
+    return f'{{"family":{_json(family)},"results":[{",".join(rows)}]}}\n', 0
 
 
 def _cmd_eq1(args) -> Tuple[str, int]:
-    return _series_doc_str(periods.quartic_full_family_series(args.truncation)) + "\n", 0
+    return periods.quartic_full_family_series(args.truncation).to_json() + "\n", 0
 
 
 def _cmd_griffiths(args) -> Tuple[str, int]:
@@ -164,7 +160,7 @@ def _cmd_solve_linear(args) -> Tuple[str, int]:
     b = _load_form_matrix(args.matrix, ctx)
     y = linear_solve_series(b, args.order)
     doc = {"order": args.order, "Y": [[s.to_doc() for s in row] for row in y]}
-    return json.dumps(doc, separators=(",", ":")) + "\n", 0
+    return _json(doc) + "\n", 0
 
 
 def _cmd_gm(args) -> Tuple[str, int]:
@@ -186,7 +182,7 @@ def _cmd_gm(args) -> Tuple[str, int]:
         "checks": {"dA_eq_AwedgeA": integrability_check(b) and integrability_check(asm.a),
                    "block_span_matches": True},
     }
-    return json.dumps(doc, separators=(",", ":")) + "\n", 0
+    return _json(doc) + "\n", 0
 
 
 def _parse_field_omegas_ideal(args, ctx):

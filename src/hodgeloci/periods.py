@@ -20,6 +20,13 @@ The tuple enumeration is the package's hot loop.  It lives in
 pass the pair condition and returns integer (numerator, denominator) pairs
 already in graded-lexicographic order, so the engine adds no sort and no
 re-validation on top of it.
+
+Two consumers read those integers directly, with no ``Fraction`` and no
+``SparseSeries`` in between: ``period_denominator_profile`` (the
+``denominators`` table) and ``period_series_json`` (the series objects of the
+``periods`` document).  ``SparseSeries.to_doc`` defines the canonical format;
+``period_series_json`` writes the same bytes as ``to_json`` of
+``period_series``, and the tests hold the two paths equal.
 """
 
 from __future__ import annotations
@@ -180,7 +187,8 @@ class DenominatorProfile:
 # -- the engine ---------------------------------------------------------------
 
 
-def _normalization_text(n: int, d: int, k: int) -> str:
+def normalization_text(n: int, d: int, k: int) -> str:
+    """The scalar prefactor of a period of pole order k, as text."""
     return f"(-1)^{n // 2} * {d}^{n // 2 + 1} * {k - 1}! / (2*pi*i)^{n // 2}"
 
 
@@ -223,7 +231,7 @@ def period_series(beta, family: FamilySpec) -> PeriodSeries:
     terms: Dict[Tuple[int, ...], Fraction] = {a: Fraction(num, den) for a, num, den in raw}
     series = SparseSeries._trusted(family.nparams, terms, family.truncation)
     return PeriodSeries(family, beta, series,
-                        _normalization_text(family.n, family.d, beta.k))
+                        normalization_text(family.n, family.d, beta.k))
 
 
 def period_denominator_profile(beta, family: FamilySpec) -> DenominatorProfile:
@@ -231,6 +239,20 @@ def period_denominator_profile(beta, family: FamilySpec) -> DenominatorProfile:
     the kernel's integers without building Fractions or a series."""
     _, raw = _kernel_terms(beta, family)
     return _factor_lcm(lcm(*(den // gcd(num, den) for _, num, den in raw)), _TRIAL_BOUND)
+
+
+def period_series_json(beta, family: FamilySpec) -> str:
+    """``period_series(beta, family).series.to_json()``, written straight from
+    the kernel's integers: each term is reduced by one gcd and formatted as
+    ``{"e":[...],"c":"n/d"}`` in the kernel's graded-lex order."""
+    _, raw = _kernel_terms(beta, family)
+    term = '{"e":[' + ",".join(["%d"] * family.nparams) + '],"c":"%d/%d"}'
+    terms = []
+    for a, num, den in raw:
+        g = gcd(num, den)
+        terms.append(term % (*a, num // g, den // g))
+    return (f'{{"nvars":{family.nparams},"truncation":{family.truncation},'
+            f'"terms":[{",".join(terms)}]}}')
 
 
 def quartic_full_family_series(truncation: int) -> SparseSeries:

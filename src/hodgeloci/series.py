@@ -414,7 +414,8 @@ class SparseSeries:
     # -- canonical serialization -----------------------------------------------
 
     def to_doc(self) -> dict:
-        """Canonical document: graded-lex sorted terms, coefficients as "num/den"."""
+        """Canonical document: graded-lex sorted terms, coefficients as "num/den",
+        then ``"laurent"`` flags when a variable has them and ``"p"`` over GF(p)."""
         doc = {
             "nvars": self.nvars,
             "truncation": self.truncation,
@@ -423,6 +424,8 @@ class SparseSeries:
         }
         if any(self.laurent):
             doc["laurent"] = list(self.laurent)
+        if self.p is not None:
+            doc["p"] = self.p
         return doc
 
     @classmethod
@@ -431,8 +434,9 @@ class SparseSeries:
         trunc = doc.get("truncation")
         trunc = None if trunc is None else int(trunc)
         laurent = doc.get("laurent")
+        p = doc.get("p")
         terms = {tuple(int(x) for x in t["e"]): Fraction(t["c"]) for t in doc["terms"]}
-        return cls(nvars, terms, trunc, laurent)
+        return cls(nvars, terms, trunc, laurent, None if p is None else int(p))
 
     def to_json(self) -> str:
         return json.dumps(self.to_doc(), separators=(",", ":"))

@@ -5,12 +5,17 @@ import pathlib
 import random
 import subprocess
 import sys
+import tempfile
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+from conftest import families
 from hodgeloci import cli
 from hodgeloci.cli import main, run_denominator_table
 from hodgeloci.errors import InternalCheckFailed
+from hodgeloci.periods import griffiths_basis, period_series
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -178,6 +183,60 @@ class TestDeterminism:
         assert code == 0 and out == ""
         direct = run(capsys, "denominators", "--config", toy_config)[1]
         assert target.read_text() == direct
+
+    def test_periods_output_flag_writes_the_stdout_bytes(self, capsys, toy_config, tmp_path):
+        target = tmp_path / "periods.json"
+        code, out, _ = run(capsys, "periods", "--config", toy_config, "--output", str(target))
+        assert code == 0 and out == ""
+        direct = run(capsys, "periods", "--config", toy_config)[1]
+        assert target.read_bytes() == direct.encode()
+
+
+# SHA-256 of `periods` on TOY_CONFIG (the D=4 quartic family, Griffiths basis)
+TOY_PERIODS_SHA256 = "ed9239f3a897e021b17f9aae89e5b84a8bd8df72cac95c58d1e590a67947fe86"
+
+
+def test_toy_periods_output_is_pinned(capsys, toy_config):
+    code, out, _ = run(capsys, "periods", "--config", toy_config)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TOY_PERIODS_SHA256
+
+
+@st.composite
+def periods_configs(draw):
+    """A family config from the kernel-test families, with "griffiths" or an
+    explicit list of basis classes (possibly empty, repeated or reordered)."""
+    fam = draw(families())
+    basis = [b.beta for b in griffiths_basis(fam.d, fam.n)]
+    beta = draw(st.one_of(st.just("griffiths"),
+                          st.lists(st.sampled_from(basis), max_size=4)))
+    return fam, {"n": fam.n, "d": fam.d, "I": [list(a) for a in fam.monomials],
+                 "truncation": fam.truncation, "beta": beta}
+
+
+def to_doc_periods_document(fam, cfg):
+    """The `periods` document built from `period_series` and `SparseSeries.to_doc`."""
+    betas = cli.betas_from_config(cfg, fam)
+    results = []
+    for b in betas:
+        ps = period_series(b, fam)
+        results.append({"beta": list(b.beta), "k": b.k, "monomial": b.monomial_str(),
+                        "normalization": ps.normalization, "series": ps.series.to_doc()})
+    doc = {"family": {"n": fam.n, "d": fam.d, "I": [list(a) for a in fam.monomials],
+                      "truncation": fam.truncation},
+           "results": results}
+    return json.dumps(doc, separators=(",", ":")) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(periods_configs())
+def test_periods_document_matches_the_to_doc_document(case):
+    fam, cfg = case
+    with tempfile.TemporaryDirectory() as tmp:
+        config, target = pathlib.Path(tmp, "family.json"), pathlib.Path(tmp, "out.json")
+        config.write_text(json.dumps(cfg))
+        assert main(["periods", "--config", str(config), "--output", str(target)]) == 0
+        assert target.read_bytes() == to_doc_periods_document(fam, cfg).encode()
 
 
 class TestTableShapes:

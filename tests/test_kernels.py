@@ -4,24 +4,14 @@ built on its output."""
 from fractions import Fraction
 from itertools import product
 
-import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from conftest import families
 from hodgeloci import _coeff_kernel_py
 from hodgeloci.periods import (FamilySpec, denominator_profile, griffiths_basis,
                                period_coefficient, period_denominator_profile,
-                               period_series, quartic_full_monomials)
+                               period_series, period_series_json, quartic_full_monomials)
 from hodgeloci.series import SparseSeries, grlex_key
-
-
-@st.composite
-def families(draw, max_d=5, max_monomials=4, max_trunc=8):
-    """A quartic-surface-shaped family (n = 2) of degree d <= max_d."""
-    d = draw(st.integers(2, max_d))
-    cuts = st.lists(st.integers(0, d), min_size=3, max_size=3).map(sorted)
-    weight_d = cuts.map(lambda c: (c[0], c[1] - c[0], c[2] - c[1], d - c[2]))
-    monos = draw(st.lists(weight_d, max_size=max_monomials, unique=True))
-    return FamilySpec(2, d, tuple(monos), draw(st.integers(0, max_trunc)))
 
 
 def simplex(m, trunc):
@@ -60,6 +50,20 @@ def test_integer_denominator_path_matches_series_profile(fam):
     for beta in griffiths_basis(fam.d, fam.n):
         assert period_denominator_profile(beta, fam) == \
             denominator_profile(period_series(beta, fam))
+
+
+@settings(max_examples=100, deadline=None)
+@given(families())
+def test_series_writer_matches_to_json(fam):
+    for beta in griffiths_basis(fam.d, fam.n):
+        assert period_series_json(beta, fam) == period_series(beta, fam).series.to_json()
+
+
+def test_series_writer_writes_an_empty_series():
+    fam = FamilySpec(2, 4, (), 3)  # beta 0 fails the pair test, and no monomial moves it
+    written = period_series_json((0, 0, 0, 0), fam)
+    assert written == '{"nvars":0,"truncation":3,"terms":[]}'
+    assert written == period_series((0, 0, 0, 0), fam).series.to_json()
 
 
 def test_pure_kernel_handles_many_variables():

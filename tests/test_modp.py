@@ -90,3 +90,14 @@ def test_frobenius_endomorphism():
             expected = ModPoly(p, 2, {tuple(p * x for x in e): c
                                       for e, c in f.terms.items()})
             assert f ** p == expected
+
+
+def test_json_round_trip_keeps_the_field():
+    v = ModPoly(7, 2, {(1, 0): 3, (0, 2): 5, (0, 0): Fraction(1, 2)})
+    assert v.to_doc()["p"] == 7
+    back = SparseSeries.from_json(v.to_json())
+    assert back == v and back.p == 7
+    q = SparseSeries(2, {(1, 0): Fraction(3), (0, 2): Fraction(-1, 2)}, truncation=4)
+    assert "p" not in q.to_doc()
+    back = SparseSeries.from_json(q.to_json())
+    assert back == q and back.p is None and back.truncation == 4
