@@ -6,6 +6,10 @@ steenbrink.  All tabular output is comma-delimited with a header row; series
 and matrices are emitted in the canonical JSON document format.  Exit codes:
 0 success, 1 UNKNOWN verdict, 2 invalid input, 3 resource limit, 4 internal
 error (a failed self-check or any other unexpected exception).
+
+Each subcommand imports the modules it runs in its own body, so a process
+compiles and loads only those; ``errors`` stays at module level so that
+mapping an exception to an exit code needs no other module.
 """
 
 from __future__ import annotations
@@ -13,14 +17,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Mapping, Optional, Sequence, Tuple
 
-from hodgeloci import exprparse, hypergeo, ideals, pcurvature, periods
 from hodgeloci.errors import DenominatorDivisibleByP, ResourceLimit
-from hodgeloci.forms import FormMatrix, PolyContext, integrability_check
-from hodgeloci.gauss_manin import (HodgeBlocks, block_foliation_forms,
-                                   linear_solve_series)
+
+if TYPE_CHECKING:  # for annotations only; nothing here is imported at run time
+    from fractions import Fraction
+
+    from hodgeloci import hypergeo, periods
+    from hodgeloci.forms import FormMatrix, PolyContext
 
 # ValueError also covers json.JSONDecodeError and every input error of errors.py
 # except DenominatorDivisibleByP
@@ -31,6 +36,8 @@ _INVALID_INPUT = (ValueError, KeyError, TypeError, OSError, DenominatorDivisible
 
 
 def family_from_config(cfg: Mapping) -> periods.FamilySpec:
+    from hodgeloci import periods
+
     try:
         return periods.FamilySpec(
             n=int(cfg["n"]), d=int(cfg["d"]),
@@ -41,6 +48,8 @@ def family_from_config(cfg: Mapping) -> periods.FamilySpec:
 
 
 def betas_from_config(cfg: Mapping, fam: periods.FamilySpec) -> List[periods.BetaIndex]:
+    from hodgeloci import periods
+
     beta = cfg.get("beta", "griffiths")
     if beta == "griffiths":
         return periods.griffiths_basis(fam.d, fam.n)
@@ -65,6 +74,8 @@ def _load_config(path: str) -> Mapping:
 
 
 def _context(args) -> PolyContext:
+    from hodgeloci.forms import PolyContext
+
     names = tuple(n for n in args.vars.split(",") if n)
     laurent_names = set()
     if getattr(args, "laurent", None):
@@ -76,6 +87,9 @@ def _context(args) -> PolyContext:
 
 
 def _load_form_matrix(path: str, ctx: PolyContext) -> FormMatrix:
+    from hodgeloci import exprparse
+    from hodgeloci.forms import FormMatrix
+
     data = _load_json(path)
     if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
         raise ValueError("matrix file must be a JSON array of arrays of 1-form expressions")
@@ -96,6 +110,8 @@ def _ints_csv(text: str) -> List[int]:
 
 
 def _fracs_csv(text: str) -> List[Fraction]:
+    from fractions import Fraction
+
     return [Fraction(x) for x in text.split(",") if x != ""]
 
 
@@ -107,6 +123,8 @@ def run_denominator_table(config: Mapping) -> str:
 
     Output is byte-stable across runs.
     """
+    from hodgeloci import periods
+
     fam = family_from_config(config)
     rows = []
     for b in betas_from_config(config, fam):
@@ -120,6 +138,8 @@ def _cmd_denominators(args) -> Tuple[str, int]:
 
 
 def _cmd_periods(args) -> Tuple[str, int]:
+    from hodgeloci import periods
+
     cfg = _load_config(args.config)
     fam = family_from_config(cfg)
     family = {"n": fam.n, "d": fam.d, "I": [list(a) for a in fam.monomials],
@@ -134,10 +154,14 @@ def _cmd_periods(args) -> Tuple[str, int]:
 
 
 def _cmd_eq1(args) -> Tuple[str, int]:
+    from hodgeloci import periods
+
     return periods.quartic_full_family_series(args.truncation).to_json() + "\n", 0
 
 
 def _cmd_griffiths(args) -> Tuple[str, int]:
+    from hodgeloci import periods
+
     rows = ["beta,k,monomial"]
     for b in periods.griffiths_basis(args.d, args.n):
         rows.append(f"{' '.join(map(str, b.beta))},{b.k},{b.monomial_str()}")
@@ -145,17 +169,23 @@ def _cmd_griffiths(args) -> Tuple[str, int]:
 
 
 def _cmd_steenbrink(args) -> Tuple[str, int]:
+    from hodgeloci import periods
+
     ok = periods.steenbrink_hodge_tate(args.d, _ints_csv(args.weights), args.n)
     return f"hodge_tate: {'true' if ok else 'false'}\n", 0
 
 
 def _cmd_foliation_check(args) -> Tuple[str, int]:
+    from hodgeloci.forms import integrability_check
+
     ctx = _context(args)
     b = _load_form_matrix(args.matrix, ctx)
     return f"integrable: {'true' if integrability_check(b) else 'false'}\n", 0
 
 
 def _cmd_solve_linear(args) -> Tuple[str, int]:
+    from hodgeloci.gauss_manin import linear_solve_series
+
     ctx = _context(args)
     b = _load_form_matrix(args.matrix, ctx)
     y = linear_solve_series(b, args.order)
@@ -164,6 +194,10 @@ def _cmd_solve_linear(args) -> Tuple[str, int]:
 
 
 def _cmd_gm(args) -> Tuple[str, int]:
+    from hodgeloci import exprparse
+    from hodgeloci.forms import integrability_check
+    from hodgeloci.gauss_manin import HodgeBlocks, block_foliation_forms
+
     ctx = _context(args)
     b = _load_form_matrix(args.matrix, ctx)
     blocks = HodgeBlocks(args.m, tuple(_ints_csv(args.blocks)))
@@ -186,6 +220,8 @@ def _cmd_gm(args) -> Tuple[str, int]:
 
 
 def _parse_field_omegas_ideal(args, ctx):
+    from hodgeloci import exprparse, ideals
+
     v = exprparse.parse_field(args.field, ctx)
     omegas = [exprparse.parse_oneform(e, ctx) for e in args.omega]
     gens = tuple(exprparse.parse_poly(e, ctx) for e in (args.ideal or []))
@@ -193,6 +229,8 @@ def _parse_field_omegas_ideal(args, ctx):
 
 
 def _cmd_tangency(args) -> Tuple[str, int]:
+    from hodgeloci import ideals
+
     ctx = _context(args)
     v, omegas, ibar = _parse_field_omegas_ideal(args, ctx)
     verdict = ideals.tangency_check(v, omegas, ibar, args.deg)
@@ -200,6 +238,8 @@ def _cmd_tangency(args) -> Tuple[str, int]:
 
 
 def _cmd_pcurvature(args) -> Tuple[str, int]:
+    from hodgeloci import ideals, pcurvature
+
     ctx = _context(args)
     v, omegas, ibar = _parse_field_omegas_ideal(args, ctx)
     verdict = pcurvature.pcurvature_tangency(v, omegas, ibar, args.p, args.deg)
@@ -207,6 +247,8 @@ def _cmd_pcurvature(args) -> Tuple[str, int]:
 
 
 def _cmd_sch(args) -> Tuple[str, int]:
+    from hodgeloci import exprparse, pcurvature
+
     ctx = _context(args)
     v = exprparse.parse_field(args.field, ctx)
     ws = [exprparse.parse_field(e, ctx) for e in args.module]
@@ -229,6 +271,8 @@ def _locus_exit_code(sample: hypergeo.LocusSample) -> int:
 
 
 def _cmd_hypergeo_locus(args) -> Tuple[str, int]:
+    from hodgeloci import hypergeo
+
     if args.grid < 1:
         raise ValueError("grid must have at least one point")
     lo, hi = 0.05, 0.95
@@ -245,6 +289,8 @@ def _cmd_hypergeo_locus(args) -> Tuple[str, int]:
 
 
 def _cmd_hypergeo_witness(args) -> Tuple[str, int]:
+    from hodgeloci import hypergeo
+
     sample = hypergeo.sample_locus(args.N, [args.t1], tol=args.tol)
     lines = ["t1,t2,residual"]
     if sample.points:

@@ -223,14 +223,6 @@ class TwoForm:
     def zero(cls, ctx: PolyContext):
         return cls(ctx, {})
 
-    def component(self, i: int, j: int):
-        """Coefficient of dx_i ^ dx_j for any i != j (antisymmetry applied)."""
-        if i < j:
-            c = self.comps.get((i, j))
-            return c if c is not None else self.ctx.zero()
-        c = self.comps.get((j, i))
-        return -c if c is not None else self.ctx.zero()
-
     def is_zero(self) -> bool:
         return not self.comps
 

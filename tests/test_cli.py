@@ -11,6 +11,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import hodgeloci
 from conftest import families
 from hodgeloci import cli
 from hodgeloci.cli import main, run_denominator_table
@@ -168,6 +169,15 @@ class TestExitCodes:
         code, _, err = run(capsys, "tangency", "--vars", "x,y",
                            "--field", "x*(", "--omega", "d(x)", "--deg", "1")
         assert code == 2 and "error" in err
+
+    def test_failed_import_is_exit_four(self, capsys, monkeypatch):
+        # each command imports its modules when it runs, inside main's handlers
+        monkeypatch.setitem(sys.modules, "hodgeloci.hypergeo", None)
+        monkeypatch.delattr(hodgeloci, "hypergeo", raising=False)
+        code, out, err = run(capsys, "hypergeo-locus", "--N", "2", "--grid", "5")
+        assert code == 4 and out == ""
+        assert err.startswith(("error: internal: ModuleNotFoundError: ",
+                               "error: internal: ImportError: "))
 
 
 class TestDeterminism:
@@ -385,6 +395,65 @@ def test_module_invocation_subprocess(tmp_path):
         [sys.executable, "-m", "hodgeloci", "nonsense"],
         capture_output=True, text=True, env=env, cwd=str(tmp_path))
     assert bad.returncode == 2
+
+
+# Run in a fresh interpreter: the hodgeloci modules a command leaves in
+# sys.modules, and whether it loaded dataclasses (if the interpreter had not).
+IMPORT_PROBE = """
+import io, json, sys
+preloaded = "dataclasses" in sys.modules
+from hodgeloci import cli
+argv = json.loads(sys.argv[1])
+code = None
+if argv is None:
+    cli.build_parser()
+else:
+    sys.stdout = io.StringIO()
+    code = cli.main(argv)
+    sys.stdout = sys.__stdout__
+print(json.dumps({"code": code,
+                  "modules": sorted(m for m in sys.modules if m.split(".")[0] == "hodgeloci"),
+                  "dataclasses": "dataclasses" in sys.modules and not preloaded}))
+"""
+FOLIATION_MODULES = {"exprparse", "forms", "series"}
+TANGENCY_ARGS = ["--vars", "x,y", "--field", "x*D(x)", "--omega", "x*d(y) + y*d(x)",
+                 "--ideal", "x*y", "--deg", "3"]
+
+
+@pytest.mark.parametrize("argv, code, modules, no_dataclasses", [
+    (None, None, set(), True),
+    (["hypergeo-locus", "--N", "2", "--grid", "5"], 0, {"hypergeo"}, True),
+    (["denominators", "--config", "{config}"], 0, {"periods", "series", "_coeff_kernel_py"},
+     False),
+    (["periods", "--config", "{config}"], 0, {"periods", "series", "_coeff_kernel_py"}, False),
+    (["gm", "--vars", "t1,t2", "--matrix", "{matrix}", "--m", "2", "--blocks", "1,2,1"], 0,
+     FOLIATION_MODULES | {"gauss_manin"}, False),
+    (["tangency"] + TANGENCY_ARGS, 0, FOLIATION_MODULES | {"ideals", "linalg"}, False),
+    (["pcurvature", "--p", "5"] + TANGENCY_ARGS, 0,
+     FOLIATION_MODULES | {"ideals", "linalg", "modp", "pcurvature"}, False),
+], ids=["build_parser", "hypergeo-locus", "denominators", "periods", "gm", "tangency",
+        "pcurvature"])
+def test_command_imports_only_the_modules_it_runs(tmp_path, argv, code, modules,
+                                                  no_dataclasses):
+    config = tmp_path / "family.json"
+    config.write_text(json.dumps(TOY_CONFIG))
+    matrix = tmp_path / "B.json"
+    rows = [["0"] * 4 for _ in range(4)]
+    rows[0][1], rows[0][2] = "d(t1)", "2*d(t2)"
+    matrix.write_text(json.dumps(rows))
+    if argv is not None:
+        argv = [a.format(config=config, matrix=matrix) for a in argv]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(argv)],
+                          capture_output=True, text=True, env=env, cwd=str(tmp_path),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["code"] == code
+    expected = {"hodgeloci", "hodgeloci.cli", "hodgeloci.errors"}
+    assert set(got["modules"]) == expected | {f"hodgeloci.{m}" for m in modules}
+    if no_dataclasses:
+        assert not got["dataclasses"]
 
 
 @pytest.mark.slow

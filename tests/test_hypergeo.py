@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 
 from hodgeloci.errors import OutOfDomain, TargetOutOfRange
-from hodgeloci.hypergeo import (DELTA, PARAMS_HALF, HypParams, _agm, eval_2f1, hyp2f1,
-                                invert_tau, locus_function, sample_locus, tau_of_t)
+from hodgeloci.hypergeo import (DELTA, PARAMS_HALF, HypParams, LocusSample, TruncSeries1D, _agm,
+                                eval_2f1, hyp2f1, invert_tau, locus_function, sample_locus,
+                                tau_of_t)
 from hodgeloci.periods import pochhammer
 
 LAMBDA_2I = 17 - 12 * math.sqrt(2)  # value of the modular lambda at 2i
@@ -169,3 +170,22 @@ class TestSampleLocus:
         assert len(sample.points) >= 10
         assert all(r < 1e-8 for _, _, r in sample.points)
         assert sample.flagged == ()
+
+
+# (value, an equal value built from other arguments, a different value, a field)
+# for each value class; HypParams' check on c is TestSeries.test_c_validation
+@pytest.mark.parametrize("value, same, other, field", [
+    (HypParams(1, 1, 1), HypParams(Fraction(1), 1, 1), HypParams(1, 1, 2), "a"),
+    (TruncSeries1D((Fraction(1), Fraction(1, 4))), TruncSeries1D((1, Fraction(1, 4))),
+     TruncSeries1D((Fraction(1),)), "coefficients"),
+    (LocusSample(2, ((0.5, 0.25, 0.0),), (0.05,), 1e-8),
+     LocusSample(2, ((0.5, 0.25, 0.0),), (0.05,), 1e-8),
+     LocusSample(2, ((0.5, 0.25, 0.0),), (), 1e-8), "tol"),
+], ids=["HypParams", "TruncSeries1D", "LocusSample"])
+def test_value_classes_are_immutable_values(value, same, other, field):
+    assert value == same and hash(value) == hash(same)
+    assert value != other
+    assert value != tuple(getattr(value, f) for f in vars(value))
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(other, field))
+    assert value == same
