@@ -26,6 +26,7 @@ if TYPE_CHECKING:  # for annotations only; nothing here is imported at run time
 
     from hodgeloci import hypergeo, periods
     from hodgeloci.forms import FormMatrix, PolyContext
+    from hodgeloci.gauss_manin import BlockFoliation, HodgeBlocks
 
 # ValueError also covers json.JSONDecodeError and every input error of errors.py
 # except DenominatorDivisibleByP
@@ -175,9 +176,23 @@ def _cmd_steenbrink(args) -> Tuple[str, int]:
     return f"hodge_tate: {'true' if ok else 'false'}\n", 0
 
 
-def _cmd_foliation_check(args) -> Tuple[str, int]:
-    from hodgeloci.forms import integrability_check
+def integrability_check(b: FormMatrix) -> bool:
+    """``forms.integrability_check``, imported when called.  ``foliation-check``
+    and ``gm`` call it by this name, where ``perfbench/tracer.py`` times it."""
+    from hodgeloci import forms
 
+    return forms.integrability_check(b)
+
+
+def block_foliation_forms(b: FormMatrix, blocks: HodgeBlocks) -> BlockFoliation:
+    """``gauss_manin.block_foliation_forms``, imported when called; ``gm`` calls
+    it by this name, where ``perfbench/tracer.py`` times it."""
+    from hodgeloci import gauss_manin
+
+    return gauss_manin.block_foliation_forms(b, blocks)
+
+
+def _cmd_foliation_check(args) -> Tuple[str, int]:
     ctx = _context(args)
     b = _load_form_matrix(args.matrix, ctx)
     return f"integrable: {'true' if integrability_check(b) else 'false'}\n", 0
@@ -195,8 +210,7 @@ def _cmd_solve_linear(args) -> Tuple[str, int]:
 
 def _cmd_gm(args) -> Tuple[str, int]:
     from hodgeloci import exprparse
-    from hodgeloci.forms import integrability_check
-    from hodgeloci.gauss_manin import HodgeBlocks, block_foliation_forms
+    from hodgeloci.gauss_manin import HodgeBlocks
 
     ctx = _context(args)
     b = _load_form_matrix(args.matrix, ctx)
