@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from math import comb
 from typing import TYPE_CHECKING, List, Mapping, Optional, Sequence, Tuple
 
 from hodgeloci.errors import DenominatorDivisibleByP, ResourceLimit
@@ -119,17 +121,48 @@ def _fracs_csv(text: str) -> List[Fraction]:
 # -- subcommand bodies ----------------------------------------------------------
 
 
+# A table of at least this many kernel tuples, counted as rows x C(truncation + m, m),
+# computes its rows in worker processes.  The pool costs about 50 ms to import,
+# start and join, and on the 2-CPU host measured its two workers did not always
+# get a CPU each.  On the 21-row quartic table (BENCH_10.json, break_even) the
+# pool lost up to D=22 (313,950 tuples) and won from D=24 (429,975) on.
+_POOL_TUPLES = 400_000
+
+
+def _map_rows(fn, betas: Sequence[periods.BetaIndex], fam: periods.FamilySpec) -> list:
+    """``[fn(b, fam) for b in betas]``: in one forked worker process per CPU this
+    process may run on, when there are at least two of each and the table holds
+    at least ``_POOL_TUPLES`` kernel tuples; otherwise in this process.
+
+    ``fn`` must be a module-level function, so that it pickles by reference.
+    Workers are forked, not spawned, so they reuse the loaded package instead of
+    importing it again; the command starts no thread before this point.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(betas))
+    tuples = len(betas) * comb(fam.truncation + fam.nparams, fam.nparams)
+    if workers < 2 or tuples < _POOL_TUPLES:
+        return [fn(b, fam) for b in betas]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(fn, betas, [fam] * len(betas)))
+
+
 def run_denominator_table(config: Mapping) -> str:
     """One row per basis element: rendered monomial, lcm, factorization.
 
-    Output is byte-stable across runs.
+    Rows are computed by ``_map_rows``, so a large table runs in one forked
+    worker process per usable CPU; the text is the same as a serial run's, and
+    byte-stable across runs.
     """
     from hodgeloci import periods
 
     fam = family_from_config(config)
+    betas = betas_from_config(config, fam)
     rows = []
-    for b in betas_from_config(config, fam):
-        prof = periods.period_denominator_profile(b, fam)
+    for b, prof in zip(betas, _map_rows(periods.period_denominator_profile, betas, fam)):
         rows.append(f"{b.monomial_str()},{prof.lcm},{prof.factorization_str()}\n")
     return "monomial,lcm,factorization\n" + "".join(rows)
 
@@ -145,12 +178,13 @@ def _cmd_periods(args) -> Tuple[str, int]:
     fam = family_from_config(cfg)
     family = {"n": fam.n, "d": fam.d, "I": [list(a) for a in fam.monomials],
               "truncation": fam.truncation}
+    betas = betas_from_config(cfg, fam)
     rows = []
-    for b in betas_from_config(cfg, fam):
+    for b, series in zip(betas, _map_rows(periods.period_series_json, betas, fam)):
         head = _json({"beta": list(b.beta), "k": b.k, "monomial": b.monomial_str(),
                       "normalization": periods.normalization_text(fam.n, fam.d, b.k)})
         # the series object goes in as the header's last key
-        rows.append(f'{head[:-1]},"series":{periods.period_series_json(b, fam)}}}')
+        rows.append(f'{head[:-1]},"series":{series}}}')
     return f'{{"family":{_json(family)},"results":[{",".join(rows)}]}}\n', 0
 
 

@@ -27,6 +27,11 @@ Two consumers read those integers directly, with no ``Fraction`` and no
 ``periods`` document).  ``SparseSeries.to_doc`` defines the canonical format;
 ``period_series_json`` writes the same bytes as ``to_json`` of
 ``period_series``, and the tests hold the two paths equal.
+
+Both take one basis element and the family, and keep no state between calls,
+so the rows of a table are independent: the command line computes a large
+table's rows in forked worker processes (``cli._map_rows``), which pickle
+the two functions by reference.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import multiprocessing
 import os
 import pathlib
 import random
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 
 import hodgeloci
 from conftest import families
-from hodgeloci import cli
+from hodgeloci import cli, periods
 from hodgeloci.cli import main, run_denominator_table
 from hodgeloci.errors import InternalCheckFailed
 from hodgeloci.periods import griffiths_basis, period_series
@@ -39,6 +40,37 @@ def failing(exc):
     def body(args):
         raise exc
     return body
+
+
+TEST_PID = os.getpid()
+
+
+def exit_in_worker(beta, fam):
+    """A row function that ends its worker process without a word."""
+    if os.getpid() == TEST_PID:  # never end the test process itself
+        raise AssertionError("the row ran in the test process, not in a worker")
+    os._exit(1)
+
+
+needs_two_cpus = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="the row pool needs at least 2 usable CPUs")
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The start method of each row pool made while the test runs."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    started = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, *args, mp_context=None, **kwargs):
+            started.append(mp_context.get_start_method())
+            super().__init__(*args, mp_context=mp_context, **kwargs)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    return started
 
 
 def run(capsys, *argv):
@@ -179,6 +211,30 @@ class TestExitCodes:
         assert err.startswith(("error: internal: ModuleNotFoundError: ",
                                "error: internal: ImportError: "))
 
+    @needs_two_cpus
+    @pytest.mark.parametrize("command", ["denominators", "periods"])
+    def test_invalid_row_in_a_worker_is_exit_two(self, capsys, monkeypatch, pools, tmp_path,
+                                                 command):
+        # BetaIndex.make accepts the 5-entry beta; the row function rejects it
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(dict(TOY_CONFIG, beta=[[0, 0, 0, 0], [1, 1, 1, 0, 0]])))
+        serial = run(capsys, command, "--config", str(path))
+        assert serial == (2, "", "error: beta (1, 1, 1, 0, 0) does not have 4 entries\n")
+        monkeypatch.setattr(cli, "_POOL_TUPLES", 0)
+        assert run(capsys, command, "--config", str(path)) == serial
+        assert pools == ["fork"]
+        assert multiprocessing.active_children() == []
+
+    @needs_two_cpus
+    def test_dead_worker_is_exit_four(self, capsys, pools, monkeypatch, toy_config):
+        monkeypatch.setattr(cli, "_POOL_TUPLES", 0)
+        monkeypatch.setattr(periods, "period_denominator_profile", exit_in_worker)
+        code, out, err = run(capsys, "denominators", "--config", toy_config)
+        assert code == 4 and out == ""
+        assert err.startswith("error: internal: BrokenProcessPool: ")
+        assert pools == ["fork"]
+        assert multiprocessing.active_children() == []
+
 
 class TestDeterminism:
     def test_byte_identical_runs(self, capsys, toy_config):
@@ -210,6 +266,31 @@ def test_toy_periods_output_is_pinned(capsys, toy_config):
     code, out, _ = run(capsys, "periods", "--config", toy_config)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == TOY_PERIODS_SHA256
+
+
+# name -> (config, whether its rows go to a pool once the cut is 0): a table of
+# fewer than two rows has nothing to share out
+POOL_CONFIGS = {
+    "toy": (TOY_CONFIG, True),
+    "repeated_row": (dict(TOY_CONFIG, beta=[[1, 1, 1, 1], [0, 0, 0, 0], [1, 1, 1, 1]]), True),
+    "one_row": (dict(TOY_CONFIG, beta=[[1, 1, 1, 1]]), False),
+    "no_rows": (dict(TOY_CONFIG, beta=[]), False),
+}
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("command", ["denominators", "periods"])
+@pytest.mark.parametrize("name", list(POOL_CONFIGS))
+def test_pool_rows_equal_serial_rows(capsys, monkeypatch, pools, tmp_path, command, name):
+    config, pooled = POOL_CONFIGS[name]
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(config))
+    serial = run(capsys, command, "--config", str(path))
+    assert serial[0] == 0 and pools == []
+    monkeypatch.setattr(cli, "_POOL_TUPLES", 0)
+    assert run(capsys, command, "--config", str(path)) == serial
+    assert pools == (["fork"] if pooled else [])
+    assert multiprocessing.active_children() == []
 
 
 @st.composite
@@ -398,10 +479,12 @@ def test_module_invocation_subprocess(tmp_path):
 
 
 # Run in a fresh interpreter: the hodgeloci modules a command leaves in
-# sys.modules, and whether it loaded dataclasses (if the interpreter had not).
+# sys.modules, whether it loaded dataclasses (if the interpreter had not), and
+# which of the row pool's modules it loaded.
 IMPORT_PROBE = """
 import io, json, sys
 preloaded = "dataclasses" in sys.modules
+POOL = ("multiprocessing", "concurrent.futures")
 from hodgeloci import cli
 argv = json.loads(sys.argv[1])
 code = None
@@ -413,7 +496,8 @@ else:
     sys.stdout = sys.__stdout__
 print(json.dumps({"code": code,
                   "modules": sorted(m for m in sys.modules if m.split(".")[0] == "hodgeloci"),
-                  "dataclasses": "dataclasses" in sys.modules and not preloaded}))
+                  "dataclasses": "dataclasses" in sys.modules and not preloaded,
+                  "pool": [m for m in POOL if m in sys.modules]}))
 """
 FOLIATION_MODULES = {"exprparse", "forms", "series"}
 TANGENCY_ARGS = ["--vars", "x,y", "--field", "x*D(x)", "--omega", "x*d(y) + y*d(x)",
@@ -454,6 +538,7 @@ def test_command_imports_only_the_modules_it_runs(tmp_path, argv, code, modules,
     assert set(got["modules"]) == expected | {f"hodgeloci.{m}" for m in modules}
     if no_dataclasses:
         assert not got["dataclasses"]
+    assert got["pool"] == []  # no command here reaches the pool's cut
 
 
 @pytest.mark.slow
