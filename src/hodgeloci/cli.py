@@ -38,14 +38,23 @@ _INVALID_INPUT = (ValueError, KeyError, TypeError, OSError, DenominatorDivisible
 # -- config and context helpers ---------------------------------------------------
 
 
+def _config_int(value, field: str) -> int:
+    """A config number, which must be a JSON integer: a float such as 4.0, a
+    string or a boolean is rejected rather than converted."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f'config field "{field}": expected a JSON integer, '
+                         f'got {json.dumps(value)}')
+    return value
+
+
 def family_from_config(cfg: Mapping) -> periods.FamilySpec:
     from hodgeloci import periods
 
     try:
         return periods.FamilySpec(
-            n=int(cfg["n"]), d=int(cfg["d"]),
-            monomials=tuple(tuple(int(x) for x in a) for a in cfg["I"]),
-            truncation=int(cfg["truncation"]))
+            n=_config_int(cfg["n"], "n"), d=_config_int(cfg["d"], "d"),
+            monomials=tuple(tuple(_config_int(x, "I") for x in a) for a in cfg["I"]),
+            truncation=_config_int(cfg["truncation"], "truncation"))
     except KeyError as exc:
         raise ValueError(f"config is missing field {exc.args[0]!r}") from None
 
@@ -58,7 +67,8 @@ def betas_from_config(cfg: Mapping, fam: periods.FamilySpec) -> List[periods.Bet
         return periods.griffiths_basis(fam.d, fam.n)
     if not isinstance(beta, list):
         raise ValueError('config field "beta" must be "griffiths" or a list of exponent vectors')
-    return [periods.BetaIndex.make(tuple(int(x) for x in b), fam.d) for b in beta]
+    return [periods.BetaIndex.make(tuple(_config_int(x, "beta") for x in b), fam.d)
+            for b in beta]
 
 
 def _load_json(path: str):
@@ -115,7 +125,15 @@ def _ints_csv(text: str) -> List[int]:
 def _fracs_csv(text: str) -> List[Fraction]:
     from fractions import Fraction
 
-    return [Fraction(x) for x in text.split(",") if x != ""]
+    out = []
+    for x in text.split(","):
+        if x == "":
+            continue
+        try:
+            out.append(Fraction(x))
+        except ZeroDivisionError:
+            raise ValueError(f"coordinate {x!r} has a zero denominator") from None
+    return out
 
 
 # -- subcommand bodies ----------------------------------------------------------

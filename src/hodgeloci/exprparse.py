@@ -14,10 +14,10 @@ it again reproduces the identical AST.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
+from hodgeloci._value import Value
 from hodgeloci.errors import ParseError
 from hodgeloci.forms import OneForm, PolyContext, VectorField
 from hodgeloci.series import SparseSeries, grlex_key
@@ -29,15 +29,13 @@ _BASIS_RANK = {None: 0, "d": 1, "D": 2}
 MAX_NESTING = 100
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(Value):
     coeff: Fraction
     exps: Tuple[int, ...]
     basis: Optional[Tuple[str, int]]  # ('d'|'D', variable index) or None
 
 
-@dataclass(frozen=True)
-class ExprAST:
+class ExprAST(Value):
     """Canonical sum of terms: merged, zero-free, deterministically sorted."""
 
     nvars: int
@@ -263,70 +261,52 @@ def print_expr(ast: ExprAST, ctx: PolyContext) -> str:
 # -- conversions to and from algebra objects -----------------------------------------
 
 
-def poly_from_ast(ast: ExprAST, ctx: PolyContext) -> SparseSeries:
-    if ast.kind not in ("poly",) and ast.terms:
-        raise ValueError("expression contains basis symbols; not a polynomial")
-    return SparseSeries(ctx.nvars, {t.exps: t.coeff for t in ast.terms},
-                        laurent=ctx.laurent)
+# basis symbol, ExprAST.kind and name of each class with one component per variable
+_COMPONENT_KINDS = {OneForm: ("d", "form", "1-form"),
+                    VectorField: ("D", "field", "vector field")}
 
 
-def oneform_from_ast(ast: ExprAST, ctx: PolyContext) -> OneForm:
-    if ast.terms and ast.kind != "form":
-        raise ValueError("expression is not a 1-form (needs d(...) in every term)")
+def _components_from_ast(cls, ast: ExprAST, ctx: PolyContext):
+    symbol, kind, name = _COMPONENT_KINDS[cls]
+    if ast.terms and ast.kind != kind:
+        raise ValueError(f"expression is not a {name} (needs {symbol}(...) in every term)")
     comps = [dict() for _ in range(ctx.nvars)]
     for t in ast.terms:
         comps[t.basis[1]][t.exps] = t.coeff
-    return OneForm(ctx, tuple(SparseSeries(ctx.nvars, c, laurent=ctx.laurent)
-                              for c in comps))
-
-
-def field_from_ast(ast: ExprAST, ctx: PolyContext) -> VectorField:
-    if ast.terms and ast.kind != "field":
-        raise ValueError("expression is not a vector field (needs D(...) in every term)")
-    comps = [dict() for _ in range(ctx.nvars)]
-    for t in ast.terms:
-        comps[t.basis[1]][t.exps] = t.coeff
-    return VectorField(ctx, tuple(SparseSeries(ctx.nvars, c, laurent=ctx.laurent)
-                                  for c in comps))
+    return cls(ctx, tuple(SparseSeries(ctx.nvars, c, laurent=ctx.laurent) for c in comps))
 
 
 def parse_poly(text: str, ctx: PolyContext) -> SparseSeries:
-    return poly_from_ast(parse_expr(text, ctx), ctx)
+    ast = parse_expr(text, ctx)
+    if ast.kind not in ("poly",) and ast.terms:
+        raise ValueError("expression contains basis symbols; not a polynomial")
+    return SparseSeries(ctx.nvars, {t.exps: t.coeff for t in ast.terms}, laurent=ctx.laurent)
 
 
 def parse_oneform(text: str, ctx: PolyContext) -> OneForm:
-    return oneform_from_ast(parse_expr(text, ctx), ctx)
+    return _components_from_ast(OneForm, parse_expr(text, ctx), ctx)
 
 
 def parse_field(text: str, ctx: PolyContext) -> VectorField:
-    return field_from_ast(parse_expr(text, ctx), ctx)
+    return _components_from_ast(VectorField, parse_expr(text, ctx), ctx)
 
 
-def poly_to_ast(f: SparseSeries, ctx: PolyContext) -> ExprAST:
-    return ExprAST.make(ctx.nvars, [Term(c, e, None) for e, c in f.terms.items()])
-
-
-def oneform_to_ast(w: OneForm) -> ExprAST:
+def _components_to_ast(w) -> ExprAST:
+    symbol = _COMPONENT_KINDS[type(w)][0]
     terms = []
     for i, comp in enumerate(w.comps):
-        terms.extend(Term(c, e, ("d", i)) for e, c in comp.terms.items())
+        terms.extend(Term(c, e, (symbol, i)) for e, c in comp.terms.items())
     return ExprAST.make(w.ctx.nvars, terms)
 
 
-def field_to_ast(v: VectorField) -> ExprAST:
-    terms = []
-    for i, comp in enumerate(v.comps):
-        terms.extend(Term(c, e, ("D", i)) for e, c in comp.terms.items())
-    return ExprAST.make(v.ctx.nvars, terms)
-
-
 def poly_to_expr(f: SparseSeries, ctx: PolyContext) -> str:
-    return print_expr(poly_to_ast(f, ctx), ctx)
+    ast = ExprAST.make(ctx.nvars, [Term(c, e, None) for e, c in f.terms.items()])
+    return print_expr(ast, ctx)
 
 
 def oneform_to_expr(w: OneForm) -> str:
-    return print_expr(oneform_to_ast(w), w.ctx)
+    return print_expr(_components_to_ast(w), w.ctx)
 
 
 def field_to_expr(v: VectorField) -> str:
-    return print_expr(field_to_ast(v), v.ctx)
+    return print_expr(_components_to_ast(v), v.ctx)

@@ -8,30 +8,28 @@ Two-form components are stored on ordered index pairs i < j only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from hodgeloci._value import Value
 from hodgeloci.series import SparseSeries, total_degree
 
 
-@dataclass(frozen=True)
-class PolyContext:
+class PolyContext(Value):
     """Ordered variable names with per-variable Laurent flags, shared by all
     objects in a computation."""
 
     names: Tuple[str, ...]
-    laurent: Tuple[bool, ...] = ()
+    laurent: Tuple[bool, ...]
 
-    def __post_init__(self):
-        names = tuple(self.names)
-        lau = tuple(self.laurent) if self.laurent else (False,) * len(names)
+    def __init__(self, names, laurent=()):
+        names = tuple(names)
+        laurent = tuple(laurent) if laurent else (False,) * len(names)
         if len(set(names)) != len(names):
             raise ValueError("variable names must be unique")
-        if len(lau) != len(names):
+        if len(laurent) != len(names):
             raise ValueError("laurent flag count does not match variable count")
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "laurent", lau)
+        self.__dict__.update(names=names, laurent=laurent)
 
     @property
     def nvars(self) -> int:
@@ -77,26 +75,45 @@ def _check_ctx(a, b):
         raise ValueError("context mismatch")
 
 
-def _as_comps(ctx: PolyContext, comps) -> tuple:
-    comps = tuple(comps)
-    if len(comps) != ctx.nvars:
-        raise ValueError(f"expected {ctx.nvars} components, got {len(comps)}")
-    if any(c.nvars != ctx.nvars for c in comps):
-        raise ValueError("component variable count does not match context")
-    return comps
+class _Components(Value):
+    """The common part of vector fields and 1-forms: one polynomial component
+    per variable of the context."""
 
-
-class VectorField:
-    """Derivation sum_i c_i d/dx_i with polynomial components."""
-
-    __slots__ = ("ctx", "comps")
+    ctx: PolyContext
+    comps: Tuple[SparseSeries, ...]
 
     def __init__(self, ctx: PolyContext, comps):
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "comps", _as_comps(ctx, comps))
+        comps = tuple(comps)
+        if len(comps) != ctx.nvars:
+            raise ValueError(f"expected {ctx.nvars} components, got {len(comps)}")
+        if any(c.nvars != ctx.nvars for c in comps):
+            raise ValueError("component variable count does not match context")
+        self.__dict__.update(ctx=ctx, comps=comps)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("VectorField is immutable")
+    def is_zero(self) -> bool:
+        return all(c.is_zero() for c in self.comps)
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        _check_ctx(self, other)
+        return type(self)(self.ctx, tuple(a + b for a, b in zip(self.comps, other.comps)))
+
+    def __neg__(self):
+        return type(self)(self.ctx, tuple(-c for c in self.comps))
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    def scale(self, f):
+        """Multiply by a polynomial (or scalar) coefficient."""
+        return type(self)(self.ctx, tuple(f * c for c in self.comps))
+
+
+class VectorField(_Components):
+    """Derivation sum_i c_i d/dx_i with polynomial components."""
 
     def apply(self, f):
         """v(f) = sum_i c_i * df/dx_i."""
@@ -110,49 +127,9 @@ class VectorField:
         """The tangent vector at a point: componentwise evaluation."""
         return tuple(c.eval_exact(point) for c in self.comps)
 
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.comps)
 
-    def __add__(self, other):
-        if not isinstance(other, VectorField):
-            return NotImplemented
-        _check_ctx(self, other)
-        return VectorField(self.ctx, tuple(a + b for a, b in zip(self.comps, other.comps)))
-
-    def __neg__(self):
-        return VectorField(self.ctx, tuple(-c for c in self.comps))
-
-    def __sub__(self, other):
-        if not isinstance(other, VectorField):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, f):
-        return VectorField(self.ctx, tuple(f * c for c in self.comps))
-
-    def __eq__(self, other):
-        if not isinstance(other, VectorField):
-            return NotImplemented
-        return self.ctx == other.ctx and self.comps == other.comps
-
-    def __hash__(self):
-        return hash((self.ctx, self.comps))
-
-    def __repr__(self):
-        return f"VectorField({list(self.comps)!r})"
-
-
-class OneForm:
+class OneForm(_Components):
     """Differential 1-form sum_i c_i dx_i with polynomial components."""
-
-    __slots__ = ("ctx", "comps")
-
-    def __init__(self, ctx: PolyContext, comps):
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "comps", _as_comps(ctx, comps))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OneForm is immutable")
 
     @classmethod
     def zero(cls, ctx: PolyContext, like=None):
@@ -168,43 +145,12 @@ class OneForm:
             out = term if out is None else out + term
         return out
 
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.comps)
 
-    def __add__(self, other):
-        if not isinstance(other, OneForm):
-            return NotImplemented
-        _check_ctx(self, other)
-        return OneForm(self.ctx, tuple(a + b for a, b in zip(self.comps, other.comps)))
-
-    def __neg__(self):
-        return OneForm(self.ctx, tuple(-c for c in self.comps))
-
-    def __sub__(self, other):
-        if not isinstance(other, OneForm):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, f):
-        """Multiply by a polynomial (or scalar) coefficient."""
-        return OneForm(self.ctx, tuple(f * c for c in self.comps))
-
-    def __eq__(self, other):
-        if not isinstance(other, OneForm):
-            return NotImplemented
-        return self.ctx == other.ctx and self.comps == other.comps
-
-    def __hash__(self):
-        return hash((self.ctx, self.comps))
-
-    def __repr__(self):
-        return f"OneForm({list(self.comps)!r})"
-
-
-class TwoForm:
+class TwoForm(Value):
     """Differential 2-form; components stored on ordered pairs i < j."""
 
-    __slots__ = ("ctx", "comps")
+    ctx: PolyContext
+    comps: Dict[Tuple[int, int], SparseSeries]
 
     def __init__(self, ctx: PolyContext, comps: Dict[Tuple[int, int], object]):
         clean = {}
@@ -213,11 +159,7 @@ class TwoForm:
                 raise ValueError("two-form components must be indexed i < j")
             if not c.is_zero():
                 clean[(i, j)] = c
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "comps", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TwoForm is immutable")
+        self.__dict__.update(ctx=ctx, comps=clean)
 
     @classmethod
     def zero(cls, ctx: PolyContext):
@@ -248,16 +190,8 @@ class TwoForm:
             return NotImplemented
         return self + (-other)
 
-    def __eq__(self, other):
-        if not isinstance(other, TwoForm):
-            return NotImplemented
-        return self.ctx == other.ctx and self.comps == other.comps
-
-    def __hash__(self):
+    def __hash__(self):  # the components are a dict
         return hash((self.ctx, tuple(sorted(self.comps.items(), key=lambda t: t[0]))))
-
-    def __repr__(self):
-        return f"TwoForm({self.comps!r})"
 
 
 # -- exterior calculus ---------------------------------------------------------
@@ -372,10 +306,11 @@ def pairing_eval(w: OneForm, v: Sequence, t: Sequence) -> Fraction:
 # -- matrices of 1-forms ---------------------------------------------------------
 
 
-class FormMatrix:
+class FormMatrix(Value):
     """Rectangular matrix of 1-forms over a shared context."""
 
-    __slots__ = ("ctx", "entries")
+    ctx: PolyContext
+    entries: Tuple[Tuple[OneForm, ...], ...]
 
     def __init__(self, ctx: PolyContext, entries):
         entries = tuple(tuple(row) for row in entries)
@@ -387,11 +322,7 @@ class FormMatrix:
             for f in row:
                 if not isinstance(f, OneForm) or f.ctx != ctx:
                     raise ValueError("entries must be 1-forms over the shared context")
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FormMatrix is immutable")
+        self.__dict__.update(ctx=ctx, entries=entries)
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -460,14 +391,6 @@ class FormMatrix:
     def __neg__(self):
         return FormMatrix(self.ctx, [[-f for f in row] for row in self.entries])
 
-    def __eq__(self, other):
-        if not isinstance(other, FormMatrix):
-            return NotImplemented
-        return self.ctx == other.ctx and self.entries == other.entries
-
-    def __repr__(self):
-        return f"FormMatrix(shape={self.shape})"
-
 
 def _shared_truncation(matrices) -> Optional[int]:
     shared = None
@@ -512,16 +435,7 @@ def integrability_check(b: FormMatrix) -> bool:
 
 def wedge_matvec(a: FormMatrix, forms: Sequence[OneForm]) -> List[TwoForm]:
     """(A ^ w)_i = sum_j A_{ij} ^ w_j for a column of 1-forms."""
-    r, c = a.shape
-    if len(forms) != c:
-        raise ValueError("length mismatch")
-    out = []
-    for i in range(r):
-        acc = {}
-        for j in range(c):
-            _wedge_into(acc, a.entries[i][j], forms[j])
-        out.append(TwoForm(a.ctx, acc))
-    return out
+    return [row[0] for row in a.wedge_mul(FormMatrix(a.ctx, [[w] for w in forms]))]
 
 
 # -- polynomial matrices ----------------------------------------------------------

@@ -14,37 +14,36 @@ generates the foliation carrying the constant-period loci as leaves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
+from hodgeloci._value import Value
 from hodgeloci.errors import InternalCheckFailed, NotIntegrable, TransversalityViolation
 from hodgeloci.forms import (FormMatrix, OneForm, PolyContext, d_poly, poly_mat_d,
                              poly_mat_identity, scaled_sum)
 from hodgeloci.series import SparseSeries, monomials_upto
 
 
-@dataclass(frozen=True)
-class HodgeBlocks:
+class HodgeBlocks(Value):
     """Block sizes of an even-weight Hodge decomposition, position-indexed:
     block i has size h^{m-i,i} for i = 0..m.  Sizes must be symmetric."""
 
     m: int
     sizes: Tuple[int, ...]
 
-    def __post_init__(self):
-        if self.m < 2 or self.m % 2:
+    def __init__(self, m, sizes):
+        if m < 2 or m % 2:
             raise ValueError("weight m must be a positive even integer")
-        sizes = tuple(int(s) for s in self.sizes)
-        object.__setattr__(self, "sizes", sizes)
-        if len(sizes) != self.m + 1:
-            raise ValueError(f"expected {self.m + 1} block sizes")
+        sizes = tuple(int(s) for s in sizes)
+        if len(sizes) != m + 1:
+            raise ValueError(f"expected {m + 1} block sizes")
         if any(s < 0 for s in sizes):
             raise ValueError("block sizes must be non-negative")
         if not any(sizes):
             raise ValueError("block sizes are all zero: there are no fiber coordinates")
-        if any(sizes[i] != sizes[self.m - i] for i in range(self.m + 1)):
+        if any(sizes[i] != sizes[m - i] for i in range(m + 1)):
             raise ValueError("block sizes are inconsistent: not symmetric")
+        self.__dict__.update(m=m, sizes=sizes)
 
     @property
     def total(self) -> int:
@@ -148,8 +147,7 @@ def linear_solve_series(b: FormMatrix, order: int) -> List[List[SparseSeries]]:
 # -- Hodge-block assembly -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GMAssembly:
+class GMAssembly(Value):
     ctx: PolyContext
     blocks: HodgeBlocks
     s: Tuple[Tuple[SparseSeries, ...], ...]
@@ -195,14 +193,12 @@ def gm_assemble(b: FormMatrix, blocks: HodgeBlocks) -> GMAssembly:
     x_col = [ctx_ext.zero()] * c0 + xs
 
     s = poly_mat_identity(ctx_ext, h)
-    s = [list(row) for row in s]
     for r in range(h):
         s[r][c0] = x_col[r]
 
     # closed-form inverse: x_1 -> 1/x_1 and x_i -> -x_i/x_1 down the column
     x1_inv = ctx_ext.monomial((0,) * b.ctx.nvars + (-1,) + (0,) * (g - 1))
     s_inv = poly_mat_identity(ctx_ext, h)
-    s_inv = [list(row) for row in s_inv]
     s_inv[c0][c0] = x1_inv
     for j in range(1, g):
         s_inv[c0 + j][c0] = -(xs[j] * x1_inv)
@@ -221,8 +217,7 @@ def gm_assemble(b: FormMatrix, blocks: HodgeBlocks) -> GMAssembly:
 # -- block equations -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BlockFoliation:
+class BlockFoliation(Value):
     """The foliation generators read off the Hodge-block pattern, together
     with the middle-block pairing matrix (the infinitesimal-variation block)."""
 

@@ -14,7 +14,7 @@ forms (Borwein & Borwein, *Pi and the AGM*, 1987, ch. 1-2; DLMF 19.8 and
 lambda function, t = lambda(i*s) = (theta2(q)/theta3(q))^4 with q = e^{-pi s}.
 The exact series ``hyp2f1`` is kept as the cross-check oracle, and
 ``eval_2f1`` sums any 2F1 in floats with the geometric tail bound
-|next term| / (1 - z).
+|next term| / (1 - z).  The value classes are ``hodgeloci._value.Value`` records.
 """
 
 from __future__ import annotations
@@ -23,39 +23,13 @@ import math
 from fractions import Fraction
 from typing import Dict, Sequence, Tuple
 
+from hodgeloci._value import Value
 from hodgeloci.errors import OutOfDomain, TargetOutOfRange
 
 DELTA = 0.01  # domain margin: t in [DELTA, 1 - DELTA]
 
 
-class _Value:
-    """An immutable record whose fields are its instance attributes, in the
-    order ``__init__`` sets them through ``__dict__``.  It equals only an
-    instance of the same class with equal fields and hashes by them;
-    assigning or deleting a field raises AttributeError.  A plain class
-    rather than a dataclass, because importing ``dataclasses`` takes a
-    noticeable share of a ``hypergeo-locus`` process."""
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return tuple(self.__dict__.values()) == tuple(other.__dict__.values())
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(tuple(self.__dict__.values()))
-
-    def __repr__(self):
-        fields = ", ".join(f"{k}={v!r}" for k, v in self.__dict__.items())
-        return f"{type(self).__name__}({fields})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
-class HypParams(_Value):
+class HypParams(Value):
     """Parameters (a, b, c) of a hypergeometric series; c must not be a
     non-positive integer."""
 
@@ -73,13 +47,10 @@ class HypParams(_Value):
 PARAMS_HALF = HypParams(Fraction(1, 2), Fraction(1, 2), Fraction(1))
 
 
-class TruncSeries1D(_Value):
+class TruncSeries1D(Value):
     """Truncated one-variable series with exact rational coefficients."""
 
     coefficients: Tuple[Fraction, ...]
-
-    def __init__(self, coefficients: Tuple[Fraction, ...]):
-        self.__dict__.update(coefficients=coefficients)
 
     @property
     def order(self) -> int:
@@ -180,17 +151,13 @@ def locus_function(t1: float, t2: float, n_iso: int) -> float:
     return values[1.0 - t1] * values[t2] - n_iso * values[1.0 - t2] * values[t1]
 
 
-class LocusSample(_Value):
+class LocusSample(Value):
     """Numerically sampled points of the degree-N isogeny locus."""
 
     n_iso: int
     points: Tuple[Tuple[float, float, float], ...]  # (t1, t2, residual)
     skipped: Tuple[float, ...]
     tol: float
-
-    def __init__(self, n_iso: int, points: Tuple[Tuple[float, float, float], ...],
-                 skipped: Tuple[float, ...], tol: float):
-        self.__dict__.update(n_iso=n_iso, points=points, skipped=skipped, tol=tol)
 
     @property
     def flagged(self) -> Tuple[Tuple[float, float, float], ...]:

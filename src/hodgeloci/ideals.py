@@ -18,10 +18,10 @@ mixing fields raises ``ValueError``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from hodgeloci import linalg
+from hodgeloci._value import Value
 from hodgeloci.forms import OneForm, PolyContext, VectorField
 from hodgeloci.series import SparseSeries, monomials_upto
 
@@ -29,16 +29,14 @@ YES = "YES"
 UNKNOWN = "UNKNOWN"
 
 
-@dataclass(frozen=True)
-class IdealGens:
-    """A finite list of polynomial generators of an ideal."""
+class IdealGens(Value):
+    """A finite list of nonzero polynomial generators of an ideal."""
 
     ctx: PolyContext
     gens: Tuple[object, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "gens",
-                           tuple(g for g in self.gens if not g.is_zero()))
+    def __init__(self, ctx, gens):
+        self.__dict__.update(ctx=ctx, gens=tuple(g for g in gens if not g.is_zero()))
 
     @property
     def is_zero_ideal(self) -> bool:

@@ -37,12 +37,12 @@ the two functions by reference.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm
 from typing import Dict, List, Sequence, Tuple
 
 from hodgeloci import _coeff_kernel_py
+from hodgeloci._value import Value
 from hodgeloci.errors import NotIntegral
 from hodgeloci.series import SparseSeries, grlex_key, monomials_upto
 
@@ -106,8 +106,7 @@ def sign_exponent(beta_check: Sequence[int], d: int) -> int:
 # -- family data --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(Value):
     """A Fermat deformation family: fiber dimension n (even), degree d,
     deformation monomials, and the total-degree truncation for t^a."""
 
@@ -116,32 +115,31 @@ class FamilySpec:
     monomials: Tuple[Tuple[int, ...], ...]
     truncation: int
 
-    def __post_init__(self):
-        if self.n <= 0 or self.n % 2:
+    def __init__(self, n, d, monomials, truncation):
+        if n <= 0 or n % 2:
             raise ValueError("n must be a positive even integer")
-        if self.d < 2:
+        if d < 2:
             raise ValueError("d must be at least 2")
-        if self.truncation < 0:
+        if truncation < 0:
             raise ValueError("truncation must be non-negative")
-        mono = tuple(tuple(int(x) for x in a) for a in self.monomials)
-        object.__setattr__(self, "monomials", mono)
-        for a in mono:
-            if len(a) != self.n + 2:
-                raise ValueError(f"monomial {a} does not have {self.n + 2} entries")
+        monomials = tuple(tuple(int(x) for x in a) for a in monomials)
+        for a in monomials:
+            if len(a) != n + 2:
+                raise ValueError(f"monomial {a} does not have {n + 2} entries")
             if any(x < 0 for x in a):
                 raise ValueError(f"monomial {a} has a negative exponent")
-            if sum(a) != self.d:
-                raise ValueError(f"monomial {a} does not have weight {self.d}")
-        if len(set(mono)) != len(mono):
+            if sum(a) != d:
+                raise ValueError(f"monomial {a} does not have weight {d}")
+        if len(set(monomials)) != len(monomials):
             raise ValueError("duplicate deformation monomials")
+        self.__dict__.update(n=n, d=d, monomials=monomials, truncation=truncation)
 
     @property
     def nparams(self) -> int:
         return len(self.monomials)
 
 
-@dataclass(frozen=True)
-class BetaIndex:
+class BetaIndex(Value):
     """A residue-class exponent vector together with its pole order."""
 
     beta: Tuple[int, ...]
@@ -162,8 +160,7 @@ class BetaIndex:
         return "*".join(parts) if parts else "1"
 
 
-@dataclass(frozen=True)
-class PeriodSeries:
+class PeriodSeries(Value):
     """Normalized period series of one basis form over a deformation family."""
 
     family: FamilySpec
@@ -172,13 +169,12 @@ class PeriodSeries:
     normalization: str
 
 
-@dataclass(frozen=True)
-class DenominatorProfile:
+class DenominatorProfile(Value):
     """lcm of coefficient denominators with its (possibly partial) factorization."""
 
     lcm: int
     factors: Tuple[Tuple[int, int], ...]  # (prime, exponent), ascending
-    unfactored_cofactor: int = 1
+    unfactored_cofactor: int
 
     def factorization_str(self) -> str:
         if self.lcm == 1:
@@ -367,6 +363,8 @@ def steenbrink_hodge_tate(d: int, weights: Sequence[int], n: int) -> bool:
     space with weights (1, v_1, ..., v_{n+1}): true iff n/2 <= sum(v_i)/d."""
     if n <= 0 or n % 2:
         raise ValueError("n must be a positive even integer")
+    if d < 1:
+        raise ValueError("d must be a positive integer")
     weights = [int(w) for w in weights]
     if len(weights) != n + 2:
         raise ValueError(f"expected {n + 2} weights")

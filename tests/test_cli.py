@@ -177,11 +177,33 @@ class TestExitCodes:
          "error: matrix entry [0][0] is not a 1-form expression string: 1"),
         (["gm", "--vars", "t", "--matrix", "{object_entry}", "--m", "2", "--blocks", "0,1,0"], 2,
          'error: matrix entry [0][0] is not a 1-form expression string: {"a": 1}'),
+        (["steenbrink", "--d", "0", "--n", "2", "--weights", "1,1,1,1"], 2,
+         "error: d must be a positive integer"),
+        (["steenbrink", "--d", "-4", "--n", "2", "--weights", "1,1,1,1"], 2,
+         "error: d must be a positive integer"),
+        (["sch", "--vars", "x,y", "--field", "D(x)", "--module", "x*D(x)", "--point", "1/0,1"], 2,
+         "error: coordinate '1/0' has a zero denominator"),
+        (["denominators", "--config", "{float_d}"], 2,
+         'error: config field "d": expected a JSON integer, got 4.5'),
+        (["denominators", "--config", "{bool_truncation}"], 2,
+         'error: config field "truncation": expected a JSON integer, got true'),
+        (["periods", "--config", "{huge_truncation}"], 2,
+         'error: config field "truncation": expected a JSON integer, got Infinity'),
+        (["denominators", "--config", "{float_monomial}"], 2,
+         'error: config field "I": expected a JSON integer, got 3.0'),
+        (["periods", "--config", "{string_beta}"], 2,
+         'error: config field "beta": expected a JSON integer, got "1"'),
     ])
     def test_exit_code_and_stderr_prefix(self, capsys, monkeypatch, tmp_path, argv, code,
                                          prefix):
         files = {"deep": "[" * 100000,  # json.load runs out of stack on it
-                 "empty": "[]", "int_entry": "[[1]]", "object_entry": '[[{"a": 1}]]'}
+                 "empty": "[]", "int_entry": "[[1]]", "object_entry": '[[{"a": 1}]]',
+                 "float_d": json.dumps(dict(TOY_CONFIG, d=4.5)),
+                 "bool_truncation": json.dumps(dict(TOY_CONFIG, truncation=True)),
+                 "huge_truncation": json.dumps(TOY_CONFIG).replace('"truncation": 4',
+                                                                   '"truncation": 1e400'),
+                 "float_monomial": json.dumps(dict(TOY_CONFIG, I=[[1, 3.0, 0, 0]])),
+                 "string_beta": json.dumps(dict(TOY_CONFIG, beta=[[1, 1, 1, "1"]]))}
         for name, text in files.items():
             (tmp_path / f"{name}.json").write_text(text)
         argv = [a.format(missing=tmp_path / "missing" / "x", dir=tmp_path,
@@ -499,26 +521,27 @@ print(json.dumps({"code": code,
                   "dataclasses": "dataclasses" in sys.modules and not preloaded,
                   "pool": [m for m in POOL if m in sys.modules]}))
 """
-FOLIATION_MODULES = {"exprparse", "forms", "series"}
+FOLIATION_MODULES = {"_value", "exprparse", "forms", "series"}
 TANGENCY_ARGS = ["--vars", "x,y", "--field", "x*D(x)", "--omega", "x*d(y) + y*d(x)",
                  "--ideal", "x*y", "--deg", "3"]
 
 
-@pytest.mark.parametrize("argv, code, modules, no_dataclasses", [
-    (None, None, set(), True),
-    (["hypergeo-locus", "--N", "2", "--grid", "5"], 0, {"hypergeo"}, True),
-    (["denominators", "--config", "{config}"], 0, {"periods", "series", "_coeff_kernel_py"},
-     False),
-    (["periods", "--config", "{config}"], 0, {"periods", "series", "_coeff_kernel_py"}, False),
+PERIOD_MODULES = {"_value", "periods", "series", "_coeff_kernel_py"}
+
+
+@pytest.mark.parametrize("argv, code, modules", [
+    (None, None, set()),
+    (["hypergeo-locus", "--N", "2", "--grid", "5"], 0, {"_value", "hypergeo"}),
+    (["denominators", "--config", "{config}"], 0, PERIOD_MODULES),
+    (["periods", "--config", "{config}"], 0, PERIOD_MODULES),
     (["gm", "--vars", "t1,t2", "--matrix", "{matrix}", "--m", "2", "--blocks", "1,2,1"], 0,
-     FOLIATION_MODULES | {"gauss_manin"}, False),
-    (["tangency"] + TANGENCY_ARGS, 0, FOLIATION_MODULES | {"ideals", "linalg"}, False),
+     FOLIATION_MODULES | {"gauss_manin"}),
+    (["tangency"] + TANGENCY_ARGS, 0, FOLIATION_MODULES | {"ideals", "linalg"}),
     (["pcurvature", "--p", "5"] + TANGENCY_ARGS, 0,
-     FOLIATION_MODULES | {"ideals", "linalg", "modp", "pcurvature"}, False),
+     FOLIATION_MODULES | {"ideals", "linalg", "modp", "pcurvature"}),
 ], ids=["build_parser", "hypergeo-locus", "denominators", "periods", "gm", "tangency",
         "pcurvature"])
-def test_command_imports_only_the_modules_it_runs(tmp_path, argv, code, modules,
-                                                  no_dataclasses):
+def test_command_imports_only_the_modules_it_runs(tmp_path, argv, code, modules):
     config = tmp_path / "family.json"
     config.write_text(json.dumps(TOY_CONFIG))
     matrix = tmp_path / "B.json"
@@ -536,8 +559,7 @@ def test_command_imports_only_the_modules_it_runs(tmp_path, argv, code, modules,
     assert got["code"] == code
     expected = {"hodgeloci", "hodgeloci.cli", "hodgeloci.errors"}
     assert set(got["modules"]) == expected | {f"hodgeloci.{m}" for m in modules}
-    if no_dataclasses:
-        assert not got["dataclasses"]
+    assert not got["dataclasses"]
     assert got["pool"] == []  # no command here reaches the pool's cut
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -9,8 +8,8 @@ from hodgeloci.errors import InternalCheckFailed, NotIntegrable, TransversalityV
 from hodgeloci.forms import (FormMatrix, OneForm, PolyContext, d_oneform, d_poly,
                              integrability_check, poly_mat_d, poly_mat_identity,
                              poly_mat_mul, unipotent_inverse, wedge_matvec)
-from hodgeloci.gauss_manin import (HodgeBlocks, block_foliation_forms, gm_assemble,
-                                   linear_solve_series)
+from hodgeloci.gauss_manin import (GMAssembly, HodgeBlocks, block_foliation_forms,
+                                   gm_assemble, linear_solve_series)
 from hodgeloci.series import SparseSeries
 
 CTX = PolyContext(("t1", "t2"))
@@ -206,7 +205,8 @@ class TestBlockFoliation:
     def test_span_mismatch_is_an_internal_failure(self, monkeypatch):
         def corrupted(b, blocks):
             asm = gm_assemble(b, blocks)
-            return dataclasses.replace(asm, foliation_forms=tuple(-f for f in asm.foliation_forms))
+            return GMAssembly(asm.ctx, asm.blocks, asm.s, asm.s_inv, asm.c, asm.a,
+                              tuple(-f for f in asm.foliation_forms), asm.x_names)
 
         b = block_pattern_connection(random.Random(3))
         monkeypatch.setattr(gauss_manin, "gm_assemble", corrupted)

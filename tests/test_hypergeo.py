@@ -1,4 +1,5 @@
 import math
+import pickle
 from fractions import Fraction
 from functools import lru_cache
 
@@ -7,10 +8,15 @@ import pytest
 from hypothesis import given, settings
 
 from hodgeloci.errors import OutOfDomain, TargetOutOfRange
+from hodgeloci.exprparse import ExprAST, Term, parse_expr, parse_field, parse_oneform
+from hodgeloci.forms import FormMatrix, PolyContext, TwoForm
+from hodgeloci.gauss_manin import HodgeBlocks, block_foliation_forms
 from hodgeloci.hypergeo import (DELTA, PARAMS_HALF, HypParams, LocusSample, TruncSeries1D, _agm,
                                 eval_2f1, hyp2f1, invert_tau, locus_function, sample_locus,
                                 tau_of_t)
-from hodgeloci.periods import pochhammer
+from hodgeloci.ideals import IdealGens
+from hodgeloci.periods import (BetaIndex, DenominatorProfile, FamilySpec, PeriodSeries,
+                               period_series, pochhammer)
 
 LAMBDA_2I = 17 - 12 * math.sqrt(2)  # value of the modular lambda at 2i
 ORACLE_ORDER = 700
@@ -172,16 +178,72 @@ class TestSampleLocus:
         assert sample.flagged == ()
 
 
+CTX = PolyContext(("x", "y"))
+GM_CTX = PolyContext(("t1", "t2"))
+QUARTIC = ((1, 3, 0, 0), (0, 1, 3, 0), (0, 0, 1, 3), (3, 0, 0, 1))
+
+
+def _gm_connection(*entries):
+    """A 4 x 4 connection over t1, t2 for blocks 1,2,1 that is zero outside
+    row 0, which makes it integrable and transversal."""
+    rows = [["0", *entries, "0"], ["0"] * 4, ["0"] * 4, ["0"] * 4]
+    return FormMatrix(GM_CTX, [[parse_oneform(e, GM_CTX) for e in row] for row in rows])
+
+
+def _foliation(*entries):
+    return block_foliation_forms(_gm_connection(*entries), HodgeBlocks(2, (1, 2, 1)))
+
+
+def _period_series(truncation):
+    return period_series(BetaIndex.make((1, 1, 1, 1), 4), FamilySpec(2, 4, QUARTIC, truncation))
+
+
 # (value, an equal value built from other arguments, a different value, a field)
 # for each value class; HypParams' check on c is TestSeries.test_c_validation
-@pytest.mark.parametrize("value, same, other, field", [
-    (HypParams(1, 1, 1), HypParams(Fraction(1), 1, 1), HypParams(1, 1, 2), "a"),
-    (TruncSeries1D((Fraction(1), Fraction(1, 4))), TruncSeries1D((1, Fraction(1, 4))),
-     TruncSeries1D((Fraction(1),)), "coefficients"),
-    (LocusSample(2, ((0.5, 0.25, 0.0),), (0.05,), 1e-8),
-     LocusSample(2, ((0.5, 0.25, 0.0),), (0.05,), 1e-8),
-     LocusSample(2, ((0.5, 0.25, 0.0),), (), 1e-8), "tol"),
-], ids=["HypParams", "TruncSeries1D", "LocusSample"])
+VALUES = {
+    "HypParams": (HypParams(1, 1, 1), HypParams(Fraction(1), 1, 1), HypParams(1, 1, 2), "a"),
+    "TruncSeries1D": (TruncSeries1D((Fraction(1), Fraction(1, 4))),
+                      TruncSeries1D((1, Fraction(1, 4))), TruncSeries1D((Fraction(1),)),
+                      "coefficients"),
+    "LocusSample": (LocusSample(2, ((0.5, 0.25, 0.0),), (0.05,), 1e-8),
+                    LocusSample(2, ((0.5, 0.25, 0.0),), (0.05,), 1e-8),
+                    LocusSample(2, ((0.5, 0.25, 0.0),), (), 1e-8), "tol"),
+    "Term": (Term(Fraction(2), (1, 0), ("d", 1)), Term(Fraction(4, 2), (1, 0), ("d", 1)),
+             Term(Fraction(2), (1, 0), None), "basis"),
+    "ExprAST": (parse_expr("x + x*y", CTX), parse_expr("y*x + x", CTX), parse_expr("x", CTX),
+                "terms"),
+    "PolyContext": (CTX, PolyContext(["x", "y"], (False, False)), PolyContext(("x", "z")),
+                    "names"),
+    "VectorField": (parse_field("x*D(y)", CTX), parse_field("D(y)*x", CTX),
+                    parse_field("D(x)", CTX), "comps"),
+    "OneForm": (parse_oneform("x*d(y)", CTX), parse_oneform("d(y)*x", CTX),
+                parse_oneform("d(x)", CTX), "comps"),
+    "TwoForm": (TwoForm(CTX, {(0, 1): CTX.var("x")}),
+                TwoForm(CTX, {(0, 1): CTX.var(0)}),
+                TwoForm(CTX, {(0, 1): CTX.var("y")}), "comps"),
+    "FormMatrix": (_gm_connection("d(t1)", "2*d(t2)"), _gm_connection("d(t1)", "d(t2) + d(t2)"),
+                   _gm_connection("d(t2)", "0"), "entries"),
+    "HodgeBlocks": (HodgeBlocks(2, (1, 2, 1)), HodgeBlocks(2, [1, 2, 1]),
+                    HodgeBlocks(2, (1, 0, 1)), "sizes"),
+    "GMAssembly": (_foliation("d(t1)", "2*d(t2)").assembly,
+                   _foliation("d(t1)", "2*d(t2)").assembly,
+                   _foliation("d(t2)", "0").assembly, "a"),
+    "BlockFoliation": (_foliation("d(t1)", "2*d(t2)"), _foliation("d(t1)", "2*d(t2)"),
+                       _foliation("d(t2)", "0"), "forms"),
+    "IdealGens": (IdealGens(CTX, (CTX.var("x"),)), IdealGens(CTX, [CTX.zero(), CTX.var(0)]),
+                  IdealGens(CTX, ()), "gens"),
+    "FamilySpec": (FamilySpec(2, 4, QUARTIC, 3), FamilySpec(2, 4, [list(a) for a in QUARTIC], 3),
+                   FamilySpec(2, 4, QUARTIC, 4), "truncation"),
+    "BetaIndex": (BetaIndex.make((1, 1, 1, 1), 4), BetaIndex((1, 1, 1, 1), 2),
+                  BetaIndex.make((2, 2, 2, 2), 4), "k"),
+    "PeriodSeries": (_period_series(3), _period_series(3), _period_series(2), "series"),
+    "DenominatorProfile": (DenominatorProfile(12, ((2, 2), (3, 1)), 1),
+                           DenominatorProfile(2 ** 2 * 3, ((2, 2), (3, 1)), 1),
+                           DenominatorProfile(12, ((2, 2),), 3), "factors"),
+}
+
+
+@pytest.mark.parametrize("value, same, other, field", VALUES.values(), ids=VALUES.keys())
 def test_value_classes_are_immutable_values(value, same, other, field):
     assert value == same and hash(value) == hash(same)
     assert value != other
@@ -189,3 +251,19 @@ def test_value_classes_are_immutable_values(value, same, other, field):
     with pytest.raises(AttributeError):
         setattr(value, field, getattr(other, field))
     assert value == same
+
+
+def test_record_without_its_own_init_takes_every_field_in_order():
+    assert list(vars(BetaIndex((1, 1, 1, 1), 2))) == ["beta", "k"]
+    with pytest.raises(TypeError, match="BetaIndex takes 2 fields, got 1"):
+        BetaIndex((1, 1, 1, 1))
+
+
+# the row pool sends these through its forked workers
+@pytest.mark.parametrize("name", ["FamilySpec", "BetaIndex", "DenominatorProfile"])
+def test_pool_records_survive_pickling(name):
+    value, _, other, field = VALUES[name]
+    copied = pickle.loads(pickle.dumps(value))
+    assert copied == value and hash(copied) == hash(value) and copied != other
+    with pytest.raises(AttributeError):
+        setattr(copied, field, getattr(other, field))
