@@ -26,7 +26,7 @@ from hodgeloci.errors import DenominatorDivisibleByP, ResourceLimit
 if TYPE_CHECKING:  # for annotations only; nothing here is imported at run time
     from fractions import Fraction
 
-    from hodgeloci import hypergeo, periods
+    from hodgeloci import periods
     from hodgeloci.forms import FormMatrix, PolyContext
     from hodgeloci.gauss_manin import BlockFoliation, HodgeBlocks
 
@@ -318,27 +318,30 @@ def _cmd_sch(args) -> Tuple[str, int]:
     ctx = _context(args)
     v = exprparse.parse_field(args.field, ctx)
     ws = [exprparse.parse_field(e, ctx) for e in args.module]
-    ideal = pcurvature.sch_ideal(v, ws)
     if args.point is not None:
-        point = _fracs_csv(args.point)
-        ok = pcurvature.sch_contains_point(v, ws, point)
+        ok = pcurvature.sch_contains_point(v, ws, _fracs_csv(args.point))
         return f"contains: {'true' if ok else 'false'}\n", 0
-    lines = [exprparse.poly_to_expr(g, ctx) for g in ideal.gens]
+    lines = [exprparse.poly_to_expr(g, ctx) for g in pcurvature.sch_ideal(v, ws).gens]
     return "".join(l + "\n" for l in lines) if lines else "0\n", 0
 
 
-def _locus_exit_code(sample: hypergeo.LocusSample) -> int:
-    """1 (UNKNOWN) when a residual is not below the tolerance, naming each such
-    point on stderr; 0 otherwise."""
+def _locus_table(n_iso: int, grid: Sequence[float], tol: float) -> Tuple[str, int]:
+    """The sampled locus as CSV rows, then one comment per skipped t1.  Exit
+    code 1 (UNKNOWN) when a residual is not below the tolerance, naming each
+    such point on stderr; 0 otherwise."""
+    from hodgeloci import hypergeo
+
+    sample = hypergeo.sample_locus(n_iso, grid, tol=tol)
+    lines = ["t1,t2,residual"]
+    lines += [f"{t1:.12g},{t2:.12g},{r:.3e}" for t1, t2, r in sample.points]
+    lines += [f"# skipped: t1={t1:.12g} (target ratio out of range)" for t1 in sample.skipped]
     for t1, _, r in sample.flagged:
-        print(f"unknown: t1={t1:.12g} has residual {r:.3e}, not below tol {sample.tol:g}",
+        print(f"unknown: t1={t1:.12g} has residual {r:.3e}, not below tol {tol:g}",
               file=sys.stderr)
-    return 1 if sample.flagged else 0
+    return "".join(l + "\n" for l in lines), 1 if sample.flagged else 0
 
 
 def _cmd_hypergeo_locus(args) -> Tuple[str, int]:
-    from hodgeloci import hypergeo
-
     if args.grid < 1:
         raise ValueError("grid must have at least one point")
     lo, hi = 0.05, 0.95
@@ -347,24 +350,11 @@ def _cmd_hypergeo_locus(args) -> Tuple[str, int]:
     else:
         step = (hi - lo) / (args.grid - 1)
         grid = [lo + i * step for i in range(args.grid)]
-    sample = hypergeo.sample_locus(args.N, grid, tol=args.tol)
-    lines = ["t1,t2,residual"]
-    lines += [f"{t1:.12g},{t2:.12g},{r:.3e}" for t1, t2, r in sample.points]
-    lines += [f"# skipped: t1={t1:.12g} (target ratio out of range)" for t1 in sample.skipped]
-    return "".join(l + "\n" for l in lines), _locus_exit_code(sample)
+    return _locus_table(args.N, grid, args.tol)
 
 
 def _cmd_hypergeo_witness(args) -> Tuple[str, int]:
-    from hodgeloci import hypergeo
-
-    sample = hypergeo.sample_locus(args.N, [args.t1], tol=args.tol)
-    lines = ["t1,t2,residual"]
-    if sample.points:
-        t1, t2, r = sample.points[0]
-        lines.append(f"{t1:.12g},{t2:.12g},{r:.3e}")
-    else:
-        lines.append(f"# skipped: t1={args.t1:.12g} (target ratio out of range)")
-    return "".join(l + "\n" for l in lines), _locus_exit_code(sample)
+    return _locus_table(args.N, [args.t1], args.tol)
 
 
 # -- argument parsing -------------------------------------------------------------

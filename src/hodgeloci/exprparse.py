@@ -8,65 +8,29 @@
 Whitespace is insignificant.  ``d(x)`` and ``D(x)`` are the 1-form and
 vector-field basis symbols; a term may carry at most one basis symbol, and
 negative exponents are allowed only on Laurent-flagged variables.  Parsing
-produces a canonical sum of terms; printing a parsed expression and parsing
-it again reproduces the identical AST.
+produces a term map ``{(basis, exponents): coefficient}`` with merged, nonzero
+coefficients, where ``basis`` is None or ``('d'|'D', variable index)``;
+printing a term map and parsing the text again reproduces the same map.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from hodgeloci._value import Value
 from hodgeloci.errors import ParseError
 from hodgeloci.forms import OneForm, PolyContext, VectorField
 from hodgeloci.series import SparseSeries, grlex_key
+
+# basis symbol ('d'|'D', variable index) or None, and exponent vector
+TermKey = Tuple[Optional[Tuple[str, int]], Tuple[int, ...]]
+TermMap = Dict[TermKey, Fraction]
 
 _BASIS_RANK = {None: 0, "d": 1, "D": 2}
 
 # Parentheses deeper than this are rejected as input errors, well before the
 # recursive descent (three frames per level) reaches Python's recursion limit.
 MAX_NESTING = 100
-
-
-class Term(Value):
-    coeff: Fraction
-    exps: Tuple[int, ...]
-    basis: Optional[Tuple[str, int]]  # ('d'|'D', variable index) or None
-
-
-class ExprAST(Value):
-    """Canonical sum of terms: merged, zero-free, deterministically sorted."""
-
-    nvars: int
-    terms: Tuple[Term, ...]
-
-    @staticmethod
-    def _key(t: Term):
-        kind = t.basis[0] if t.basis else None
-        idx = t.basis[1] if t.basis else -1
-        return (_BASIS_RANK[kind], idx, grlex_key(t.exps))
-
-    @classmethod
-    def make(cls, nvars: int, terms) -> "ExprAST":
-        merged = {}
-        for t in terms:
-            key = (t.exps, t.basis)
-            merged[key] = merged.get(key, Fraction(0)) + t.coeff
-        clean = [Term(c, e, b) for (e, b), c in merged.items() if c]
-        clean.sort(key=cls._key)
-        return cls(nvars, tuple(clean))
-
-    @property
-    def kind(self) -> str:
-        kinds = {t.basis[0] if t.basis else None for t in self.terms}
-        if kinds <= {None}:
-            return "poly"
-        if kinds == {"d"}:
-            return "form"
-        if kinds == {"D"}:
-            return "field"
-        return "mixed"
 
 
 class _Tokenizer:
@@ -120,38 +84,32 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {tok[1] or 'end of input'!r}", tok[2])
         return tok
 
-    def parse(self) -> ExprAST:
+    def parse(self) -> TermMap:
         terms = self.expr()
         tok = self.toks.next()
         if tok[0] != "END":
             raise ParseError(f"trailing input {tok[1]!r}", tok[2])
-        return ExprAST.make(self.ctx.nvars, terms)
+        return {k: c for k, c in terms.items() if c}
 
-    def expr(self) -> List[Term]:
-        out: List[Term] = []
-        sign = 1
-        if self.toks.peek()[0] == "-":
+    # Sub-results keep the keys whose coefficients cancel, so that a product
+    # such as (d(x) - d(x))*d(y) still finds both basis symbols.
+    def expr(self) -> TermMap:
+        out: TermMap = {}
+        negate = self.toks.peek()[0] == "-"
+        if negate:
             self.toks.next()
-            sign = -1
-        out.extend(self._signed(self.term(), sign))
         while True:
+            for k, c in self.term().items():
+                out[k] = out.get(k, 0) - c if negate else out.get(k, 0) + c
             kind, _, _ = self.toks.peek()
             if kind not in ("+", "-"):
                 return out
             self.toks.next()
-            out.extend(self._signed(self.term(), -1 if kind == "-" else 1))
+            negate = kind == "-"
 
-    @staticmethod
-    def _signed(terms: List[Term], sign: int) -> List[Term]:
-        if sign == 1:
-            return terms
-        return [Term(-t.coeff, t.exps, t.basis) for t in terms]
-
-    def term(self) -> List[Term]:
-        kind, _, _ = self.toks.peek()
-        zero = (0,) * self.ctx.nvars
-        if kind == "NUM":
-            acc = [Term(self.rational(), zero, None)]
+    def term(self) -> TermMap:
+        if self.toks.peek()[0] == "NUM":
+            acc = {(None, (0,) * self.ctx.nvars): self.rational()}
         else:
             acc = self.factor()
         while self.toks.peek()[0] == "*":
@@ -159,18 +117,17 @@ class _Parser:
             acc = self._product(acc, self.factor())
         return acc
 
-    def _product(self, left: List[Term], right: List[Term]) -> List[Term]:
-        out = []
-        for t1 in left:
-            for t2 in right:
-                basis = t1.basis or t2.basis
-                if t1.basis and t2.basis:
+    def _product(self, left: TermMap, right: TermMap) -> TermMap:
+        out: TermMap = {}
+        for (b1, e1), c1 in left.items():
+            for (b2, e2), c2 in right.items():
+                if b1 and b2:
                     pos = self.toks.pos
-                    if t1.basis[0] != t2.basis[0]:
+                    if b1[0] != b2[0]:
                         raise ParseError("mixed d/D in one term", pos)
                     raise ParseError("more than one basis symbol in a term", pos)
-                out.append(Term(t1.coeff * t2.coeff,
-                                tuple(a + b for a, b in zip(t1.exps, t2.exps)), basis))
+                k = (b1 or b2, tuple(x + y for x, y in zip(e1, e2)))
+                out[k] = out.get(k, 0) + c1 * c2
         return out
 
     def rational(self) -> Fraction:
@@ -183,9 +140,8 @@ class _Parser:
             return Fraction(int(num), int(den))
         return Fraction(int(num))
 
-    def factor(self) -> List[Term]:
+    def factor(self) -> TermMap:
         kind, text, pos = self.toks.next()
-        zero = (0,) * self.ctx.nvars
         if kind == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
@@ -200,7 +156,7 @@ class _Parser:
                 _, var, vpos = self.expect("NAME")
                 i = self._var_index(var, vpos)
                 self.expect(")")
-                return [Term(Fraction(1), zero, (text, i))]
+                return {((text, i), (0,) * self.ctx.nvars): Fraction(1)}
             i = self._var_index(text, pos)
             exp = 1
             if self.toks.peek()[0] == "^":
@@ -210,7 +166,7 @@ class _Parser:
                 raise ParseError(f"negative exponent on non-Laurent variable {text!r}", pos)
             e = [0] * self.ctx.nvars
             e[i] = exp
-            return [Term(Fraction(1), tuple(e), None)]
+            return {(None, tuple(e)): Fraction(1)}
         raise ParseError(f"expected a factor, found {text or 'end of input'!r}", pos)
 
     def integer(self) -> int:
@@ -228,85 +184,86 @@ class _Parser:
             raise ParseError(f"unknown variable {name!r}", pos) from None
 
 
-def parse_expr(text: str, ctx: PolyContext) -> ExprAST:
-    """Parse to the canonical sum-of-terms form."""
+def parse_expr(text: str, ctx: PolyContext) -> TermMap:
+    """Parse to a term map with merged, nonzero coefficients."""
     return _Parser(text, ctx).parse()
 
 
-def print_expr(ast: ExprAST, ctx: PolyContext) -> str:
-    """Canonical rendering; print(parse(s)) parses back to the same AST."""
-    if not ast.terms:
+def _print_key(item):
+    (basis, exps), _ = item
+    kind, idx = basis or (None, -1)
+    return (_BASIS_RANK[kind], idx, grlex_key(exps))
+
+
+def print_expr(terms: TermMap, ctx: PolyContext) -> str:
+    """Canonical rendering; parse_expr(print_expr(m)) == m for a zero-free map."""
+    if not terms:
         return "0"
     chunks = []
-    for idx, t in enumerate(ast.terms):
-        mag = abs(t.coeff)
+    for idx, ((basis, exps), coeff) in enumerate(sorted(terms.items(), key=_print_key)):
+        mag = abs(coeff)
         parts = []
-        has_symbol = any(t.exps) or t.basis is not None
-        if mag != 1 or not has_symbol:
+        if mag != 1 or not (any(exps) or basis is not None):
             parts.append(str(mag))
-        for i, e in enumerate(t.exps):
+        for i, e in enumerate(exps):
             if e == 0:
                 continue
             parts.append(ctx.names[i] if e == 1 else f"{ctx.names[i]}^{e}")
-        if t.basis is not None:
-            parts.append(f"{t.basis[0]}({ctx.names[t.basis[1]]})")
+        if basis is not None:
+            parts.append(f"{basis[0]}({ctx.names[basis[1]]})")
         body = "*".join(parts)
         if idx == 0:
-            chunks.append(body if t.coeff > 0 else f"-{body}")
+            chunks.append(body if coeff > 0 else f"-{body}")
         else:
-            chunks.append(f" + {body}" if t.coeff > 0 else f" - {body}")
+            chunks.append(f" + {body}" if coeff > 0 else f" - {body}")
     return "".join(chunks)
 
 
 # -- conversions to and from algebra objects -----------------------------------------
 
 
-# basis symbol, ExprAST.kind and name of each class with one component per variable
-_COMPONENT_KINDS = {OneForm: ("d", "form", "1-form"),
-                    VectorField: ("D", "field", "vector field")}
+# basis symbol and name of each class with one component per variable
+_COMPONENT_KINDS = {OneForm: ("d", "1-form"), VectorField: ("D", "vector field")}
 
 
-def _components_from_ast(cls, ast: ExprAST, ctx: PolyContext):
-    symbol, kind, name = _COMPONENT_KINDS[cls]
-    if ast.terms and ast.kind != kind:
-        raise ValueError(f"expression is not a {name} (needs {symbol}(...) in every term)")
-    comps = [dict() for _ in range(ctx.nvars)]
-    for t in ast.terms:
-        comps[t.basis[1]][t.exps] = t.coeff
+def _parse_components(cls, text: str, ctx: PolyContext):
+    symbol, name = _COMPONENT_KINDS[cls]
+    comps = [{} for _ in range(ctx.nvars)]
+    for (basis, e), c in parse_expr(text, ctx).items():
+        if basis is None or basis[0] != symbol:
+            raise ValueError(f"expression is not a {name} (needs {symbol}(...) in every term)")
+        comps[basis[1]][e] = c
     return cls(ctx, tuple(SparseSeries(ctx.nvars, c, laurent=ctx.laurent) for c in comps))
 
 
 def parse_poly(text: str, ctx: PolyContext) -> SparseSeries:
-    ast = parse_expr(text, ctx)
-    if ast.kind not in ("poly",) and ast.terms:
+    terms = parse_expr(text, ctx)
+    if any(basis is not None for basis, _ in terms):
         raise ValueError("expression contains basis symbols; not a polynomial")
-    return SparseSeries(ctx.nvars, {t.exps: t.coeff for t in ast.terms}, laurent=ctx.laurent)
+    return SparseSeries(ctx.nvars, {e: c for (_, e), c in terms.items()}, laurent=ctx.laurent)
 
 
 def parse_oneform(text: str, ctx: PolyContext) -> OneForm:
-    return _components_from_ast(OneForm, parse_expr(text, ctx), ctx)
+    return _parse_components(OneForm, text, ctx)
 
 
 def parse_field(text: str, ctx: PolyContext) -> VectorField:
-    return _components_from_ast(VectorField, parse_expr(text, ctx), ctx)
+    return _parse_components(VectorField, text, ctx)
 
 
-def _components_to_ast(w) -> ExprAST:
+def _components_expr(w) -> str:
     symbol = _COMPONENT_KINDS[type(w)][0]
-    terms = []
-    for i, comp in enumerate(w.comps):
-        terms.extend(Term(c, e, (symbol, i)) for e, c in comp.terms.items())
-    return ExprAST.make(w.ctx.nvars, terms)
+    return print_expr({((symbol, i), e): c for i, comp in enumerate(w.comps)
+                       for e, c in comp.terms.items()}, w.ctx)
 
 
 def poly_to_expr(f: SparseSeries, ctx: PolyContext) -> str:
-    ast = ExprAST.make(ctx.nvars, [Term(c, e, None) for e, c in f.terms.items()])
-    return print_expr(ast, ctx)
+    return print_expr({(None, e): c for e, c in f.terms.items()}, ctx)
 
 
 def oneform_to_expr(w: OneForm) -> str:
-    return print_expr(_components_to_ast(w), w.ctx)
+    return _components_expr(w)
 
 
 def field_to_expr(v: VectorField) -> str:
-    return print_expr(_components_to_ast(v), v.ctx)
+    return _components_expr(v)

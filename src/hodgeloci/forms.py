@@ -42,21 +42,23 @@ class PolyContext(Value):
             raise ValueError(f"unknown variable {name!r}") from None
 
     # polynomial constructors over this context
+    def monomial(self, e, c=1) -> SparseSeries:
+        return SparseSeries(self.nvars, {tuple(e): c}, laurent=self.laurent)
+
     def zero(self) -> SparseSeries:
-        return SparseSeries.zero(self.nvars, laurent=self.laurent)
+        return SparseSeries(self.nvars, {}, laurent=self.laurent)
 
     def one(self) -> SparseSeries:
-        return SparseSeries.constant(self.nvars, 1, laurent=self.laurent)
+        return self.constant(1)
 
     def constant(self, c) -> SparseSeries:
-        return SparseSeries.constant(self.nvars, c, laurent=self.laurent)
+        return self.monomial((0,) * self.nvars, c)
 
     def var(self, which) -> SparseSeries:
         i = which if isinstance(which, int) else self.index(which)
-        return SparseSeries.variable(self.nvars, i, laurent=self.laurent)
-
-    def monomial(self, e, c=1) -> SparseSeries:
-        return SparseSeries.monomial(self.nvars, e, c, laurent=self.laurent)
+        e = [0] * self.nvars
+        e[i] = 1
+        return self.monomial(e)
 
     def extend(self, extra_names: Sequence[str],
                extra_laurent: Optional[Sequence[bool]] = None) -> "PolyContext":

@@ -208,8 +208,9 @@ def gm_assemble(b: FormMatrix, blocks: HodgeBlocks) -> GMAssembly:
 
     b_ext = _embed_matrix(b, ctx_ext)
     ds = poly_mat_d(s, ctx_ext)
-    a = (-ds.pre_mul_poly_mat(s_inv)) + b_ext.mul_poly_mat(s).pre_mul_poly_mat(s_inv)
-    forms = tuple(a.mul_poly_vec(c_col))
+    # A = -S^{-1} dS + S^{-1} B S = S^{-1} (B S - dS), and A*C is column c0 of A
+    a = (b_ext.mul_poly_mat(s) + -ds).pre_mul_poly_mat(s_inv)
+    forms = tuple(row[c0] for row in a.entries)
     return GMAssembly(ctx_ext, blocks, tuple(map(tuple, s)), tuple(map(tuple, s_inv)),
                       tuple(c_col), a, forms, x_names)
 

@@ -14,17 +14,21 @@ forms (Borwein & Borwein, *Pi and the AGM*, 1987, ch. 1-2; DLMF 19.8 and
 lambda function, t = lambda(i*s) = (theta2(q)/theta3(q))^4 with q = e^{-pi s}.
 The exact series ``hyp2f1`` is kept as the cross-check oracle, and
 ``eval_2f1`` sums any 2F1 in floats with the geometric tail bound
-|next term| / (1 - z).  The value classes are ``hodgeloci._value.Value`` records.
+|next term| / (1 - z); no command calls either.  ``HypParams`` and ``hyp2f1``
+import ``fractions`` only when called, so sampling the locus does not load it.
+The value classes are ``hodgeloci._value.Value`` records.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Dict, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Sequence, Tuple
 
 from hodgeloci._value import Value
 from hodgeloci.errors import OutOfDomain, TargetOutOfRange
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 DELTA = 0.01  # domain margin: t in [DELTA, 1 - DELTA]
 
@@ -38,13 +42,12 @@ class HypParams(Value):
     c: Fraction
 
     def __init__(self, a, b, c):
+        from fractions import Fraction
+
         a, b, c = Fraction(a), Fraction(b), Fraction(c)
         if c.denominator == 1 and c <= 0:
             raise ValueError("c must not be a non-positive integer")
         self.__dict__.update(a=a, b=b, c=c)
-
-
-PARAMS_HALF = HypParams(Fraction(1, 2), Fraction(1, 2), Fraction(1))
 
 
 class TruncSeries1D(Value):
@@ -68,6 +71,8 @@ class TruncSeries1D(Value):
 def hyp2f1(params: HypParams, order: int) -> TruncSeries1D:
     """Exact truncated hypergeometric series via the term recurrence
     c_{n+1} = c_n (a+n)(b+n) / ((c+n)(n+1)), c_0 = 1."""
+    from fractions import Fraction
+
     if order < 0:
         raise ValueError("order must be non-negative")
     a, b, c = params.a, params.b, params.c
@@ -82,7 +87,7 @@ def eval_2f1(params: HypParams, z: float, tol: float = 1e-12) -> float:
 
     Sums the term recurrence in floats and stops when the geometric tail
     bound |next term| / (1 - z) drops below tol; sound whenever the
-    coefficients do not increase from there on, as for PARAMS_HALF.
+    coefficients do not increase from there on, as for 2F1(1/2, 1/2, 1).
     """
     if not 0.0 <= z < 1.0:
         raise OutOfDomain(f"series evaluation needs 0 <= z < 1, got {z}")

@@ -51,7 +51,7 @@ def vf_pow_p(v: VectorField, p: int) -> VectorField:
     n = v.ctx.nvars
     comps = []
     for i in range(n):
-        f = SparseSeries.variable(n, i, p=p)
+        f = SparseSeries(n, {tuple(int(k == i) for k in range(n)): 1}, p=p)
         for _ in range(p):
             f = vbar.apply(f)
         comps.append(f)

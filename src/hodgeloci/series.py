@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from hodgeloci._value import Value
 from hodgeloci.errors import DenominatorDivisibleByP
 
 Exponent = Tuple[int, ...]
@@ -65,7 +66,7 @@ def residue(c, p: int) -> int:
     return c.numerator * pow(c.denominator, -1, p) % p
 
 
-class SparseSeries:
+class SparseSeries(Value):
     """Total-degree-truncated sparse series (or exact polynomial) over Q, or
     a polynomial over GF(p) when ``p`` is set.
 
@@ -83,7 +84,11 @@ class SparseSeries:
     once at the end.
     """
 
-    __slots__ = ("nvars", "truncation", "laurent", "terms", "p")
+    nvars: int
+    truncation: Optional[int]
+    laurent: Tuple[bool, ...]
+    terms: Dict[Exponent, object]
+    p: Optional[int]
 
     def __init__(self, nvars: int, terms=None, truncation: Optional[int] = None,
                  laurent: Optional[Sequence[bool]] = None, p: Optional[int] = None):
@@ -120,14 +125,7 @@ class SparseSeries:
                         clean[e] = c
                     elif e in clean:
                         del clean[e]
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "truncation", truncation)
-        object.__setattr__(self, "laurent", lau)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "p", p)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SparseSeries is immutable")
+        self.__dict__.update(nvars=nvars, truncation=truncation, laurent=lau, terms=clean, p=p)
 
     # -- constructors -----------------------------------------------------
 
@@ -141,30 +139,10 @@ class SparseSeries:
         degree <= ``truncation``, and whose values are nonzero Fractions, or
         ints in [1, p) when ``p`` is set."""
         self = object.__new__(cls)
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "truncation", truncation)
-        object.__setattr__(self, "laurent", (False,) * nvars if laurent is None else laurent)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "p", p)
+        self.__dict__.update(nvars=nvars, truncation=truncation,
+                             laurent=(False,) * nvars if laurent is None else laurent,
+                             terms=terms, p=p)
         return self
-
-    @classmethod
-    def zero(cls, nvars, truncation=None, laurent=None):
-        return cls(nvars, {}, truncation, laurent)
-
-    @classmethod
-    def constant(cls, nvars, c, truncation=None, laurent=None, p=None):
-        return cls(nvars, {(0,) * nvars: _coerce(c)}, truncation, laurent, p)
-
-    @classmethod
-    def variable(cls, nvars, i, truncation=None, laurent=None, p=None):
-        e = [0] * nvars
-        e[i] = 1
-        return cls(nvars, {tuple(e): Fraction(1)}, truncation, laurent, p)
-
-    @classmethod
-    def monomial(cls, nvars, e, c=1, truncation=None, laurent=None):
-        return cls(nvars, {tuple(e): _coerce(c)}, truncation, laurent)
 
     def ring_zero(self):
         return SparseSeries(self.nvars, {}, self.truncation, self.laurent, self.p)
@@ -173,7 +151,8 @@ class SparseSeries:
         return self.ring_constant(1)
 
     def ring_constant(self, c):
-        return SparseSeries.constant(self.nvars, c, self.truncation, self.laurent, self.p)
+        return SparseSeries(self.nvars, {(0,) * self.nvars: c}, self.truncation, self.laurent,
+                            self.p)
 
     # -- basic queries -----------------------------------------------------
 
@@ -393,14 +372,7 @@ class SparseSeries:
 
     # -- comparison / presentation ----------------------------------------------
 
-    def __eq__(self, other):
-        if not isinstance(other, SparseSeries):
-            return NotImplemented
-        return (self.nvars == other.nvars and self.truncation == other.truncation
-                and self.laurent == other.laurent and self.p == other.p
-                and self.terms == other.terms)
-
-    def __hash__(self):
+    def __hash__(self):  # the terms are a dict
         return hash((self.nvars, self.truncation, self.laurent, self.p,
                      tuple(sorted(self.terms.items()))))
 

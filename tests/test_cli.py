@@ -484,6 +484,17 @@ class TestHypergeoCommands:
             t1, t2, resid = (float(x) for x in line.split(","))
             assert abs(t1 - t2) < 1e-7 and resid < 1e-8
 
+    def test_witness_is_the_one_point_locus_table(self, capsys):
+        code, out, _ = run(capsys, "hypergeo-witness", "--N", "2", "--t1", "0.5")
+        assert (code, out) == run(capsys, "hypergeo-locus", "--N", "2", "--grid", "1")[:2]
+        assert out.startswith("t1,t2,residual\n0.5,0.970562748477,")
+        assert out.endswith("e-16\n") and out.count("\n") == 2
+
+    def test_witness_skipped_line(self, capsys):
+        code, out, err = run(capsys, "hypergeo-witness", "--N", "2", "--t1", "0.9")
+        assert (code, err) == (0, "")
+        assert out == "t1,t2,residual\n# skipped: t1=0.9 (target ratio out of range)\n"
+
 
 def test_module_invocation_subprocess(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -519,6 +530,7 @@ else:
 print(json.dumps({"code": code,
                   "modules": sorted(m for m in sys.modules if m.split(".")[0] == "hodgeloci"),
                   "dataclasses": "dataclasses" in sys.modules and not preloaded,
+                  "fractions": "fractions" in sys.modules,
                   "pool": [m for m in POOL if m in sys.modules]}))
 """
 FOLIATION_MODULES = {"_value", "exprparse", "forms", "series"}
@@ -560,6 +572,8 @@ def test_command_imports_only_the_modules_it_runs(tmp_path, argv, code, modules)
     expected = {"hodgeloci", "hodgeloci.cli", "hodgeloci.errors"}
     assert set(got["modules"]) == expected | {f"hodgeloci.{m}" for m in modules}
     assert not got["dataclasses"]
+    if argv and argv[0] == "hypergeo-locus":
+        assert not got["fractions"]  # the exact 2F1 oracle is never called
     assert got["pool"] == []  # no command here reaches the pool's cut
 
 

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 
 from hodgeloci.errors import ParseError
-from hodgeloci.exprparse import (ExprAST, Term, field_to_expr, oneform_to_expr,
-                                 parse_expr, parse_field, parse_oneform, parse_poly,
-                                 poly_to_expr, print_expr)
+from hodgeloci.exprparse import (field_to_expr, oneform_to_expr, parse_expr, parse_field,
+                                 parse_oneform, parse_poly, poly_to_expr, print_expr)
 from hodgeloci.forms import OneForm, PolyContext, VectorField
 
 CTX = PolyContext(("x", "y"))
@@ -64,6 +63,18 @@ class TestErrors:
     def test_double_basis_in_one_term(self):
         with pytest.raises(ParseError, match="basis symbol"):
             parse_expr("d(x)*d(y)", CTX)
+
+    # a cancelled sub-result keeps its basis symbol, so the error is the same
+    # as for the uncancelled expression
+    @pytest.mark.parametrize("text, message, position", [
+        ("0*d(x)*d(y)", "more than one basis symbol", 11),
+        ("(d(x) - d(x))*d(y)", "more than one basis symbol", 18),
+        ("(x - x)*D(x)*d(y)", "mixed d/D", 17),
+    ])
+    def test_cancelled_terms_keep_their_basis(self, text, message, position):
+        with pytest.raises(ParseError, match=message) as err:
+            parse_expr(text, CTX)
+        assert err.value.position == position
 
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
@@ -135,9 +146,9 @@ CORPUS = [
 
 @pytest.mark.parametrize("text", CORPUS)
 def test_round_trip_corpus(text):
-    ast = parse_expr(text, CTX)
-    printed = print_expr(ast, CTX)
-    assert parse_expr(printed, CTX) == ast
+    terms = parse_expr(text, CTX)
+    printed = print_expr(terms, CTX)
+    assert parse_expr(printed, CTX) == terms
 
 
 LAURENT_CORPUS = ["x^-1", "x^-2*y", "3*x^-1*d(y)", "x^-1*D(x) + y*D(y)"]
@@ -145,8 +156,8 @@ LAURENT_CORPUS = ["x^-1", "x^-2*y", "3*x^-1*d(y)", "x^-1*D(x) + y*D(y)"]
 
 @pytest.mark.parametrize("text", LAURENT_CORPUS)
 def test_round_trip_laurent(text):
-    ast = parse_expr(text, LCTX)
-    assert parse_expr(print_expr(ast, LCTX), LCTX) == ast
+    terms = parse_expr(text, LCTX)
+    assert parse_expr(print_expr(terms, LCTX), LCTX) == terms
 
 
 def test_object_printers_round_trip():
@@ -161,17 +172,22 @@ def test_object_printers_round_trip():
 def test_canonical_merge():
     a = parse_expr("x + x", CTX)
     b = parse_expr("2*x", CTX)
-    assert a == b
+    assert a == b == {(None, (1, 0)): 2}
+
+
+def test_term_map_drops_cancelled_terms():
+    terms = parse_expr("x*d(y) - 1/2*d(x) + 0*y + (x - x)*D(y)", CTX)
+    assert terms == {(("d", 1), (1, 0)): 1, (("d", 0), (0, 0)): Fraction(-1, 2)}
+    assert print_expr(terms, CTX) == "-1/2*d(x) + x*d(y)"
 
 
 _coeff_st = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 5))
 _exps_st = st.tuples(st.integers(0, 4), st.integers(0, 4))
 _basis_st = st.one_of(st.none(), st.tuples(st.sampled_from(["d", "D"]), st.integers(0, 1)))
-_term_st = st.builds(Term, _coeff_st, _exps_st, _basis_st)
-_ast_st = st.lists(_term_st, max_size=6).map(lambda ts: ExprAST.make(2, ts))
+_terms_st = st.dictionaries(st.tuples(_basis_st, _exps_st), _coeff_st, max_size=6)
 
 
 @settings(max_examples=200, deadline=None)
-@given(_ast_st)
-def test_round_trip_random_asts(ast):
-    assert parse_expr(print_expr(ast, CTX), CTX) == ast
+@given(_terms_st)
+def test_round_trip_random_term_maps(terms):
+    assert parse_expr(print_expr(terms, CTX), CTX) == terms

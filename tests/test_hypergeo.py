@@ -8,18 +8,19 @@ import pytest
 from hypothesis import given, settings
 
 from hodgeloci.errors import OutOfDomain, TargetOutOfRange
-from hodgeloci.exprparse import ExprAST, Term, parse_expr, parse_field, parse_oneform
+from hodgeloci.exprparse import parse_field, parse_oneform
 from hodgeloci.forms import FormMatrix, PolyContext, TwoForm
 from hodgeloci.gauss_manin import HodgeBlocks, block_foliation_forms
-from hodgeloci.hypergeo import (DELTA, PARAMS_HALF, HypParams, LocusSample, TruncSeries1D, _agm,
-                                eval_2f1, hyp2f1, invert_tau, locus_function, sample_locus,
-                                tau_of_t)
+from hodgeloci.hypergeo import (DELTA, HypParams, LocusSample, TruncSeries1D, _agm, eval_2f1,
+                                hyp2f1, invert_tau, locus_function, sample_locus, tau_of_t)
 from hodgeloci.ideals import IdealGens
 from hodgeloci.periods import (BetaIndex, DenominatorProfile, FamilySpec, PeriodSeries,
                                period_series, pochhammer)
+from hodgeloci.series import SparseSeries
 
 LAMBDA_2I = 17 - 12 * math.sqrt(2)  # value of the modular lambda at 2i
 ORACLE_ORDER = 700
+PARAMS_HALF = HypParams(Fraction(1, 2), Fraction(1, 2), 1)  # F(z) = 2F1(1/2, 1/2, 1 | z)
 
 
 @lru_cache(maxsize=None)
@@ -208,10 +209,8 @@ VALUES = {
     "LocusSample": (LocusSample(2, ((0.5, 0.25, 0.0),), (0.05,), 1e-8),
                     LocusSample(2, ((0.5, 0.25, 0.0),), (0.05,), 1e-8),
                     LocusSample(2, ((0.5, 0.25, 0.0),), (), 1e-8), "tol"),
-    "Term": (Term(Fraction(2), (1, 0), ("d", 1)), Term(Fraction(4, 2), (1, 0), ("d", 1)),
-             Term(Fraction(2), (1, 0), None), "basis"),
-    "ExprAST": (parse_expr("x + x*y", CTX), parse_expr("y*x + x", CTX), parse_expr("x", CTX),
-                "terms"),
+    "SparseSeries": (CTX.var("x") + CTX.one(), SparseSeries(2, {(0, 0): Fraction(2, 2), (1, 0): 1}),
+                     CTX.var("x"), "terms"),
     "PolyContext": (CTX, PolyContext(["x", "y"], (False, False)), PolyContext(("x", "z")),
                     "names"),
     "VectorField": (parse_field("x*D(y)", CTX), parse_field("D(y)*x", CTX),
@@ -267,3 +266,11 @@ def test_pool_records_survive_pickling(name):
     assert copied == value and hash(copied) == hash(value) and copied != other
     with pytest.raises(AttributeError):
         setattr(copied, field, getattr(other, field))
+
+
+# values that hold series; unpickling sets their fields through __dict__
+@pytest.mark.parametrize("name", ["SparseSeries", "PeriodSeries", "FormMatrix"])
+def test_series_values_survive_pickling(name):
+    value, _, other, _ = VALUES[name]
+    copied = pickle.loads(pickle.dumps(value))
+    assert copied == value and hash(copied) == hash(value) and copied != other
