@@ -140,39 +140,36 @@ def _fracs_csv(text: str) -> List[Fraction]:
 
 
 # A table of at least this many kernel tuples, counted as rows x C(truncation + m, m),
-# computes its rows in worker processes.  The pool costs about 50 ms to import,
-# start and join, and on the 2-CPU host measured its two workers did not always
-# get a CPU each.  On the 21-row quartic table (BENCH_10.json, break_even) the
-# pool lost up to D=22 (313,950 tuples) and won from D=24 (429,975) on.
-_POOL_TUPLES = 400_000
+# splits its rows over forked child processes, which cost a few ms to fork, read
+# and reap.  On the 21-row quartic table (BENCH_13.json, break_even; 2 CPUs,
+# three runs) the split's median was higher for denominators at D=14 (64,260
+# tuples) in every run, lower in 5 of 6 rows at D=16 (101,745) and in all 6 at
+# D=18, and lower in every row from D=20 (223,146) on.
+_POOL_TUPLES = 100_000
 
 
 def _map_rows(fn, betas: Sequence[periods.BetaIndex], fam: periods.FamilySpec) -> list:
-    """``[fn(b, fam) for b in betas]``: in one forked worker process per CPU this
-    process may run on, when there are at least two of each and the table holds
-    at least ``_POOL_TUPLES`` kernel tuples; otherwise in this process.
-
-    ``fn`` must be a module-level function, so that it pickles by reference.
-    Workers are forked, not spawned, so they reuse the loaded package instead of
-    importing it again; the command starts no thread before this point.
+    """``[fn(b, fam) for b in betas]``: split over one forked child process per
+    CPU this process may run on (``_rowsplit.split_rows``), when there are at
+    least two of each and the table holds at least ``_POOL_TUPLES`` kernel
+    tuples; otherwise in this process.  The output is the same either way, and
+    so is the exception a failing row raises.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, len(betas))
     tuples = len(betas) * comb(fam.truncation + fam.nparams, fam.nparams)
     if workers < 2 or tuples < _POOL_TUPLES:
         return [fn(b, fam) for b in betas]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    from hodgeloci._rowsplit import split_rows
 
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        return list(pool.map(fn, betas, [fam] * len(betas)))
+    return split_rows(fn, betas, fam, workers)
 
 
 def run_denominator_table(config: Mapping) -> str:
     """One row per basis element: rendered monomial, lcm, factorization.
 
-    Rows are computed by ``_map_rows``, so a large table runs in one forked
-    worker process per usable CPU; the text is the same as a serial run's, and
+    Rows are computed by ``_map_rows``, so a large table is split over one forked
+    child process per usable CPU; the text is the same as a serial run's, and
     byte-stable across runs.
     """
     from hodgeloci import periods

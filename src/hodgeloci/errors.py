@@ -33,6 +33,10 @@ class ResourceLimit(RuntimeError):
     """Input exceeds the configured resource bound."""
 
 
+class WorkerFailed(RuntimeError):
+    """A row worker process died, or could not send back what its rows raised."""
+
+
 class InternalCheckFailed(RuntimeError):
     """An identity the package verifies on its own output does not hold: a bug, not bad input."""
 

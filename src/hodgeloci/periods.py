@@ -29,9 +29,9 @@ Two consumers read those integers directly, with no ``Fraction`` and no
 ``period_series``, and the tests hold the two paths equal.
 
 Both take one basis element and the family, and keep no state between calls,
-so the rows of a table are independent: the command line computes a large
-table's rows in forked worker processes (``cli._map_rows``), which pickle
-the two functions by reference.
+so the rows of a table are independent: the command line splits a large
+table's rows over forked child processes (``cli._map_rows``), which pickle
+back only the rows.
 """
 
 from __future__ import annotations

@@ -1,9 +1,11 @@
+import errno
 import hashlib
 import json
-import multiprocessing
 import os
 import pathlib
+import pickle
 import random
+import signal
 import subprocess
 import sys
 import tempfile
@@ -52,25 +54,76 @@ def exit_in_worker(beta, fam):
     os._exit(1)
 
 
-needs_two_cpus = pytest.mark.skipif(
-    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
-    reason="the row pool needs at least 2 usable CPUs")
+def kill_in_worker(beta, fam):
+    """A row function whose worker process is killed by SIGKILL."""
+    if os.getpid() == TEST_PID:
+        raise AssertionError("the row ran in the test process, not in a worker")
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+class RowRejected(ValueError):
+    """Invalid input whose two-argument constructor does not survive unpickling."""
+
+    def __init__(self, beta, why):
+        super().__init__(f"row {beta}: {why}")
+
+
+class RowBroke(RuntimeError):
+    """An internal failure that holds an object pickle refuses."""
+
+    def __init__(self, why):
+        super().__init__(why)
+        self.hook = lambda: None
+
+
+def rejected_row(beta, fam):
+    raise RowRejected(beta.beta, "rejected")
+
+
+def broken_row(beta, fam):
+    raise RowBroke("broken")
+
+
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+TOY_WORKERS = min(CPUS, 21)  # the toy table has 21 rows
+
+needs_two_cpus = pytest.mark.skipif(CPUS < 2, reason="the row split needs at least 2 usable CPUs")
 
 
 @pytest.fixture
-def pools(monkeypatch):
-    """The start method of each row pool made while the test runs."""
-    from concurrent.futures import ProcessPoolExecutor
-
+def forks(monkeypatch):
+    """The pid of each child that os.fork starts while the test runs."""
     started = []
+    real_fork = os.fork
 
-    class RecordingPool(ProcessPoolExecutor):
-        def __init__(self, *args, mp_context=None, **kwargs):
-            started.append(mp_context.get_start_method())
-            super().__init__(*args, mp_context=mp_context, **kwargs)
+    def recording_fork():
+        pid = real_fork()
+        if pid:
+            started.append(pid)
+        return pid
 
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "fork", recording_fork)
     return started
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# How the row split fails -> (exit code, stderr prefix) of a forced split of
+# the toy table
+WORKER_FAILURES = {
+    "killed": (4, f"error: internal: WorkerFailed: row worker 1 of {TOY_WORKERS} ended with "
+                  "signal 9 (SIGKILL) before sending all its rows\n"),
+    # main prints an invalid input's message alone, so the stand-in reads the same
+    "unpicklable_input_error": (2, "error: row (0, 0, 0, 0): rejected\n"),
+    "unpicklable_internal_error": (4, "error: internal: WorkerFailed: a row raised RowBroke: "
+                                      "broken\n"),
+    "parent_raises": (4, "error: internal: RuntimeError: the parent fails\n"),
+    "pipe_fails": (3, f"error: cannot start a row worker: {os.strerror(errno.EAGAIN)}\n"),
+    "second_fork_fails": (3, f"error: cannot start a row worker: {os.strerror(errno.EAGAIN)}\n"),
+}
 
 
 def run(capsys, *argv):
@@ -235,7 +288,7 @@ class TestExitCodes:
 
     @needs_two_cpus
     @pytest.mark.parametrize("command", ["denominators", "periods"])
-    def test_invalid_row_in_a_worker_is_exit_two(self, capsys, monkeypatch, pools, tmp_path,
+    def test_invalid_row_in_a_worker_is_exit_two(self, capsys, monkeypatch, forks, tmp_path,
                                                  command):
         # BetaIndex.make accepts the 5-entry beta; the row function rejects it
         path = tmp_path / "family.json"
@@ -244,18 +297,54 @@ class TestExitCodes:
         assert serial == (2, "", "error: beta (1, 1, 1, 0, 0) does not have 4 entries\n")
         monkeypatch.setattr(cli, "_POOL_TUPLES", 0)
         assert run(capsys, command, "--config", str(path)) == serial
-        assert pools == ["fork"]
-        assert multiprocessing.active_children() == []
+        assert len(forks) == 2
+        assert_no_child_left()
 
     @needs_two_cpus
-    def test_dead_worker_is_exit_four(self, capsys, pools, monkeypatch, toy_config):
+    def test_dead_worker_is_exit_four(self, capsys, forks, monkeypatch, toy_config):
         monkeypatch.setattr(cli, "_POOL_TUPLES", 0)
         monkeypatch.setattr(periods, "period_denominator_profile", exit_in_worker)
         code, out, err = run(capsys, "denominators", "--config", toy_config)
         assert code == 4 and out == ""
-        assert err.startswith("error: internal: BrokenProcessPool: ")
-        assert pools == ["fork"]
-        assert multiprocessing.active_children() == []
+        assert err.startswith(f"error: internal: WorkerFailed: row worker 1 of {TOY_WORKERS} "
+                              "ended with exit status 1 before sending all its rows\n")
+        assert len(forks) == TOY_WORKERS
+        assert_no_child_left()
+
+    @needs_two_cpus
+    @pytest.mark.parametrize("case", list(WORKER_FAILURES))
+    def test_failing_worker_exit_code(self, capsys, forks, monkeypatch, toy_config, case):
+        code, prefix = WORKER_FAILURES[case]
+
+        def eagain(*args):
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        def parent_fails(fh):
+            raise RuntimeError("the parent fails")
+
+        recording_fork = os.fork
+
+        def fork_only_once():
+            if forks:
+                eagain()
+            return recording_fork()
+
+        rows = {"killed": kill_in_worker, "unpicklable_input_error": rejected_row,
+                "unpicklable_internal_error": broken_row}
+        if case in rows:
+            monkeypatch.setattr(periods, "period_denominator_profile", rows[case])
+        if case == "unpicklable_input_error":  # the serial run says the same
+            assert run(capsys, "denominators", "--config", toy_config) == (2, "", prefix)
+        monkeypatch.setattr(cli, "_POOL_TUPLES", 0)
+        patches = {"parent_raises": (pickle, "load", parent_fails),
+                   "pipe_fails": (os, "pipe", eagain),
+                   "second_fork_fails": (os, "fork", fork_only_once)}
+        if case in patches:
+            monkeypatch.setattr(*patches[case])
+        got, out, err = run(capsys, "denominators", "--config", toy_config)
+        assert got == code and out == "" and err.startswith(prefix)
+        assert len(forks) == {"pipe_fails": 0, "second_fork_fails": 1}.get(case, TOY_WORKERS)
+        assert_no_child_left()
 
 
 class TestDeterminism:
@@ -290,29 +379,29 @@ def test_toy_periods_output_is_pinned(capsys, toy_config):
     assert hashlib.sha256(out.encode()).hexdigest() == TOY_PERIODS_SHA256
 
 
-# name -> (config, whether its rows go to a pool once the cut is 0): a table of
-# fewer than two rows has nothing to share out
+# name -> (config, its row count): once the cut is 0 a table is split over
+# min(CPUs, rows) children, and a table of fewer than two rows is not split
 POOL_CONFIGS = {
-    "toy": (TOY_CONFIG, True),
-    "repeated_row": (dict(TOY_CONFIG, beta=[[1, 1, 1, 1], [0, 0, 0, 0], [1, 1, 1, 1]]), True),
-    "one_row": (dict(TOY_CONFIG, beta=[[1, 1, 1, 1]]), False),
-    "no_rows": (dict(TOY_CONFIG, beta=[]), False),
+    "toy": (TOY_CONFIG, 21),
+    "repeated_row": (dict(TOY_CONFIG, beta=[[1, 1, 1, 1], [0, 0, 0, 0], [1, 1, 1, 1]]), 3),
+    "one_row": (dict(TOY_CONFIG, beta=[[1, 1, 1, 1]]), 1),
+    "no_rows": (dict(TOY_CONFIG, beta=[]), 0),
 }
 
 
 @needs_two_cpus
 @pytest.mark.parametrize("command", ["denominators", "periods"])
 @pytest.mark.parametrize("name", list(POOL_CONFIGS))
-def test_pool_rows_equal_serial_rows(capsys, monkeypatch, pools, tmp_path, command, name):
-    config, pooled = POOL_CONFIGS[name]
+def test_pool_rows_equal_serial_rows(capsys, monkeypatch, forks, tmp_path, command, name):
+    config, rows = POOL_CONFIGS[name]
     path = tmp_path / "family.json"
     path.write_text(json.dumps(config))
     serial = run(capsys, command, "--config", str(path))
-    assert serial[0] == 0 and pools == []
+    assert serial[0] == 0 and forks == []
     monkeypatch.setattr(cli, "_POOL_TUPLES", 0)
     assert run(capsys, command, "--config", str(path)) == serial
-    assert pools == (["fork"] if pooled else [])
-    assert multiprocessing.active_children() == []
+    assert len(forks) == (min(CPUS, rows) if rows >= 2 else 0)
+    assert_no_child_left()
 
 
 @st.composite
@@ -512,14 +601,24 @@ def test_module_invocation_subprocess(tmp_path):
 
 
 # Run in a fresh interpreter: the hodgeloci modules a command leaves in
-# sys.modules, whether it loaded dataclasses (if the interpreter had not), and
-# which of the row pool's modules it loaded.
+# sys.modules, whether it loaded dataclasses (if the interpreter had not), which
+# process-pool modules it loaded, and how many children it forked.  A second
+# argument "split" sets the row split's cut to 0.
 IMPORT_PROBE = """
-import io, json, sys
+import io, json, os, sys
 preloaded = "dataclasses" in sys.modules
 POOL = ("multiprocessing", "concurrent.futures")
 from hodgeloci import cli
 argv = json.loads(sys.argv[1])
+forks = []
+real_fork = os.fork
+def fork():
+    pid = real_fork()
+    forks.extend([pid] if pid else [])
+    return pid
+os.fork = fork
+if sys.argv[2:] == ["split"]:
+    cli._POOL_TUPLES = 0
 code = None
 if argv is None:
     cli.build_parser()
@@ -531,7 +630,8 @@ print(json.dumps({"code": code,
                   "modules": sorted(m for m in sys.modules if m.split(".")[0] == "hodgeloci"),
                   "dataclasses": "dataclasses" in sys.modules and not preloaded,
                   "fractions": "fractions" in sys.modules,
-                  "pool": [m for m in POOL if m in sys.modules]}))
+                  "pool": [m for m in POOL if m in sys.modules],
+                  "forks": len(forks)}))
 """
 FOLIATION_MODULES = {"_value", "exprparse", "forms", "series"}
 TANGENCY_ARGS = ["--vars", "x,y", "--field", "x*D(x)", "--omega", "x*d(y) + y*d(x)",
@@ -541,19 +641,20 @@ TANGENCY_ARGS = ["--vars", "x,y", "--field", "x*D(x)", "--omega", "x*d(y) + y*d(
 PERIOD_MODULES = {"_value", "periods", "series", "_coeff_kernel_py"}
 
 
-@pytest.mark.parametrize("argv, code, modules", [
-    (None, None, set()),
-    (["hypergeo-locus", "--N", "2", "--grid", "5"], 0, {"_value", "hypergeo"}),
-    (["denominators", "--config", "{config}"], 0, PERIOD_MODULES),
-    (["periods", "--config", "{config}"], 0, PERIOD_MODULES),
+@pytest.mark.parametrize("argv, code, modules, split", [
+    (None, None, set(), False),
+    (["hypergeo-locus", "--N", "2", "--grid", "5"], 0, {"_value", "hypergeo"}, False),
+    (["denominators", "--config", "{config}"], 0, PERIOD_MODULES, False),
+    (["periods", "--config", "{config}"], 0, PERIOD_MODULES, False),
     (["gm", "--vars", "t1,t2", "--matrix", "{matrix}", "--m", "2", "--blocks", "1,2,1"], 0,
-     FOLIATION_MODULES | {"gauss_manin"}),
-    (["tangency"] + TANGENCY_ARGS, 0, FOLIATION_MODULES | {"ideals", "linalg"}),
+     FOLIATION_MODULES | {"gauss_manin"}, False),
+    (["tangency"] + TANGENCY_ARGS, 0, FOLIATION_MODULES | {"ideals", "linalg"}, False),
     (["pcurvature", "--p", "5"] + TANGENCY_ARGS, 0,
-     FOLIATION_MODULES | {"ideals", "linalg", "modp", "pcurvature"}),
+     FOLIATION_MODULES | {"ideals", "linalg", "modp", "pcurvature"}, False),
+    (["denominators", "--config", "{config}"], 0, PERIOD_MODULES | {"_rowsplit"}, True),
 ], ids=["build_parser", "hypergeo-locus", "denominators", "periods", "gm", "tangency",
-        "pcurvature"])
-def test_command_imports_only_the_modules_it_runs(tmp_path, argv, code, modules):
+        "pcurvature", "denominators-split"])
+def test_command_imports_only_the_modules_it_runs(tmp_path, argv, code, modules, split):
     config = tmp_path / "family.json"
     config.write_text(json.dumps(TOY_CONFIG))
     matrix = tmp_path / "B.json"
@@ -563,7 +664,8 @@ def test_command_imports_only_the_modules_it_runs(tmp_path, argv, code, modules)
     if argv is not None:
         argv = [a.format(config=config, matrix=matrix) for a in argv]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(argv)],
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(argv)]
+                          + (["split"] if split else []),
                           capture_output=True, text=True, env=env, cwd=str(tmp_path),
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -574,7 +676,8 @@ def test_command_imports_only_the_modules_it_runs(tmp_path, argv, code, modules)
     assert not got["dataclasses"]
     if argv and argv[0] == "hypergeo-locus":
         assert not got["fractions"]  # the exact 2F1 oracle is never called
-    assert got["pool"] == []  # no command here reaches the pool's cut
+    assert got["pool"] == []  # the row split forks plain children at any size
+    assert got["forks"] == (TOY_WORKERS if split else 0)
 
 
 @pytest.mark.slow

@@ -4,7 +4,7 @@ built on its output."""
 from fractions import Fraction
 from itertools import product
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from conftest import families
 from hodgeloci import _coeff_kernel_py
@@ -18,8 +18,18 @@ def simplex(m, trunc):
     return [a for a in product(range(trunc + 1), repeat=m) if sum(a) <= trunc]
 
 
+QUARTIC_MONOMIALS = ((1, 3, 0, 0), (0, 1, 3, 0), (0, 0, 1, 3), (3, 0, 0, 1))
+
+
 @settings(max_examples=100, deadline=None)
 @given(families())
+# m = 0: beta 0 passes the pair test at d = 2; at d = 4 it fails and (2, 0, 2, 0) passes
+@example(FamilySpec(2, 2, (), 0))
+@example(FamilySpec(2, 4, (), 3))
+@example(FamilySpec(2, 4, ((1, 3, 0, 0),), 8))  # m = 1: the inline level is the only one
+@example(FamilySpec(2, 4, QUARTIC_MONOMIALS, 3))  # truncation below d: every run has length 1
+@example(FamilySpec(2, 4, ((1, 3, 0, 0), (0, 0, 0, 4)), 9))  # the last monomial moves one slot
+@example(FamilySpec(2, 4, ((0, 1, 3, 0), (1, 1, 1, 1)), 9))  # ... and every slot
 def test_kernel_matches_closed_formula_on_the_simplex(fam):
     for beta in griffiths_basis(fam.d, fam.n):
         terms = _coeff_kernel_py.coefficient_terms(beta.beta, fam.d, fam.monomials,
