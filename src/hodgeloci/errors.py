@@ -20,6 +20,9 @@ class TransversalityViolation(ValueError):
         super().__init__(f"nonzero forbidden block at position {block}")
         self.block = block
 
+    def __reduce__(self):
+        return type(self), (self.block,)
+
 
 class OutOfDomain(ValueError):
     """Argument outside the supported real interval."""
@@ -46,4 +49,8 @@ class ParseError(ValueError):
 
     def __init__(self, message, position):
         super().__init__(f"{message} (at position {position})")
+        self.message = message
         self.position = position
+
+    def __reduce__(self):
+        return type(self), (self.message, self.position)

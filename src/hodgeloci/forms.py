@@ -184,14 +184,6 @@ class TwoForm(Value):
                 out[k] = s
         return TwoForm(self.ctx, out)
 
-    def __neg__(self):
-        return TwoForm(self.ctx, {k: -c for k, c in self.comps.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, TwoForm):
-            return NotImplemented
-        return self + (-other)
-
     def __hash__(self):  # the components are a dict
         return hash((self.ctx, tuple(sorted(self.comps.items(), key=lambda t: t[0]))))
 
@@ -380,18 +372,6 @@ class FormMatrix(Value):
         return FormMatrix(self.ctx, [
             [scaled_sum(self.ctx, ((si[j], self.entries[j][k]) for j in range(r)))
              for k in range(c)] for si in s])
-
-    def __add__(self, other):
-        if not isinstance(other, FormMatrix):
-            return NotImplemented
-        _check_ctx(self, other)
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        return FormMatrix(self.ctx, [[a + b for a, b in zip(r1, r2)]
-                                     for r1, r2 in zip(self.entries, other.entries)])
-
-    def __neg__(self):
-        return FormMatrix(self.ctx, [[-f for f in row] for row in self.entries])
 
 
 def _shared_truncation(matrices) -> Optional[int]:

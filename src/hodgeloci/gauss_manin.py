@@ -9,7 +9,11 @@ NotIntegrable on inconsistent (non-integrable) input.
 (x_1 Laurent), builds the column substitution matrix S with S*C = x and
 det S = x_1, its closed-form inverse, and the connection matrix in the new
 frame A = -S^{-1} dS + S^{-1} B S, whose product with the constant column C
-generates the foliation carrying the constant-period loci as leaves.
+generates the foliation carrying the constant-period loci as leaves.  S and
+S^{-1} are the identity but for the x column, so A is formed from B with
+that column replaced by B*x - dx, without matrix products.
+``block_foliation_forms`` emits rows of dx - B*x, the ones that the span
+identity S * (A*C) = -(dx - B*x) checks.
 """
 
 from __future__ import annotations
@@ -19,8 +23,7 @@ from typing import Dict, List, Tuple
 
 from hodgeloci._value import Value
 from hodgeloci.errors import InternalCheckFailed, NotIntegrable, TransversalityViolation
-from hodgeloci.forms import (FormMatrix, OneForm, PolyContext, d_poly, poly_mat_d,
-                             poly_mat_identity, scaled_sum)
+from hodgeloci.forms import FormMatrix, OneForm, PolyContext, d_poly, poly_mat_identity
 from hodgeloci.series import SparseSeries, monomials_upto
 
 
@@ -179,18 +182,26 @@ def _embed_matrix(b: FormMatrix, ctx_ext: PolyContext) -> FormMatrix:
 
 def gm_assemble(b: FormMatrix, blocks: HodgeBlocks) -> GMAssembly:
     """Assemble S, C, S^{-1}, the new-frame connection A and the foliation
-    forms A*C over the context extended by the fiber coordinates."""
+    forms A*C over the context extended by the fiber coordinates.
+
+    B S - dS is B with column c0 replaced by B*x - dx; S^{-1} then scales row
+    c0 by 1/x_1 and adds s_inv[r][c0] times row c0 to each row r below it.
+    A truncated entry of B is rejected: the entries must be exact polynomials.
+    """
     rows, cols = b.shape
     if rows != cols or rows != blocks.total:
         raise ValueError(
             f"connection matrix is {rows}x{cols}, expected {blocks.total} (block-size inconsistency)")
+    for r, row in enumerate(b.entries):
+        for c, f in enumerate(row):
+            if any(comp.truncation is not None for comp in f.comps):
+                raise ValueError(f"connection matrix entry [{r}][{c}] is a truncated series, "
+                                 "not an exact polynomial 1-form")
     ctx_ext, x_names = extend_context(b.ctx, blocks)
     h = blocks.total
     g = blocks.x_count
     c0 = blocks.zero_rows  # 0-based index of the replaced column
-
-    xs = [ctx_ext.var(n) for n in x_names]
-    x_col = [ctx_ext.zero()] * c0 + xs
+    x_col = [ctx_ext.zero()] * c0 + [ctx_ext.var(n) for n in x_names]
 
     s = poly_mat_identity(ctx_ext, h)
     for r in range(h):
@@ -200,17 +211,22 @@ def gm_assemble(b: FormMatrix, blocks: HodgeBlocks) -> GMAssembly:
     x1_inv = ctx_ext.monomial((0,) * b.ctx.nvars + (-1,) + (0,) * (g - 1))
     s_inv = poly_mat_identity(ctx_ext, h)
     s_inv[c0][c0] = x1_inv
-    for j in range(1, g):
-        s_inv[c0 + j][c0] = -(xs[j] * x1_inv)
+    for r in range(c0 + 1, h):
+        s_inv[r][c0] = -(x_col[r] * x1_inv)
 
     c_col = [ctx_ext.zero()] * h
     c_col[c0] = ctx_ext.one()
 
     b_ext = _embed_matrix(b, ctx_ext)
-    ds = poly_mat_d(s, ctx_ext)
-    # A = -S^{-1} dS + S^{-1} B S = S^{-1} (B S - dS), and A*C is column c0 of A
-    a = (b_ext.mul_poly_mat(s) + -ds).pre_mul_poly_mat(s_inv)
-    forms = tuple(row[c0] for row in a.entries)
+    m = [list(row) for row in b_ext.entries]  # becomes B S - dS, then A
+    for r, bx in enumerate(b_ext.mul_poly_vec(x_col)):
+        m[r][c0] = bx - d_poly(x_col[r], ctx_ext)
+    pivot = m[c0]
+    m[c0] = [f.scale(x1_inv) for f in pivot]
+    for r in range(c0 + 1, h):
+        m[r] = [f + p.scale(s_inv[r][c0]) for f, p in zip(m[r], pivot)]
+    a = FormMatrix(ctx_ext, m)
+    forms = tuple(row[c0] for row in m)  # A*C is column c0 of A
     return GMAssembly(ctx_ext, blocks, tuple(map(tuple, s)), tuple(map(tuple, s_inv)),
                       tuple(c_col), a, forms, x_names)
 
@@ -246,54 +262,32 @@ def check_transversality(b: FormMatrix, blocks: HodgeBlocks) -> None:
 
 
 def block_foliation_forms(b: FormMatrix, blocks: HodgeBlocks) -> BlockFoliation:
-    """Emit the block equations of the foliation: the middle-pairing rows
-    (ivhs block applied to the middle coordinates) and dx^i minus the allowed
-    block combinations; verify they span the same module as the assembled A*C.
+    """Emit the block equations of the foliation and verify that they span
+    the same module as the assembled A*C.
 
-    The span identity checked is S * (A*C) = -(dx - B*x), exact entrywise;
-    since S is invertible over the extended ring, the two generating sets
-    span the same module.
+    The equations are rows of dx - B*x: the middle-pairing rows (block
+    m/2 - 1, where dx = 0) negated, i.e. the ivhs block applied to the middle
+    coordinates, then every row from block m/2 on.  Transversality, checked
+    before anything is emitted, makes each whole row of B*x the sum over the
+    block columns the pattern allows.  The span identity S * (A*C) =
+    -(dx - B*x) is checked exactly on these same rows; since S is invertible
+    over the extended ring, the two generating sets span the same module.
     """
-    rows, cols = b.shape
-    if rows != cols or rows != blocks.total:
-        raise ValueError(
-            f"connection matrix is {rows}x{cols}, expected {blocks.total} (block-size inconsistency)")
-    check_transversality(b, blocks)
     asm = gm_assemble(b, blocks)
+    check_transversality(b, blocks)
     ctx_ext = asm.ctx
     half = blocks.m // 2
-    b_ext = _embed_matrix(b, ctx_ext)
+    c0 = blocks.zero_rows
+    x_col = [ctx_ext.zero()] * c0 + [ctx_ext.var(n) for n in asm.x_names]
+    bx = _embed_matrix(b, ctx_ext).mul_poly_vec(x_col)
+    eqs = [d_poly(x, ctx_ext) - f for x, f in zip(x_col, bx)]
+    neg = [-f for f in eqs]
+    forms = neg[blocks.ranges()[half - 1][0]:c0] + eqs[c0:]
 
-    # the x column over the extended context: zero blocks then the coordinates
-    xs = [ctx_ext.var(n) for n in asm.x_names]
-    x_col = [ctx_ext.zero()] * blocks.zero_rows + xs
-
-    ranges = blocks.ranges()
-
-    def rows_times_x(i: int, j0: int, j1: int) -> List[OneForm]:
-        """The rows of block row i times x, over block columns j0..j1."""
-        r0, r1 = ranges[i]
-        c0, c1 = ranges[j0][0], ranges[j1][1]
-        return [scaled_sum(ctx_ext, zip(x_col[c0:c1], b_ext.entries[r][c0:c1]))
-                for r in range(r0, r1)]
-
-    forms: List[OneForm] = []
-    ivhs = _block_of(b, blocks, half - 1, half)
-    # middle pairing rows: 0 = (ivhs block) * x^{m/2}
-    forms.extend(rows_times_x(half - 1, half, half))
-    # dx^i = sum of allowed blocks times x^j, for i = m/2 .. m
-    for i in range(half, blocks.m + 1):
-        r0, r1 = ranges[i]
-        bx = rows_times_x(i, half, min(i + 1, blocks.m))
-        for offset, r in enumerate(range(r0, r1)):
-            dx = d_poly(x_col[r], ctx_ext)
-            forms.append(dx - bx[offset])
-
-    # span identity against the assembly
     s_ac = FormMatrix(ctx_ext, [[f] for f in asm.foliation_forms]).pre_mul_poly_mat(asm.s)
-    bx = b_ext.mul_poly_vec(x_col)
-    for r in range(blocks.total):
-        if s_ac.entries[r][0] != -(d_poly(x_col[r], ctx_ext) - bx[r]):
+    for r, row in enumerate(s_ac.entries):
+        if row[0] != neg[r]:
             raise InternalCheckFailed(
                 f"assembled foliation does not match the block equations in row {r}")
+    ivhs = _block_of(b, blocks, half - 1, half)
     return BlockFoliation(ctx_ext, tuple(forms), ivhs, asm)

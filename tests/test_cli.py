@@ -525,7 +525,12 @@ class TestFoliationCommands:
          "9c36bc11a854c3084dd0233226751a28f0c199e67f57ac372cb98adf0e05c53b"),
         ([["0", "0", "0"], ["d(t1)", "0", "0"], ["0", "d(t1)", "0"]], "t1", 4, "0,1,1,1,0",
          "79a120368e5caccd0daf654570d808385dc5079dce8b10206aa94d05f157e2e1"),
-    ], ids=["seeded-1,2,1", "empty-outer-0,1,0", "empty-outer-0,1,1,1,0"])
+        # TestBlockFoliation.test_weight_four_blocks' matrix: k * d(t1^2 + t2) on the superdiagonal
+        ([[f"{k}*(2*t1*d(t1) + d(t2))" if k else "0" for k in row]
+          for row in ((0, 2, 0, 0, 0), (0, 0, -1, 0, 0), (0, 0, 0, 3, 0), (0, 0, 0, 0, 1),
+                      (0, 0, 0, 0, 0))], "t1,t2", 4, "1,1,1,1,1",
+         "b8266f9566c240fbf4ca2aa772cefa8a39c4e410f7d7a1f2d34d2f1c7608a428"),
+    ], ids=["seeded-1,2,1", "empty-outer-0,1,0", "empty-outer-0,1,1,1,0", "weight-four-1,1,1,1,1"])
     def test_gm_output_is_pinned(self, capsys, tmp_path, rows, names, m, blocks, sha256):
         matrix = tmp_path / "B.json"
         matrix.write_text(json.dumps(rows))

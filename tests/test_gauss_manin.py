@@ -7,7 +7,7 @@ from hodgeloci import gauss_manin
 from hodgeloci.errors import InternalCheckFailed, NotIntegrable, TransversalityViolation
 from hodgeloci.forms import (FormMatrix, OneForm, PolyContext, d_oneform, d_poly,
                              integrability_check, poly_mat_d, poly_mat_identity,
-                             poly_mat_mul, unipotent_inverse, wedge_matvec)
+                             poly_mat_mul, scaled_sum, unipotent_inverse, wedge_matvec)
 from hodgeloci.gauss_manin import (GMAssembly, HodgeBlocks, block_foliation_forms,
                                    gm_assemble, linear_solve_series)
 from hodgeloci.series import SparseSeries
@@ -144,7 +144,60 @@ def block_pattern_connection(rng):
     return poly_mat_d(y, CTX).mul_poly_mat(y_inv)
 
 
+def weight_four_connection(rng):
+    """Random integrable 5x5 connection respecting the (1,1,1,1,1) pattern:
+    B = dY * Y^{-1} with Y = Y_lower * exp(f N), N a constant superdiagonal
+    nilpotent.  dY Y^{-1} = dY_l Y_l^{-1} + Y_l (df N) Y_l^{-1}, and
+    conjugating by a lower unipotent matrix keeps entry (i, j) zero for j > i + 1."""
+    f = rand_poly(rng, max_deg=1, zero_constant=True)
+    nil = [[CTX.constant(rng.randint(-3, 3)) if j == i + 1 else CTX.zero() for j in range(5)]
+           for i in range(5)]
+    y_u = [row[:] for row in poly_mat_identity(CTX, 5)]
+    power, fk = y_u, CTX.one()
+    for k in range(1, 5):  # exp(f N) = sum_k f^k N^k / k!, and N^5 = 0
+        power, fk = poly_mat_mul(power, nil), fk * f * Fraction(1, k)
+        y_u = [[a + fk * p for a, p in zip(r1, r2)] for r1, r2 in zip(y_u, power)]
+    y_l = [row[:] for row in poly_mat_identity(CTX, 5)]
+    for i in range(5):
+        for j in range(i):
+            y_l[i][j] = rand_poly(rng, max_deg=1, max_terms=2)
+    y = poly_mat_mul(y_l, y_u)
+    y_inv = poly_mat_mul(unipotent_inverse(y_u, CTX), unipotent_inverse(y_l, CTX))
+    return poly_mat_d(y, CTX).mul_poly_mat(y_inv)
+
+
+def defined_a(b, asm):
+    """A = -S^{-1} dS + S^{-1} B S from the generic products, entry by entry."""
+    b_ext = gauss_manin._embed_matrix(b, asm.ctx)
+    sbs = b_ext.mul_poly_mat(asm.s).pre_mul_poly_mat(asm.s_inv)
+    sds = poly_mat_d(asm.s, asm.ctx).pre_mul_poly_mat(asm.s_inv)
+    return FormMatrix(asm.ctx, [[p - q for p, q in zip(r1, r2)]
+                                for r1, r2 in zip(sbs.entries, sds.entries)])
+
+
+def restricted_block_equations(b, blocks, asm):
+    """The block equations as sums over the block columns the pattern allows:
+    the middle pairing rows B^{m/2-1, m/2} x^{m/2}, then
+    dx^i - sum_{j = m/2}^{min(i+1, m)} B^{ij} x^j for i = m/2 .. m."""
+    ctx = asm.ctx
+    b_ext = gauss_manin._embed_matrix(b, ctx)
+    x_col = [ctx.zero()] * blocks.zero_rows + [ctx.var(n) for n in asm.x_names]
+    ranges, half = blocks.ranges(), blocks.m // 2
+
+    def rows_times_x(i, j0, j1):
+        c0, c1 = ranges[j0][0], ranges[j1][1]
+        return [scaled_sum(ctx, zip(x_col[c0:c1], b_ext.entries[r][c0:c1]))
+                for r in range(*ranges[i])]
+
+    forms = rows_times_x(half - 1, half, half)
+    for i in range(half, blocks.m + 1):
+        bx = rows_times_x(i, half, min(i + 1, blocks.m))
+        forms += [d_poly(x_col[r], ctx) - f for r, f in zip(range(*ranges[i]), bx)]
+    return tuple(forms)
+
+
 BLOCKS = HodgeBlocks(2, (1, 2, 1))
+BLOCKS4 = HodgeBlocks(4, (1, 1, 1, 1, 1))
 
 
 class TestAssembly:
@@ -192,15 +245,19 @@ class TestAssembly:
 class TestBlockFoliation:
     def test_random_pattern_connections(self):
         rng = random.Random(101)
-        for _ in range(10):
-            b = block_pattern_connection(rng)
-            assert integrability_check(b)
-            result = block_foliation_forms(b, BLOCKS)  # raises on span mismatch
-            asm = result.assembly
-            assert integrability_check(asm.a)  # dA = A ^ A
-            dac = [d_oneform(f) for f in asm.foliation_forms]
-            awac = wedge_matvec(asm.a, asm.foliation_forms)
-            assert dac == awac  # d(A*C) = A ^ (A*C)
+        for blocks, connection, count in ((BLOCKS, block_pattern_connection, 10),
+                                          (BLOCKS4, weight_four_connection, 4)):
+            for _ in range(count):
+                b = connection(rng)
+                assert integrability_check(b)
+                result = block_foliation_forms(b, blocks)  # raises on span mismatch
+                asm = result.assembly
+                assert asm.a == defined_a(b, asm)
+                assert result.forms == restricted_block_equations(b, blocks, asm)
+                assert integrability_check(asm.a)  # dA = A ^ A
+                dac = [d_oneform(f) for f in asm.foliation_forms]
+                awac = wedge_matvec(asm.a, asm.foliation_forms)
+                assert dac == awac  # d(A*C) = A ^ (A*C)
 
     def test_span_mismatch_is_an_internal_failure(self, monkeypatch):
         def corrupted(b, blocks):
@@ -228,10 +285,15 @@ class TestBlockFoliation:
             block_foliation_forms(FormMatrix(CTX, rows), BLOCKS)
         assert err.value.block == (0, 2)
 
+    def test_truncated_entry_rejected(self):
+        rows = [[OneForm.zero(CTX) for _ in range(3)] for _ in range(3)]
+        rows[1][0] = OneForm(CTX, (SparseSeries(2, {(1, 0): 1}, truncation=3), CTX.zero()))
+        with pytest.raises(ValueError, match=r"entry \[1\]\[0\] is a truncated series"):
+            block_foliation_forms(FormMatrix(CTX, rows), HodgeBlocks(2, (1, 1, 1)))
+
     def test_weight_four_blocks(self):
         # m = 4, blocks (1,1,1,1,1): two zero rows, three fiber coordinates
-        blocks4 = HodgeBlocks(4, (1, 1, 1, 1, 1))
-        assert blocks4.zero_rows == 2 and blocks4.x_count == 3
+        assert BLOCKS4.zero_rows == 2 and BLOCKS4.x_count == 3
         s = T1 * T1 + T2
         ds = d_poly(s, CTX)
         k = {(0, 1): 2, (1, 2): -1, (2, 3): 3, (3, 4): 1}
@@ -239,7 +301,7 @@ class TestBlockFoliation:
                  for j in range(5)] for i in range(5)]
         b = FormMatrix(CTX, rows)
         assert integrability_check(b)
-        result = block_foliation_forms(b, blocks4)
+        result = block_foliation_forms(b, BLOCKS4)
         asm = result.assembly
         assert asm.x_names == ("x1", "x2", "x3")
         assert integrability_check(asm.a)
