@@ -1,17 +1,18 @@
-"""The row split of a large table: ``split_rows`` computes ``[fn(b, fam) for b
-in betas]`` in forked child processes.
+"""The row split of a large table: ``split_rows`` computes ``[fn(o, fam) for o
+in orbits]`` in forked child processes, where each orbit (``periods.BetaOrbit``)
+gives the rows of one kernel run.
 
-Child ``i`` of ``workers`` computes ``betas[i::workers]`` and pickles into its
-own pipe the first error its rows raised, or else its rows one by one; the
-parent reads each pipe to EOF, reaps each child and puts the rows back in
-order, so it never holds a share's bytes and its rows at once.  A row error is
-raised here as the serial run would raise it (the one of the lowest row); a
-child that dies or sends an incomplete stream is ``WorkerFailed`` (exit 4), and
-a child that cannot be started is ``ResourceLimit`` (exit 3).  Every child is
-reaped on every path, and each ends with ``os._exit``, so it flushes none of
-the parent's buffers.  Only ``cli._map_rows`` imports this module, on the split
-branch; the command starts no thread before it, so forking is safe, and the
-children reuse the loaded package.
+Child ``i`` of ``workers`` computes ``orbits[i::workers]`` and pickles into its
+own pipe the first error its orbits raised, or else their rows one orbit at a
+time; the parent reads each pipe to EOF, reaps each child and puts the orbits
+back in order, so it never holds a share's bytes and its rows at once.  A row
+error is raised here as the serial run would raise it (the one of the first
+orbit); a child that dies or sends an incomplete stream is ``WorkerFailed``
+(exit 4), and a child that cannot be started is ``ResourceLimit`` (exit 3).
+Every child is reaped on every path, and each ends with ``os._exit``, so it
+flushes none of the parent's buffers.  Only ``cli._map_rows`` imports this
+module, on the split branch; the command starts no thread before it, so
+forking is safe, and the children reuse the loaded package.
 """
 
 from __future__ import annotations
@@ -23,17 +24,17 @@ import signal
 from hodgeloci.errors import ResourceLimit, WorkerFailed
 
 
-def split_rows(fn, betas, fam, workers: int) -> list:
-    """``[fn(b, fam) for b in betas]``, computed by ``workers`` forked children."""
+def split_rows(fn, orbits, fam, workers: int) -> list:
+    """``[fn(o, fam) for o in orbits]``, computed by ``workers`` forked children."""
     children = []  # (pid, read end) of each child not yet reaped
     shares = []
     try:
         for first in range(workers):
-            children.append(_fork_rows(fn, betas, fam, first, workers))
+            children.append(_fork_rows(fn, orbits, fam, first, workers))
         for first in range(workers):
             pid, fh = children[0]
             with fh:
-                share = _read_share(fh, len(betas[first::workers]))
+                share = _read_share(fh, len(orbits[first::workers]))
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del children[0]
             if status or share is None:
@@ -52,16 +53,16 @@ def split_rows(fn, betas, fam, workers: int) -> list:
             os.waitpid(pid, 0)
     failures = [failure for failure, _ in shares if failure]
     if failures:
-        raise min(failures)[1]  # row indices differ, so min compares only them
-    rows: list = [None] * len(betas)
+        raise min(failures)[1]  # orbit indices differ, so min compares only them
+    rows: list = [None] * len(orbits)
     for first, (_, share) in enumerate(shares):
         rows[first::workers] = share
     return rows
 
 
-def _fork_rows(fn, betas, fam, first: int, workers: int):
-    """Fork the child that computes ``betas[first::workers]``; return its pid and
-    the read end of its pipe.  The child never returns."""
+def _fork_rows(fn, orbits, fam, first: int, workers: int):
+    """Fork the child that computes ``orbits[first::workers]``; return its pid
+    and the read end of its pipe.  The child never returns."""
     try:
         r, w = os.pipe()
         try:
@@ -80,9 +81,9 @@ def _fork_rows(fn, betas, fam, first: int, workers: int):
         os.close(r)
         with open(w, "wb") as fh:
             rows, failure = [], None
-            for index in range(first, len(betas), workers):
+            for index in range(first, len(orbits), workers):
                 try:
-                    rows.append(fn(betas[index], fam))
+                    rows.append(fn(orbits[index], fam))
                 except Exception as exc:  # sent to the parent, which raises it
                     failure = (index, _sendable(exc))
                     break
@@ -96,7 +97,7 @@ def _fork_rows(fn, betas, fam, first: int, workers: int):
 
 def _read_share(fh, count: int):
     """``(failure, rows)`` from a row worker's pipe, read to EOF: ``failure`` is
-    ``None`` or ``(row index, exception)``.  ``None`` if the stream is cut short."""
+    ``None`` or ``(orbit index, exception)``.  ``None`` if the stream is cut short."""
     try:
         failure = pickle.load(fh)
         rows = [] if failure else [pickle.load(fh) for _ in range(count)]

@@ -139,45 +139,58 @@ def _fracs_csv(text: str) -> List[Fraction]:
 # -- subcommand bodies ----------------------------------------------------------
 
 
-# A table of at least this many kernel tuples, counted as rows x C(truncation + m, m),
-# splits its rows over forked child processes, which cost a few ms to fork, read
-# and reap.  On the 21-row quartic table (BENCH_13.json, break_even; 2 CPUs,
-# three runs) the split's median was higher for denominators at D=14 (64,260
-# tuples) in every run, lower in 5 of 6 rows at D=16 (101,745) and in all 6 at
-# D=18, and lower in every row from D=20 (223,146) on.
+# A table whose kernel runs enumerate at least this many tuples, counted as
+# orbits x C(truncation + m, m) (one run per symmetry orbit of its rows), splits
+# its orbits over forked child processes, which cost a few ms to fork, read and
+# reap.  On the 21-row quartic table, one run per row (BENCH_13.json,
+# break_even; 2 CPUs, three runs), the split's median was higher for
+# denominators at D=14 (64,260 tuples) in every run, lower in 5 of 6 rows at
+# D=16 (101,745) and in all 6 at D=18, and lower in every row from D=20
+# (223,146) on.
 _POOL_TUPLES = 100_000
 
 
 def _map_rows(fn, betas: Sequence[periods.BetaIndex], fam: periods.FamilySpec) -> list:
-    """``[fn(b, fam) for b in betas]``: split over one forked child process per
-    CPU this process may run on (``_rowsplit.split_rows``), when there are at
-    least two of each and the table holds at least ``_POOL_TUPLES`` kernel
-    tuples; otherwise in this process.  The output is the same either way, and
+    """One row per beta, from ``fn(orbit, fam)``: the rows of one symmetry orbit
+    of the betas (``periods.beta_orbits``), in the orbit's row order.  The
+    orbits are split over one forked child process per CPU this process may
+    run on (``_rowsplit.split_rows``) when there are at least two of each and
+    their kernel runs enumerate at least ``_POOL_TUPLES`` tuples; otherwise
+    they are computed in this process.  The output is the same either way, and
     so is the exception a failing row raises.
     """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, len(betas))
-    tuples = len(betas) * comb(fam.truncation + fam.nparams, fam.nparams)
-    if workers < 2 or tuples < _POOL_TUPLES:
-        return [fn(b, fam) for b in betas]
-    from hodgeloci._rowsplit import split_rows
+    from hodgeloci import periods
 
-    return split_rows(fn, betas, fam, workers)
+    orbits = periods.beta_orbits(betas, fam)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(orbits))
+    tuples = len(orbits) * comb(fam.truncation + fam.nparams, fam.nparams)
+    if workers < 2 or tuples < _POOL_TUPLES:
+        shares = [fn(orbit, fam) for orbit in orbits]
+    else:
+        from hodgeloci._rowsplit import split_rows
+
+        shares = split_rows(fn, orbits, fam, workers)
+    rows: list = [None] * len(betas)
+    for orbit, share in zip(orbits, shares):
+        for row, value in zip(orbit.rows, share):
+            rows[row] = value
+    return rows
 
 
 def run_denominator_table(config: Mapping) -> str:
     """One row per basis element: rendered monomial, lcm, factorization.
 
-    Rows are computed by ``_map_rows``, so a large table is split over one forked
-    child process per usable CPU; the text is the same as a serial run's, and
-    byte-stable across runs.
+    Rows are computed by ``_map_rows``, one kernel run per symmetry orbit, and a
+    large table's orbits are split over one forked child process per usable
+    CPU; the text is the same as a serial run's, and byte-stable across runs.
     """
     from hodgeloci import periods
 
     fam = family_from_config(config)
     betas = betas_from_config(config, fam)
     rows = []
-    for b, prof in zip(betas, _map_rows(periods.period_denominator_profile, betas, fam)):
+    for b, prof in zip(betas, _map_rows(periods.orbit_denominator_profiles, betas, fam)):
         rows.append(f"{b.monomial_str()},{prof.lcm},{prof.factorization_str()}\n")
     return "monomial,lcm,factorization\n" + "".join(rows)
 
@@ -195,7 +208,7 @@ def _cmd_periods(args) -> Tuple[str, int]:
               "truncation": fam.truncation}
     betas = betas_from_config(cfg, fam)
     rows = []
-    for b, series in zip(betas, _map_rows(periods.period_series_json, betas, fam)):
+    for b, series in zip(betas, _map_rows(periods.orbit_series_json, betas, fam)):
         head = _json({"beta": list(b.beta), "k": b.k, "monomial": b.monomial_str(),
                       "normalization": periods.normalization_text(fam.n, fam.d, b.k)})
         # the series object goes in as the header's last key

@@ -21,17 +21,30 @@ pass the pair condition and returns integer (numerator, denominator) pairs
 already in graded-lexicographic order, so the engine adds no sort and no
 re-validation on top of it.
 
-Two consumers read those integers directly, with no ``Fraction`` and no
-``SparseSeries`` in between: ``period_denominator_profile`` (the
-``denominators`` table) and ``period_series_json`` (the series objects of the
+Two paths read those integers directly, with no ``Fraction`` and no
+``SparseSeries`` in between: ``period_denominator_profile`` (one row of the
+``denominators`` table) and ``period_series_json`` (one series object of the
 ``periods`` document).  ``SparseSeries.to_doc`` defines the canonical format;
 ``period_series_json`` writes the same bytes as ``to_json`` of
-``period_series``, and the tests hold the two paths equal.
+``period_series``, and the tests hold the two paths equal.  Both take one
+basis element and the family, and keep no state between calls.
 
-Both take one basis element and the family, and keep no state between calls,
-so the rows of a table are independent: the command line splits a large
-table's rows over forked child processes (``cli._map_rows``), which pickle
-back only the rows.
+The two tables run the kernel once per symmetry orbit of their rows.  Let
+sigma permute the coordinate pairs (slot 2e -> 2pi(e), slot 2e+1 ->
+2pi(e)+1) and map the monomial set I onto itself, inducing tau on the
+monomial indices (``pair_symmetries``).  The coefficient depends on
+b = beta + sum a_alpha alpha only through the pair test applied to each pair,
+the product of the Pochhammer factors over all slots, the even-slot sum E and
+a!.  sigma keeps each of them, so coef(sigma beta, tau a) = coef(beta, a)
+exactly: the series of sigma beta is the series of beta with its exponent
+tuples permuted, and its denominator profile is the same.  Swaps inside a
+pair are left out: they exchange even and odd slots, and swapping inside
+every pair multiplies a term by (-1)^{k+|a|-(n+2)/2}.  ``beta_orbits`` groups
+a table's rows (duplicates included) into orbits, and
+``orbit_denominator_profiles`` and ``orbit_series_json`` give every row of
+one orbit from one kernel run, equal to the per-row paths above.  The orbits
+are independent, so the command line computes those of a large table in
+forked child processes (``cli._map_rows``), which pickle back only the rows.
 """
 
 from __future__ import annotations
@@ -39,7 +52,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import factorial, gcd, lcm
-from typing import Dict, List, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from hodgeloci import _coeff_kernel_py
 from hodgeloci._value import Value
@@ -48,6 +62,9 @@ from hodgeloci.series import SparseSeries, grlex_key, monomials_upto
 
 # denominator profiles trial-divide by every factor up to this bound
 _TRIAL_BOUND = 10 ** 6
+# pair_symmetries tries at most this many pair permutations: all of them for up
+# to six pairs (n <= 10); a symmetry it does not try only costs kernel runs
+_PAIR_PERMUTATIONS = 720
 
 # -- elementary pieces --------------------------------------------------------
 
@@ -239,7 +256,17 @@ def period_denominator_profile(beta, family: FamilySpec) -> DenominatorProfile:
     """``denominator_profile(period_series(beta, family))``, taken straight from
     the kernel's integers without building Fractions or a series."""
     _, raw = _kernel_terms(beta, family)
-    return _factor_lcm(lcm(*(den // gcd(num, den) for _, num, den in raw)), _TRIAL_BOUND)
+    return _factor_lcm(_denominator_lcm(raw), _TRIAL_BOUND)
+
+
+def _denominator_lcm(raw) -> int:
+    """``lcm(*(den // gcd(num, den) for _, num, den in raw))``: a term whose
+    reduced denominator already divides the running lcm costs no gcd."""
+    total = 1
+    for _, num, den in raw:
+        if num * total % den:
+            total = lcm(total, den // gcd(num, den))
+    return total
 
 
 def period_series_json(beta, family: FamilySpec) -> str:
@@ -247,13 +274,114 @@ def period_series_json(beta, family: FamilySpec) -> str:
     the kernel's integers: each term is reduced by one gcd and formatted as
     ``{"e":[...],"c":"n/d"}`` in the kernel's graded-lex order."""
     _, raw = _kernel_terms(beta, family)
-    term = '{"e":[' + ",".join(["%d"] * family.nparams) + '],"c":"%d/%d"}'
-    terms = []
+    return _series_json(family, _coefficient_texts(raw))
+
+
+def _coefficient_texts(raw) -> List[Tuple[Tuple[int, ...], str]]:
+    """Each kernel term ``(a, num, den)`` as ``(a, text)``, where ``text`` ends
+    the term's JSON object with its coefficient ``"n/d"`` in lowest terms."""
+    out = []
     for a, num, den in raw:
         g = gcd(num, den)
-        terms.append(term % (*a, num // g, den // g))
+        out.append((a, '],"c":"%d/%d"}' % (num // g, den // g)))
+    return out
+
+
+def _series_json(family: FamilySpec, terms) -> str:
+    """The series object of ``_coefficient_texts`` terms, in their order."""
+    head = '{"e":[' + ",".join(["%d"] * family.nparams)
     return (f'{{"nvars":{family.nparams},"truncation":{family.truncation},'
-            f'"terms":[{",".join(terms)}]}}')
+            f'"terms":[{",".join([head % a + text for a, text in terms])}]}}')
+
+
+# -- one kernel run per symmetry orbit ----------------------------------------
+
+
+def pair_symmetries(family: FamilySpec
+                    ) -> List[Tuple[Tuple[int, ...], Optional[Tuple[int, ...]]]]:
+    """The permutations sigma of the coordinate pairs that map the family's
+    monomial set onto itself, the identity first, out of the first
+    ``_PAIR_PERMUTATIONS`` pair permutations.  Each is ``(slots, gather)``:
+    entry j of sigma(beta) is ``beta[slots[j]]``, and entry i of the exponent
+    tuple tau(a) is ``a[gather[i]]``; ``gather`` is ``None`` when sigma fixes
+    every monomial."""
+    mons = family.monomials
+    index = {alpha: i for i, alpha in enumerate(mons)}
+    out = []
+    for pairs in itertools.islice(itertools.permutations(range(family.n // 2 + 1)),
+                                  _PAIR_PERMUTATIONS):
+        slots = tuple(2 * p + k for p in pairs for k in (0, 1))
+        # sigma sends monomial i to monomial tau[i], so entry tau[i] of tau(a) is a[i]
+        tau = [index.get(tuple(alpha[j] for j in slots)) for alpha in mons]
+        if None in tau:
+            continue
+        gather = [0] * len(mons)
+        for i, t in enumerate(tau):
+            gather[t] = i
+        out.append((slots, None if tau == sorted(tau) else tuple(gather)))
+    return out
+
+
+class BetaOrbit(Value):
+    """Rows of a table that one kernel run gives: row ``rows[i]`` of the table
+    is ``beta`` under a pair symmetry whose monomial ``gather`` is
+    ``gathers[i]`` (``None`` for the identity; ``pair_symmetries``)."""
+
+    beta: BetaIndex
+    rows: Tuple[int, ...]
+    gathers: Tuple[Optional[Tuple[int, ...]], ...]
+
+
+def beta_orbits(betas: Sequence[BetaIndex], family: FamilySpec) -> List[BetaOrbit]:
+    """The rows of ``betas`` grouped into orbits of the family's pair
+    symmetries, ordered by their first row, which is each orbit's ``beta``.
+    A beta of the wrong length is an orbit of its own, so its row raises the
+    error it raises alone."""
+    symmetries = pair_symmetries(family)
+    nv = family.n + 2
+    orbits = []  # [beta, rows, gathers] of each orbit
+    images = {}  # sigma(beta) of each orbit's beta -> (that orbit, sigma's gather)
+    for row, b in enumerate(betas):
+        if len(b.beta) == nv and b.beta in images:
+            orbit, gather = images[b.beta]
+            orbit[1].append(row)
+            orbit[2].append(gather)
+            continue
+        orbit = [b, [row], [None]]
+        orbits.append(orbit)
+        if len(b.beta) == nv:
+            for slots, gather in symmetries:
+                images.setdefault(tuple(b.beta[j] for j in slots), (orbit, gather))
+    return [BetaOrbit(b, tuple(rows), tuple(gathers)) for b, rows, gathers in orbits]
+
+
+def orbit_denominator_profiles(orbit: BetaOrbit, family: FamilySpec) -> List[DenominatorProfile]:
+    """``period_denominator_profile`` of each row of ``orbit``, from one kernel
+    run: a pair symmetry keeps every coefficient, so the rows share a profile."""
+    _, raw = _kernel_terms(orbit.beta, family)
+    return [_factor_lcm(_denominator_lcm(raw), _TRIAL_BOUND)] * len(orbit.rows)
+
+
+def orbit_series_json(orbit: BetaOrbit, family: FamilySpec) -> List[str]:
+    """``period_series_json`` of each row of ``orbit``, from one kernel run.
+
+    Each coefficient is reduced and written once.  A row under a pair symmetry
+    has the same terms with every exponent tuple gathered; that keeps the total
+    degree, so only each degree block of the kernel's graded-lex order is
+    sorted again."""
+    _, raw = _kernel_terms(orbit.beta, family)
+    terms = _coefficient_texts(raw)
+    out = []
+    for gather in orbit.gathers:
+        if gather is None:
+            out.append(_series_json(family, terms))
+            continue
+        take = itemgetter(*gather)
+        moved = []
+        for _, block in itertools.groupby(terms, lambda t: sum(t[0])):
+            moved += sorted([(take(a), text) for a, text in block])
+        out.append(_series_json(family, moved))
+    return out
 
 
 def quartic_full_family_series(truncation: int) -> SparseSeries:

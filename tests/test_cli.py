@@ -16,7 +16,7 @@ from hypothesis import given, settings
 
 import hodgeloci
 from conftest import families
-from hodgeloci import cli, periods
+from hodgeloci import _coeff_kernel_py, cli, periods
 from hodgeloci.cli import main, run_denominator_table
 from hodgeloci.errors import InternalCheckFailed
 from hodgeloci.periods import griffiths_basis, period_series
@@ -47,15 +47,15 @@ def failing(exc):
 TEST_PID = os.getpid()
 
 
-def exit_in_worker(beta, fam):
-    """A row function that ends its worker process without a word."""
+def exit_in_worker(orbit, fam):
+    """An orbit's row function that ends its worker process without a word."""
     if os.getpid() == TEST_PID:  # never end the test process itself
         raise AssertionError("the row ran in the test process, not in a worker")
     os._exit(1)
 
 
-def kill_in_worker(beta, fam):
-    """A row function whose worker process is killed by SIGKILL."""
+def kill_in_worker(orbit, fam):
+    """An orbit's row function whose worker process is killed by SIGKILL."""
     if os.getpid() == TEST_PID:
         raise AssertionError("the row ran in the test process, not in a worker")
     os.kill(os.getpid(), signal.SIGKILL)
@@ -76,16 +76,16 @@ class RowBroke(RuntimeError):
         self.hook = lambda: None
 
 
-def rejected_row(beta, fam):
-    raise RowRejected(beta.beta, "rejected")
+def rejected_row(orbit, fam):
+    raise RowRejected(orbit.beta.beta, "rejected")
 
 
-def broken_row(beta, fam):
+def broken_row(orbit, fam):
     raise RowBroke("broken")
 
 
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-TOY_WORKERS = min(CPUS, 21)  # the toy table has 21 rows
+TOY_WORKERS = min(CPUS, 13)  # the toy table's 21 rows fall into 13 symmetry orbits
 
 needs_two_cpus = pytest.mark.skipif(CPUS < 2, reason="the row split needs at least 2 usable CPUs")
 
@@ -303,7 +303,7 @@ class TestExitCodes:
     @needs_two_cpus
     def test_dead_worker_is_exit_four(self, capsys, forks, monkeypatch, toy_config):
         monkeypatch.setattr(cli, "_POOL_TUPLES", 0)
-        monkeypatch.setattr(periods, "period_denominator_profile", exit_in_worker)
+        monkeypatch.setattr(periods, "orbit_denominator_profiles", exit_in_worker)
         code, out, err = run(capsys, "denominators", "--config", toy_config)
         assert code == 4 and out == ""
         assert err.startswith(f"error: internal: WorkerFailed: row worker 1 of {TOY_WORKERS} "
@@ -332,7 +332,7 @@ class TestExitCodes:
         rows = {"killed": kill_in_worker, "unpicklable_input_error": rejected_row,
                 "unpicklable_internal_error": broken_row}
         if case in rows:
-            monkeypatch.setattr(periods, "period_denominator_profile", rows[case])
+            monkeypatch.setattr(periods, "orbit_denominator_profiles", rows[case])
         if case == "unpicklable_input_error":  # the serial run says the same
             assert run(capsys, "denominators", "--config", toy_config) == (2, "", prefix)
         monkeypatch.setattr(cli, "_POOL_TUPLES", 0)
@@ -379,11 +379,12 @@ def test_toy_periods_output_is_pinned(capsys, toy_config):
     assert hashlib.sha256(out.encode()).hexdigest() == TOY_PERIODS_SHA256
 
 
-# name -> (config, its row count): once the cut is 0 a table is split over
-# min(CPUs, rows) children, and a table of fewer than two rows is not split
+# name -> (config, its count of symmetry orbits): once the cut is 0 a table is
+# split over min(CPUs, orbits) children, and a table of fewer than two orbits
+# is not split
 POOL_CONFIGS = {
-    "toy": (TOY_CONFIG, 21),
-    "repeated_row": (dict(TOY_CONFIG, beta=[[1, 1, 1, 1], [0, 0, 0, 0], [1, 1, 1, 1]]), 3),
+    "toy": (TOY_CONFIG, 13),
+    "repeated_row": (dict(TOY_CONFIG, beta=[[1, 1, 1, 1], [0, 0, 0, 0], [1, 1, 1, 1]]), 2),
     "one_row": (dict(TOY_CONFIG, beta=[[1, 1, 1, 1]]), 1),
     "no_rows": (dict(TOY_CONFIG, beta=[]), 0),
 }
@@ -393,15 +394,64 @@ POOL_CONFIGS = {
 @pytest.mark.parametrize("command", ["denominators", "periods"])
 @pytest.mark.parametrize("name", list(POOL_CONFIGS))
 def test_pool_rows_equal_serial_rows(capsys, monkeypatch, forks, tmp_path, command, name):
-    config, rows = POOL_CONFIGS[name]
+    config, orbits = POOL_CONFIGS[name]
     path = tmp_path / "family.json"
     path.write_text(json.dumps(config))
     serial = run(capsys, command, "--config", str(path))
     assert serial[0] == 0 and forks == []
     monkeypatch.setattr(cli, "_POOL_TUPLES", 0)
     assert run(capsys, command, "--config", str(path)) == serial
-    assert len(forks) == (min(CPUS, rows) if rows >= 2 else 0)
+    assert len(forks) == (min(CPUS, orbits) if orbits >= 2 else 0)
     assert_no_child_left()
+
+
+# name -> (config, its count of symmetry orbits)
+ORBIT_CONFIGS = {
+    "quartic": (TOY_CONFIG, 13),
+    # the three pairs of an n = 4, d = 3 family permuted cyclically: a group of order 3
+    "cyclic_pairs": ({"n": 4, "d": 3, "truncation": 5, "beta": "griffiths",
+                      "I": [[1, 1, 1, 0, 0, 0], [0, 0, 1, 1, 1, 0], [1, 0, 0, 0, 1, 1]]}, 10),
+    "no_symmetry": (dict(TOY_CONFIG, I=[[1, 3, 0, 0], [0, 1, 3, 0]]), 21),
+    "duplicates": (dict(TOY_CONFIG, beta=[[2, 2, 0, 0], [1, 1, 1, 1], [0, 0, 2, 2],
+                                          [2, 2, 0, 0], [1, 1, 1, 1]]), 2),
+    "one_member": (dict(TOY_CONFIG, beta=[[0, 0, 2, 2], [1, 0, 1, 2]]), 2),
+}
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
+@pytest.mark.parametrize("name", list(ORBIT_CONFIGS))
+def test_orbit_rows_equal_the_per_row_functions(monkeypatch, forks, name, split):
+    config, orbits = ORBIT_CONFIGS[name]
+    fam = cli.family_from_config(config)
+    betas = cli.betas_from_config(config, fam)
+    assert len(periods.beta_orbits(betas, fam)) == orbits
+    if split:
+        monkeypatch.setattr(cli, "_POOL_TUPLES", 0)
+    assert cli._map_rows(periods.orbit_denominator_profiles, betas, fam) == \
+        [periods.period_denominator_profile(b, fam) for b in betas]
+    assert cli._map_rows(periods.orbit_series_json, betas, fam) == \
+        [periods.period_series_json(b, fam) for b in betas]
+    # two tables, each split over min(CPUs, orbits) children
+    assert len(forks) == (2 * min(CPUS, orbits) if split and min(CPUS, orbits) >= 2 else 0)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("truncation", [0, 3, 9])
+@pytest.mark.parametrize("command", ["denominators", "periods"])
+def test_one_kernel_run_per_orbit(capsys, monkeypatch, tmp_path, command, truncation):
+    # the quartic table's 21 rows fall into 13 orbits of the pair swap
+    runs = []
+    kernel = _coeff_kernel_py.coefficient_terms
+
+    def counted(beta, *args):
+        runs.append(tuple(beta))
+        return kernel(beta, *args)
+
+    monkeypatch.setattr(_coeff_kernel_py, "coefficient_terms", counted)
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(dict(TOY_CONFIG, truncation=truncation)))
+    assert run(capsys, command, "--config", str(path))[0] == 0
+    assert len(runs) == len(set(runs)) == 13
 
 
 @st.composite

@@ -3,12 +3,16 @@ built on its output."""
 
 from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 
+import hypothesis.strategies as st
+import pytest
 from hypothesis import example, given, settings
 
 from conftest import families
 from hodgeloci import _coeff_kernel_py
-from hodgeloci.periods import (FamilySpec, denominator_profile, griffiths_basis,
+from hodgeloci.periods import (FamilySpec, _denominator_lcm, beta_orbits, denominator_profile,
+                               griffiths_basis, orbit_denominator_profiles, orbit_series_json,
                                period_coefficient, period_denominator_profile,
                                period_series, period_series_json, quartic_full_monomials)
 from hodgeloci.series import SparseSeries, grlex_key
@@ -67,6 +71,37 @@ def test_integer_denominator_path_matches_series_profile(fam):
 def test_series_writer_matches_to_json(fam):
     for beta in griffiths_basis(fam.d, fam.n):
         assert period_series_json(beta, fam) == period_series(beta, fam).series.to_json()
+
+
+@pytest.mark.parametrize("truncation", [4, 12])
+def test_denominator_lcm_equals_the_lcm_of_reduced_denominators(truncation):
+    # every row of the quartic table; the loop skips the gcd of a term whose
+    # reduced denominator already divides the running lcm
+    negative = 0
+    for beta in griffiths_basis(4, 2):
+        raw = _coeff_kernel_py.coefficient_terms(beta.beta, 4, QUARTIC_MONOMIALS, truncation)
+        negative += any(num < 0 for _, num, _ in raw)
+        assert _denominator_lcm(raw) == lcm(*(den // gcd(num, den) for _, num, den in raw))
+    assert negative  # rows with negative numerators are among them
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_orbit_rows_equal_the_per_row_functions(data):
+    # an explicit list of basis classes, possibly repeated or holding only one
+    # member of an orbit; every row comes from its orbit's one kernel run
+    fam = data.draw(families())
+    basis = griffiths_basis(fam.d, fam.n)
+    betas = data.draw(st.lists(st.sampled_from(basis), max_size=6))
+    profiles, series = [None] * len(betas), [None] * len(betas)
+    for orbit in beta_orbits(betas, fam):
+        assert orbit.beta == betas[orbit.rows[0]]
+        for row, prof, text in zip(orbit.rows, orbit_denominator_profiles(orbit, fam),
+                                   orbit_series_json(orbit, fam), strict=True):
+            assert series[row] is None
+            profiles[row], series[row] = prof, text
+    assert profiles == [period_denominator_profile(b, fam) for b in betas]
+    assert series == [period_series_json(b, fam) for b in betas]
 
 
 def test_series_writer_writes_an_empty_series():

@@ -5,10 +5,10 @@ from math import factorial
 import pytest
 
 from hodgeloci.errors import NotIntegral
-from hodgeloci.periods import (BetaIndex, FamilySpec,
+from hodgeloci.periods import (BetaIndex, FamilySpec, beta_orbits,
                                coefficient_product, denominator_profile,
                                fractional_pair_condition, griffiths_basis, int_frac,
-                               period_coefficient, period_series, pochhammer,
+                               pair_symmetries, period_coefficient, period_series, pochhammer,
                                pole_order, quartic_full_family_series,
                                quartic_full_monomials, sign_exponent,
                                steenbrink_hodge_tate)
@@ -325,3 +325,59 @@ def test_kernel_matches_readable_path():
         if sum(a) > 5:
             continue
         assert ps.series.coefficient(a) == period_coefficient(a, beta, fam)
+
+
+# (family, the order of its group of pair symmetries)
+SYMMETRIC_FAMILIES = {
+    "quartic": (FamilySpec(2, 4, I4, 6), 2),  # swaps (x0,x1) <-> (x2,x3)
+    "no_symmetry": (FamilySpec(2, 4, I4[:2], 6), 1),
+    "no_monomials": (FamilySpec(2, 4, (), 6), 2),
+    # x0 x1 x2 and its images under the cyclic shift of the three pairs; a
+    # transposition of two pairs sends it to x0 x2 x3, which is not in the set
+    "cyclic_pairs": (FamilySpec(4, 3, ((1, 1, 1, 0, 0, 0), (0, 0, 1, 1, 1, 0),
+                                       (1, 0, 0, 0, 1, 1)), 5), 3),
+    "all_pairs": (FamilySpec(4, 3, ((1, 2, 0, 0, 0, 0), (0, 0, 1, 2, 0, 0),
+                                    (0, 0, 0, 0, 1, 2)), 5), 6),
+}
+
+
+@pytest.mark.parametrize("name", list(SYMMETRIC_FAMILIES))
+def test_pair_symmetry_permutes_the_series_exactly(name):
+    fam, order = SYMMETRIC_FAMILIES[name]
+    symmetries = pair_symmetries(fam)
+    assert len(symmetries) == order
+    assert symmetries[0] == (tuple(range(fam.n + 2)), None)  # the identity first
+    for beta in griffiths_basis(fam.d, fam.n):
+        terms = period_series(beta, fam).series.terms
+        for slots, gather in symmetries:
+            image = tuple(beta.beta[j] for j in slots)
+            moved = terms if gather is None else \
+                {tuple(a[i] for i in gather): c for a, c in terms.items()}
+            assert period_series(image, fam).series.terms == moved
+
+
+def test_a_swap_inside_a_pair_is_not_a_symmetry():
+    # the set is also fixed by swapping inside both pairs, but that swap sends
+    # even slots to odd ones, which multiplies a term by (-1)^(k + |a| - (n+2)/2)
+    swapped = tuple((b, a, d, c) for a, b, c, d in I4)
+    fam = FamilySpec(2, 4, I4 + swapped, 4)
+    assert [slots for slots, _ in pair_symmetries(fam)] == [(0, 1, 2, 3), (2, 3, 0, 1)]
+    for beta in griffiths_basis(4, 2):
+        b0, b1, b2, b3 = beta.beta
+        terms = period_series(beta, fam).series.terms
+        image = period_series((b1, b0, b3, b2), fam).series.terms
+        # the swap exchanges monomial i of I4 with monomial i of swapped
+        assert image == {a[4:] + a[:4]: c * (-1) ** (beta.k + sum(a))
+                         for a, c in terms.items()}
+
+
+def test_beta_orbits_group_rows_by_first_occurrence():
+    fam = FamilySpec(2, 4, I4, 3)
+    betas = [BetaIndex.make(b, 4) for b in
+             ((2, 2, 0, 0), (1, 1, 1, 1), (0, 0, 2, 2), (2, 2, 0, 0), (1, 1, 1, 0, 0))]
+    swap = (2, 3, 0, 1)
+    got = [(o.beta.beta, o.rows, o.gathers) for o in beta_orbits(betas, fam)]
+    assert got == [((2, 2, 0, 0), (0, 2, 3), (None, swap, None)),
+                   ((1, 1, 1, 1), (1,), (None,)),
+                   ((1, 1, 1, 0, 0), (4,), (None,))]  # the wrong length stays alone
+    assert len(beta_orbits(griffiths_basis(4, 2), fam)) == 13
