@@ -274,24 +274,22 @@ def period_series_json(beta, family: FamilySpec) -> str:
     the kernel's integers: each term is reduced by one gcd and formatted as
     ``{"e":[...],"c":"n/d"}`` in the kernel's graded-lex order."""
     _, raw = _kernel_terms(beta, family)
-    return _series_json(family, _coefficient_texts(raw))
+    return _series_json(family, raw)
 
 
-def _coefficient_texts(raw) -> List[Tuple[Tuple[int, ...], str]]:
-    """Each kernel term ``(a, num, den)`` as ``(a, text)``, where ``text`` ends
-    the term's JSON object with its coefficient ``"n/d"`` in lowest terms."""
-    out = []
+def _series_json(family: FamilySpec, raw) -> str:
+    """The series object of the kernel terms ``raw``, one format per term."""
+    term = '{"e":[' + ",".join(["%d"] * family.nparams) + '],"c":"%d/%d"}'
+    terms = []
     for a, num, den in raw:
         g = gcd(num, den)
-        out.append((a, '],"c":"%d/%d"}' % (num // g, den // g)))
-    return out
+        terms.append(term % (*a, num // g, den // g))
+    return _series_doc(family, terms)
 
 
-def _series_json(family: FamilySpec, terms) -> str:
-    """The series object of ``_coefficient_texts`` terms, in their order."""
-    head = '{"e":[' + ",".join(["%d"] * family.nparams)
+def _series_doc(family: FamilySpec, terms: List[str]) -> str:
     return (f'{{"nvars":{family.nparams},"truncation":{family.truncation},'
-            f'"terms":[{",".join([head % a + text for a, text in terms])}]}}')
+            f'"terms":[{",".join(terms)}]}}')
 
 
 # -- one kernel run per symmetry orbit ----------------------------------------
@@ -365,22 +363,29 @@ def orbit_denominator_profiles(orbit: BetaOrbit, family: FamilySpec) -> List[Den
 def orbit_series_json(orbit: BetaOrbit, family: FamilySpec) -> List[str]:
     """``period_series_json`` of each row of ``orbit``, from one kernel run.
 
-    Each coefficient is reduced and written once.  A row under a pair symmetry
-    has the same terms with every exponent tuple gathered; that keeps the total
-    degree, so only each degree block of the kernel's graded-lex order is
-    sorted again."""
+    An orbit whose rows are all its ``beta`` (no symmetry moves it, or it is
+    listed more than once) is written once, as ``period_series_json`` writes
+    it.  Otherwise each coefficient is reduced and written once, and a row
+    under a pair symmetry has the same terms with every exponent tuple
+    gathered; that keeps the total degree, so only each degree block of the
+    kernel's graded-lex order is sorted again."""
     _, raw = _kernel_terms(orbit.beta, family)
-    terms = _coefficient_texts(raw)
+    if all(gather is None for gather in orbit.gathers):
+        return [_series_json(family, raw)] * len(orbit.rows)
+    terms = []  # (a, the end of a's JSON object, from its coefficient on)
+    for a, num, den in raw:
+        g = gcd(num, den)
+        terms.append((a, '],"c":"%d/%d"}' % (num // g, den // g)))
+    head = '{"e":[' + ",".join(["%d"] * family.nparams)
     out = []
     for gather in orbit.gathers:
-        if gather is None:
-            out.append(_series_json(family, terms))
-            continue
-        take = itemgetter(*gather)
-        moved = []
-        for _, block in itertools.groupby(terms, lambda t: sum(t[0])):
-            moved += sorted([(take(a), text) for a, text in block])
-        out.append(_series_json(family, moved))
+        moved = terms
+        if gather is not None:
+            take = itemgetter(*gather)
+            moved = []
+            for _, block in itertools.groupby(terms, lambda t: sum(t[0])):
+                moved += sorted([(take(a), text) for a, text in block])
+        out.append(_series_doc(family, [head % a + text for a, text in moved]))
     return out
 
 
