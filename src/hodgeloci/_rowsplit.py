@@ -2,17 +2,19 @@
 in orbits]`` in forked child processes, where each orbit (``periods.BetaOrbit``)
 gives the rows of one kernel run.
 
-Child ``i`` of ``workers`` computes ``orbits[i::workers]`` and pickles into its
-own pipe the first error its orbits raised, or else their rows one orbit at a
-time; the parent reads each pipe to EOF, reaps each child and puts the orbits
-back in order, so it never holds a share's bytes and its rows at once.  A row
-error is raised here as the serial run would raise it (the one of the first
-orbit); a child that dies or sends an incomplete stream is ``WorkerFailed``
-(exit 4), and a child that cannot be started is ``ResourceLimit`` (exit 3).
-Every child is reaped on every path, and each ends with ``os._exit``, so it
-flushes none of the parent's buffers.  Only ``cli._map_rows`` imports this
-module, on the split branch; the command starts no thread before it, so
-forking is safe, and the children reuse the loaded package.
+Child ``i`` of ``workers`` computes all of ``orbits[i::workers]`` and only then
+pickles their rows into its own pipe, one orbit at a time; the parent reads
+each pipe to EOF in turn, reaps each child and puts the orbits back in order,
+so it never holds a share's bytes and its rows at once.  Every input error is
+raised before this module is reached (``periods.beta_orbits`` checks each
+beta), so a row that raises here is a fault: its child prints the traceback to
+stderr and ends with status 1.  A child that fails or dies, or sends an
+incomplete stream, is ``WorkerFailed`` (exit 4), and a child that cannot be
+started is ``ResourceLimit`` (exit 3).  Every child is reaped on every path,
+and each ends with ``os._exit``, so it flushes none of the parent's buffers.
+Only ``cli._map_rows`` imports this module, on the split branch; the command
+starts no thread before it, so forking is safe, and the children reuse the
+loaded package.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import os
 import pickle
 import signal
+import sys
 
 from hodgeloci.errors import ResourceLimit, WorkerFailed
 
@@ -51,11 +54,8 @@ def split_rows(fn, orbits, fam, workers: int) -> list:
             except ProcessLookupError:
                 pass
             os.waitpid(pid, 0)
-    failures = [failure for failure, _ in shares if failure]
-    if failures:
-        raise min(failures)[1]  # orbit indices differ, so min compares only them
     rows: list = [None] * len(orbits)
-    for first, (_, share) in enumerate(shares):
+    for first, share in enumerate(shares):
         rows[first::workers] = share
     return rows
 
@@ -80,45 +80,25 @@ def _fork_rows(fn, orbits, fam, first: int, workers: int):
     try:
         os.close(r)
         with open(w, "wb") as fh:
-            rows, failure = [], None
-            for index in range(first, len(orbits), workers):
-                try:
-                    rows.append(fn(orbits[index], fam))
-                except Exception as exc:  # sent to the parent, which raises it
-                    failure = (index, _sendable(exc))
-                    break
-            pickle.dump(failure, fh, pickle.HIGHEST_PROTOCOL)
-            for row in [] if failure else rows:
+            # every row before the first write: the parent drains one pipe at a time
+            rows = [fn(orbits[index], fam) for index in range(first, len(orbits), workers)]
+            for row in rows:
                 pickle.dump(row, fh, pickle.HIGHEST_PROTOCOL)
         status = 0
+    except Exception:  # a fault: the parent reports the exit status as WorkerFailed
+        import traceback
+
+        sys.stderr.write(traceback.format_exc())  # one write: siblings' do not interleave
+        sys.stderr.flush()
     finally:
         os._exit(status)
 
 
 def _read_share(fh, count: int):
-    """``(failure, rows)`` from a row worker's pipe, read to EOF: ``failure`` is
-    ``None`` or ``(orbit index, exception)``.  ``None`` if the stream is cut short."""
+    """The rows of ``count`` orbits from a row worker's pipe, read to EOF;
+    ``None`` if the stream is cut short or runs on."""
     try:
-        failure = pickle.load(fh)
-        rows = [] if failure else [pickle.load(fh) for _ in range(count)]
+        rows = [pickle.load(fh) for _ in range(count)]
     except (EOFError, pickle.UnpicklingError):
         return None
-    return None if fh.read() else (failure, rows)
-
-
-def _sendable(exc: Exception) -> Exception:
-    """``exc`` if it comes back from pickling as itself; otherwise a stand-in that
-    ``main`` maps to the same exit code, with the same message on exits 2 and 3."""
-    from hodgeloci.cli import _INVALID_INPUT
-
-    try:
-        back = pickle.loads(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
-        if type(back) is type(exc) and str(back) == str(exc):
-            return exc
-    except Exception:  # any failure to pickle or unpickle means a stand-in
-        pass
-    if isinstance(exc, ResourceLimit):
-        return ResourceLimit(str(exc))
-    if isinstance(exc, _INVALID_INPUT):
-        return ValueError(str(exc))
-    return WorkerFailed(f"a row raised {type(exc).__name__}: {exc}")
+    return None if fh.read() else rows

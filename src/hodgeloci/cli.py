@@ -47,13 +47,24 @@ def _config_int(value, field: str) -> int:
     return value
 
 
+def _config_array(value, field: str, of: str = "integers") -> Sequence:
+    """A config array of ``of``, which must be a JSON array (or a tuple, from a
+    caller that builds the config): anything else is rejected with the field's
+    name rather than failing on iteration."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f'config field "{field}": expected a JSON array of {of}, '
+                         f'got {json.dumps(value)}')
+    return value
+
+
 def family_from_config(cfg: Mapping) -> periods.FamilySpec:
     from hodgeloci import periods
 
     try:
         return periods.FamilySpec(
             n=_config_int(cfg["n"], "n"), d=_config_int(cfg["d"], "d"),
-            monomials=tuple(tuple(_config_int(x, "I") for x in a) for a in cfg["I"]),
+            monomials=tuple(tuple(_config_int(x, "I") for x in _config_array(a, "I"))
+                            for a in _config_array(cfg["I"], "I", "exponent vectors")),
             truncation=_config_int(cfg["truncation"], "truncation"))
     except KeyError as exc:
         raise ValueError(f"config is missing field {exc.args[0]!r}") from None
@@ -67,7 +78,8 @@ def betas_from_config(cfg: Mapping, fam: periods.FamilySpec) -> List[periods.Bet
         return periods.griffiths_basis(fam.d, fam.n)
     if not isinstance(beta, list):
         raise ValueError('config field "beta" must be "griffiths" or a list of exponent vectors')
-    return [periods.BetaIndex.make(tuple(_config_int(x, "beta") for x in b), fam.d)
+    return [periods.BetaIndex.make([_config_int(x, "beta") for x in _config_array(b, "beta")],
+                                   fam.d)
             for b in beta]
 
 
@@ -156,8 +168,10 @@ def _map_rows(fn, betas: Sequence[periods.BetaIndex], fam: periods.FamilySpec) -
     orbits are split over one forked child process per CPU this process may
     run on (``_rowsplit.split_rows``) when there are at least two of each and
     their kernel runs enumerate at least ``_POOL_TUPLES`` tuples; otherwise
-    they are computed in this process.  The output is the same either way, and
-    so is the exception a failing row raises.
+    they are computed in this process.  The output is the same either way.
+    Every input error, such as a beta of the wrong length, is raised by
+    ``beta_orbits`` before any row runs or any child starts; a row that raises
+    in a child is ``WorkerFailed`` (exit 4), as any fault of a serial run is.
     """
     from hodgeloci import periods
 

@@ -37,7 +37,8 @@ class ResourceLimit(RuntimeError):
 
 
 class WorkerFailed(RuntimeError):
-    """A row worker process died, or could not send back what its rows raised."""
+    """A row worker process raised, died or ended before sending all its rows:
+    a fault, since every input error is raised before any worker starts."""
 
 
 class InternalCheckFailed(RuntimeError):

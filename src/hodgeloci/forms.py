@@ -8,7 +8,6 @@ Two-form components are stored on ordered index pairs i < j only.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from hodgeloci._value import Value
@@ -285,16 +284,6 @@ def scaled_sum(ctx: PolyContext, pairs) -> OneForm:
         term = w.scale(f)
         acc = term if acc is None else acc + term
     return acc if acc is not None else OneForm.zero(ctx, like=zero)
-
-
-def pairing_eval(w: OneForm, v: Sequence, t: Sequence) -> Fraction:
-    """Evaluate the bilinear pairing of a 1-form with a tangent vector at t."""
-    if len(v) != w.ctx.nvars or len(t) != w.ctx.nvars:
-        raise ValueError("vector/point length does not match context")
-    total = Fraction(0)
-    for c, vi in zip(w.comps, v):
-        total += c.eval_exact(t) * Fraction(vi)
-    return total
 
 
 # -- matrices of 1-forms ---------------------------------------------------------

@@ -52,10 +52,6 @@ class HodgeBlocks(Value):
     def total(self) -> int:
         return sum(self.sizes)
 
-    def upper_sum(self, i: int) -> int:
-        """Partial sum of block sizes from position 0 through m - i."""
-        return sum(self.sizes[: self.m - i + 1])
-
     @property
     def zero_rows(self) -> int:
         """Rows of the period column forced to zero (positions 0..m/2-1)."""

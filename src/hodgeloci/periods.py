@@ -21,14 +21,6 @@ pass the pair condition and returns integer (numerator, denominator) pairs
 already in graded-lexicographic order, so the engine adds no sort and no
 re-validation on top of it.
 
-Two paths read those integers directly, with no ``Fraction`` and no
-``SparseSeries`` in between: ``period_denominator_profile`` (one row of the
-``denominators`` table) and ``period_series_json`` (one series object of the
-``periods`` document).  ``SparseSeries.to_doc`` defines the canonical format;
-``period_series_json`` writes the same bytes as ``to_json`` of
-``period_series``, and the tests hold the two paths equal.  Both take one
-basis element and the family, and keep no state between calls.
-
 The two tables run the kernel once per symmetry orbit of their rows.  Let
 sigma permute the coordinate pairs (slot 2e -> 2pi(e), slot 2e+1 ->
 2pi(e)+1) and map the monomial set I onto itself, inducing tau on the
@@ -40,11 +32,18 @@ exactly: the series of sigma beta is the series of beta with its exponent
 tuples permuted, and its denominator profile is the same.  Swaps inside a
 pair are left out: they exchange even and odd slots, and swapping inside
 every pair multiplies a term by (-1)^{k+|a|-(n+2)/2}.  ``beta_orbits`` groups
-a table's rows (duplicates included) into orbits, and
-``orbit_denominator_profiles`` and ``orbit_series_json`` give every row of
-one orbit from one kernel run, equal to the per-row paths above.  The orbits
-are independent, so the command line computes those of a large table in
-forked child processes (``cli._map_rows``), which pickle back only the rows.
+a table's rows (duplicates included) into orbits, and rejects a beta of the
+wrong length, so that every input error is raised before any row runs.
+
+``orbit_denominator_profiles`` (the ``denominators`` table) and
+``orbit_series_json`` (the series objects of the ``periods`` document) give
+every row of one orbit from one kernel run, and read the kernel's integers
+directly, with no ``Fraction`` and no ``SparseSeries`` in between.  They
+equal ``denominator_profile(period_series(...))`` and
+``period_series(...).series.to_json()`` row by row, and the tests hold them
+equal; ``SparseSeries.to_doc`` defines the canonical format.  The orbits are
+independent, so the command line computes those of a large table in forked
+child processes (``cli._map_rows``), which pickle back only the rows.
 """
 
 from __future__ import annotations
@@ -252,13 +251,6 @@ def period_series(beta, family: FamilySpec) -> PeriodSeries:
                         normalization_text(family.n, family.d, beta.k))
 
 
-def period_denominator_profile(beta, family: FamilySpec) -> DenominatorProfile:
-    """``denominator_profile(period_series(beta, family))``, taken straight from
-    the kernel's integers without building Fractions or a series."""
-    _, raw = _kernel_terms(beta, family)
-    return _factor_lcm(_denominator_lcm(raw), _TRIAL_BOUND)
-
-
 def _denominator_lcm(raw) -> int:
     """``lcm(*(den // gcd(num, den) for _, num, den in raw))``: a term whose
     reduced denominator already divides the running lcm costs no gcd."""
@@ -267,24 +259,6 @@ def _denominator_lcm(raw) -> int:
         if num * total % den:
             total = lcm(total, den // gcd(num, den))
     return total
-
-
-def period_series_json(beta, family: FamilySpec) -> str:
-    """``period_series(beta, family).series.to_json()``, written straight from
-    the kernel's integers: each term is reduced by one gcd and formatted as
-    ``{"e":[...],"c":"n/d"}`` in the kernel's graded-lex order."""
-    _, raw = _kernel_terms(beta, family)
-    return _series_json(family, raw)
-
-
-def _series_json(family: FamilySpec, raw) -> str:
-    """The series object of the kernel terms ``raw``, one format per term."""
-    term = '{"e":[' + ",".join(["%d"] * family.nparams) + '],"c":"%d/%d"}'
-    terms = []
-    for a, num, den in raw:
-        g = gcd(num, den)
-        terms.append(term % (*a, num // g, den // g))
-    return _series_doc(family, terms)
 
 
 def _series_doc(family: FamilySpec, terms: List[str]) -> str:
@@ -333,50 +307,59 @@ class BetaOrbit(Value):
 def beta_orbits(betas: Sequence[BetaIndex], family: FamilySpec) -> List[BetaOrbit]:
     """The rows of ``betas`` grouped into orbits of the family's pair
     symmetries, ordered by their first row, which is each orbit's ``beta``.
-    A beta of the wrong length is an orbit of its own, so its row raises the
-    error it raises alone."""
-    symmetries = pair_symmetries(family)
+    Raises ``ValueError`` for the first beta that does not have ``n + 2``
+    entries, before any kernel run."""
     nv = family.n + 2
+    for b in betas:
+        if len(b.beta) != nv:
+            raise ValueError(f"beta {b.beta} does not have {nv} entries")
+    symmetries = pair_symmetries(family)
     orbits = []  # [beta, rows, gathers] of each orbit
     images = {}  # sigma(beta) of each orbit's beta -> (that orbit, sigma's gather)
     for row, b in enumerate(betas):
-        if len(b.beta) == nv and b.beta in images:
+        if b.beta in images:
             orbit, gather = images[b.beta]
             orbit[1].append(row)
             orbit[2].append(gather)
             continue
         orbit = [b, [row], [None]]
         orbits.append(orbit)
-        if len(b.beta) == nv:
-            for slots, gather in symmetries:
-                images.setdefault(tuple(b.beta[j] for j in slots), (orbit, gather))
+        for slots, gather in symmetries:
+            images.setdefault(tuple(b.beta[j] for j in slots), (orbit, gather))
     return [BetaOrbit(b, tuple(rows), tuple(gathers)) for b, rows, gathers in orbits]
 
 
 def orbit_denominator_profiles(orbit: BetaOrbit, family: FamilySpec) -> List[DenominatorProfile]:
-    """``period_denominator_profile`` of each row of ``orbit``, from one kernel
-    run: a pair symmetry keeps every coefficient, so the rows share a profile."""
+    """``denominator_profile(period_series(beta, family))`` of each row of
+    ``orbit``, from one kernel run and without building Fractions or a series:
+    a pair symmetry keeps every coefficient, so the rows share a profile."""
     _, raw = _kernel_terms(orbit.beta, family)
     return [_factor_lcm(_denominator_lcm(raw), _TRIAL_BOUND)] * len(orbit.rows)
 
 
 def orbit_series_json(orbit: BetaOrbit, family: FamilySpec) -> List[str]:
-    """``period_series_json`` of each row of ``orbit``, from one kernel run.
+    """``period_series(beta, family).series.to_json()`` of each row of
+    ``orbit``, from one kernel run: each term is reduced by one gcd and
+    formatted as ``{"e":[...],"c":"n/d"}``.
 
     An orbit whose rows are all its ``beta`` (no symmetry moves it, or it is
-    listed more than once) is written once, as ``period_series_json`` writes
-    it.  Otherwise each coefficient is reduced and written once, and a row
-    under a pair symmetry has the same terms with every exponent tuple
-    gathered; that keeps the total degree, so only each degree block of the
-    kernel's graded-lex order is sorted again."""
+    listed more than once) is written once, one format per term, in the
+    kernel's graded-lex order.  Otherwise a row under a pair symmetry has the
+    same terms with every exponent tuple gathered; that keeps the total
+    degree, so only each degree block of the kernel's order is sorted again."""
     _, raw = _kernel_terms(orbit.beta, family)
+    head = '{"e":[' + ",".join(["%d"] * family.nparams)
     if all(gather is None for gather in orbit.gathers):
-        return [_series_json(family, raw)] * len(orbit.rows)
+        term = head + '],"c":"%d/%d"}'
+        texts = []
+        for a, num, den in raw:
+            g = gcd(num, den)
+            texts.append(term % (*a, num // g, den // g))
+        return [_series_doc(family, texts)] * len(orbit.rows)
     terms = []  # (a, the end of a's JSON object, from its coefficient on)
     for a, num, den in raw:
         g = gcd(num, den)
         terms.append((a, '],"c":"%d/%d"}' % (num // g, den // g)))
-    head = '{"e":[' + ",".join(["%d"] * family.nparams)
     out = []
     for gather in orbit.gathers:
         moved = terms

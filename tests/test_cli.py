@@ -61,27 +61,11 @@ def kill_in_worker(orbit, fam):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-class RowRejected(ValueError):
-    """Invalid input whose two-argument constructor does not survive unpickling."""
-
-    def __init__(self, beta, why):
-        super().__init__(f"row {beta}: {why}")
-
-
-class RowBroke(RuntimeError):
-    """An internal failure that holds an object pickle refuses."""
-
-    def __init__(self, why):
-        super().__init__(why)
-        self.hook = lambda: None
-
-
-def rejected_row(orbit, fam):
-    raise RowRejected(orbit.beta.beta, "rejected")
-
-
-def broken_row(orbit, fam):
-    raise RowBroke("broken")
+def raise_in_worker(orbit, fam):
+    """An orbit's row function that raises in its worker process."""
+    if os.getpid() == TEST_PID:
+        raise AssertionError("the row ran in the test process, not in a worker")
+    raise RuntimeError("the row fails")
 
 
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -116,10 +100,9 @@ def assert_no_child_left():
 WORKER_FAILURES = {
     "killed": (4, f"error: internal: WorkerFailed: row worker 1 of {TOY_WORKERS} ended with "
                   "signal 9 (SIGKILL) before sending all its rows\n"),
-    # main prints an invalid input's message alone, so the stand-in reads the same
-    "unpicklable_input_error": (2, "error: row (0, 0, 0, 0): rejected\n"),
-    "unpicklable_internal_error": (4, "error: internal: WorkerFailed: a row raised RowBroke: "
-                                      "broken\n"),
+    # every child prints its row's traceback to stderr and ends with status 1
+    "row_raises": (4, f"error: internal: WorkerFailed: row worker 1 of {TOY_WORKERS} ended with "
+                      "exit status 1 before sending all its rows\n"),
     "parent_raises": (4, "error: internal: RuntimeError: the parent fails\n"),
     "pipe_fails": (3, f"error: cannot start a row worker: {os.strerror(errno.EAGAIN)}\n"),
     "second_fork_fails": (3, f"error: cannot start a row worker: {os.strerror(errno.EAGAIN)}\n"),
@@ -246,6 +229,12 @@ class TestExitCodes:
          'error: config field "I": expected a JSON integer, got 3.0'),
         (["periods", "--config", "{string_beta}"], 2,
          'error: config field "beta": expected a JSON integer, got "1"'),
+        (["periods", "--config", "{int_beta}"], 2,
+         'error: config field "beta": expected a JSON array of integers, got 5'),
+        (["denominators", "--config", "{int_monomial}"], 2,
+         'error: config field "I": expected a JSON array of integers, got 4'),
+        (["denominators", "--config", "{null_monomials}"], 2,
+         'error: config field "I": expected a JSON array of exponent vectors, got null'),
     ])
     def test_exit_code_and_stderr_prefix(self, capsys, monkeypatch, tmp_path, argv, code,
                                          prefix):
@@ -256,7 +245,10 @@ class TestExitCodes:
                  "huge_truncation": json.dumps(TOY_CONFIG).replace('"truncation": 4',
                                                                    '"truncation": 1e400'),
                  "float_monomial": json.dumps(dict(TOY_CONFIG, I=[[1, 3.0, 0, 0]])),
-                 "string_beta": json.dumps(dict(TOY_CONFIG, beta=[[1, 1, 1, "1"]]))}
+                 "string_beta": json.dumps(dict(TOY_CONFIG, beta=[[1, 1, 1, "1"]])),
+                 "int_beta": json.dumps(dict(TOY_CONFIG, beta=[5])),
+                 "int_monomial": json.dumps(dict(TOY_CONFIG, I=[4])),
+                 "null_monomials": json.dumps(dict(TOY_CONFIG, I=None))}
         for name, text in files.items():
             (tmp_path / f"{name}.json").write_text(text)
         argv = [a.format(missing=tmp_path / "missing" / "x", dir=tmp_path,
@@ -286,19 +278,17 @@ class TestExitCodes:
         assert err.startswith(("error: internal: ModuleNotFoundError: ",
                                "error: internal: ImportError: "))
 
-    @needs_two_cpus
     @pytest.mark.parametrize("command", ["denominators", "periods"])
     def test_invalid_row_in_a_worker_is_exit_two(self, capsys, monkeypatch, forks, tmp_path,
                                                  command):
-        # BetaIndex.make accepts the 5-entry beta; the row function rejects it
+        # BetaIndex.make accepts the 5-entry beta; beta_orbits rejects it before
+        # any row runs, so even a forced split of the two rows starts no child
         path = tmp_path / "family.json"
         path.write_text(json.dumps(dict(TOY_CONFIG, beta=[[0, 0, 0, 0], [1, 1, 1, 0, 0]])))
-        serial = run(capsys, command, "--config", str(path))
-        assert serial == (2, "", "error: beta (1, 1, 1, 0, 0) does not have 4 entries\n")
         monkeypatch.setattr(cli, "_POOL_TUPLES", 0)
-        assert run(capsys, command, "--config", str(path)) == serial
-        assert len(forks) == 2
-        assert_no_child_left()
+        assert run(capsys, command, "--config", str(path)) == \
+            (2, "", "error: beta (1, 1, 1, 0, 0) does not have 4 entries\n")
+        assert forks == []
 
     @needs_two_cpus
     def test_dead_worker_is_exit_four(self, capsys, forks, monkeypatch, toy_config):
@@ -313,7 +303,7 @@ class TestExitCodes:
 
     @needs_two_cpus
     @pytest.mark.parametrize("case", list(WORKER_FAILURES))
-    def test_failing_worker_exit_code(self, capsys, forks, monkeypatch, toy_config, case):
+    def test_failing_worker_exit_code(self, capfd, forks, monkeypatch, toy_config, case):
         code, prefix = WORKER_FAILURES[case]
 
         def eagain(*args):
@@ -329,20 +319,23 @@ class TestExitCodes:
                 eagain()
             return recording_fork()
 
-        rows = {"killed": kill_in_worker, "unpicklable_input_error": rejected_row,
-                "unpicklable_internal_error": broken_row}
+        rows = {"killed": kill_in_worker, "row_raises": raise_in_worker}
         if case in rows:
             monkeypatch.setattr(periods, "orbit_denominator_profiles", rows[case])
-        if case == "unpicklable_input_error":  # the serial run says the same
-            assert run(capsys, "denominators", "--config", toy_config) == (2, "", prefix)
         monkeypatch.setattr(cli, "_POOL_TUPLES", 0)
         patches = {"parent_raises": (pickle, "load", parent_fails),
                    "pipe_fails": (os, "pipe", eagain),
                    "second_fork_fails": (os, "fork", fork_only_once)}
         if case in patches:
             monkeypatch.setattr(*patches[case])
-        got, out, err = run(capsys, "denominators", "--config", toy_config)
-        assert got == code and out == "" and err.startswith(prefix)
+        got, out, err = run(capfd, "denominators", "--config", toy_config)
+        children, found, _ = err.partition(prefix)
+        assert got == code and out == "" and found
+        if case == "row_raises":  # the children's tracebacks reach fd 2 before main's report
+            assert "Traceback (most recent call last):" in children
+            assert "RuntimeError: the row fails\n" in children
+        else:
+            assert children == ""
         assert len(forks) == {"pipe_fails": 0, "second_fork_fails": 1}.get(case, TOY_WORKERS)
         assert_no_child_left()
 
@@ -428,9 +421,9 @@ def test_orbit_rows_equal_the_per_row_functions(monkeypatch, forks, name, split)
     if split:
         monkeypatch.setattr(cli, "_POOL_TUPLES", 0)
     assert cli._map_rows(periods.orbit_denominator_profiles, betas, fam) == \
-        [periods.period_denominator_profile(b, fam) for b in betas]
+        [periods.denominator_profile(period_series(b, fam)) for b in betas]
     assert cli._map_rows(periods.orbit_series_json, betas, fam) == \
-        [periods.period_series_json(b, fam) for b in betas]
+        [period_series(b, fam).series.to_json() for b in betas]
     # two tables, each split over min(CPUs, orbits) children
     assert len(forks) == (2 * min(CPUS, orbits) if split and min(CPUS, orbits) >= 2 else 0)
     assert_no_child_left()

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from hodgeloci.forms import (FormMatrix, OneForm, PolyContext, TwoForm, VectorField,
-                             d_oneform, d_poly, integrability_check, pairing_eval,
-                             poly_mat_d, poly_mat_identity, poly_mat_mul,
-                             unipotent_inverse, wedge, wedge_matvec)
+                             d_oneform, d_poly, integrability_check, poly_mat_d,
+                             poly_mat_identity, poly_mat_mul, unipotent_inverse, wedge,
+                             wedge_matvec)
 from hodgeloci.modp import ModPoly
 from hodgeloci.series import SparseSeries
 
@@ -109,20 +109,6 @@ class TestIntegrability:
         assert integrability_check(FormMatrix(CTX, trunc_rows))
         bad = FormMatrix(CTX, [[OneForm(CTX, (CTX.zero(), X.truncate(4)))]])
         assert not integrability_check(bad)
-
-
-class TestPairing:
-    def test_vanishing_coefficients_at_origin(self):
-        w = OneForm(CTX, (Y, X))
-        assert pairing_eval(w, (3, 4), (0, 0)) == 0
-
-    def test_constant_form(self):
-        w = OneForm(CTX, (CTX.one(), CTX.zero()))
-        assert pairing_eval(w, (1, 0), (5, 7)) == 1
-
-    def test_linear_form(self):
-        w = OneForm(CTX, (CTX.zero(), X))  # x dy
-        assert pairing_eval(w, (0, 1), (2, 3)) == 2
 
 
 def test_laurent_context_derivative():

@@ -30,9 +30,6 @@ class TestHodgeBlocks:
     def test_partial_sums(self):
         blocks = HodgeBlocks(2, (1, 2, 1))
         assert blocks.total == 4
-        assert blocks.upper_sum(2) == 1  # top block only
-        assert blocks.upper_sum(1) == 3
-        assert blocks.upper_sum(0) == 4
         assert blocks.zero_rows == 1
         assert blocks.x_count == 3
 

@@ -11,15 +11,27 @@ from hypothesis import example, given, settings
 
 from conftest import families
 from hodgeloci import _coeff_kernel_py
-from hodgeloci.periods import (FamilySpec, _denominator_lcm, beta_orbits, denominator_profile,
-                               griffiths_basis, orbit_denominator_profiles, orbit_series_json,
-                               period_coefficient, period_denominator_profile,
-                               period_series, period_series_json, quartic_full_monomials)
+from hodgeloci.periods import (BetaIndex, FamilySpec, _denominator_lcm, beta_orbits,
+                               denominator_profile, griffiths_basis, orbit_denominator_profiles,
+                               orbit_series_json, period_coefficient, period_series,
+                               quartic_full_monomials)
 from hodgeloci.series import SparseSeries, grlex_key
 
 
 def simplex(m, trunc):
     return [a for a in product(range(trunc + 1), repeat=m) if sum(a) <= trunc]
+
+
+def table_rows(fn, betas, fam):
+    """One row per beta from the orbit function ``fn``, each orbit's rows put
+    back where ``beta_orbits`` says they go."""
+    rows = [None] * len(betas)
+    for orbit in beta_orbits(betas, fam):
+        assert orbit.beta == betas[orbit.rows[0]]
+        for row, value in zip(orbit.rows, fn(orbit, fam), strict=True):
+            assert rows[row] is None
+            rows[row] = value
+    return rows
 
 
 QUARTIC_MONOMIALS = ((1, 3, 0, 0), (0, 1, 3, 0), (0, 0, 1, 3), (3, 0, 0, 1))
@@ -61,16 +73,17 @@ def test_trusted_series_equals_validated_construction(fam):
 @settings(max_examples=40, deadline=None)
 @given(families())
 def test_integer_denominator_path_matches_series_profile(fam):
-    for beta in griffiths_basis(fam.d, fam.n):
-        assert period_denominator_profile(beta, fam) == \
-            denominator_profile(period_series(beta, fam))
+    basis = griffiths_basis(fam.d, fam.n)
+    assert table_rows(orbit_denominator_profiles, basis, fam) == \
+        [denominator_profile(period_series(beta, fam)) for beta in basis]
 
 
 @settings(max_examples=100, deadline=None)
 @given(families())
 def test_series_writer_matches_to_json(fam):
-    for beta in griffiths_basis(fam.d, fam.n):
-        assert period_series_json(beta, fam) == period_series(beta, fam).series.to_json()
+    basis = griffiths_basis(fam.d, fam.n)
+    assert table_rows(orbit_series_json, basis, fam) == \
+        [period_series(beta, fam).series.to_json() for beta in basis]
 
 
 @pytest.mark.parametrize("truncation", [4, 12])
@@ -93,20 +106,15 @@ def test_orbit_rows_equal_the_per_row_functions(data):
     fam = data.draw(families())
     basis = griffiths_basis(fam.d, fam.n)
     betas = data.draw(st.lists(st.sampled_from(basis), max_size=6))
-    profiles, series = [None] * len(betas), [None] * len(betas)
-    for orbit in beta_orbits(betas, fam):
-        assert orbit.beta == betas[orbit.rows[0]]
-        for row, prof, text in zip(orbit.rows, orbit_denominator_profiles(orbit, fam),
-                                   orbit_series_json(orbit, fam), strict=True):
-            assert series[row] is None
-            profiles[row], series[row] = prof, text
-    assert profiles == [period_denominator_profile(b, fam) for b in betas]
-    assert series == [period_series_json(b, fam) for b in betas]
+    assert table_rows(orbit_denominator_profiles, betas, fam) == \
+        [denominator_profile(period_series(b, fam)) for b in betas]
+    assert table_rows(orbit_series_json, betas, fam) == \
+        [period_series(b, fam).series.to_json() for b in betas]
 
 
 def test_series_writer_writes_an_empty_series():
     fam = FamilySpec(2, 4, (), 3)  # beta 0 fails the pair test, and no monomial moves it
-    written = period_series_json((0, 0, 0, 0), fam)
+    [written] = table_rows(orbit_series_json, [BetaIndex.make((0, 0, 0, 0), 4)], fam)
     assert written == '{"nvars":0,"truncation":3,"terms":[]}'
     assert written == period_series((0, 0, 0, 0), fam).series.to_json()
 

@@ -374,10 +374,17 @@ def test_a_swap_inside_a_pair_is_not_a_symmetry():
 def test_beta_orbits_group_rows_by_first_occurrence():
     fam = FamilySpec(2, 4, I4, 3)
     betas = [BetaIndex.make(b, 4) for b in
-             ((2, 2, 0, 0), (1, 1, 1, 1), (0, 0, 2, 2), (2, 2, 0, 0), (1, 1, 1, 0, 0))]
+             ((2, 2, 0, 0), (1, 1, 1, 1), (0, 0, 2, 2), (2, 2, 0, 0))]
     swap = (2, 3, 0, 1)
     got = [(o.beta.beta, o.rows, o.gathers) for o in beta_orbits(betas, fam)]
     assert got == [((2, 2, 0, 0), (0, 2, 3), (None, swap, None)),
-                   ((1, 1, 1, 1), (1,), (None,)),
-                   ((1, 1, 1, 0, 0), (4,), (None,))]  # the wrong length stays alone
+                   ((1, 1, 1, 1), (1,), (None,))]
     assert len(beta_orbits(griffiths_basis(4, 2), fam)) == 13
+
+
+def test_beta_orbits_reject_the_first_wrong_length_beta():
+    # both wrong lengths have an integral pole order, so BetaIndex.make accepts them
+    fam = FamilySpec(2, 4, I4, 3)
+    betas = [BetaIndex.make(b, 4) for b in ((0, 0, 0, 0), (1, 1, 1, 0, 0), (1,) * 8)]
+    with pytest.raises(ValueError, match=r"^beta \(1, 1, 1, 0, 0\) does not have 4 entries$"):
+        beta_orbits(betas, fam)
