@@ -61,11 +61,34 @@ def kill_in_worker(orbit, fam):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-def raise_in_worker(orbit, fam):
-    """An orbit's row function that raises in its worker process."""
+class RowRejected(ValueError):
+    """Invalid input whose two-argument constructor does not survive unpickling."""
+
+    def __init__(self, beta, why):
+        super().__init__(f"row {beta}: {why}")
+
+
+class RowBroke(RuntimeError):
+    """An internal failure that holds an object pickle refuses."""
+
+    def __init__(self, why):
+        super().__init__(why)
+        self.hook = lambda: None
+
+
+def _in_worker():
     if os.getpid() == TEST_PID:
         raise AssertionError("the row ran in the test process, not in a worker")
-    raise RuntimeError("the row fails")
+
+
+def rejected_row(orbit, fam):
+    _in_worker()
+    raise RowRejected(orbit.beta.beta, "rejected")
+
+
+def broken_row(orbit, fam):
+    _in_worker()
+    raise RowBroke("broken")
 
 
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -100,9 +123,14 @@ def assert_no_child_left():
 WORKER_FAILURES = {
     "killed": (4, f"error: internal: WorkerFailed: row worker 1 of {TOY_WORKERS} ended with "
                   "signal 9 (SIGKILL) before sending all its rows\n"),
-    # every child prints its row's traceback to stderr and ends with status 1
-    "row_raises": (4, f"error: internal: WorkerFailed: row worker 1 of {TOY_WORKERS} ended with "
-                      "exit status 1 before sending all its rows\n"),
+    # a row that raises is a fault whatever its exception: nothing is pickled back, every
+    # child prints its row's traceback to stderr and ends with status 1
+    "unpicklable_input_error": (4, f"error: internal: WorkerFailed: row worker 1 of "
+                                   f"{TOY_WORKERS} ended with exit status 1 before sending all "
+                                   "its rows\n"),
+    "unpicklable_internal_error": (4, f"error: internal: WorkerFailed: row worker 1 of "
+                                      f"{TOY_WORKERS} ended with exit status 1 before sending "
+                                      "all its rows\n"),
     "parent_raises": (4, "error: internal: RuntimeError: the parent fails\n"),
     "pipe_fails": (3, f"error: cannot start a row worker: {os.strerror(errno.EAGAIN)}\n"),
     "second_fork_fails": (3, f"error: cannot start a row worker: {os.strerror(errno.EAGAIN)}\n"),
@@ -319,7 +347,10 @@ class TestExitCodes:
                 eagain()
             return recording_fork()
 
-        rows = {"killed": kill_in_worker, "row_raises": raise_in_worker}
+        rows = {"killed": kill_in_worker, "unpicklable_input_error": rejected_row,
+                "unpicklable_internal_error": broken_row}
+        raised = {"unpicklable_input_error": "RowRejected: row (0, 0, 0, 0): rejected\n",
+                  "unpicklable_internal_error": "RowBroke: broken\n"}
         if case in rows:
             monkeypatch.setattr(periods, "orbit_denominator_profiles", rows[case])
         monkeypatch.setattr(cli, "_POOL_TUPLES", 0)
@@ -331,9 +362,9 @@ class TestExitCodes:
         got, out, err = run(capfd, "denominators", "--config", toy_config)
         children, found, _ = err.partition(prefix)
         assert got == code and out == "" and found
-        if case == "row_raises":  # the children's tracebacks reach fd 2 before main's report
+        if case in raised:  # the children's tracebacks reach fd 2 before main's report
             assert "Traceback (most recent call last):" in children
-            assert "RuntimeError: the row fails\n" in children
+            assert raised[case] in children
         else:
             assert children == ""
         assert len(forks) == {"pipe_fails": 0, "second_fork_fails": 1}.get(case, TOY_WORKERS)
