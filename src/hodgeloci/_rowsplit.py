@@ -12,7 +12,7 @@ stderr and ends with status 1.  A child that fails or dies, or sends an
 incomplete stream, is ``WorkerFailed`` (exit 4), and a child that cannot be
 started is ``ResourceLimit`` (exit 3).  Every child is reaped on every path,
 and each ends with ``os._exit``, so it flushes none of the parent's buffers.
-Only ``cli._map_rows`` imports this module, on the split branch; the command
+Only ``periods._map_rows`` imports this module, on the split branch; the command
 starts no thread before it, so forking is safe, and the children reuse the
 loaded package.
 """

@@ -11,6 +11,8 @@ negative exponents are allowed only on Laurent-flagged variables.  Parsing
 produces a term map ``{(basis, exponents): coefficient}`` with merged, nonzero
 coefficients, where ``basis`` is None or ``('d'|'D', variable index)``;
 printing a term map and parsing the text again reproduces the same map.
+``parse_context`` and ``parse_form_matrix`` read the variables and the matrix
+files of the command line.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from hodgeloci.errors import ParseError
-from hodgeloci.forms import OneForm, PolyContext, VectorField
+from hodgeloci.forms import FormMatrix, OneForm, PolyContext, VectorField
 from hodgeloci.series import SparseSeries, grlex_key
 
 # basis symbol ('d'|'D', variable index) or None, and exponent vector
@@ -267,3 +269,29 @@ def oneform_to_expr(w: OneForm) -> str:
 
 def field_to_expr(v: VectorField) -> str:
     return _components_expr(v)
+
+
+def parse_context(names: str, laurent: Optional[str] = None) -> PolyContext:
+    """The context of comma-separated variable ``names``, of which the
+    comma-separated ``laurent`` ones admit negative exponents."""
+    names = tuple(n for n in names.split(",") if n)
+    laurent_names = {n for n in laurent.split(",") if n} if laurent else set()
+    unknown = laurent_names - set(names)
+    if unknown:
+        raise ValueError(f"laurent flag for unknown variable(s) {sorted(unknown)}")
+    return PolyContext(names, tuple(n in laurent_names for n in names))
+
+
+def parse_form_matrix(doc, ctx: PolyContext) -> FormMatrix:
+    """A matrix of 1-forms from a JSON document: an array of arrays of 1-form
+    expression strings."""
+    if not isinstance(doc, list) or not all(isinstance(r, list) for r in doc):
+        raise ValueError("matrix file must be a JSON array of arrays of 1-form expressions")
+    for i, row in enumerate(doc):
+        for j, e in enumerate(row):
+            if not isinstance(e, str):
+                import json
+
+                raise ValueError(f"matrix entry [{i}][{j}] is not a 1-form expression "
+                                 f"string: {json.dumps(e)}")
+    return FormMatrix(ctx, [[parse_oneform(e, ctx) for e in row] for row in doc])

@@ -13,7 +13,9 @@ generates the foliation carrying the constant-period loci as leaves.  S and
 S^{-1} are the identity but for the x column, so A is formed from B with
 that column replaced by B*x - dx, without matrix products.
 ``block_foliation_forms`` emits rows of dx - B*x, the ones that the span
-identity S * (A*C) = -(dx - B*x) checks.
+identity S * (A*C) = -(dx - B*x) checks.  ``solve_linear_document`` and
+``gm_document`` write the JSON output of the ``solve-linear`` and ``gm``
+commands.
 """
 
 from __future__ import annotations
@@ -227,6 +229,16 @@ def gm_assemble(b: FormMatrix, blocks: HodgeBlocks) -> GMAssembly:
                       tuple(c_col), a, forms, x_names)
 
 
+def solve_linear_document(b: FormMatrix, order: int) -> str:
+    """The ``solve-linear`` document: the order and the rows of the truncated
+    fundamental matrix Y, each entry a series document."""
+    import json
+
+    y = linear_solve_series(b, order)
+    doc = {"order": order, "Y": [[s.to_doc() for s in row] for row in y]}
+    return json.dumps(doc, separators=(",", ":")) + "\n"
+
+
 # -- block equations -----------------------------------------------------------------
 
 
@@ -287,3 +299,28 @@ def block_foliation_forms(b: FormMatrix, blocks: HodgeBlocks) -> BlockFoliation:
                 f"assembled foliation does not match the block equations in row {r}")
     ivhs = _block_of(b, blocks, half - 1, half)
     return BlockFoliation(ctx_ext, tuple(forms), ivhs, asm)
+
+
+def gm_document(result: BlockFoliation, integrable: bool) -> str:
+    """The ``gm`` document of a block foliation: the assembly's x variables,
+    S, C, A and foliation forms, the block equations and ivhs block, as
+    expression strings, and the checks; ``integrable`` reports dB = B^B and
+    dA = A^A, which the caller checks."""
+    import json
+
+    from hodgeloci import exprparse
+
+    asm = result.assembly
+    ctx_ext = asm.ctx
+    doc = {
+        "x_vars": list(asm.x_names),
+        "S": [[exprparse.poly_to_expr(f, ctx_ext) for f in row] for row in asm.s],
+        "C": [exprparse.poly_to_expr(f, ctx_ext) for f in asm.c],
+        "A": [[exprparse.oneform_to_expr(f) for f in row] for row in asm.a.entries],
+        "foliation": [exprparse.oneform_to_expr(f) for f in asm.foliation_forms],
+        "block_equations": [exprparse.oneform_to_expr(f) for f in result.forms],
+        "ivhs_block": [[exprparse.oneform_to_expr(f) for f in row]
+                       for row in result.ivhs_block.entries],
+        "checks": {"dA_eq_AwedgeA": integrable, "block_span_matches": True},
+    }
+    return json.dumps(doc, separators=(",", ":")) + "\n"

@@ -16,13 +16,16 @@ The exact series ``hyp2f1`` is kept as the cross-check oracle, and
 ``eval_2f1`` sums any 2F1 in floats with the geometric tail bound
 |next term| / (1 - z); no command calls either.  ``HypParams`` and ``hyp2f1``
 import ``fractions`` only when called, so sampling the locus does not load it.
-The value classes are ``hodgeloci._value.Value`` records.
+The value classes are ``hodgeloci._value.Value`` records.  ``locus_grid`` and
+``locus_table`` are the bodies of the ``hypergeo-locus`` and
+``hypergeo-witness`` commands.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, Sequence, Tuple
+import sys
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from hodgeloci._value import Value
 from hodgeloci.errors import OutOfDomain, TargetOutOfRange
@@ -189,3 +192,28 @@ def sample_locus(n_iso: int, t1_grid: Sequence[float], tol: float = 1e-8) -> Loc
         resid = abs(locus_function(t1, t2, n_iso))
         points.append((t1, t2, resid))
     return LocusSample(n_iso, tuple(points), tuple(skipped), tol)
+
+
+def locus_grid(points: int) -> List[float]:
+    """``points`` evenly spaced t1 values from 0.05 to 0.95; one point is 0.5."""
+    if points < 1:
+        raise ValueError("grid must have at least one point")
+    lo, hi = 0.05, 0.95
+    if points == 1:
+        return [0.5]
+    step = (hi - lo) / (points - 1)
+    return [lo + i * step for i in range(points)]
+
+
+def locus_table(n_iso: int, t1_grid: Sequence[float], tol: float) -> Tuple[str, int]:
+    """The sampled locus as CSV rows, then one comment per skipped t1.  Exit
+    code 1 (UNKNOWN) when a residual is not below the tolerance, naming each
+    such point on stderr; 0 otherwise."""
+    sample = sample_locus(n_iso, t1_grid, tol=tol)
+    lines = ["t1,t2,residual"]
+    lines += [f"{t1:.12g},{t2:.12g},{r:.3e}" for t1, t2, r in sample.points]
+    lines += [f"# skipped: t1={t1:.12g} (target ratio out of range)" for t1 in sample.skipped]
+    for t1, _, r in sample.flagged:
+        print(f"unknown: t1={t1:.12g} has residual {r:.3e}, not below tol {tol:g}",
+              file=sys.stderr)
+    return "".join(l + "\n" for l in lines), 1 if sample.flagged else 0

@@ -14,6 +14,10 @@ reaches is absent (zero).  ``linalg`` eliminates on those rows directly.
 Polynomials are ``SparseSeries`` over Q or over GF(p) (``p`` set), and the
 system is solved in that field.  All inputs of one call must share it;
 mixing fields raises ``ValueError``.
+
+``tangency_problem`` parses the field, 1-forms and ideal of the ``tangency``
+and ``pcurvature`` command lines, and ``tangency_output`` is the body of
+``tangency``.
 """
 
 from __future__ import annotations
@@ -180,3 +184,27 @@ def tangency_check(v: VectorField, omega_gens: Sequence[OneForm],
         elif ideal_membership_bounded(contraction, ibar, deg) != YES:
             return UNKNOWN
     return YES
+
+
+def tangency_problem(names: str, field: str, omegas: Sequence[str], ideal: Optional[Sequence[str]]
+                     ) -> Tuple[VectorField, List[OneForm], IdealGens]:
+    """The vector field, 1-forms and ideal generators of a tangency question,
+    parsed from expressions over the comma-separated variable ``names``."""
+    from hodgeloci import exprparse
+
+    ctx = exprparse.parse_context(names)
+    v = exprparse.parse_field(field, ctx)
+    ws = [exprparse.parse_oneform(e, ctx) for e in omegas]
+    gens = tuple(exprparse.parse_poly(e, ctx) for e in (ideal or []))
+    return v, ws, IdealGens(ctx, gens)
+
+
+def verdict_output(verdict: str) -> Tuple[str, int]:
+    """A verdict line and its exit code: 0 for YES, 1 for UNKNOWN."""
+    return verdict + "\n", 0 if verdict == YES else 1
+
+
+def tangency_output(names: str, field: str, omegas: Sequence[str],
+                    ideal: Optional[Sequence[str]], deg: int) -> Tuple[str, int]:
+    """The ``tangency`` command: ``tangency_check`` on the parsed question."""
+    return verdict_output(tangency_check(*tangency_problem(names, field, omegas, ideal), deg))

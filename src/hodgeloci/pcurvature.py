@@ -4,13 +4,14 @@ tangency loci.
 In characteristic p the p-fold composition of a derivation is again a
 derivation; ``vf_pow_p`` assembles it from its values on the coordinates.
 ``sch_ideal`` builds the minor ideal cutting out the points where a field's
-value falls inside the span of a list of fields.
+value falls inside the span of a list of fields.  ``pcurvature_output`` and
+``sch_output`` are the bodies of the ``pcurvature`` and ``sch`` commands.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import List, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from hodgeloci.errors import ResourceLimit
 from hodgeloci.forms import OneForm, VectorField
@@ -122,3 +123,38 @@ def pcurvature_tangency(v: VectorField, omega_gens: Sequence[OneForm],
     gens_p = tuple(mod_reduce(g, p) for g in ibar.gens)
     ibar_p = IdealGens(v.ctx, gens_p)
     return tangency_check(vp, omegas_p, ibar_p, deg)
+
+
+def pcurvature_output(names: str, field: str, omegas: Sequence[str],
+                      ideal: Optional[Sequence[str]], p: int, deg: int) -> Tuple[str, int]:
+    """The ``pcurvature`` command: ``pcurvature_tangency`` on the question
+    parsed by ``ideals.tangency_problem``."""
+    from hodgeloci import ideals
+
+    v, ws, ibar = ideals.tangency_problem(names, field, omegas, ideal)
+    return ideals.verdict_output(pcurvature_tangency(v, ws, ibar, p, deg))
+
+
+def sch_output(names: str, field: str, module: Sequence[str], point: Optional[str]) -> str:
+    """The ``sch`` command: whether the comma-separated rational ``point`` lies
+    in the minor ideal, or the ideal's generators one per line when no point is
+    given ("0" for the zero ideal)."""
+    from fractions import Fraction
+
+    from hodgeloci import exprparse
+
+    ctx = exprparse.parse_context(names)
+    v = exprparse.parse_field(field, ctx)
+    ws = [exprparse.parse_field(e, ctx) for e in module]
+    if point is not None:
+        coords = []
+        for x in point.split(","):
+            if x == "":
+                continue
+            try:
+                coords.append(Fraction(x))
+            except ZeroDivisionError:
+                raise ValueError(f"coordinate {x!r} has a zero denominator") from None
+        return f"contains: {'true' if sch_contains_point(v, ws, coords) else 'false'}\n"
+    lines = [exprparse.poly_to_expr(g, ctx) for g in sch_ideal(v, ws).gens]
+    return "".join(l + "\n" for l in lines) if lines else "0\n"

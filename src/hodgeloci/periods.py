@@ -42,21 +42,27 @@ directly, with no ``Fraction`` and no ``SparseSeries`` in between.  They
 equal ``denominator_profile(period_series(...))`` and
 ``period_series(...).series.to_json()`` row by row, and the tests hold them
 equal; ``SparseSeries.to_doc`` defines the canonical format.  The orbits are
-independent, so the command line computes those of a large table in forked
-child processes (``cli._map_rows``), which pickle back only the rows.
+independent, so a large table computes them in forked child processes
+(``_map_rows``), which pickle back only the rows.
+
+The bodies of the table commands (``periods``, ``denominators``,
+``griffiths``) are here too, from a parsed config to the output text:
+``run_denominator_table``, ``run_periods_document`` and ``griffiths_table``.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
+import sys
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm
 from operator import itemgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from hodgeloci import _coeff_kernel_py
 from hodgeloci._value import Value
-from hodgeloci.errors import NotIntegral
+from hodgeloci.errors import NotIntegral, ResourceLimit
 from hodgeloci.series import SparseSeries, grlex_key, monomials_upto
 
 # denominator profiles trial-divide by every factor up to this bound
@@ -307,12 +313,21 @@ class BetaOrbit(Value):
 def beta_orbits(betas: Sequence[BetaIndex], family: FamilySpec) -> List[BetaOrbit]:
     """The rows of ``betas`` grouped into orbits of the family's pair
     symmetries, ordered by their first row, which is each orbit's ``beta``.
-    Raises ``ValueError`` for the first beta that does not have ``n + 2``
-    entries, before any kernel run."""
+    Before any kernel run, raises ``ValueError`` for the first beta that does
+    not have ``n + 2`` entries, and ``ResourceLimit`` for the first whose
+    kernel tables, ``(sum(beta) + n + 2) // d + truncation + 1`` entries long,
+    could not be indexed; that names the truncation or the beta, whichever
+    adds more to the length."""
     nv = family.n + 2
     for b in betas:
         if len(b.beta) != nv:
             raise ValueError(f"beta {b.beta} does not have {nv} entries")
+        q = (sum(b.beta) + nv) // family.d
+        if q + family.truncation + 1 > sys.maxsize:
+            field = (f"truncation {family.truncation}" if family.truncation >= q
+                     else f"beta {b.beta}")
+            raise ResourceLimit(f"{field} needs kernel tables of {q + family.truncation + 1} "
+                                f"entries, more than a list can hold ({sys.maxsize})")
     symmetries = pair_symmetries(family)
     orbits = []  # [beta, rows, gathers] of each orbit
     images = {}  # sigma(beta) of each orbit's beta -> (that orbit, sigma's gather)
@@ -489,3 +504,139 @@ def steenbrink_hodge_tate(d: int, weights: Sequence[int], n: int) -> bool:
     if any(w <= 0 for w in weights):
         raise ValueError("weights must be positive")
     return Fraction(n, 2) <= Fraction(sum(weights[1:]), d)
+
+
+# -- the table commands: from a parsed config to the output text ----------------
+
+
+def _config_int(value, field: str) -> int:
+    """A config number, which must be a JSON integer: a float such as 4.0, a
+    string or a boolean is rejected rather than converted."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        import json
+
+        raise ValueError(f'config field "{field}": expected a JSON integer, '
+                         f'got {json.dumps(value)}')
+    return value
+
+
+def _config_array(value, field: str, of: str = "integers") -> Sequence:
+    """A config array of ``of``, which must be a JSON array (or a tuple, from a
+    caller that builds the config): anything else is rejected with the field's
+    name rather than failing on iteration."""
+    if not isinstance(value, (list, tuple)):
+        import json
+
+        raise ValueError(f'config field "{field}": expected a JSON array of {of}, '
+                         f'got {json.dumps(value)}')
+    return value
+
+
+def family_from_config(cfg: Mapping) -> FamilySpec:
+    """The family of a config: a JSON object with integer fields ``n``, ``d``
+    and ``truncation`` and the monomial array ``I``."""
+    if not isinstance(cfg, dict):
+        raise ValueError("config must be a JSON object")
+    try:
+        return FamilySpec(
+            n=_config_int(cfg["n"], "n"), d=_config_int(cfg["d"], "d"),
+            monomials=tuple(tuple(_config_int(x, "I") for x in _config_array(a, "I"))
+                            for a in _config_array(cfg["I"], "I", "exponent vectors")),
+            truncation=_config_int(cfg["truncation"], "truncation"))
+    except KeyError as exc:
+        raise ValueError(f"config is missing field {exc.args[0]!r}") from None
+
+
+def betas_from_config(cfg: Mapping, fam: FamilySpec) -> List[BetaIndex]:
+    """A config's rows: its ``beta`` field, ``"griffiths"`` (the default) or
+    a list of exponent vectors."""
+    beta = cfg.get("beta", "griffiths")
+    if beta == "griffiths":
+        return griffiths_basis(fam.d, fam.n)
+    if not isinstance(beta, list):
+        raise ValueError('config field "beta" must be "griffiths" or a list of exponent vectors')
+    return [BetaIndex.make([_config_int(x, "beta") for x in _config_array(b, "beta")], fam.d)
+            for b in beta]
+
+
+# A table whose kernel runs enumerate at least this many tuples, counted as
+# orbits x C(truncation + m, m) (one run per symmetry orbit of its rows), splits
+# its orbits over forked child processes, which cost a few ms to fork, read and
+# reap.  On the 21-row quartic table, one run per row (BENCH_13.json,
+# break_even; 2 CPUs, three runs), the split's median was higher for
+# denominators at D=14 (64,260 tuples) in every run, lower in 5 of 6 rows at
+# D=16 (101,745) and in all 6 at D=18, and lower in every row from D=20
+# (223,146) on.
+_POOL_TUPLES = 100_000
+
+
+def _map_rows(fn, betas: Sequence[BetaIndex], fam: FamilySpec) -> list:
+    """One row per beta, from ``fn(orbit, fam)``: the rows of one symmetry orbit
+    of the betas (``beta_orbits``), in the orbit's row order.  The orbits are
+    split over one forked child process per CPU this process may run on
+    (``_rowsplit.split_rows``) when there are at least two of each and their
+    kernel runs enumerate at least ``_POOL_TUPLES`` tuples; otherwise they are
+    computed in this process.  The output is the same either way.  Every input
+    error, such as a beta of the wrong length, is raised by ``beta_orbits``
+    before any row runs or any child starts; a row that raises in a child is
+    ``WorkerFailed`` (exit 4), as any fault of a serial run is.
+    """
+    orbits = beta_orbits(betas, fam)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(orbits))
+    tuples = len(orbits) * comb(fam.truncation + fam.nparams, fam.nparams)
+    if workers < 2 or tuples < _POOL_TUPLES:
+        shares = [fn(orbit, fam) for orbit in orbits]
+    else:
+        from hodgeloci._rowsplit import split_rows
+
+        shares = split_rows(fn, orbits, fam, workers)
+    rows: list = [None] * len(betas)
+    for orbit, share in zip(orbits, shares):
+        for row, value in zip(orbit.rows, share):
+            rows[row] = value
+    return rows
+
+
+def run_denominator_table(config: Mapping) -> str:
+    """The ``denominators`` table of a config: one row per basis element, with
+    its rendered monomial, lcm and factorization.
+
+    Rows are computed by ``_map_rows``, one kernel run per symmetry orbit, and a
+    large table's orbits are split over one forked child process per usable
+    CPU; the text is the same as a serial run's, and byte-stable across runs.
+    """
+    fam = family_from_config(config)
+    betas = betas_from_config(config, fam)
+    rows = []
+    for b, prof in zip(betas, _map_rows(orbit_denominator_profiles, betas, fam)):
+        rows.append(f"{b.monomial_str()},{prof.lcm},{prof.factorization_str()}\n")
+    return "monomial,lcm,factorization\n" + "".join(rows)
+
+
+def run_periods_document(config: Mapping) -> str:
+    """The ``periods`` document of a config: the family, then one result per
+    row, each holding its series object (``orbit_series_json``) as its last
+    key; rows are computed as in ``run_denominator_table``."""
+    import json
+
+    fam = family_from_config(config)
+    family = {"n": fam.n, "d": fam.d, "I": [list(a) for a in fam.monomials],
+              "truncation": fam.truncation}
+    betas = betas_from_config(config, fam)
+    rows = []
+    for b, series in zip(betas, _map_rows(orbit_series_json, betas, fam)):
+        head = json.dumps({"beta": list(b.beta), "k": b.k, "monomial": b.monomial_str(),
+                           "normalization": normalization_text(fam.n, fam.d, b.k)},
+                          separators=(",", ":"))
+        rows.append(f'{head[:-1]},"series":{series}}}')
+    family_json = json.dumps(family, separators=(",", ":"))
+    return f'{{"family":{family_json},"results":[{",".join(rows)}]}}\n'
+
+
+def griffiths_table(d: int, n: int) -> str:
+    """The ``griffiths`` table: one ``beta,k,monomial`` row per basis element."""
+    rows = ["beta,k,monomial"]
+    for b in griffiths_basis(d, n):
+        rows.append(f"{' '.join(map(str, b.beta))},{b.k},{b.monomial_str()}")
+    return "".join(r + "\n" for r in rows)

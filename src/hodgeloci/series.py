@@ -12,7 +12,6 @@ then by the exponent tuple.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -411,8 +410,12 @@ class SparseSeries(Value):
         return cls(nvars, terms, trunc, laurent, None if p is None else int(p))
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self.to_doc(), separators=(",", ":"))
 
     @classmethod
     def from_json(cls, text: str) -> "SparseSeries":
+        import json
+
         return cls.from_doc(json.loads(text))

@@ -1,3 +1,4 @@
+import ast
 import errno
 import hashlib
 import json
@@ -17,9 +18,9 @@ from hypothesis import given, settings
 import hodgeloci
 from conftest import families
 from hodgeloci import _coeff_kernel_py, cli, periods
-from hodgeloci.cli import main, run_denominator_table
+from hodgeloci.cli import main
 from hodgeloci.errors import InternalCheckFailed
-from hodgeloci.periods import griffiths_basis, period_series
+from hodgeloci.periods import griffiths_basis, period_series, run_denominator_table
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -263,6 +264,19 @@ class TestExitCodes:
          'error: config field "I": expected a JSON array of integers, got 4'),
         (["denominators", "--config", "{null_monomials}"], 2,
          'error: config field "I": expected a JSON array of exponent vectors, got null'),
+        # kernel tables too long for a list: rejected before any kernel run or fork
+        (["denominators", "--config", "{giant_truncation}"], 3,
+         "error: truncation 10000000000000000000 needs kernel tables of "
+         "10000000000000000002 entries, more than a list can hold"),
+        (["periods", "--config", "{giant_truncation}"], 3,
+         "error: truncation 10000000000000000000 needs kernel tables of "
+         "10000000000000000002 entries, more than a list can hold"),
+        (["denominators", "--config", "{giant_beta}"], 3,
+         "error: beta (100000000000000000000, 2, 0, 2) needs kernel tables of "
+         "25000000000000000005 entries, more than a list can hold"),
+        (["periods", "--config", "{giant_beta}"], 3,
+         "error: beta (100000000000000000000, 2, 0, 2) needs kernel tables of "
+         "25000000000000000005 entries, more than a list can hold"),
     ])
     def test_exit_code_and_stderr_prefix(self, capsys, monkeypatch, tmp_path, argv, code,
                                          prefix):
@@ -276,7 +290,10 @@ class TestExitCodes:
                  "string_beta": json.dumps(dict(TOY_CONFIG, beta=[[1, 1, 1, "1"]])),
                  "int_beta": json.dumps(dict(TOY_CONFIG, beta=[5])),
                  "int_monomial": json.dumps(dict(TOY_CONFIG, I=[4])),
-                 "null_monomials": json.dumps(dict(TOY_CONFIG, I=None))}
+                 "null_monomials": json.dumps(dict(TOY_CONFIG, I=None)),
+                 "giant_truncation": json.dumps(dict(TOY_CONFIG, truncation=10 ** 19)),
+                 "giant_beta": json.dumps(dict(TOY_CONFIG, beta=[[10 ** 20, 2, 0, 2]],
+                                               truncation=2))}
         for name, text in files.items():
             (tmp_path / f"{name}.json").write_text(text)
         argv = [a.format(missing=tmp_path / "missing" / "x", dir=tmp_path,
@@ -286,7 +303,7 @@ class TestExitCodes:
             monkeypatch.setattr(cli, "_cmd_griffiths", failing(CRASHES[prefix.split(": ")[2]]))
         got, out, err = run(capsys, *argv)
         assert got == code and err.startswith(prefix)
-        if code in (2, 4):
+        if code in (2, 3, 4):
             assert out == ""
         else:  # an UNKNOWN verdict prints the same table as a passing run
             passing = [a if a != "1e-300" else "1e-8" for a in argv]
@@ -313,14 +330,14 @@ class TestExitCodes:
         # any row runs, so even a forced split of the two rows starts no child
         path = tmp_path / "family.json"
         path.write_text(json.dumps(dict(TOY_CONFIG, beta=[[0, 0, 0, 0], [1, 1, 1, 0, 0]])))
-        monkeypatch.setattr(cli, "_POOL_TUPLES", 0)
+        monkeypatch.setattr(periods, "_POOL_TUPLES", 0)
         assert run(capsys, command, "--config", str(path)) == \
             (2, "", "error: beta (1, 1, 1, 0, 0) does not have 4 entries\n")
         assert forks == []
 
     @needs_two_cpus
     def test_dead_worker_is_exit_four(self, capsys, forks, monkeypatch, toy_config):
-        monkeypatch.setattr(cli, "_POOL_TUPLES", 0)
+        monkeypatch.setattr(periods, "_POOL_TUPLES", 0)
         monkeypatch.setattr(periods, "orbit_denominator_profiles", exit_in_worker)
         code, out, err = run(capsys, "denominators", "--config", toy_config)
         assert code == 4 and out == ""
@@ -353,7 +370,7 @@ class TestExitCodes:
                   "unpicklable_internal_error": "RowBroke: broken\n"}
         if case in rows:
             monkeypatch.setattr(periods, "orbit_denominator_profiles", rows[case])
-        monkeypatch.setattr(cli, "_POOL_TUPLES", 0)
+        monkeypatch.setattr(periods, "_POOL_TUPLES", 0)
         patches = {"parent_raises": (pickle, "load", parent_fails),
                    "pipe_fails": (os, "pipe", eagain),
                    "second_fork_fails": (os, "fork", fork_only_once)}
@@ -423,7 +440,7 @@ def test_pool_rows_equal_serial_rows(capsys, monkeypatch, forks, tmp_path, comma
     path.write_text(json.dumps(config))
     serial = run(capsys, command, "--config", str(path))
     assert serial[0] == 0 and forks == []
-    monkeypatch.setattr(cli, "_POOL_TUPLES", 0)
+    monkeypatch.setattr(periods, "_POOL_TUPLES", 0)
     assert run(capsys, command, "--config", str(path)) == serial
     assert len(forks) == (min(CPUS, orbits) if orbits >= 2 else 0)
     assert_no_child_left()
@@ -446,14 +463,14 @@ ORBIT_CONFIGS = {
 @pytest.mark.parametrize("name", list(ORBIT_CONFIGS))
 def test_orbit_rows_equal_the_per_row_functions(monkeypatch, forks, name, split):
     config, orbits = ORBIT_CONFIGS[name]
-    fam = cli.family_from_config(config)
-    betas = cli.betas_from_config(config, fam)
+    fam = periods.family_from_config(config)
+    betas = periods.betas_from_config(config, fam)
     assert len(periods.beta_orbits(betas, fam)) == orbits
     if split:
-        monkeypatch.setattr(cli, "_POOL_TUPLES", 0)
-    assert cli._map_rows(periods.orbit_denominator_profiles, betas, fam) == \
+        monkeypatch.setattr(periods, "_POOL_TUPLES", 0)
+    assert periods._map_rows(periods.orbit_denominator_profiles, betas, fam) == \
         [periods.denominator_profile(period_series(b, fam)) for b in betas]
-    assert cli._map_rows(periods.orbit_series_json, betas, fam) == \
+    assert periods._map_rows(periods.orbit_series_json, betas, fam) == \
         [period_series(b, fam).series.to_json() for b in betas]
     # two tables, each split over min(CPUs, orbits) children
     assert len(forks) == (2 * min(CPUS, orbits) if split and min(CPUS, orbits) >= 2 else 0)
@@ -492,7 +509,7 @@ def periods_configs(draw):
 
 def to_doc_periods_document(fam, cfg):
     """The `periods` document built from `period_series` and `SparseSeries.to_doc`."""
-    betas = cli.betas_from_config(cfg, fam)
+    betas = periods.betas_from_config(cfg, fam)
     results = []
     for b in betas:
         ps = period_series(b, fam)
@@ -680,15 +697,22 @@ def test_module_invocation_subprocess(tmp_path):
 
 
 # Run in a fresh interpreter: the hodgeloci modules a command leaves in
-# sys.modules, whether it loaded dataclasses (if the interpreter had not), which
-# process-pool modules it loaded, and how many children it forked.  A second
-# argument "split" sets the row split's cut to 0.
+# sys.modules, whether it loaded dataclasses, json or fractions (none of which
+# the interpreter or the probe loads), which process-pool modules it loaded,
+# the prog of every ArgumentParser built, and how many children it forked.  A
+# second argument "split" sets the row split's cut to 0.
 IMPORT_PROBE = """
-import io, json, os, sys
-preloaded = "dataclasses" in sys.modules
+import argparse, ast, io, os, sys
+preloaded = [m for m in ("dataclasses", "json", "fractions") if m in sys.modules]
 POOL = ("multiprocessing", "concurrent.futures")
+built = []
+init = argparse.ArgumentParser.__init__
+def counted_init(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counted_init
 from hodgeloci import cli
-argv = json.loads(sys.argv[1])
+argv = ast.literal_eval(sys.argv[1])
 forks = []
 real_fork = os.fork
 def fork():
@@ -697,7 +721,8 @@ def fork():
     return pid
 os.fork = fork
 if sys.argv[2:] == ["split"]:
-    cli._POOL_TUPLES = 0
+    from hodgeloci import periods
+    periods._POOL_TUPLES = 0
 code = None
 if argv is None:
     cli.build_parser()
@@ -705,12 +730,11 @@ else:
     sys.stdout = io.StringIO()
     code = cli.main(argv)
     sys.stdout = sys.__stdout__
-print(json.dumps({"code": code,
-                  "modules": sorted(m for m in sys.modules if m.split(".")[0] == "hodgeloci"),
-                  "dataclasses": "dataclasses" in sys.modules and not preloaded,
-                  "fractions": "fractions" in sys.modules,
-                  "pool": [m for m in POOL if m in sys.modules],
-                  "forks": len(forks)}))
+print(repr({"code": code, "preloaded": preloaded,
+            "modules": sorted(m for m in sys.modules if m.split(".")[0] == "hodgeloci"),
+            "loaded": [m for m in ("dataclasses", "json", "fractions") if m in sys.modules],
+            "pool": [m for m in POOL if m in sys.modules],
+            "parsers": built, "forks": len(forks)}))
 """
 FOLIATION_MODULES = {"_value", "exprparse", "forms", "series"}
 TANGENCY_ARGS = ["--vars", "x,y", "--field", "x*D(x)", "--omega", "x*d(y) + y*d(x)",
@@ -743,20 +767,39 @@ def test_command_imports_only_the_modules_it_runs(tmp_path, argv, code, modules,
     if argv is not None:
         argv = [a.format(config=config, matrix=matrix) for a in argv]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(argv)]
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, repr(argv)]
                           + (["split"] if split else []),
                           capture_output=True, text=True, env=env, cwd=str(tmp_path),
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    got = json.loads(proc.stdout)
-    assert got["code"] == code
+    got = ast.literal_eval(proc.stdout)
+    assert got["code"] == code and got["preloaded"] == []
     expected = {"hodgeloci", "hodgeloci.cli", "hodgeloci.errors"}
     assert set(got["modules"]) == expected | {f"hodgeloci.{m}" for m in modules}
-    assert not got["dataclasses"]
-    if argv and argv[0] == "hypergeo-locus":
-        assert not got["fractions"]  # the exact 2F1 oracle is never called
+    # json only where a command reads or writes JSON; fractions wherever exact
+    # arithmetic runs, which the float locus sampling never does
+    command = argv[0] if argv else None
+    assert got["loaded"] == [m for m, used in (
+        ("json", command in ("denominators", "periods", "gm")),
+        ("fractions", command not in (None, "hypergeo-locus"))) if used]
     assert got["pool"] == []  # the row split forks plain children at any size
+    # the top-level parser, and a subparser only for the command that runs
+    assert got["parsers"] == ["hodgeloci"] + ([f"hodgeloci {command}"] if command else [])
     assert got["forks"] == (TOY_WORKERS if split else 0)
+
+
+# stdout, stderr and exit code of `hodgeloci -h`, of `-h` for every command, of
+# no command, of an unknown command and of a missing required option, as the
+# command line printed them when it built every subparser up front (Python
+# 3.11's argparse, COLUMNS=80)
+PARSER_TEXTS = json.loads((GOLDEN / "parser_texts.json").read_text())
+
+
+@pytest.mark.parametrize("case", PARSER_TEXTS,
+                         ids=[" ".join(c["argv"]) or "no-command" for c in PARSER_TEXTS])
+def test_parser_text_is_pinned(capsys, monkeypatch, case):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, *case["argv"]) == (case["code"], case["stdout"], case["stderr"])
 
 
 @pytest.mark.slow
