@@ -621,7 +621,11 @@ class TestFoliationCommands:
           for row in ((0, 2, 0, 0, 0), (0, 0, -1, 0, 0), (0, 0, 0, 3, 0), (0, 0, 0, 0, 1),
                       (0, 0, 0, 0, 0))], "t1,t2", 4, "1,1,1,1,1",
          "b8266f9566c240fbf4ca2aa772cefa8a39c4e410f7d7a1f2d34d2f1c7608a428"),
-    ], ids=["seeded-1,2,1", "empty-outer-0,1,0", "empty-outer-0,1,1,1,0", "weight-four-1,1,1,1,1"])
+        # the benchmark's shape: 10x10 over three parameters, blocks 1,8,1
+        (json.loads((GOLDEN / "gm_seed11_blocks181.json").read_text()), "t1,t2,t3", 2, "1,8,1",
+         "f572bcdf43a5d153d1d90e29d648c73aabb14b18dd114c02cc033afb0c2fbb86"),
+    ], ids=["seeded-1,2,1", "empty-outer-0,1,0", "empty-outer-0,1,1,1,0", "weight-four-1,1,1,1,1",
+            "seeded-1,8,1"])
     def test_gm_output_is_pinned(self, capsys, tmp_path, rows, names, m, blocks, sha256):
         matrix = tmp_path / "B.json"
         matrix.write_text(json.dumps(rows))
