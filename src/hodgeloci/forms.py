@@ -1,9 +1,11 @@
 """Vector fields and differential forms with polynomial coefficients.
 
-Components are ``SparseSeries``: exact rational polynomials or truncated
-series (truncation None or finite), or polynomials over GF(p) (``p`` set, no
-truncation); the operations only assume ring arithmetic plus ``diff``.
-Two-form components are stored on ordered index pairs i < j only.
+Components are exact polynomials: ``SparseSeries`` over Q (Laurent in the
+flagged variables) or over GF(p) (``p`` set).  ``VectorField`` and ``OneForm``
+reject a truncated series, so every operation computes exactly, and
+``integrability_check`` compares dB and B ^ B as they are.  The operations
+only assume ring arithmetic plus ``diff``.  Two-form components are stored on
+ordered index pairs i < j only.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from hodgeloci._value import Value
-from hodgeloci.series import SparseSeries, total_degree
+from hodgeloci.series import SparseSeries
 
 
 class PolyContext(Value):
@@ -77,8 +79,8 @@ def _check_ctx(a, b):
 
 
 class _Components(Value):
-    """The common part of vector fields and 1-forms: one polynomial component
-    per variable of the context."""
+    """The common part of vector fields and 1-forms: one exact polynomial
+    component per variable of the context."""
 
     ctx: PolyContext
     comps: Tuple[SparseSeries, ...]
@@ -87,8 +89,11 @@ class _Components(Value):
         comps = tuple(comps)
         if len(comps) != ctx.nvars:
             raise ValueError(f"expected {ctx.nvars} components, got {len(comps)}")
-        if any(c.nvars != ctx.nvars for c in comps):
-            raise ValueError("component variable count does not match context")
+        for c in comps:
+            if c.nvars != ctx.nvars:
+                raise ValueError("component variable count does not match context")
+            if c.truncation is not None:
+                raise ValueError("component is a truncated series, not an exact polynomial")
         self.__dict__.update(ctx=ctx, comps=comps)
 
     def is_zero(self) -> bool:
@@ -209,56 +214,27 @@ def d_oneform(w: OneForm) -> TwoForm:
     return TwoForm(w.ctx, comps)
 
 
-def _min_trunc(*ts) -> Optional[int]:
-    return min((t for t in ts if t is not None), default=None)
-
-
-def _capped(c, t: Optional[int]):
-    """c with its truncation lowered to t when t is below it."""
-    if t is None or (c.truncation is not None and c.truncation <= t):
-        return c
-    return c.truncate(t)
-
-
 def _wedge_into(acc: dict, a: OneForm, b: OneForm) -> None:
     """Add a ^ b into ``acc``, two-form components keyed by (i, j) with i < j.
 
-    Only products of nonzero components are formed.  Each component of a ^ b
-    is still cut to the truncation that the full a_i b_j - a_j b_i would have
-    (zero factors included), and a sum that cancels leaves ``acc``, exactly as
-    adding ``wedge(a, b)`` as a TwoForm would.
+    Only products of nonzero components are formed.  A component that cancels
+    stays in ``acc`` as a zero, which ``TwoForm`` drops.
     """
     _check_ctx(a, b)
-    na = [(i, c) for i, c in enumerate(a.comps) if c]
     nb = [(j, c) for j, c in enumerate(b.comps) if c]
-    part = {}
-    for i, ai in na:
+    for i, ai in enumerate(a.comps):
+        if not ai:
+            continue
         for j, bj in nb:
             if i == j:
                 continue
             p = ai * bj
-            key = (i, j) if i < j else (j, i)
-            s = part.get(key)
             if i < j:
-                part[key] = p if s is None else s + p
+                s = acc.get((i, j))
+                acc[(i, j)] = p if s is None else s + p
             else:
-                part[key] = -p if s is None else s - p
-    ta = [c.truncation for c in a.comps]
-    tb = [c.truncation for c in b.comps]
-    for key, w in part.items():
-        i, j = key
-        w = _capped(w, _min_trunc(ta[i], ta[j], tb[i], tb[j]))
-        if not w:
-            continue
-        s = acc.get(key)
-        if s is None:
-            acc[key] = w
-            continue
-        s = s + w
-        if s:
-            acc[key] = s
-        else:
-            del acc[key]
+                s = acc.get((j, i))
+                acc[(j, i)] = -p if s is None else s - p
 
 
 def wedge(a: OneForm, b: OneForm) -> TwoForm:
@@ -269,16 +245,13 @@ def wedge(a: OneForm, b: OneForm) -> TwoForm:
 
 
 def scaled_sum(ctx: PolyContext, pairs) -> OneForm:
-    """sum_j f_j * w_j over (polynomial, 1-form) pairs, term by term.
-
-    A zero f_j is skipped when neither it nor any component of w_j has a
-    truncation: its product adds nothing.  Any other zero product is still
-    added, because its truncation caps the sum's.  When every pair is skipped
-    the sum is the zero of the last skipped factor's ring.
+    """sum_j f_j * w_j over (polynomial, 1-form) pairs, term by term, skipping
+    a zero f_j.  When every f_j is zero the sum is the zero of the last one's
+    ring.
     """
     acc = zero = None
     for f, w in pairs:
-        if not f and f.truncation is None and all(c.truncation is None for c in w.comps):
+        if not f:
             zero = f
             continue
         term = w.scale(f)
@@ -363,45 +336,12 @@ class FormMatrix(Value):
              for k in range(c)] for si in s])
 
 
-def _shared_truncation(matrices) -> Optional[int]:
-    shared = None
-    for rows in matrices:
-        for row in rows:
-            for tf in row:
-                for comp in tf.comps.values():
-                    shared = SparseSeries._min_trunc(shared, comp.truncation)
-    return shared
-
-
-def _terms_at(comp, shared):
-    if comp is None:
-        return {}
-    if shared is None:
-        return comp.terms
-    return {e: c for e, c in comp.terms.items() if total_degree(e) <= shared}
-
-
 def integrability_check(b: FormMatrix) -> bool:
-    """Exact entrywise equality of dB and B ^ B (square matrices).
-
-    Exterior derivatives of truncated series are known one degree less than
-    wedge products of the same input, so with truncated coefficients the two
-    sides are compared at the shared truncation order.
-    """
+    """Exact entrywise equality of dB and B ^ B (square matrices)."""
     r, c = b.shape
     if r != c:
         raise ValueError("integrability is defined for square matrices")
-    db = b.d()
-    bb = b.wedge_mul(b)
-    shared = _shared_truncation([db, bb])
-    for i in range(r):
-        for j in range(c):
-            keys = set(db[i][j].comps) | set(bb[i][j].comps)
-            for key in keys:
-                if _terms_at(db[i][j].comps.get(key), shared) != \
-                        _terms_at(bb[i][j].comps.get(key), shared):
-                    return False
-    return True
+    return b.d() == b.wedge_mul(b)
 
 
 def wedge_matvec(a: FormMatrix, forms: Sequence[OneForm]) -> List[TwoForm]:

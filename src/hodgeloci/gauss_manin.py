@@ -11,11 +11,16 @@ det S = x_1, its closed-form inverse, and the connection matrix in the new
 frame A = -S^{-1} dS + S^{-1} B S, whose product with the constant column C
 generates the foliation carrying the constant-period loci as leaves.  S and
 S^{-1} are the identity but for the x column, so A is formed from B with
-that column replaced by B*x - dx, without matrix products.
-``block_foliation_forms`` emits rows of dx - B*x, the ones that the span
-identity S * (A*C) = -(dx - B*x) checks.  ``solve_linear_document`` and
-``gm_document`` write the JSON output of the ``solve-linear`` and ``gm``
-commands.
+that column replaced by B*x - dx, without matrix products; the assembly keeps
+that column.  The entries of B are exact polynomial 1-forms: ``OneForm``
+rejects a truncated series.
+
+``block_foliation_forms`` reads the block equations, rows of dx - B*x, off
+the assembly's B*x - dx, and checks the span identity S * (A*C) = B*x - dx:
+the pivot row operations and the closed-form S^{-1} that produced A*C,
+multiplied back by S, must give the column they started from.
+``solve_linear_document`` and ``gm_document`` write the JSON output of the
+``solve-linear`` and ``gm`` commands.
 """
 
 from __future__ import annotations
@@ -157,6 +162,7 @@ class GMAssembly(Value):
     a: FormMatrix
     foliation_forms: Tuple[OneForm, ...]
     x_names: Tuple[str, ...]
+    bx_minus_dx: Tuple[OneForm, ...]
 
 
 def extend_context(ctx: PolyContext, blocks: HodgeBlocks) -> Tuple[PolyContext, Tuple[str, ...]]:
@@ -179,22 +185,17 @@ def _embed_matrix(b: FormMatrix, ctx_ext: PolyContext) -> FormMatrix:
 
 
 def gm_assemble(b: FormMatrix, blocks: HodgeBlocks) -> GMAssembly:
-    """Assemble S, C, S^{-1}, the new-frame connection A and the foliation
-    forms A*C over the context extended by the fiber coordinates.
+    """Assemble S, C, S^{-1}, the new-frame connection A, the foliation forms
+    A*C and the column B*x - dx over the context extended by the fiber
+    coordinates.
 
     B S - dS is B with column c0 replaced by B*x - dx; S^{-1} then scales row
     c0 by 1/x_1 and adds s_inv[r][c0] times row c0 to each row r below it.
-    A truncated entry of B is rejected: the entries must be exact polynomials.
     """
     rows, cols = b.shape
     if rows != cols or rows != blocks.total:
         raise ValueError(
             f"connection matrix is {rows}x{cols}, expected {blocks.total} (block-size inconsistency)")
-    for r, row in enumerate(b.entries):
-        for c, f in enumerate(row):
-            if any(comp.truncation is not None for comp in f.comps):
-                raise ValueError(f"connection matrix entry [{r}][{c}] is a truncated series, "
-                                 "not an exact polynomial 1-form")
     ctx_ext, x_names = extend_context(b.ctx, blocks)
     h = blocks.total
     g = blocks.x_count
@@ -216,9 +217,11 @@ def gm_assemble(b: FormMatrix, blocks: HodgeBlocks) -> GMAssembly:
     c_col[c0] = ctx_ext.one()
 
     b_ext = _embed_matrix(b, ctx_ext)
+    bx_minus_dx = tuple(bx - d_poly(x, ctx_ext)
+                        for x, bx in zip(x_col, b_ext.mul_poly_vec(x_col)))
     m = [list(row) for row in b_ext.entries]  # becomes B S - dS, then A
-    for r, bx in enumerate(b_ext.mul_poly_vec(x_col)):
-        m[r][c0] = bx - d_poly(x_col[r], ctx_ext)
+    for r, f in enumerate(bx_minus_dx):
+        m[r][c0] = f
     pivot = m[c0]
     m[c0] = [f.scale(x1_inv) for f in pivot]
     for r in range(c0 + 1, h):
@@ -226,7 +229,7 @@ def gm_assemble(b: FormMatrix, blocks: HodgeBlocks) -> GMAssembly:
     a = FormMatrix(ctx_ext, m)
     forms = tuple(row[c0] for row in m)  # A*C is column c0 of A
     return GMAssembly(ctx_ext, blocks, tuple(map(tuple, s)), tuple(map(tuple, s_inv)),
-                      tuple(c_col), a, forms, x_names)
+                      tuple(c_col), a, forms, x_names, bx_minus_dx)
 
 
 def solve_linear_document(b: FormMatrix, order: int) -> str:
@@ -273,32 +276,29 @@ def block_foliation_forms(b: FormMatrix, blocks: HodgeBlocks) -> BlockFoliation:
     """Emit the block equations of the foliation and verify that they span
     the same module as the assembled A*C.
 
-    The equations are rows of dx - B*x: the middle-pairing rows (block
-    m/2 - 1, where dx = 0) negated, i.e. the ivhs block applied to the middle
-    coordinates, then every row from block m/2 on.  Transversality, checked
-    before anything is emitted, makes each whole row of B*x the sum over the
-    block columns the pattern allows.  The span identity S * (A*C) =
-    -(dx - B*x) is checked exactly on these same rows; since S is invertible
-    over the extended ring, the two generating sets span the same module.
+    The equations are rows of dx - B*x, read off the assembly's B*x - dx:
+    the middle-pairing rows (block m/2 - 1, where dx = 0) as they are, i.e.
+    the ivhs block applied to the middle coordinates, then every row from
+    block m/2 on negated.  Transversality, checked before anything is
+    emitted, makes each whole row of B*x the sum over the block columns the
+    pattern allows.  The span identity S * (A*C) = B*x - dx is checked
+    exactly on every row; since S is invertible over the extended ring, the
+    two generating sets span the same module.
     """
     asm = gm_assemble(b, blocks)
     check_transversality(b, blocks)
-    ctx_ext = asm.ctx
     half = blocks.m // 2
     c0 = blocks.zero_rows
-    x_col = [ctx_ext.zero()] * c0 + [ctx_ext.var(n) for n in asm.x_names]
-    bx = _embed_matrix(b, ctx_ext).mul_poly_vec(x_col)
-    eqs = [d_poly(x, ctx_ext) - f for x, f in zip(x_col, bx)]
-    neg = [-f for f in eqs]
-    forms = neg[blocks.ranges()[half - 1][0]:c0] + eqs[c0:]
+    bx_minus_dx = asm.bx_minus_dx
+    forms = bx_minus_dx[blocks.ranges()[half - 1][0]:c0] + tuple(-f for f in bx_minus_dx[c0:])
 
-    s_ac = FormMatrix(ctx_ext, [[f] for f in asm.foliation_forms]).pre_mul_poly_mat(asm.s)
+    s_ac = FormMatrix(asm.ctx, [[f] for f in asm.foliation_forms]).pre_mul_poly_mat(asm.s)
     for r, row in enumerate(s_ac.entries):
-        if row[0] != neg[r]:
+        if row[0] != bx_minus_dx[r]:
             raise InternalCheckFailed(
                 f"assembled foliation does not match the block equations in row {r}")
     ivhs = _block_of(b, blocks, half - 1, half)
-    return BlockFoliation(ctx_ext, tuple(forms), ivhs, asm)
+    return BlockFoliation(asm.ctx, forms, ivhs, asm)
 
 
 def gm_document(result: BlockFoliation, integrable: bool) -> str:

@@ -16,8 +16,8 @@ system is solved in that field.  All inputs of one call must share it;
 mixing fields raises ``ValueError``.
 
 ``tangency_problem`` parses the field, 1-forms and ideal of the ``tangency``
-and ``pcurvature`` command lines, and ``tangency_output`` is the body of
-``tangency``.
+and ``pcurvature`` command lines, after ``check_degree_bound`` has accepted
+their ``--deg``, and ``tangency_output`` is the body of ``tangency``.
 """
 
 from __future__ import annotations
@@ -82,10 +82,15 @@ def _reject_laurent(polys):
                 raise ValueError("degree-bounded search does not support Laurent exponents")
 
 
-def ideal_membership_bounded(f, gens: IdealGens, deg: int) -> str:
-    """YES iff f = sum c_i g_i has a solution with cofactor degrees <= deg."""
+def check_degree_bound(deg: int) -> None:
+    """Raise ValueError on a negative cofactor degree bound."""
     if deg < 0:
         raise ValueError("degree bound must be non-negative")
+
+
+def ideal_membership_bounded(f, gens: IdealGens, deg: int) -> str:
+    """YES iff f = sum c_i g_i has a solution with cofactor degrees <= deg."""
+    check_degree_bound(deg)
     if gens.is_zero_ideal:
         return YES if f.is_zero() else UNKNOWN
     if f.is_zero():
@@ -207,4 +212,5 @@ def verdict_output(verdict: str) -> Tuple[str, int]:
 def tangency_output(names: str, field: str, omegas: Sequence[str],
                     ideal: Optional[Sequence[str]], deg: int) -> Tuple[str, int]:
     """The ``tangency`` command: ``tangency_check`` on the parsed question."""
+    check_degree_bound(deg)
     return verdict_output(tangency_check(*tangency_problem(names, field, omegas, ideal), deg))

@@ -131,6 +131,7 @@ def pcurvature_output(names: str, field: str, omegas: Sequence[str],
     parsed by ``ideals.tangency_problem``."""
     from hodgeloci import ideals
 
+    ideals.check_degree_bound(deg)
     v, ws, ibar = ideals.tangency_problem(names, field, omegas, ideal)
     return ideals.verdict_output(pcurvature_tangency(v, ws, ibar, p, deg))
 

@@ -277,6 +277,12 @@ class TestExitCodes:
         (["periods", "--config", "{giant_beta}"], 3,
          "error: beta (100000000000000000000, 2, 0, 2) needs kernel tables of "
          "25000000000000000005 entries, more than a list can hold"),
+        # a negative bound is refused without an ideal too, before parsing and before
+        # the Frobenius power: "y*d(" does not parse, and p = 103 hits the resource limit
+        (["tangency", "--vars", "x,y", "--field", "x*D(x)", "--omega", "y*d(y)", "--deg", "-1"],
+         2, "error: degree bound must be non-negative"),
+        (["pcurvature", "--vars", "x,y", "--field", "x*D(x)", "--omega", "y*d(", "--p", "103",
+          "--deg", "-1"], 2, "error: degree bound must be non-negative"),
     ])
     def test_exit_code_and_stderr_prefix(self, capsys, monkeypatch, tmp_path, argv, code,
                                          prefix):

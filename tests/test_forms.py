@@ -94,21 +94,14 @@ class TestIntegrability:
         b = FormMatrix(CTX, [[OneForm(CTX, (CTX.zero(), X))]])  # x dy
         assert not integrability_check(b)
 
-    def test_truncated_coefficients(self):
-        # truncating the coefficients of an integrable matrix must not break
-        # the check: both sides are compared at the shared order
-        rng = random.Random(37)
-        ident = poly_mat_identity(CTX, 3)
-        y = [row[:] for row in ident]
-        for i in range(3):
-            for j in range(i + 1, 3):
-                y[i][j] = rand_poly(rng)
-        b = poly_mat_d(y, CTX).mul_poly_mat(unipotent_inverse(y, CTX))
-        trunc_rows = [[OneForm(CTX, tuple(c.truncate(4) for c in f.comps))
-                       for f in row] for row in b.entries]
-        assert integrability_check(FormMatrix(CTX, trunc_rows))
-        bad = FormMatrix(CTX, [[OneForm(CTX, (CTX.zero(), X.truncate(4)))]])
-        assert not integrability_check(bad)
+
+
+@pytest.mark.parametrize("cls", [OneForm, VectorField])
+def test_truncated_component_rejected(cls):
+    # components are exact polynomials; a truncated series, even a zero one, is refused
+    for comp in (X.truncate(4), CTX.zero().truncate(0)):
+        with pytest.raises(ValueError, match="truncated series, not an exact polynomial"):
+            cls(CTX, (Y, comp))
 
 
 def test_laurent_context_derivative():
@@ -120,7 +113,7 @@ def test_laurent_context_derivative():
 # -- wedge products and polynomial scaling against their dense definitions -------------
 #
 # The library visits only nonzero components.  The references below form every
-# product, zero factors included, so they also fix the truncation of each result.
+# product, zero factors included.
 
 LCTX = PolyContext(("x", "y", "z", "w"), (True, False, False, False))
 MCTX = PolyContext(("x", "y", "z", "w"))
@@ -128,14 +121,13 @@ P = 7
 
 
 def sparse_comp(rng, ctx):
-    """Mostly zero; a zero still carries a truncation, which the sum must keep."""
-    trunc = rng.choice([None, None, 1, 2, 3, 5])
+    """Mostly zero, so that the skipped products are the common case."""
     terms = {}
     if rng.random() < 0.3:
         for _ in range(rng.randint(1, 3)):
             e = tuple(rng.randint(-1 if flag else 0, 2) for flag in ctx.laurent)
             terms[e] = Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3]))
-    return SparseSeries(ctx.nvars, terms, trunc, ctx.laurent)
+    return SparseSeries(ctx.nvars, terms, laurent=ctx.laurent)
 
 
 def modp_comp(rng, ctx):
@@ -196,9 +188,9 @@ class TestDenseDefinitions:
             col = [row[0] for row in b.entries]
             assert wedge_matvec(a, col) == [row[0] for row in want]
 
-    def test_cancelling_sum_keeps_later_truncation(self):
-        # the first two wedges cancel, so only the third one's truncation (none) is left
-        x, y = LCTX.var("x").truncate(1), LCTX.var("y")
+    def test_cancelling_sum_keeps_later_term(self):
+        # the first two wedges cancel, so only the third one is left
+        x, y = LCTX.var("x"), LCTX.var("y")
         z = LCTX.zero()
         dy = OneForm(LCTX, (z, LCTX.one(), z, z))
         a = FormMatrix(LCTX, [[OneForm(LCTX, (x, z, z, z)), OneForm(LCTX, (-x, z, z, z)),
@@ -207,7 +199,7 @@ class TestDenseDefinitions:
         got = a.wedge_mul(b)[0][0]
         assert got == dense_sum([dense_wedge(a.entries[0][j], b.entries[j][0]) for j in range(3)],
                                 TwoForm.zero(LCTX))
-        assert got.comps == {(0, 1): y} and got.comps[(0, 1)].truncation is None
+        assert got.comps == {(0, 1): y}
 
     @pytest.mark.parametrize("ctx, comp", CASES)
     def test_polynomial_scaling(self, ctx, comp):

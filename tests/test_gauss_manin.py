@@ -71,16 +71,6 @@ class TestLinearSolve:
         with pytest.raises(NotIntegrable):
             linear_solve_series(b, 3)
 
-    def test_truncated_series_coefficients(self):
-        # same geometric system, with the coefficient carried as a truncated
-        # series rather than an exact polynomial
-        ctx = PolyContext(("z",))
-        d = 8
-        coeff = SparseSeries(1, {(n,): 1 for n in range(d)}, truncation=d - 1)
-        b = FormMatrix(ctx, [[OneForm(ctx, (coeff,))]])
-        y = linear_solve_series(b, d)[0][0]
-        assert y.terms == {(n,): Fraction(1) for n in range(d + 1)}
-
     def test_reproduces_unipotent_solutions(self):
         rng = random.Random(31)
         for _ in range(10):
@@ -260,7 +250,8 @@ class TestBlockFoliation:
         def corrupted(b, blocks):
             asm = gm_assemble(b, blocks)
             return GMAssembly(asm.ctx, asm.blocks, asm.s, asm.s_inv, asm.c, asm.a,
-                              tuple(-f for f in asm.foliation_forms), asm.x_names)
+                              tuple(-f for f in asm.foliation_forms), asm.x_names,
+                              asm.bx_minus_dx)
 
         b = block_pattern_connection(random.Random(3))
         monkeypatch.setattr(gauss_manin, "gm_assemble", corrupted)
@@ -283,10 +274,10 @@ class TestBlockFoliation:
         assert err.value.block == (0, 2)
 
     def test_truncated_entry_rejected(self):
-        rows = [[OneForm.zero(CTX) for _ in range(3)] for _ in range(3)]
-        rows[1][0] = OneForm(CTX, (SparseSeries(2, {(1, 0): 1}, truncation=3), CTX.zero()))
-        with pytest.raises(ValueError, match=r"entry \[1\]\[0\] is a truncated series"):
-            block_foliation_forms(FormMatrix(CTX, rows), HodgeBlocks(2, (1, 1, 1)))
+        # a connection matrix entry must be an exact polynomial 1-form: the
+        # entry itself cannot be built from a truncated series
+        with pytest.raises(ValueError, match="truncated series, not an exact polynomial"):
+            OneForm(CTX, (SparseSeries(2, {(1, 0): 1}, truncation=3), CTX.zero()))
 
     def test_weight_four_blocks(self):
         # m = 4, blocks (1,1,1,1,1): two zero rows, three fiber coordinates
