@@ -95,7 +95,6 @@ class TestIntegrability:
         assert not integrability_check(b)
 
 
-
 @pytest.mark.parametrize("cls", [OneForm, VectorField])
 def test_truncated_component_rejected(cls):
     # components are exact polynomials; a truncated series, even a zero one, is refused
