@@ -1,13 +1,15 @@
 """Sparse multivariate power series and polynomials over Q or GF(p).
 
 A value is a map from exponent vectors to nonzero coefficients: ``Fraction``s
-over Q (``p`` None), or ints in ``[1, p)`` over GF(p).  A rational value may be
-truncated by total degree; ``truncation=None`` means it is an exact
-polynomial.  Variables flagged as Laurent admit negative exponents; the total
-degree of an exponent vector counts only its non-negative entries.  A GF(p)
-value is always an exact polynomial with no Laurent variables.  The canonical
-term order everywhere is graded-lexicographic: sort by total degree first,
-then by the exponent tuple.
+over Q (``p`` None), or ints in ``[1, p)`` over GF(p).  A rational value may
+carry a total-degree truncation: a label for a written-out series (the period
+documents), which drops the terms above it on construction.  Arithmetic is
+exact: it raises ``ValueError`` on a labelled operand, and ``truncation=None``
+means an exact polynomial.  Variables flagged as Laurent admit negative
+exponents; the total degree of an exponent vector counts only its non-negative
+entries.  A GF(p) value is always an exact polynomial with no Laurent
+variables.  The canonical term order everywhere is graded-lexicographic: sort
+by total degree first, then by the exponent tuple.
 """
 
 from __future__ import annotations
@@ -66,21 +68,24 @@ def residue(c, p: int) -> int:
 
 
 class SparseSeries(Value):
-    """Total-degree-truncated sparse series (or exact polynomial) over Q, or
-    a polynomial over GF(p) when ``p`` is set.
+    """Exact sparse polynomial over Q, or over GF(p) when ``p`` is set; over Q
+    a ``truncation`` labels a written-out series instead.
 
     Values are immutable after construction; all operations return new
     objects and are safe to share between threads.  Operands of a binary
     operation must share ``nvars``, the Laurent flags and ``p``.
 
+    A truncation is a label: the constructor drops the terms above it, and
+    ``truncate``, the canonical document and the comparisons keep it, but
+    arithmetic (``+``, ``-``, negation, ``scale``, ``*``, ``**``, ``diff``)
+    raises ``ValueError`` when an operand has one.
+
     The public constructor coerces and checks every term; with ``p`` set it
-    maps each rational to its residue (``residue``).  Arithmetic results
-    (``+``, ``-``, negation, ``scale``, ``*``, ``diff``) skip that pass and are
-    built with ``_trusted``: their operands are already valid, so their terms
-    are distinct int tuples of the right length with negative entries only on
-    Laurent variables.  Each operation drops the terms above the result's
-    truncation itself; over GF(p) it computes with ints and reduces them mod p
-    once at the end.
+    maps each rational to its residue (``residue``).  Arithmetic results skip
+    that pass and are built with ``_trusted``: their operands are already
+    valid, so their terms are distinct int tuples of the right length with
+    negative entries only on Laurent variables.  Over GF(p) arithmetic
+    computes with ints and reduces them mod p once at the end.
     """
 
     nvars: int
@@ -144,14 +149,13 @@ class SparseSeries(Value):
         return self
 
     def ring_zero(self):
-        return SparseSeries(self.nvars, {}, self.truncation, self.laurent, self.p)
+        return SparseSeries._trusted(self.nvars, {}, None, self.laurent, self.p)
 
     def ring_one(self):
         return self.ring_constant(1)
 
     def ring_constant(self, c):
-        return SparseSeries(self.nvars, {(0,) * self.nvars: c}, self.truncation, self.laurent,
-                            self.p)
+        return SparseSeries(self.nvars, {(0,) * self.nvars: c}, None, self.laurent, self.p)
 
     # -- basic queries -----------------------------------------------------
 
@@ -184,6 +188,11 @@ class SparseSeries(Value):
     # -- arithmetic ---------------------------------------------------------
 
     def _check_compatible(self, other: "SparseSeries"):
+        """Operands share nvars, Laurent flags and p, and neither has a truncation
+        (a unary operation passes itself as ``other``)."""
+        if self.truncation is not None or other.truncation is not None:
+            raise ValueError("arithmetic on a truncated series: a truncation only labels "
+                             "a series document")
         if self.nvars != other.nvars:
             raise ValueError(f"variable-count mismatch: {self.nvars} vs {other.nvars}")
         if self.laurent != other.laurent:
@@ -191,26 +200,11 @@ class SparseSeries(Value):
         if self.p != other.p:
             raise ValueError("mod-p ring mismatch")
 
-    @staticmethod
-    def _min_trunc(a, b):
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return min(a, b)
-
-    def _terms_within(self, trunc: Optional[int]) -> dict:
-        """The stored terms of total degree <= trunc (None: all of them)."""
-        if trunc is None or (self.truncation is not None and self.truncation <= trunc):
-            return self.terms
-        return {e: c for e, c in self.terms.items() if total_degree(e) <= trunc}
-
     def _add_signed(self, other: "SparseSeries", negate: bool) -> "SparseSeries":
         """self + other, or self - other when ``negate``, in one pass."""
         self._check_compatible(other)
-        trunc = self._min_trunc(self.truncation, other.truncation)
-        out = dict(self._terms_within(trunc))
-        for e, c in other._terms_within(trunc).items():
+        out = dict(self.terms)
+        for e, c in other.terms.items():
             s = out.get(e)
             if s is None:
                 out[e] = -c if negate else c
@@ -220,44 +214,36 @@ class SparseSeries(Value):
                 out[e] = s
             else:
                 del out[e]
-        return self._result(out, trunc)
+        return self._result(out)
 
-    def _result(self, terms: dict, trunc: Optional[int]) -> "SparseSeries":
-        """A value in this series' ring from valid terms; over GF(p) their
+    def _result(self, terms: dict) -> "SparseSeries":
+        """An exact value in this series' ring from valid terms; over GF(p) their
         values are any ints, reduced here with the zero residues dropped."""
         p = self.p
         if p is not None:
             terms = {e: r for e, c in terms.items() if (r := c % p)}
-        return SparseSeries._trusted(self.nvars, terms, trunc, self.laurent, p)
+        return SparseSeries._trusted(self.nvars, terms, None, self.laurent, p)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ring_constant(other)
         if not isinstance(other, SparseSeries):
             return NotImplemented
         return self._add_signed(other, False)
 
-    def __radd__(self, other):
-        return self.__add__(other)
-
     def __neg__(self):
-        return self._result({e: -c for e, c in self.terms.items()}, self.truncation)
+        self._check_compatible(self)
+        return self._result({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ring_constant(other)
         if not isinstance(other, SparseSeries):
             return NotImplemented
         return self._add_signed(other, True)
 
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
     def scale(self, c) -> "SparseSeries":
+        self._check_compatible(self)
         c = _coerce(c) if self.p is None else residue(c, self.p)
         if not c:
             return self.ring_zero()
-        return self._result({e: c * v for e, v in self.terms.items()}, self.truncation)
+        return self._result({e: c * v for e, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -265,21 +251,18 @@ class SparseSeries(Value):
         if not isinstance(other, SparseSeries):
             return NotImplemented
         self._check_compatible(other)
-        trunc = self._min_trunc(self.truncation, other.truncation)
         out = {}
         if self.terms and other.terms:
             for e1, c1 in self.terms.items():
                 for e2, c2 in other.terms.items():
                     e = tuple(x + y for x, y in zip(e1, e2))
-                    if trunc is not None and total_degree(e) > trunc:
-                        continue
                     s = out.get(e)
                     s = c1 * c2 if s is None else s + c1 * c2
                     if s:
                         out[e] = s
                     else:
                         del out[e]
-        return self._result(out, trunc)
+        return self._result(out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -287,6 +270,8 @@ class SparseSeries(Value):
         return NotImplemented
 
     def __pow__(self, n: int):
+        # checked here too: s ** 0 multiplies nothing
+        self._check_compatible(self)
         if n < 0:
             raise ValueError("negative powers are not defined on series")
         out = self.ring_one()
@@ -304,17 +289,9 @@ class SparseSeries(Value):
 
     def diff(self, i: int) -> "SparseSeries":
         """Partial derivative with respect to variable i."""
-        trunc = None if self.truncation is None else max(self.truncation - 1, 0)
-        out = {}
-        for e, c in self.terms.items():
-            k = e[i]
-            if k == 0:
-                continue
-            # x_i^k with k < 0 keeps its degree, which may now exceed the bound
-            if k < 0 and trunc is not None and total_degree(e) > trunc:
-                continue
-            out[e[:i] + (k - 1,) + e[i + 1:]] = c * k
-        return self._result(out, trunc)
+        self._check_compatible(self)
+        return self._result({e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+                             for e, c in self.terms.items() if e[i]})
 
     # -- evaluation ----------------------------------------------------------
 

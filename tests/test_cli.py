@@ -283,6 +283,38 @@ class TestExitCodes:
          2, "error: degree bound must be non-negative"),
         (["pcurvature", "--vars", "x,y", "--field", "x*D(x)", "--omega", "y*d(", "--p", "103",
           "--deg", "-1"], 2, "error: degree bound must be non-negative"),
+        # a variable list with no name in it is refused before any parsing
+        (["tangency", "--vars", "", "--field", "0", "--omega", "0", "--deg", "1"], 2,
+         "error: --vars names no variable\n"),
+        (["pcurvature", "--vars", ",", "--field", "0", "--omega", "0", "--p", "3", "--deg", "1"],
+         2, "error: --vars names no variable\n"),
+        (["denominators", "--config", "{negative_truncation}"], 2,
+         "error: truncation must be non-negative"),
+        (["periods", "--config", "{d_one}"], 2, "error: d must be at least 2"),
+        (["denominators", "--config", "{list_config}"], 2, "error: config must be a JSON object"),
+        (["periods", "--config", "{word_beta}"], 2,
+         'error: config field "beta" must be "griffiths" or a list of exponent vectors'),
+        (["denominators", "--config", "{light_monomial}"], 2,
+         "error: monomial (1, 1, 0, 0) does not have weight 4"),
+        (["griffiths", "--d", "1", "--n", "2"], 2, "error: d must be at least 2"),
+        (["hypergeo-locus", "--N", "0", "--grid", "5"], 2,
+         "error: the isogeny degree must be a positive integer"),
+        (["hypergeo-locus", "--N", "2", "--grid", "0"], 2,
+         "error: grid must have at least one point"),
+        (["solve-linear", "--vars", "t", "--matrix", "{dt}", "--order", "-1"], 2,
+         "error: order must be non-negative"),
+        (["gm", "--vars", "t", "--matrix", "{dt}", "--m", "3", "--blocks", "1,1,1,1"], 2,
+         "error: weight m must be a positive even integer"),
+        (["gm", "--vars", "t,x1", "--matrix", "{dt}", "--m", "2", "--blocks", "0,1,0"], 2,
+         "error: variable name 'x1' clashes with the base context"),
+        (["foliation-check", "--vars", "t", "--laurent", "z", "--matrix", "{dt}"], 2,
+         "error: laurent flag for unknown variable(s) ['z']"),
+        (["tangency", "--vars", "x,y", "--field", "D(x)", "--omega", "x $ d(y)", "--deg", "1"],
+         2, "error: unexpected character '$' (at position 2)"),
+        (["tangency", "--vars", "x,y", "--field", "D(x)", "--omega", "1/0*d(x)", "--deg", "1"],
+         2, "error: zero denominator (at position 2)"),
+        (["tangency", "--vars", "x,y", "--field", "D(x)", "--omega", "d(x)", "--ideal", "d(x)",
+          "--deg", "1"], 2, "error: expression contains basis symbols; not a polynomial"),
     ])
     def test_exit_code_and_stderr_prefix(self, capsys, monkeypatch, tmp_path, argv, code,
                                          prefix):
@@ -299,7 +331,13 @@ class TestExitCodes:
                  "null_monomials": json.dumps(dict(TOY_CONFIG, I=None)),
                  "giant_truncation": json.dumps(dict(TOY_CONFIG, truncation=10 ** 19)),
                  "giant_beta": json.dumps(dict(TOY_CONFIG, beta=[[10 ** 20, 2, 0, 2]],
-                                               truncation=2))}
+                                               truncation=2)),
+                 "negative_truncation": json.dumps(dict(TOY_CONFIG, truncation=-1)),
+                 "d_one": json.dumps(dict(TOY_CONFIG, d=1)),
+                 "list_config": "[1, 2]",
+                 "word_beta": json.dumps(dict(TOY_CONFIG, beta="x")),
+                 "light_monomial": json.dumps(dict(TOY_CONFIG, I=[[1, 1, 0, 0]])),
+                 "dt": '[["d(t)"]]'}
         for name, text in files.items():
             (tmp_path / f"{name}.json").write_text(text)
         argv = [a.format(missing=tmp_path / "missing" / "x", dir=tmp_path,

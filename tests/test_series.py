@@ -24,11 +24,6 @@ class TestAdd:
         s = S(2, {(1, 2): Fraction(3, 7)})
         assert s + S(2, {}) == s
 
-    def test_truncation_is_min(self):
-        a = S(2, {(1, 1): Fraction(1, 2)}, trunc=3)
-        b = S(2, {(1, 1): Fraction(1, 2)}, trunc=2)
-        assert a + b == S(2, {(1, 1): 1}, trunc=2)
-
     def test_nvars_mismatch(self):
         with pytest.raises(ValueError):
             S(1, {}) + S(2, {})
@@ -36,19 +31,15 @@ class TestAdd:
 
 class TestMul:
     def test_difference_of_squares(self):
-        a = S(1, {(0,): 1, (1,): 1}, trunc=2)
-        b = S(1, {(0,): 1, (1,): -1}, trunc=2)
-        assert a * b == S(1, {(0,): 1, (2,): -1}, trunc=2)
-
-    def test_square_truncates(self):
-        a = S(1, {(0,): 1, (1,): 1}, trunc=1)
-        assert a * a == S(1, {(0,): 1, (1,): 2}, trunc=1)
+        a = S(1, {(0,): 1, (1,): 1})
+        b = S(1, {(0,): 1, (1,): -1})
+        assert a * b == S(1, {(0,): 1, (2,): -1})
 
     def test_geometric_series_inverse(self):
-        # (sum_{n<=5} t^n) * (1 - t) at D=5 telescopes to 1
-        geo = S(1, {(n,): 1 for n in range(6)}, trunc=5)
-        one_minus = S(1, {(0,): 1, (1,): -1}, trunc=5)
-        assert geo * one_minus == S(1, {(0,): 1}, trunc=5)
+        # (1 + t + ... + t^5) * (1 - t) telescopes to 1 - t^6
+        geo = S(1, {(n,): 1 for n in range(6)})
+        one_minus = S(1, {(0,): 1, (1,): -1})
+        assert geo * one_minus == S(1, {(0,): 1, (6,): -1})
 
     def test_binomial_power(self):
         base = S(1, {(0,): 1, (1,): 1})
@@ -95,12 +86,6 @@ def test_ring_axioms(a, b, c):
 
 
 @settings(max_examples=100, deadline=None)
-@given(series_st(max_deg=4), series_st(max_deg=4), st.integers(0, 5))
-def test_truncation_coherence(a, b, d):
-    assert (a * b).truncate(d) == (a.truncate(d) * b.truncate(d)).truncate(d)
-
-
-@settings(max_examples=100, deadline=None)
 @given(series_st(truncation=6))
 def test_serialization_round_trip(s):
     assert SparseSeries.from_json(s.to_json()) == s
@@ -134,33 +119,26 @@ def test_immutable():
 #
 # Arithmetic builds its results without re-validating them.  Each operation is
 # rebuilt here from the operands' raw terms through ``SparseSeries(...)``, which
-# coerces, merges, drops zeros and drops terms above the truncation itself.
-
-
-def _min_trunc(a, b):
-    return b if a is None else a if b is None else min(a, b)
+# coerces, merges, drops zeros and reduces mod p itself.
 
 
 def _rebuilt(op, a, b, c, i):
-    n, lau = a.nvars, a.laurent
+    n, lau, p = a.nvars, a.laurent, a.p
     if op == "add":
         terms = list(a.terms.items()) + list(b.terms.items())
-        return SparseSeries(n, terms, _min_trunc(a.truncation, b.truncation), lau)
-    if op == "sub":
+    elif op == "sub":
         terms = list(a.terms.items()) + [(e, -v) for e, v in b.terms.items()]
-        return SparseSeries(n, terms, _min_trunc(a.truncation, b.truncation), lau)
-    if op == "neg":
-        return SparseSeries(n, {e: -v for e, v in a.terms.items()}, a.truncation, lau)
-    if op == "scale":
-        return SparseSeries(n, {e: c * v for e, v in a.terms.items()}, a.truncation, lau)
-    if op == "mul":
+    elif op == "neg":
+        terms = [(e, -v) for e, v in a.terms.items()]
+    elif op == "scale":
+        terms = [(e, c * v) for e, v in a.terms.items()]
+    elif op == "mul":
         terms = [(tuple(x + y for x, y in zip(e1, e2)), v1 * v2)
                  for e1, v1 in a.terms.items() for e2, v2 in b.terms.items()]
-        return SparseSeries(n, terms, _min_trunc(a.truncation, b.truncation), lau)
-    assert op == "diff"
-    terms = [(e[:i] + (e[i] - 1,) + e[i + 1:], v * e[i]) for e, v in a.terms.items() if e[i]]
-    trunc = None if a.truncation is None else max(a.truncation - 1, 0)
-    return SparseSeries(n, terms, trunc, lau)
+    else:
+        assert op == "diff"
+        terms = [(e[:i] + (e[i] - 1,) + e[i + 1:], v * e[i]) for e, v in a.terms.items() if e[i]]
+    return SparseSeries(n, terms, None, lau, p)
 
 
 _OPS = {"add": lambda a, b, c, i: a + b, "sub": lambda a, b, c, i: a - b,
@@ -172,25 +150,34 @@ def _check_op(op, a, b, c=Fraction(2), i=0):
     got = _OPS[op](a, b, c, i)
     want = _rebuilt(op, a, b, c, i)
     assert got == want
-    assert got.laurent == a.laurent
-    assert all(type(v) is Fraction and v for v in got.terms.values())
+    assert got.laurent == a.laurent and got.p == a.p and got.truncation is None
+    if a.p is None:
+        assert all(type(v) is Fraction and v for v in got.terms.values())
+    else:
+        assert all(type(v) is int and 0 < v < a.p for v in got.terms.values())
     assert all(type(e) is tuple and all(type(x) is int for x in e) for e in got.terms)
 
 
 @st.composite
 def compatible_pair_st(draw):
-    """Two series over the same variables and Laurent flags, each with its own
-    truncation (None or finite), on a small exponent box so that terms collide."""
+    """Two exact values over the same variables, Laurent flags and field, on a
+    small exponent box so that terms collide: over Q, with any Laurent flags, or
+    over GF(2) or GF(7), whose terms also cancel mod p."""
     nvars = draw(st.integers(1, 3))
-    lau = tuple(draw(st.lists(st.booleans(), min_size=nvars, max_size=nvars)))
+    p = draw(st.sampled_from([None, 2, 7]))
+    if p is None:
+        lau = tuple(draw(st.lists(st.booleans(), min_size=nvars, max_size=nvars)))
+    else:
+        lau = (False,) * nvars
+    # GF(2) cannot invert the even denominators
+    coefficient = fractions_st(max_den=1 if p == 2 else 5)
 
     def one():
-        trunc = draw(st.one_of(st.none(), st.integers(0, 4)))
         terms = {}
         for _ in range(draw(st.integers(0, 5))):
             e = tuple(draw(st.integers(-2 if flag else 0, 3)) for flag in lau)
-            terms[e] = draw(fractions_st())
-        return SparseSeries(nvars, terms, trunc, lau)
+            terms[e] = draw(coefficient)
+        return SparseSeries(nvars, terms, laurent=lau, p=p)
 
     return one(), one()
 
@@ -200,25 +187,40 @@ def compatible_pair_st(draw):
 @given(pair=compatible_pair_st(), c=fractions_st(), i=st.integers(0, 2))
 def test_arithmetic_matches_validating_constructor(op, pair, c, i):
     a, b = pair
+    if a.p is not None:  # an integer scale factor is a residue in every GF(p)
+        c = c.numerator
     _check_op(op, a, b, c, i % a.nvars)
 
 
-def test_sum_drops_terms_above_the_smaller_truncation():
-    # x^3 is valid in the exact polynomial but not at truncation 2
-    a = S(2, {(3, 0): 1, (0, 1): 1})
-    b = S(2, {(0, 1): 1, (1, 1): -1}, trunc=2)
-    for op in ("add", "sub"):
-        _check_op(op, a, b)
-        _check_op(op, b, a)
-    assert (a + b).terms == {(0, 1): 2, (1, 1): -1}
-    assert (b - a).terms == {(1, 1): -1}
+_RAISING = {"+": lambda a, b: a + b, "-": lambda a, b: a - b, "*": lambda a, b: a * b,
+            "unary -": lambda a, b: -a, "scale": lambda a, b: a.scale(3),
+            "diff": lambda a, b: a.diff(0), "**": lambda a, b: a ** 0}
 
 
-def test_diff_on_laurent_variable_drops_terms_whose_degree_stays():
-    # d/dx of x^-1 y^2 is -x^-2 y^2: still degree 2, above the new bound 1
-    s = SparseSeries(2, {(-1, 2): 1, (-1, 1): 3}, truncation=2, laurent=(True, False))
-    _check_op("diff", s, s, i=0)
-    assert s.diff(0) == SparseSeries(2, {(-2, 1): -3}, truncation=1, laurent=(True, False))
+@pytest.mark.parametrize("op", list(_RAISING))
+def test_arithmetic_on_a_truncated_operand_raises(op):
+    exact = S(2, {(0, 0): 1, (1, 0): 2})
+    cut = exact.truncate(3)
+    operands = [(cut, exact), (cut, cut)] + ([(exact, cut)] if op in ("+", "-", "*") else [])
+    for a, b in operands:
+        with pytest.raises(ValueError, match="truncated series"):
+            _RAISING[op](a, b)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(nvars=-1), "nvars must be non-negative"),
+    (dict(nvars=1, truncation=-1), "truncation must be non-negative"),
+    (dict(nvars=2, laurent=(True,)), "laurent flag count does not match nvars"),
+    (dict(nvars=1, p=1), "modulus must be a prime >= 2"),
+    (dict(nvars=1, truncation=2, p=3), r"GF\(p\) values are exact polynomials"),
+    (dict(nvars=1, laurent=(True,), p=3), r"GF\(p\) values are exact polynomials"),
+    (dict(nvars=2, terms={(1,): 1}), r"exponent \(1,\) has wrong length for 2 variables"),
+    (dict(nvars=2, terms={(0, -1): 1}, laurent=(True, False)),
+     "negative exponent on non-Laurent variable 1"),
+])
+def test_constructor_rejects_invalid_arguments(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        SparseSeries(**kwargs)
 
 
 def test_monomials_upto_enumerates_the_simplex_in_grlex_order():
