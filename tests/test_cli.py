@@ -604,6 +604,13 @@ class TestTableShapes:
         assert len(doc["terms"]) == 9
         assert all(t["c"] == "1/1" for t in doc["terms"])
 
+    def test_eq1_output_is_pinned(self, capsys):
+        # the writer prints the --truncation label into the series document
+        code, out, _ = run(capsys, "eq1", "--truncation", "3")
+        assert code == 0 and out.startswith('{"nvars":35,"truncation":3,"terms":[')
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "3b703bec39139549b2803d69be78ef0eb5d823c9ddbc590910a47fc7ab6f7064")
+
     def test_periods_document(self, capsys, tmp_path):
         cfg = dict(TOY_CONFIG, beta=[[0, 0, 0, 0]], truncation=2)
         path = tmp_path / "b0.json"
@@ -627,6 +634,18 @@ class TestFoliationCommands:
                            "--matrix", str(matrix), "--order", "3")
         doc = json.loads(out)
         assert doc["Y"][0][0]["terms"][1] == {"e": [1], "c": "2/1"}
+
+    def test_solve_linear_output_is_pinned(self, capsys, tmp_path):
+        # each entry of Y is written with the --order as its truncation label
+        matrix = tmp_path / "B.json"
+        matrix.write_text(json.dumps([["2*d(z)"]]))
+        code, out, _ = run(capsys, "solve-linear", "--vars", "z",
+                           "--matrix", str(matrix), "--order", "3")
+        assert code == 0
+        assert out == ('{"order":3,"Y":[[{"nvars":1,"truncation":3,"terms":[{"e":[0],"c":"1/1"},'
+                       '{"e":[1],"c":"2/1"},{"e":[2],"c":"2/1"},{"e":[3],"c":"4/3"}]}]]}\n')
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "0209fb82fbbaaa74f3a9c38ef0b13b1f514738be4a4b86c26873fa0254268c7d")
 
     def test_non_integrable_reported(self, capsys, tmp_path):
         matrix = tmp_path / "B.json"
