@@ -79,7 +79,8 @@ def _cmd_denominators(args) -> Tuple[str, int]:
 
 def _cmd_eq1(args) -> Tuple[str, int]:
     from hodgeloci import periods
-    return periods.quartic_full_family_series(args.truncation).to_json() + "\n", 0
+    series = periods.quartic_full_family_series(args.truncation)
+    return series.to_json(args.truncation) + "\n", 0
 
 
 def _cmd_griffiths(args) -> Tuple[str, int]:

@@ -1,9 +1,8 @@
 """Vector fields and differential forms with polynomial coefficients.
 
 Components are exact polynomials: ``SparseSeries`` over Q (Laurent in the
-flagged variables) or over GF(p) (``p`` set).  ``VectorField`` and ``OneForm``
-reject a truncated series, so every operation computes exactly, and
-``integrability_check`` compares dB and B ^ B as they are.  The operations
+flagged variables) or over GF(p) (``p`` set), so every operation computes
+exactly, and ``integrability_check`` compares dB and B ^ B as they are.  The operations
 only assume ring arithmetic plus ``diff``.  Two-form components are stored on
 ordered index pairs i < j only.
 """
@@ -92,8 +91,6 @@ class _Components(Value):
         for c in comps:
             if c.nvars != ctx.nvars:
                 raise ValueError("component variable count does not match context")
-            if c.truncation is not None:
-                raise ValueError("component is a truncated series, not an exact polynomial")
         self.__dict__.update(ctx=ctx, comps=comps)
 
     def is_zero(self) -> bool:

@@ -1,9 +1,9 @@
 """Linear differential systems dY = B*Y and the Hodge-block foliation assembly.
 
-``linear_solve_series`` produces the truncated fundamental matrix with
-Y(0) = I by solving the coefficient recursion degree by degree; a full
-post-verification of dY - B*Y through the requested order raises
-NotIntegrable on inconsistent (non-integrable) input.
+``linear_solve_series`` produces the fundamental matrix with Y(0) = I through
+a total degree, as exact polynomials, by solving the coefficient recursion
+degree by degree; a full post-verification of dY - B*Y through the requested
+order raises NotIntegrable on inconsistent (non-integrable) input.
 
 ``gm_assemble`` extends the base context by fiber coordinates x_1, ..., x_g
 (x_1 Laurent), builds the column substitution matrix S with S*C = x and
@@ -12,8 +12,7 @@ frame A = -S^{-1} dS + S^{-1} B S, whose product with the constant column C
 generates the foliation carrying the constant-period loci as leaves.  S and
 S^{-1} are the identity but for the x column, so A is formed from B with
 that column replaced by B*x - dx, without matrix products; the assembly keeps
-that column.  The entries of B are exact polynomial 1-forms: ``OneForm``
-rejects a truncated series.
+that column.  The entries of B are exact polynomial 1-forms.
 
 ``block_foliation_forms`` reads the block equations, rows of dx - B*x, off
 the assembly's B*x - dx, and checks the span identity S * (A*C) = B*x - dx:
@@ -81,10 +80,10 @@ class HodgeBlocks(Value):
 
 
 def linear_solve_series(b: FormMatrix, order: int) -> List[List[SparseSeries]]:
-    """Truncated fundamental solution Y of dY = B*Y with Y(0) = identity.
+    """Fundamental solution Y of dY = B*Y with Y(0) = identity, through total
+    degree ``order``: each entry is the exact polynomial of those terms.
 
-    Coefficients of Y are produced through total degree ``order``; the
-    defining identity is then verified in every variable direction through
+    The defining identity is then verified in every variable direction through
     degree order-1, raising NotIntegrable on failure.  The expansion point is
     the origin, which must be a regular point of the system: connections with
     a singular origin have to be re-expanded at a regular point by the caller.
@@ -146,8 +145,7 @@ def linear_solve_series(b: FormMatrix, order: int) -> List[List[SparseSeries]]:
                         raise NotIntegrable(
                             f"no consistent solution at degree {sum(mono) + 1} "
                             f"(entry ({r},{c}), direction {ctx.names[i]})")
-    return [[SparseSeries(nv, y[r][c], truncation=order) for c in range(h)]
-            for r in range(h)]
+    return [[SparseSeries(nv, y[r][c]) for c in range(h)] for r in range(h)]
 
 
 # -- Hodge-block assembly -----------------------------------------------------------
@@ -233,12 +231,12 @@ def gm_assemble(b: FormMatrix, blocks: HodgeBlocks) -> GMAssembly:
 
 
 def solve_linear_document(b: FormMatrix, order: int) -> str:
-    """The ``solve-linear`` document: the order and the rows of the truncated
-    fundamental matrix Y, each entry a series document."""
+    """The ``solve-linear`` document: the order and the rows of the fundamental
+    matrix Y through that order, each entry a series document labelled with it."""
     import json
 
     y = linear_solve_series(b, order)
-    doc = {"order": order, "Y": [[s.to_doc() for s in row] for row in y]}
+    doc = {"order": order, "Y": [[s.to_doc(order) for s in row] for row in y]}
     return json.dumps(doc, separators=(",", ":")) + "\n"
 
 

@@ -37,6 +37,4 @@ def mod_reduce(f: SparseSeries, p: int) -> SparseSeries:
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if f.truncation is not None:
-        raise ValueError("mod-p reduction is defined for exact polynomials only")
     return SparseSeries(f.nvars, f.terms, p=p)

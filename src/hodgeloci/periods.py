@@ -40,8 +40,9 @@ wrong length, so that every input error is raised before any row runs.
 every row of one orbit from one kernel run, and read the kernel's integers
 directly, with no ``Fraction`` and no ``SparseSeries`` in between.  They
 equal ``denominator_profile(period_series(...))`` and
-``period_series(...).series.to_json()`` row by row, and the tests hold them
-equal; ``SparseSeries.to_doc`` defines the canonical format.  The orbits are
+``period_series(...).series.to_json(family.truncation)`` row by row, and the
+tests hold them equal; ``SparseSeries.to_doc`` defines the canonical format.
+The orbits are
 independent, so a large table computes them in forked child processes
 (``_map_rows``), which pickle back only the rows.
 
@@ -252,7 +253,7 @@ def period_series(beta, family: FamilySpec) -> PeriodSeries:
     """All coefficients of t^a with total degree <= family.truncation."""
     beta, raw = _kernel_terms(beta, family)
     terms: Dict[Tuple[int, ...], Fraction] = {a: Fraction(num, den) for a, num, den in raw}
-    series = SparseSeries._trusted(family.nparams, terms, family.truncation)
+    series = SparseSeries._trusted(family.nparams, terms)
     return PeriodSeries(family, beta, series,
                         normalization_text(family.n, family.d, beta.k))
 
@@ -353,9 +354,9 @@ def orbit_denominator_profiles(orbit: BetaOrbit, family: FamilySpec) -> List[Den
 
 
 def orbit_series_json(orbit: BetaOrbit, family: FamilySpec) -> List[str]:
-    """``period_series(beta, family).series.to_json()`` of each row of
-    ``orbit``, from one kernel run: each term is reduced by one gcd and
-    formatted as ``{"e":[...],"c":"n/d"}``.
+    """``period_series(beta, family).series.to_json(family.truncation)`` of
+    each row of ``orbit``, from one kernel run: each term is reduced by one gcd
+    and formatted as ``{"e":[...],"c":"n/d"}``.
 
     An orbit whose rows are all its ``beta`` (no symmetry moves it, or it is
     listed more than once) is written once, one format per term, in the
@@ -389,7 +390,8 @@ def orbit_series_json(orbit: BetaOrbit, family: FamilySpec) -> List[str]:
 
 def quartic_full_family_series(truncation: int) -> SparseSeries:
     """Independent direct implementation of the quartic-surface case (n=2, d=4,
-    beta=0) over the full set of 35 weight-4 monomials.
+    beta=0) over the full set of 35 weight-4 monomials: the terms of total
+    degree <= ``truncation``.
 
     Coded straight from the classical closed form: a term survives when no
     (a*_i + 1)/4 is an integer while the first and second coordinate pairs sum
@@ -434,7 +436,7 @@ def quartic_full_family_series(truncation: int) -> SparseSeries:
         a[idx] = 0
 
     descend(0, truncation, (0, 0, 0, 0), 1)
-    return SparseSeries(m, terms, truncation=truncation)
+    return SparseSeries(m, terms)
 
 
 def quartic_full_monomials() -> Tuple[Tuple[int, ...], ...]:

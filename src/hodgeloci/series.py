@@ -1,15 +1,14 @@
 """Sparse multivariate power series and polynomials over Q or GF(p).
 
-A value is a map from exponent vectors to nonzero coefficients: ``Fraction``s
-over Q (``p`` None), or ints in ``[1, p)`` over GF(p).  A rational value may
-carry a total-degree truncation: a label for a written-out series (the period
-documents), which drops the terms above it on construction.  Arithmetic is
-exact: it raises ``ValueError`` on a labelled operand, and ``truncation=None``
-means an exact polynomial.  Variables flagged as Laurent admit negative
-exponents; the total degree of an exponent vector counts only its non-negative
-entries.  A GF(p) value is always an exact polynomial with no Laurent
-variables.  The canonical term order everywhere is graded-lexicographic: sort
-by total degree first, then by the exponent tuple.
+A value is an exact polynomial: a map from exponent vectors to nonzero
+coefficients, ``Fraction``s over Q (``p`` None) or ints in ``[1, p)`` over
+GF(p), and arithmetic on values is exact.  A power series is known through a
+total degree only when it is written out, so a truncation is not part of a
+value: the writers (``to_doc``, ``to_json``) print one as a label of the
+document.  Variables flagged as Laurent admit negative exponents; the total
+degree of an exponent vector counts only its non-negative entries.  A GF(p)
+value has no Laurent variables.  The canonical term order everywhere is
+graded-lexicographic: sort by total degree first, then by the exponent tuple.
 """
 
 from __future__ import annotations
@@ -68,17 +67,11 @@ def residue(c, p: int) -> int:
 
 
 class SparseSeries(Value):
-    """Exact sparse polynomial over Q, or over GF(p) when ``p`` is set; over Q
-    a ``truncation`` labels a written-out series instead.
+    """Exact sparse polynomial over Q, or over GF(p) when ``p`` is set.
 
     Values are immutable after construction; all operations return new
     objects and are safe to share between threads.  Operands of a binary
     operation must share ``nvars``, the Laurent flags and ``p``.
-
-    A truncation is a label: the constructor drops the terms above it, and
-    ``truncate``, the canonical document and the comparisons keep it, but
-    arithmetic (``+``, ``-``, negation, ``scale``, ``*``, ``**``, ``diff``)
-    raises ``ValueError`` when an operand has one.
 
     The public constructor coerces and checks every term; with ``p`` set it
     maps each rational to its residue (``residue``).  Arithmetic results skip
@@ -89,24 +82,21 @@ class SparseSeries(Value):
     """
 
     nvars: int
-    truncation: Optional[int]
     laurent: Tuple[bool, ...]
     terms: Dict[Exponent, object]
     p: Optional[int]
 
-    def __init__(self, nvars: int, terms=None, truncation: Optional[int] = None,
-                 laurent: Optional[Sequence[bool]] = None, p: Optional[int] = None):
+    def __init__(self, nvars: int, terms=None, laurent: Optional[Sequence[bool]] = None,
+                 p: Optional[int] = None):
         if nvars < 0:
             raise ValueError("nvars must be non-negative")
-        if truncation is not None and truncation < 0:
-            raise ValueError("truncation must be non-negative")
         lau = tuple(bool(b) for b in laurent) if laurent is not None else (False,) * nvars
         if len(lau) != nvars:
             raise ValueError("laurent flag count does not match nvars")
         if p is not None:
             if p < 2:
                 raise ValueError("modulus must be a prime >= 2")
-            if truncation is not None or any(lau):
+            if any(lau):
                 raise ValueError("GF(p) values are exact polynomials with no Laurent variables")
         clean = {}
         if terms:
@@ -118,8 +108,6 @@ class SparseSeries(Value):
                 for i, x in enumerate(e):
                     if x < 0 and not lau[i]:
                         raise ValueError(f"negative exponent on non-Laurent variable {i}")
-                if truncation is not None and total_degree(e) > truncation:
-                    continue
                 c = _coerce(c) if p is None else residue(c, p)
                 if c:
                     acc = clean.get(e)
@@ -129,33 +117,31 @@ class SparseSeries(Value):
                         clean[e] = c
                     elif e in clean:
                         del clean[e]
-        self.__dict__.update(nvars=nvars, truncation=truncation, laurent=lau, terms=clean, p=p)
+        self.__dict__.update(nvars=nvars, laurent=lau, terms=clean, p=p)
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def _trusted(cls, nvars: int, terms: dict, truncation: Optional[int],
-                 laurent: Optional[Tuple[bool, ...]] = None,
+    def _trusted(cls, nvars: int, terms: dict, laurent: Optional[Tuple[bool, ...]] = None,
                  p: Optional[int] = None) -> "SparseSeries":
         """Adopt ``terms`` as is, with no coercion, merging or checks: for values
         whose keys are distinct int tuples of length ``nvars``, negative only on
-        variables flagged in ``laurent`` (a bool tuple; default none), of total
-        degree <= ``truncation``, and whose values are nonzero Fractions, or
-        ints in [1, p) when ``p`` is set."""
+        variables flagged in ``laurent`` (a bool tuple; default none), and whose
+        values are nonzero Fractions, or ints in [1, p) when ``p`` is set."""
         self = object.__new__(cls)
-        self.__dict__.update(nvars=nvars, truncation=truncation,
+        self.__dict__.update(nvars=nvars,
                              laurent=(False,) * nvars if laurent is None else laurent,
                              terms=terms, p=p)
         return self
 
     def ring_zero(self):
-        return SparseSeries._trusted(self.nvars, {}, None, self.laurent, self.p)
+        return SparseSeries._trusted(self.nvars, {}, self.laurent, self.p)
 
     def ring_one(self):
         return self.ring_constant(1)
 
     def ring_constant(self, c):
-        return SparseSeries(self.nvars, {(0,) * self.nvars: c}, None, self.laurent, self.p)
+        return SparseSeries(self.nvars, {(0,) * self.nvars: c}, self.laurent, self.p)
 
     # -- basic queries -----------------------------------------------------
 
@@ -188,11 +174,7 @@ class SparseSeries(Value):
     # -- arithmetic ---------------------------------------------------------
 
     def _check_compatible(self, other: "SparseSeries"):
-        """Operands share nvars, Laurent flags and p, and neither has a truncation
-        (a unary operation passes itself as ``other``)."""
-        if self.truncation is not None or other.truncation is not None:
-            raise ValueError("arithmetic on a truncated series: a truncation only labels "
-                             "a series document")
+        """Operands share nvars, Laurent flags and p."""
         if self.nvars != other.nvars:
             raise ValueError(f"variable-count mismatch: {self.nvars} vs {other.nvars}")
         if self.laurent != other.laurent:
@@ -222,7 +204,7 @@ class SparseSeries(Value):
         p = self.p
         if p is not None:
             terms = {e: r for e, c in terms.items() if (r := c % p)}
-        return SparseSeries._trusted(self.nvars, terms, None, self.laurent, p)
+        return SparseSeries._trusted(self.nvars, terms, self.laurent, p)
 
     def __add__(self, other):
         if not isinstance(other, SparseSeries):
@@ -230,7 +212,6 @@ class SparseSeries(Value):
         return self._add_signed(other, False)
 
     def __neg__(self):
-        self._check_compatible(self)
         return self._result({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
@@ -239,7 +220,6 @@ class SparseSeries(Value):
         return self._add_signed(other, True)
 
     def scale(self, c) -> "SparseSeries":
-        self._check_compatible(self)
         c = _coerce(c) if self.p is None else residue(c, self.p)
         if not c:
             return self.ring_zero()
@@ -270,8 +250,6 @@ class SparseSeries(Value):
         return NotImplemented
 
     def __pow__(self, n: int):
-        # checked here too: s ** 0 multiplies nothing
-        self._check_compatible(self)
         if n < 0:
             raise ValueError("negative powers are not defined on series")
         out = self.ring_one()
@@ -284,12 +262,13 @@ class SparseSeries(Value):
         return out
 
     def truncate(self, d: int) -> "SparseSeries":
-        new = d if self.truncation is None else min(d, self.truncation)
-        return SparseSeries(self.nvars, self.terms, new, self.laurent, self.p)
+        """The exact polynomial of the terms of total degree <= d."""
+        return SparseSeries._trusted(
+            self.nvars, {e: c for e, c in self.terms.items() if total_degree(e) <= d},
+            self.laurent, self.p)
 
     def diff(self, i: int) -> "SparseSeries":
         """Partial derivative with respect to variable i."""
-        self._check_compatible(self)
         return self._result({e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
                              for e, c in self.terms.items() if e[i]})
 
@@ -330,7 +309,7 @@ class SparseSeries(Value):
         return SparseSeries(
             self.nvars,
             {e: (-c if e[i] & 1 else c) for e, c in self.terms.items()},
-            self.truncation, self.laurent, self.p)
+            self.laurent, self.p)
 
     def embed(self, nvars: int, positions: Sequence[int],
               laurent: Optional[Sequence[bool]] = None) -> "SparseSeries":
@@ -344,29 +323,30 @@ class SparseSeries(Value):
             for old, new in enumerate(positions):
                 e2[new] = e[old]
             out[tuple(e2)] = c
-        return SparseSeries(nvars, out, self.truncation, laurent, self.p)
+        return SparseSeries(nvars, out, laurent, self.p)
 
     # -- comparison / presentation ----------------------------------------------
 
     def __hash__(self):  # the terms are a dict
-        return hash((self.nvars, self.truncation, self.laurent, self.p,
+        return hash((self.nvars, self.laurent, self.p,
                      tuple(sorted(self.terms.items()))))
 
     def __repr__(self):
         shown = ", ".join(f"{e}:{c}" for e, c in self.sorted_terms()[:6])
         more = "" if len(self.terms) <= 6 else f", +{len(self.terms) - 6} terms"
         field = "" if self.p is None else f"p={self.p}, "
-        return (f"SparseSeries(nvars={self.nvars}, truncation={self.truncation}, "
-                f"{field}{{{shown}{more}}})")
+        return f"SparseSeries(nvars={self.nvars}, {field}{{{shown}{more}}})"
 
     # -- canonical serialization -----------------------------------------------
 
-    def to_doc(self) -> dict:
-        """Canonical document: graded-lex sorted terms, coefficients as "num/den",
-        then ``"laurent"`` flags when a variable has them and ``"p"`` over GF(p)."""
+    def to_doc(self, truncation: Optional[int] = None) -> dict:
+        """Canonical document: ``truncation``, the total degree through which a
+        written-out series is known (None for an exact polynomial), graded-lex
+        sorted terms with coefficients as "num/den", then ``"laurent"`` flags
+        when a variable has them and ``"p"`` over GF(p)."""
         doc = {
             "nvars": self.nvars,
-            "truncation": self.truncation,
+            "truncation": truncation,
             "terms": [{"e": list(e), "c": f"{c.numerator}/{c.denominator}"}
                       for e, c in self.sorted_terms()],
         }
@@ -378,18 +358,15 @@ class SparseSeries(Value):
 
     @classmethod
     def from_doc(cls, doc: Mapping) -> "SparseSeries":
-        nvars = int(doc["nvars"])
-        trunc = doc.get("truncation")
-        trunc = None if trunc is None else int(trunc)
-        laurent = doc.get("laurent")
+        """The polynomial of a document's terms; its truncation label is not read."""
         p = doc.get("p")
         terms = {tuple(int(x) for x in t["e"]): Fraction(t["c"]) for t in doc["terms"]}
-        return cls(nvars, terms, trunc, laurent, None if p is None else int(p))
+        return cls(int(doc["nvars"]), terms, doc.get("laurent"), None if p is None else int(p))
 
-    def to_json(self) -> str:
+    def to_json(self, truncation: Optional[int] = None) -> str:
         import json
 
-        return json.dumps(self.to_doc(), separators=(",", ":"))
+        return json.dumps(self.to_doc(truncation), separators=(",", ":"))
 
     @classmethod
     def from_json(cls, text: str) -> "SparseSeries":

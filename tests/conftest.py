@@ -15,14 +15,13 @@ def exponent_st(nvars: int, max_deg: int):
 
 
 @st.composite
-def series_st(draw, nvars: int = 2, max_deg: int = 3, max_terms: int = 4,
-              truncation=None):
+def series_st(draw, nvars: int = 2, max_deg: int = 3, max_terms: int = 4):
     n = draw(st.integers(0, max_terms))
     terms = {}
     for _ in range(n):
         e = draw(exponent_st(nvars, max_deg))
         terms[e] = draw(fractions_st())
-    return SparseSeries(nvars, terms, truncation=truncation)
+    return SparseSeries(nvars, terms)
 
 
 @st.composite

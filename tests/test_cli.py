@@ -515,7 +515,7 @@ def test_orbit_rows_equal_the_per_row_functions(monkeypatch, forks, name, split)
     assert periods._map_rows(periods.orbit_denominator_profiles, betas, fam) == \
         [periods.denominator_profile(period_series(b, fam)) for b in betas]
     assert periods._map_rows(periods.orbit_series_json, betas, fam) == \
-        [period_series(b, fam).series.to_json() for b in betas]
+        [period_series(b, fam).series.to_json(fam.truncation) for b in betas]
     # two tables, each split over min(CPUs, orbits) children
     assert len(forks) == (2 * min(CPUS, orbits) if split and min(CPUS, orbits) >= 2 else 0)
     assert_no_child_left()
@@ -558,7 +558,7 @@ def to_doc_periods_document(fam, cfg):
     for b in betas:
         ps = period_series(b, fam)
         results.append({"beta": list(b.beta), "k": b.k, "monomial": b.monomial_str(),
-                        "normalization": ps.normalization, "series": ps.series.to_doc()})
+                        "normalization": ps.normalization, "series": ps.series.to_doc(fam.truncation)})
     doc = {"family": {"n": fam.n, "d": fam.d, "I": [list(a) for a in fam.monomials],
                       "truncation": fam.truncation},
            "results": results}

@@ -95,14 +95,6 @@ class TestIntegrability:
         assert not integrability_check(b)
 
 
-@pytest.mark.parametrize("cls", [OneForm, VectorField])
-def test_truncated_component_rejected(cls):
-    # components are exact polynomials; a truncated series, even a zero one, is refused
-    for comp in (X.truncate(4), CTX.zero().truncate(0)):
-        with pytest.raises(ValueError, match="truncated series, not an exact polynomial"):
-            cls(CTX, (Y, comp))
-
-
 def test_laurent_context_derivative():
     ctx = PolyContext(("x",), (True,))
     xinv = ctx.monomial((-1,))

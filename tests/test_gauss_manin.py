@@ -56,7 +56,7 @@ class TestLinearSolve:
         coeff = SparseSeries(1, {(n,): 1 for n in range(d)})
         b = FormMatrix(ctx, [[OneForm(ctx, (coeff,))]])
         y = linear_solve_series(b, d)[0][0]
-        assert y == SparseSeries(1, {(n,): 1 for n in range(d + 1)}, truncation=d)
+        assert y == SparseSeries(1, {(n,): 1 for n in range(d + 1)})
 
     def test_commuting_two_variable_exponential(self):
         b = FormMatrix(CTX, [[OneForm(CTX, (CTX.one(), CTX.one()))]])
@@ -272,12 +272,6 @@ class TestBlockFoliation:
         with pytest.raises(TransversalityViolation) as err:
             block_foliation_forms(FormMatrix(CTX, rows), BLOCKS)
         assert err.value.block == (0, 2)
-
-    def test_truncated_entry_rejected(self):
-        # a connection matrix entry must be an exact polynomial 1-form: the
-        # entry itself cannot be built from a truncated series
-        with pytest.raises(ValueError, match="truncated series, not an exact polynomial"):
-            OneForm(CTX, (SparseSeries(2, {(1, 0): 1}, truncation=3), CTX.zero()))
 
     def test_weight_four_blocks(self):
         # m = 4, blocks (1,1,1,1,1): two zero rows, three fiber coordinates

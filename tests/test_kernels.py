@@ -65,8 +65,7 @@ def test_trusted_series_equals_validated_construction(fam):
         series = period_series(beta, fam).series
         raw = _coeff_kernel_py.coefficient_terms(beta.beta, fam.d, fam.monomials,
                                                  fam.truncation)
-        checked = SparseSeries(fam.nparams, [(a, Fraction(num, den)) for a, num, den in raw],
-                               truncation=fam.truncation)
+        checked = SparseSeries(fam.nparams, [(a, Fraction(num, den)) for a, num, den in raw])
         assert series == checked and hash(series) == hash(checked)
 
 
@@ -83,7 +82,7 @@ def test_integer_denominator_path_matches_series_profile(fam):
 def test_series_writer_matches_to_json(fam):
     basis = griffiths_basis(fam.d, fam.n)
     assert table_rows(orbit_series_json, basis, fam) == \
-        [period_series(beta, fam).series.to_json() for beta in basis]
+        [period_series(beta, fam).series.to_json(fam.truncation) for beta in basis]
 
 
 @pytest.mark.parametrize("truncation", [4, 12])
@@ -109,14 +108,14 @@ def test_orbit_rows_equal_the_per_row_functions(data):
     assert table_rows(orbit_denominator_profiles, betas, fam) == \
         [denominator_profile(period_series(b, fam)) for b in betas]
     assert table_rows(orbit_series_json, betas, fam) == \
-        [period_series(b, fam).series.to_json() for b in betas]
+        [period_series(b, fam).series.to_json(fam.truncation) for b in betas]
 
 
 def test_series_writer_writes_an_empty_series():
     fam = FamilySpec(2, 4, (), 3)  # beta 0 fails the pair test, and no monomial moves it
     [written] = table_rows(orbit_series_json, [BetaIndex.make((0, 0, 0, 0), 4)], fam)
     assert written == '{"nvars":0,"truncation":3,"terms":[]}'
-    assert written == period_series((0, 0, 0, 0), fam).series.to_json()
+    assert written == period_series((0, 0, 0, 0), fam).series.to_json(fam.truncation)
 
 
 def test_pure_kernel_handles_many_variables():

@@ -97,7 +97,7 @@ def test_json_round_trip_keeps_the_field():
     assert v.to_doc()["p"] == 7
     back = SparseSeries.from_json(v.to_json())
     assert back == v and back.p == 7
-    q = SparseSeries(2, {(1, 0): Fraction(3), (0, 2): Fraction(-1, 2)}, truncation=4)
-    assert "p" not in q.to_doc()
-    back = SparseSeries.from_json(q.to_json())
-    assert back == q and back.p is None and back.truncation == 4
+    q = SparseSeries(2, {(1, 0): Fraction(3), (0, 2): Fraction(-1, 2)})
+    assert "p" not in q.to_doc(4) and q.to_doc(4)["truncation"] == 4
+    back = SparseSeries.from_json(q.to_json(4))
+    assert back == q and back.p is None
