@@ -18,6 +18,7 @@ command runs.  ``json`` is imported only by code that reads or writes it.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
@@ -30,6 +31,28 @@ if TYPE_CHECKING:  # for annotations only; nothing here is imported at run time
 # ValueError also covers json.JSONDecodeError and every input error of errors.py
 # except DenominatorDivisibleByP
 _INVALID_INPUT = (ValueError, KeyError, TypeError, OSError, DenominatorDivisibleByP)
+
+
+def _write_output(text: str, path: Optional[str]) -> int:
+    """Write a command's output to ``path``, or to stdout when it is None, and
+    flush it: 0, or 2 with one ``error: cannot write`` line on an ``OSError``.
+    After a failed stdout write, fd 1 points at the null device, so that the
+    flush at interpreter exit neither raises again nor changes the exit code."""
+    try:
+        if path:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        return 0
+    except OSError as exc:
+        if not path:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        print(f"error: cannot write {path or 'stdout'}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
 
 
 def _load_json(path: str):
@@ -235,16 +258,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         traceback.print_exc(file=sys.stderr)
         return 4
-    if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: cannot write {args.output}: {exc.strerror or exc}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(text)
-    return code
+    return _write_output(text, args.output) or code
 
 
 if __name__ == "__main__":

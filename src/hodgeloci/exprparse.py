@@ -271,11 +271,28 @@ def field_to_expr(v: VectorField) -> str:
     return _components_expr(v)
 
 
+def _names(text: str) -> Tuple[str, ...]:
+    """The comma-separated names in ``text``, stripped, with empty ones dropped;
+    each must be one NAME token of the grammar."""
+    names = tuple(n for n in (n.strip() for n in text.split(",")) if n)
+    for name in names:
+        try:
+            whole = _Tokenizer(name).next() == ("NAME", name, 0)
+        except ParseError:
+            whole = False
+        if not whole:
+            raise ValueError(f"variable name {name!r} is not a letter or '_' followed by "
+                             f"letters, digits or '_'")
+    return names
+
+
 def parse_context(names: str, laurent: Optional[str] = None) -> PolyContext:
-    """The context of comma-separated variable ``names``, of which the
-    comma-separated ``laurent`` ones admit negative exponents."""
-    names = tuple(n for n in names.split(",") if n)
-    laurent_names = {n for n in laurent.split(",") if n} if laurent else set()
+    """The context of comma-separated variable ``names`` (at least one), of
+    which the comma-separated ``laurent`` ones admit negative exponents."""
+    names = _names(names)
+    if not names:
+        raise ValueError("--vars names no variable")
+    laurent_names = set(_names(laurent)) if laurent else set()
     unknown = laurent_names - set(names)
     if unknown:
         raise ValueError(f"laurent flag for unknown variable(s) {sorted(unknown)}")

@@ -194,12 +194,9 @@ def tangency_check(v: VectorField, omega_gens: Sequence[OneForm],
 def tangency_problem(names: str, field: str, omegas: Sequence[str], ideal: Optional[Sequence[str]]
                      ) -> Tuple[VectorField, List[OneForm], IdealGens]:
     """The vector field, 1-forms and ideal generators of a tangency question,
-    parsed from expressions over the comma-separated variable ``names``, which
-    must name at least one."""
+    parsed from expressions over the comma-separated variable ``names``."""
     from hodgeloci import exprparse
 
-    if not names.replace(",", ""):
-        raise ValueError("--vars names no variable")
     ctx = exprparse.parse_context(names)
     v = exprparse.parse_field(field, ctx)
     ws = [exprparse.parse_oneform(e, ctx) for e in omegas]

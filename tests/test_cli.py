@@ -315,6 +315,24 @@ class TestExitCodes:
          2, "error: zero denominator (at position 2)"),
         (["tangency", "--vars", "x,y", "--field", "D(x)", "--omega", "d(x)", "--ideal", "d(x)",
           "--deg", "1"], 2, "error: expression contains basis symbols; not a polynomial"),
+        # every command reads --vars through exprparse.parse_context: each name is
+        # stripped and must be a NAME of the grammar, and there must be one
+        (["tangency", "--vars", " ", "--field", "0", "--omega", "0", "--deg", "1"], 2,
+         "error: --vars names no variable\n"),
+        (["tangency", "--vars", "x,1a", "--field", "0", "--omega", "0", "--deg", "1"], 2,
+         "error: variable name '1a' is not a letter or '_' followed by letters, digits or '_'\n"),
+        (["gm", "--vars", "t, x y", "--matrix", "{dt}", "--m", "2", "--blocks", "0,1,0"], 2,
+         "error: variable name 'x y' is not a letter or '_' followed by letters, digits or '_'\n"),
+        (["foliation-check", "--vars", "t", "--laurent", "t,$", "--matrix", "{dt}"], 2,
+         "error: variable name '$' is not a letter or '_' followed by letters, digits or '_'\n"),
+        (["sch", "--vars", "", "--field", "0", "--module", "0"], 2,
+         "error: --vars names no variable\n"),
+        (["foliation-check", "--vars", "", "--matrix", "{dt}"], 2,
+         "error: --vars names no variable\n"),
+        (["solve-linear", "--vars", "", "--matrix", "{dt}", "--order", "1"], 2,
+         "error: --vars names no variable\n"),
+        (["gm", "--vars", ",", "--matrix", "{dt}", "--m", "2", "--blocks", "0,1,0"], 2,
+         "error: --vars names no variable\n"),
     ])
     def test_exit_code_and_stderr_prefix(self, capsys, monkeypatch, tmp_path, argv, code,
                                          prefix):
@@ -352,6 +370,35 @@ class TestExitCodes:
         else:  # an UNKNOWN verdict prints the same table as a passing run
             passing = [a if a != "1e-300" else "1e-8" for a in argv]
             assert run(capsys, *passing)[:2] == (0, out)
+
+    @pytest.mark.parametrize("sink", ["closed_pipe", "dev_full"])
+    @pytest.mark.parametrize("command", ["griffiths", "denominators"])
+    def test_failed_stdout_write_is_exit_two(self, toy_config, command, sink):
+        # a write to stdout that fails is one error line and exit 2, with no
+        # traceback and no second message from the flush at interpreter exit
+        argv = (["griffiths", "--d", "6", "--n", "4"] if command == "griffiths"
+                else ["denominators", "--config", toy_config])
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        if sink == "closed_pipe":
+            read_end, stdout = os.pipe()
+            os.close(read_end)
+            reason = "Broken pipe"
+        else:
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full on this system")
+            stdout = os.open("/dev/full", os.O_WRONLY)
+            reason = "No space left on device"
+        try:
+            proc = subprocess.run([sys.executable, "-m", "hodgeloci", *argv], stdout=stdout,
+                                  stderr=subprocess.PIPE, text=True, env=env)
+        finally:
+            os.close(stdout)
+        assert (proc.returncode, proc.stderr) == (2, f"error: cannot write stdout: {reason}\n")
+
+    def test_spaces_around_variable_names_are_insignificant(self, capsys):
+        argv = ["--field", "x*D(x)", "--omega", "x*d(y) + y*d(x)", "--ideal", "x*y", "--deg", "3"]
+        assert run(capsys, "tangency", "--vars", "x, y", *argv) == (0, "YES\n", "")
+        assert run(capsys, "tangency", "--vars", " x ,y ", *argv) == (0, "YES\n", "")
 
     def test_parse_error_is_exit_two(self, capsys):
         code, _, err = run(capsys, "tangency", "--vars", "x,y",

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -5,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 
 from hodgeloci.errors import ParseError
-from hodgeloci.exprparse import (field_to_expr, oneform_to_expr, parse_expr, parse_field,
-                                 parse_oneform, parse_poly, poly_to_expr, print_expr)
+from hodgeloci.exprparse import (field_to_expr, oneform_to_expr, parse_context, parse_expr,
+                                 parse_field, parse_oneform, parse_poly, poly_to_expr,
+                                 print_expr)
 from hodgeloci.forms import OneForm, PolyContext, VectorField
 
 CTX = PolyContext(("x", "y"))
@@ -191,3 +193,13 @@ _terms_st = st.dictionaries(st.tuples(_basis_st, _exps_st), _coeff_st, max_size=
 @given(_terms_st)
 def test_round_trip_random_term_maps(terms):
     assert parse_expr(print_expr(terms, CTX), CTX) == terms
+
+
+def test_parse_context_strips_names_and_checks_each():
+    assert parse_context(" x , _y2,,", " _y2") == PolyContext(("x", "_y2"), (False, True))
+    for names in ("", " ", ",,"):
+        with pytest.raises(ValueError, match="--vars names no variable"):
+            parse_context(names)
+    for bad in ("2x", "x y", "x-1", "d(x)"):
+        with pytest.raises(ValueError, match=re.escape(f"variable name {bad!r} is not a letter")):
+            parse_context(f"t,{bad}")
