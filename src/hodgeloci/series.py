@@ -137,12 +137,6 @@ class SparseSeries(Value):
     def ring_zero(self):
         return SparseSeries._trusted(self.nvars, {}, self.laurent, self.p)
 
-    def ring_one(self):
-        return self.ring_constant(1)
-
-    def ring_constant(self, c):
-        return SparseSeries(self.nvars, {(0,) * self.nvars: c}, self.laurent, self.p)
-
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -163,13 +157,10 @@ class SparseSeries(Value):
 
     def sorted_terms(self):
         """Terms in graded-lexicographic order."""
-        if self.is_laurent():
+        if any(self.laurent):
             return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]))
         # every exponent is non-negative, so the total degree is the plain sum
         return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]))
-
-    def is_laurent(self) -> bool:
-        return any(self.laurent)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -252,7 +243,7 @@ class SparseSeries(Value):
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative powers are not defined on series")
-        out = self.ring_one()
+        out = SparseSeries(self.nvars, {(0,) * self.nvars: 1}, self.laurent, self.p)
         base = self
         while n:
             if n & 1:
