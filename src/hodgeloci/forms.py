@@ -2,9 +2,9 @@
 
 Components are exact polynomials: ``SparseSeries`` over Q (Laurent in the
 flagged variables) or over GF(p) (``p`` set), so every operation computes
-exactly, and ``integrability_check`` compares dB and B ^ B as they are.  The operations
-only assume ring arithmetic plus ``diff``.  Two-form components are stored on
-ordered index pairs i < j only.
+exactly, and ``integrability_check`` compares dB and B ^ B as they are.  The
+operations only assume ring arithmetic plus ``diff``.  Two-form components are
+stored on ordered index pairs i < j only.
 """
 
 from __future__ import annotations

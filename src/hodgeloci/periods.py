@@ -400,6 +400,8 @@ def quartic_full_family_series(truncation: int) -> SparseSeries:
     This path shares no code with the kernel-backed engine and is used to
     cross-check it.
     """
+    if truncation < 0:
+        raise ValueError("truncation must be non-negative")
     monos = quartic_full_monomials()
     m = len(monos)
 

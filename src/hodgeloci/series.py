@@ -1,4 +1,4 @@
-"""Sparse multivariate power series and polynomials over Q or GF(p).
+"""Sparse multivariate polynomials over Q or GF(p), and their series documents.
 
 A value is an exact polynomial: a map from exponent vectors to nonzero
 coefficients, ``Fraction``s over Q (``p`` None) or ints in ``[1, p)`` over

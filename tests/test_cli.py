@@ -333,6 +333,7 @@ class TestExitCodes:
          "error: --vars names no variable\n"),
         (["gm", "--vars", ",", "--matrix", "{dt}", "--m", "2", "--blocks", "0,1,0"], 2,
          "error: --vars names no variable\n"),
+        (["eq1", "--truncation", "-1"], 2, "error: truncation must be non-negative\n"),
     ])
     def test_exit_code_and_stderr_prefix(self, capsys, monkeypatch, tmp_path, argv, code,
                                          prefix):

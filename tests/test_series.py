@@ -210,7 +210,7 @@ def test_arithmetic_matches_validating_constructor(op, pair, c, i):
     (dict(nvars=1, terms={(0,): "x"}), "Invalid literal for Fraction"),
     (dict(nvars=2, laurent=(True,)), "laurent flag count does not match nvars"),
     (dict(nvars=1, p=1), "modulus must be a prime >= 2"),
-    (dict(nvars=2, laurent=(False, True), p=5), r"GF\(p\) values .* no Laurent variables"),
+    (dict(nvars=1, terms={("a",): 1}), "invalid literal for int"),
     (dict(nvars=1, laurent=(True,), p=3), r"GF\(p\) values are exact polynomials"),
     (dict(nvars=2, terms={(1,): 1}), r"exponent \(1,\) has wrong length for 2 variables"),
     (dict(nvars=2, terms={(0, -1): 1}, laurent=(True, False)),
