@@ -606,7 +606,8 @@ def to_doc_periods_document(fam, cfg):
     for b in betas:
         ps = period_series(b, fam)
         results.append({"beta": list(b.beta), "k": b.k, "monomial": b.monomial_str(),
-                        "normalization": ps.normalization, "series": ps.series.to_doc(fam.truncation)})
+                        "normalization": ps.normalization,
+                        "series": ps.series.to_doc(fam.truncation)})
     doc = {"family": {"n": fam.n, "d": fam.d, "I": [list(a) for a in fam.monomials],
                       "truncation": fam.truncation},
            "results": results}
