@@ -42,9 +42,8 @@ directly, with no ``Fraction`` and no ``SparseSeries`` in between.  They
 equal ``denominator_profile(period_series(...))`` and
 ``period_series(...).series.to_json(family.truncation)`` row by row, and the
 tests hold them equal; ``SparseSeries.to_doc`` defines the canonical format.
-The orbits are
-independent, so a large table computes them in forked child processes
-(``_map_rows``), which pickle back only the rows.
+The orbits are independent, so a large table computes them in forked child
+processes (``_map_rows``), which pickle back only the rows.
 
 The bodies of the table commands (``periods``, ``denominators``,
 ``griffiths``) are here too, from a parsed config to the output text:
