@@ -22,7 +22,7 @@ import os
 import sys
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from hodgeloci.errors import DenominatorDivisibleByP, ResourceLimit
+from hodgeloci.errors import DenominatorDivisibleByP, ResourceLimit, report
 
 if TYPE_CHECKING:  # for annotations only; nothing here is imported at run time
     from hodgeloci.forms import FormMatrix
@@ -51,7 +51,7 @@ def _write_output(text: str, path: Optional[str]) -> int:
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
-        print(f"error: cannot write {path or 'stdout'}: {exc.strerror or exc}", file=sys.stderr)
+        report(f"error: cannot write {path or 'stdout'}: {exc.strerror or exc}\n")
         return 2
 
 
@@ -248,15 +248,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         text, code = args.fn(args)
     except ResourceLimit as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        report(f"error: {exc}\n")
         return 3
     except _INVALID_INPUT as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        report(f"error: {exc}\n")
         return 2
     except Exception as exc:  # InternalCheckFailed, or a bug: never exit 1 (UNKNOWN)
         import traceback  # only on this path: importing it costs start-up time
-        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
-        traceback.print_exc(file=sys.stderr)
+        report(f"error: internal: {type(exc).__name__}: {exc}\n{traceback.format_exc()}")
         return 4
     return _write_output(text, args.output) or code
 

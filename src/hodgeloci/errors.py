@@ -1,4 +1,19 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``report``, the one writer
+of the command line's stderr lines."""
+
+import sys
+
+
+def report(text: str) -> None:
+    """Write ``text`` to stderr and flush it.  An ``OSError`` is dropped, so
+    that a stderr that cannot be written leaves the exit code as the caller
+    sets it; escaping, it would end the process with 1, the code of an honest
+    UNKNOWN."""
+    try:
+        sys.stderr.write(text)
+        sys.stderr.flush()
+    except OSError:
+        pass
 
 
 class DenominatorDivisibleByP(ArithmeticError):

@@ -24,11 +24,10 @@ The value classes are ``hodgeloci._value.Value`` records.  ``locus_grid`` and
 from __future__ import annotations
 
 import math
-import sys
 from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from hodgeloci._value import Value
-from hodgeloci.errors import OutOfDomain, TargetOutOfRange
+from hodgeloci.errors import OutOfDomain, TargetOutOfRange, report
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -214,6 +213,5 @@ def locus_table(n_iso: int, t1_grid: Sequence[float], tol: float) -> Tuple[str, 
     lines += [f"{t1:.12g},{t2:.12g},{r:.3e}" for t1, t2, r in sample.points]
     lines += [f"# skipped: t1={t1:.12g} (target ratio out of range)" for t1 in sample.skipped]
     for t1, _, r in sample.flagged:
-        print(f"unknown: t1={t1:.12g} has residual {r:.3e}, not below tol {tol:g}",
-              file=sys.stderr)
+        report(f"unknown: t1={t1:.12g} has residual {r:.3e}, not below tol {tol:g}\n")
     return "".join(l + "\n" for l in lines), 1 if sample.flagged else 0

@@ -43,7 +43,8 @@ equal ``denominator_profile(period_series(...))`` and
 ``period_series(...).series.to_json(family.truncation)`` row by row, and the
 tests hold them equal; ``SparseSeries.to_doc`` defines the canonical format.
 The orbits are independent, so a large table computes them in forked child
-processes (``_map_rows``), which pickle back only the rows.
+processes (``_map_rows``), which take the next orbit when they are free and
+pickle back only the rows.
 
 The bodies of the table commands (``periods``, ``denominators``,
 ``griffiths``) are here too, from a parsed config to the output text:
@@ -52,6 +53,7 @@ The bodies of the table commands (``periods``, ``denominators``,
 
 from __future__ import annotations
 
+import gc
 import itertools
 import os
 import sys
@@ -565,35 +567,46 @@ def betas_from_config(cfg: Mapping, fam: FamilySpec) -> List[BetaIndex]:
 # A table whose kernel runs enumerate at least this many tuples, counted as
 # orbits x C(truncation + m, m) (one run per symmetry orbit of its rows), splits
 # its orbits over forked child processes, which cost a few ms to fork, read and
-# reap.  On the 21-row quartic table, one run per row (BENCH_13.json,
-# break_even; 2 CPUs, three runs), the split's median was higher for
-# denominators at D=14 (64,260 tuples) in every run, lower in 5 of 6 rows at
-# D=16 (101,745) and in all 6 at D=18, and lower in every row from D=20
-# (223,146) on.
-_POOL_TUPLES = 100_000
+# reap.  On the 13-orbit quartic table, with the rows run with the GC off
+# (BENCH_22.json, break_even; 2 CPUs, two runs of 11 pairs), the split's median
+# was even with or above the serial one for denominators at D=14 (39,780
+# tuples; lower in 4-5 of 11 pairs), and below it for both commands at D=16
+# (62,985; lower in 7-11 of 11 pairs) and at D=18 and D=20.  With the GC on,
+# denominators at D=16 was still faster serially.
+_POOL_TUPLES = 50_000
 
 
 def _map_rows(fn, betas: Sequence[BetaIndex], fam: FamilySpec) -> list:
     """One row per beta, from ``fn(orbit, fam)``: the rows of one symmetry orbit
     of the betas (``beta_orbits``), in the orbit's row order.  The orbits are
     split over one forked child process per CPU this process may run on
-    (``_rowsplit.split_rows``) when there are at least two of each and their
-    kernel runs enumerate at least ``_POOL_TUPLES`` tuples; otherwise they are
-    computed in this process.  The output is the same either way.  Every input
-    error, such as a beta of the wrong length, is raised by ``beta_orbits``
-    before any row runs or any child starts; a row that raises in a child is
-    ``WorkerFailed`` (exit 4), as any fault of a serial run is.
+    (``_rowsplit.split_rows``, which hands each child the next orbit when it is
+    free) when there are at least two of each and their kernel runs enumerate
+    at least ``_POOL_TUPLES`` tuples; otherwise they are computed in this
+    process.  The output is the same either way.  The rows run with the cyclic
+    GC off, here and in the children, which inherit that: they make no
+    reference cycles, and its collections, triggered by the kernel's many
+    tuples, found nothing to free.  The caller's GC state is restored on every
+    path.  Every input error, such as a beta of the wrong length, is raised by
+    ``beta_orbits`` before any row runs or any child starts; a row that raises
+    in a child is ``WorkerFailed`` (exit 4), as any fault of a serial run is.
     """
     orbits = beta_orbits(betas, fam)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, len(orbits))
     tuples = len(orbits) * comb(fam.truncation + fam.nparams, fam.nparams)
-    if workers < 2 or tuples < _POOL_TUPLES:
-        shares = [fn(orbit, fam) for orbit in orbits]
-    else:
-        from hodgeloci._rowsplit import split_rows
+    collecting = gc.isenabled()
+    gc.disable()  # forked children inherit this
+    try:
+        if workers < 2 or tuples < _POOL_TUPLES:
+            shares = [fn(orbit, fam) for orbit in orbits]
+        else:
+            from hodgeloci._rowsplit import split_rows
 
-        shares = split_rows(fn, orbits, fam, workers)
+            shares = split_rows(fn, orbits, fam, workers)
+    finally:
+        if collecting:
+            gc.enable()
     rows: list = [None] * len(betas)
     for orbit, share in zip(orbits, shares):
         for row, value in zip(orbit.rows, share):

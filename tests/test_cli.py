@@ -1,5 +1,6 @@
 import ast
 import errno
+import gc
 import hashlib
 import json
 import os
@@ -10,6 +11,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 
 import hypothesis.strategies as st
 import pytest
@@ -135,6 +137,12 @@ WORKER_FAILURES = {
     "parent_raises": (4, "error: internal: RuntimeError: the parent fails\n"),
     "pipe_fails": (3, f"error: cannot start a row worker: {os.strerror(errno.EAGAIN)}\n"),
     "second_fork_fails": (3, f"error: cannot start a row worker: {os.strerror(errno.EAGAIN)}\n"),
+    # a child that takes an orbit and ends with status 0 without sending its rows, or
+    # that sends them twice: the parent checks that every orbit comes back once
+    "dropped_orbit": (4, "error: internal: WorkerFailed: the row workers sent no rows for "
+                         "orbit 1 of 13\n"),
+    "repeated_orbit": (4, "error: internal: WorkerFailed: the row workers sent orbit 1 of 13 "
+                          "twice\n"),
 }
 
 
@@ -142,6 +150,27 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_redirected(argv, redirects):
+    """Exit code, stdout and stderr of the command in a fresh process, with each
+    redirection ``>path`` (stdout) or ``2>path`` (stderr) applied; what goes to
+    a file reads as empty."""
+    sinks = {1: subprocess.PIPE, 2: subprocess.PIPE}
+    for redirect in redirects:
+        fd, _, path = redirect.partition(">")
+        if not os.path.exists(path):
+            pytest.skip(f"no {path} on this system")
+        sinks[int(fd or 1)] = open(path, "w")
+    try:
+        proc = subprocess.run([sys.executable, "-m", "hodgeloci", *argv], stdout=sinks[1],
+                              stderr=sinks[2], text=True,
+                              env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    finally:
+        for sink in sinks.values():
+            if sink is not subprocess.PIPE:
+                sink.close()
+    return proc.returncode, proc.stdout or "", proc.stderr or ""
 
 
 @pytest.fixture
@@ -334,6 +363,9 @@ class TestExitCodes:
         (["gm", "--vars", ",", "--matrix", "{dt}", "--m", "2", "--blocks", "0,1,0"], 2,
          "error: --vars names no variable\n"),
         (["eq1", "--truncation", "-1"], 2, "error: truncation must be non-negative\n"),
+        # a stderr that cannot be written leaves the exit code as it is
+        (["griffiths", "--d", "1", "--n", "2", "2>/dev/full"], 2, ""),
+        (["griffiths", "--d", "4", "--n", "2", ">/dev/full", "2>/dev/full"], 2, ""),
     ])
     def test_exit_code_and_stderr_prefix(self, capsys, monkeypatch, tmp_path, argv, code,
                                          prefix):
@@ -364,7 +396,11 @@ class TestExitCodes:
                 for a in argv]
         if code == 4:  # the command body fails with the exception the prefix names
             monkeypatch.setattr(cli, "_cmd_griffiths", failing(CRASHES[prefix.split(": ")[2]]))
-        got, out, err = run(capsys, *argv)
+        redirects = [a for a in argv if a.startswith((">", "2>"))]
+        if redirects:  # a shell redirection: the command runs in a fresh process
+            got, out, err = run_redirected([a for a in argv if a not in redirects], redirects)
+        else:
+            got, out, err = run(capsys, *argv)
         assert got == code and err.startswith(prefix)
         if code in (2, 3, 4):
             assert out == ""
@@ -450,6 +486,16 @@ class TestExitCodes:
             raise RuntimeError("the parent fails")
 
         recording_fork = os.fork
+        dump = pickle.dump
+
+        def drop_first_orbit(obj, fh, *args):
+            if obj is None or obj[0] != 0:
+                dump(obj, fh, *args)
+
+        def repeat_first_orbit(obj, fh, *args):
+            dump(obj, fh, *args)
+            if obj is not None and obj[0] == 0:
+                dump(obj, fh, *args)
 
         def fork_only_once():
             if forks:
@@ -465,7 +511,9 @@ class TestExitCodes:
         monkeypatch.setattr(periods, "_POOL_TUPLES", 0)
         patches = {"parent_raises": (pickle, "load", parent_fails),
                    "pipe_fails": (os, "pipe", eagain),
-                   "second_fork_fails": (os, "fork", fork_only_once)}
+                   "second_fork_fails": (os, "fork", fork_only_once),
+                   "dropped_orbit": (pickle, "dump", drop_first_orbit),
+                   "repeated_orbit": (pickle, "dump", repeat_first_orbit)}
         if case in patches:
             monkeypatch.setattr(*patches[case])
         got, out, err = run(capfd, "denominators", "--config", toy_config)
@@ -477,6 +525,34 @@ class TestExitCodes:
         else:
             assert children == ""
         assert len(forks) == {"pipe_fails": 0, "second_fork_fails": 1}.get(case, TOY_WORKERS)
+        assert_no_child_left()
+
+    @needs_two_cpus
+    def test_job_list_for_workers_that_are_gone_is_worker_failed(self, capfd, forks,
+                                                                  monkeypatch, toy_config):
+        # every child ends before it reads a job, and the parent writes the job list
+        # only once all of them are gone: the write fails, and how they ended is reported
+        write = os.write
+        children_at_write = []
+
+        def exit_before_reading(fd, size):
+            _in_worker()
+            os._exit(1)
+
+        def write_once_every_child_is_gone(fd, data):
+            children_at_write.append(len(forks))
+            for pid in forks:
+                os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+            return write(fd, data)
+
+        monkeypatch.setattr(periods, "_POOL_TUPLES", 0)
+        monkeypatch.setattr(os, "read", exit_before_reading)
+        monkeypatch.setattr(os, "write", write_once_every_child_is_gone)
+        code, out, err = run(capfd, "denominators", "--config", toy_config)
+        assert code == 4 and out == ""
+        assert err.startswith(f"error: internal: WorkerFailed: row worker 1 of {TOY_WORKERS} "
+                              "ended with exit status 1 before sending all its rows\n")
+        assert children_at_write == [TOY_WORKERS]  # every child forked before the first job
         assert_no_child_left()
 
 
@@ -538,6 +614,78 @@ def test_pool_rows_equal_serial_rows(capsys, monkeypatch, forks, tmp_path, comma
     assert_no_child_left()
 
 
+@needs_two_cpus
+def test_a_slow_orbit_holds_up_only_its_worker(capsys, monkeypatch, forks, toy_config, tmp_path):
+    # orbits are handed out on demand: while one child computes the slow first
+    # orbit, the others take every other orbit, and the rows still land in order
+    serial = run(capsys, "denominators", "--config", toy_config)
+    taken = tmp_path / "taken"
+    profiles = periods.orbit_denominator_profiles
+
+    def slow_first_orbit(orbit, fam):
+        _in_worker()
+        with open(taken, "a") as fh:
+            fh.write(f"{os.getpid()} {orbit.rows[0]}\n")
+        if orbit.rows[0] == 0:
+            time.sleep(0.5)
+        return profiles(orbit, fam)
+
+    monkeypatch.setattr(periods, "orbit_denominator_profiles", slow_first_orbit)
+    monkeypatch.setattr(periods, "_POOL_TUPLES", 0)
+    assert run(capsys, "denominators", "--config", toy_config) == serial
+    pids = dict(line.split()[::-1] for line in taken.read_text().splitlines())
+    assert len(pids) == 13  # each orbit computed once, named by its first row
+    assert list(pids.values()).count(pids["0"]) == 1
+    assert len(forks) == TOY_WORKERS
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("fn", [periods.orbit_denominator_profiles, periods.orbit_series_json])
+def test_toy_rows_leave_no_garbage_cycles(fn):
+    # _map_rows runs the rows with the cyclic GC off: they must leave nothing it would free
+    fam = periods.family_from_config(TOY_CONFIG)
+    orbits = periods.beta_orbits(periods.betas_from_config(TOY_CONFIG, fam), fam)
+    gc.collect()
+    gc.disable()
+    try:
+        for orbit in orbits:
+            fn(orbit, fam)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def gc_state_row(orbit, fam):
+    """Each row of ``orbit`` is whether the cyclic GC was on while it ran."""
+    return [gc.isenabled()] * len(orbit.rows)
+
+
+def raising_row(orbit, fam):
+    raise RowBroke("broken")
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc_on", "gc_off"])
+def test_rows_run_with_the_gc_off_and_its_state_is_restored(capfd, monkeypatch, forks, split,
+                                                            enabled):
+    fam = periods.family_from_config(TOY_CONFIG)
+    betas = periods.betas_from_config(TOY_CONFIG, fam)
+    if split:
+        monkeypatch.setattr(periods, "_POOL_TUPLES", 0)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert periods._map_rows(gc_state_row, betas, fam) == [False] * len(betas)
+        assert gc.isenabled() is enabled
+        # a row that raises: RowBroke in this process, WorkerFailed from a child
+        with pytest.raises(RuntimeError):
+            periods._map_rows(raising_row, betas, fam)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert len(forks) == (2 * TOY_WORKERS if split and TOY_WORKERS >= 2 else 0)
+    assert_no_child_left()
+
+
 # name -> (config, its count of symmetry orbits)
 ORBIT_CONFIGS = {
     "quartic": (TOY_CONFIG, 13),
@@ -548,6 +696,9 @@ ORBIT_CONFIGS = {
     "duplicates": (dict(TOY_CONFIG, beta=[[2, 2, 0, 0], [1, 1, 1, 1], [0, 0, 2, 2],
                                           [2, 2, 0, 0], [1, 1, 1, 1]]), 2),
     "one_member": (dict(TOY_CONFIG, beta=[[0, 0, 2, 2], [1, 0, 1, 2]]), 2),
+    # more orbits than one atomic write of the job pipe holds (64 records)
+    "many_orbits": ({"n": 4, "d": 4, "truncation": 2, "beta": "griffiths",
+                     "I": [[1, 3, 0, 0, 0, 0], [0, 1, 3, 0, 0, 0], [0, 0, 0, 0, 1, 3]]}, 183),
 }
 
 
