@@ -290,18 +290,24 @@ class FormMatrix(Value):
         return [[d_oneform(f) for f in row] for row in self.entries]
 
     def wedge_mul(self, other: "FormMatrix") -> List[List[TwoForm]]:
-        """(A ^ B)_{ik} = sum_j A_{ij} ^ B_{jk}."""
-        r, m = self.shape
-        m2, c = other.shape
-        if m != m2:
+        """(A ^ B)_{ik} = sum_j A_{ij} ^ B_{jk}, summed only over the j where
+        both entries are nonzero: the nonzero ``(j, B_jk)`` of each column are
+        listed once, and a pair is formed only when ``A_ij`` is nonzero too."""
+        _check_ctx(self, other)
+        m, c = other.shape
+        if self.shape[1] != m:
             raise ValueError("shape mismatch")
+        cols = [[(j, other.entries[j][k]) for j in range(m) if not other.entries[j][k].is_zero()]
+                for k in range(c)]
         out = []
-        for i in range(r):
+        for arow in self.entries:
+            nonzero = [not a.is_zero() for a in arow]
             row = []
-            for k in range(c):
+            for col in cols:
                 acc = {}
-                for j in range(m):
-                    _wedge_into(acc, self.entries[i][j], other.entries[j][k])
+                for j, b in col:
+                    if nonzero[j]:
+                        _wedge_into(acc, arow[j], b)
                 row.append(TwoForm(self.ctx, acc))
             out.append(row)
         return out
@@ -312,16 +318,6 @@ class FormMatrix(Value):
         if len(xs) != c:
             raise ValueError("length mismatch")
         return [scaled_sum(self.ctx, zip(xs, self.entries[i])) for i in range(r)]
-
-    def mul_poly_mat(self, s: Sequence[Sequence]) -> "FormMatrix":
-        """B * S with S a matrix of polynomials."""
-        r, c = self.shape
-        if len(s) != c:
-            raise ValueError("shape mismatch")
-        cols = len(s[0])
-        return FormMatrix(self.ctx, [
-            [scaled_sum(self.ctx, ((s[j][k], self.entries[i][j]) for j in range(c)))
-             for k in range(cols)] for i in range(r)])
 
     def pre_mul_poly_mat(self, s: Sequence[Sequence]) -> "FormMatrix":
         """S * B with S a matrix of polynomials."""
@@ -341,55 +337,9 @@ def integrability_check(b: FormMatrix) -> bool:
     return b.d() == b.wedge_mul(b)
 
 
-def wedge_matvec(a: FormMatrix, forms: Sequence[OneForm]) -> List[TwoForm]:
-    """(A ^ w)_i = sum_j A_{ij} ^ w_j for a column of 1-forms."""
-    return [row[0] for row in a.wedge_mul(FormMatrix(a.ctx, [[w] for w in forms]))]
-
-
 # -- polynomial matrices ----------------------------------------------------------
 
 
 def poly_mat_identity(ctx: PolyContext, n: int) -> List[List[SparseSeries]]:
     one, zero = ctx.one(), ctx.zero()
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def poly_mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> List[List]:
-    rows, inner, cols = len(a), len(b), len(b[0])
-    if len(a[0]) != inner:
-        raise ValueError("shape mismatch")
-    out = []
-    for i in range(rows):
-        row = []
-        for k in range(cols):
-            acc = None
-            for j in range(inner):
-                term = a[i][j] * b[j][k]
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def poly_mat_sub(a, b) -> List[List]:
-    return [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
-
-
-def poly_mat_d(s: Sequence[Sequence], ctx: PolyContext) -> FormMatrix:
-    """Entrywise exterior derivative of a polynomial matrix."""
-    return FormMatrix(ctx, [[d_poly(f, ctx) for f in row] for row in s])
-
-
-def unipotent_inverse(y: Sequence[Sequence], ctx: PolyContext) -> List[List]:
-    """Inverse of a unipotent matrix via the finite Neumann series
-    (I - N + N^2 - ...), N = Y - I nilpotent."""
-    n = len(y)
-    ident = poly_mat_identity(ctx, n)
-    nil = poly_mat_sub(y, ident)
-    out = [row[:] for row in ident]
-    power = ident
-    for k in range(1, n):
-        power = poly_mat_mul(power, nil)
-        sign = -1 if k & 1 else 1
-        out = [[a + (sign * b) for a, b in zip(r1, r2)] for r1, r2 in zip(out, power)]
-    return out

@@ -3,6 +3,8 @@
 Membership is decided by exact linear algebra on monomial coefficients with
 cofactor degrees capped by the caller, so a positive answer is a certificate
 (YES) while failure of the bounded search is only UNKNOWN, never a disproof.
+Each YES is checked by multiplying the cofactors back (InternalCheckFailed
+when they do not give the polynomial).
 The same linear-algebra reduction computes degree-bounded generating sets of
 the annihilator of a list of 1-forms, optionally relative to an ideal.
 
@@ -26,6 +28,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from hodgeloci import linalg
 from hodgeloci._value import Value
+from hodgeloci.errors import InternalCheckFailed
 from hodgeloci.forms import OneForm, PolyContext, VectorField
 from hodgeloci.series import SparseSeries, monomials_upto
 
@@ -100,10 +103,21 @@ def ideal_membership_bounded(f, gens: IdealGens, deg: int) -> str:
     p = _field_of([f, *gens.gens])
     rowdeg = max(f.degree(), deg + gens.max_degree())
     row_index = {rm: r for r, rm in enumerate(monomials_upto(nv, rowdeg))}
-    cols = [(g.terms, m) for g in gens.gens for m in monomials_upto(nv, deg)]
+    monos = monomials_upto(nv, deg)
+    cols = [(g.terms, m) for g in gens.gens for m in monos]
     b = {row_index[e]: c for e, c in f.terms.items()}
     sol = linalg.solve(_product_rows(row_index, cols), len(cols), b, p=p)
-    return YES if sol is not None else UNKNOWN
+    if sol is None:
+        return UNKNOWN
+    # the certificate: the cofactors times the generators must give f back
+    total = f.ring_zero()
+    for gi, g in enumerate(gens.gens):
+        coeffs = zip(monos, sol[gi * len(monos):])
+        cofactor = SparseSeries._trusted(nv, {m: x for m, x in coeffs if x}, g.laurent, p)
+        total = total + cofactor * g
+    if total != f:
+        raise InternalCheckFailed("the cofactors of a YES do not reproduce the polynomial")
+    return YES
 
 
 def dual_theta_bounded(omega_gens: Sequence[OneForm], deg: Optional[int] = None,

@@ -2,8 +2,8 @@
 
 A matrix is a list of rows, each a ``{column: value}`` dict over
 ``range(ncols)``; a missing column is zero.  Every public function takes
-``(rows, ncols, ..., p=None)``: with ``p`` None the values are read as
-``Fraction``s, otherwise as their residues mod the prime ``p``
+``(rows, ncols, ..., p=None)``: with ``p`` None the values are read as exact
+rationals, otherwise as their residues mod the prime ``p``
 (``series.residue``: a rational a/b is a * b^-1, and DenominatorDivisibleByP
 is raised when p divides b).
 
@@ -14,13 +14,22 @@ are touched.  Because the columns go in order, the pivot columns are the
 lexicographically first independent set whichever row is picked, so the
 reduced rows, the solution with every free variable set to 0 and the
 nullspace vector of each free column are unique.
+
+Over Q the elimination is fraction-free (Bareiss-style; von zur Gathen and
+Gerhard, *Modern Computer Algebra*, ch. 5): each row is scaled to a primitive
+integer row, and at each pivot a row holding the pivot column becomes
+(pv/g) row - (f/g) pivot row, g = gcd(pv, f), divided by the gcd of its
+entries.  Every row stays a nonzero multiple of the row that Fraction
+arithmetic would hold, so it has the same zeros and the same pivots are
+chosen.  ``Fraction`` appears only at the boundary, where a reduced row is
+divided by its pivot entry.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from hodgeloci.series import residue
 
@@ -28,7 +37,10 @@ Row = Dict[int, object]
 
 
 def _scalar(value, p: Optional[int]):
-    return Fraction(value) if p is None else residue(value, p)
+    """An exact rational (int or Fraction) over Q, a residue over GF(p)."""
+    if p is not None:
+        return residue(value, p)
+    return value if type(value) is int or type(value) is Fraction else Fraction(value)
 
 
 def _field_rows(rows, ncols: int, p: Optional[int]) -> List[Row]:
@@ -46,10 +58,25 @@ def _field_rows(rows, ncols: int, p: Optional[int]) -> List[Row]:
     return out
 
 
+def _primitive(row: Row) -> None:
+    """Divide an integer row by the gcd of its entries, in place."""
+    g = gcd(*row.values())
+    if g > 1:
+        for j in row:
+            row[j] //= g
+
+
 def _eliminate(rows: List[Row], ncols: int, p: Optional[int]) -> List[Tuple[int, Row]]:
     """Reduce ``rows`` (field values, no zeros) in place to reduced row echelon
-    form; return the nonzero rows as ``(pivot column, row)`` pairs in column
-    order, each row 1 at its pivot and 0 at every other pivot column."""
+    form up to row scaling; return the nonzero rows as ``(pivot column, row)``
+    pairs in column order, each row 0 at every other pivot column.  Over GF(p)
+    a row is 1 at its pivot; over Q it is a primitive integer row."""
+    if p is None:
+        for row in rows:
+            den = lcm(*(v.denominator for v in row.values()))
+            for j, v in row.items():
+                row[j] = v.numerator * (den // v.denominator)
+            _primitive(row)
     holding = [set() for _ in range(ncols)]
     for i, row in enumerate(rows):
         for j in row:
@@ -62,12 +89,9 @@ def _eliminate(rows: List[Row], ncols: int, p: Optional[int]) -> List[Tuple[int,
             continue
         r = min(candidates, key=lambda i: (len(rows[i]), i))  # fewest nonzeros
         prow = rows[r]
-        if p is None:
-            inv = 1 / prow[c]
-            for j in prow:
-                prow[j] *= inv
-        else:
-            inv = pow(prow[c], -1, p)
+        pv = prow[c]
+        if p is not None:
+            inv = pow(pv, -1, p)
             for j in prow:
                 prow[j] = prow[j] * inv % p
         used.add(r)
@@ -77,6 +101,12 @@ def _eliminate(rows: List[Row], ncols: int, p: Optional[int]) -> List[Tuple[int,
                 continue
             row = rows[i]
             f = row[c]
+            if p is None:  # row -> (pv/g) row - (f/g) prow
+                g = gcd(pv, f)
+                a, f = pv // g, f // g
+                if a != 1:
+                    for j in row:
+                        row[j] *= a
             for j, v in prow.items():
                 x = row.get(j, 0) - f * v
                 if p is not None:
@@ -88,27 +118,17 @@ def _eliminate(rows: List[Row], ncols: int, p: Optional[int]) -> List[Tuple[int,
                 else:
                     del row[j]
                     holding[j].discard(i)
+            if p is None:
+                _primitive(row)
     return reduced
 
 
-def _dense(row: Row, ncols: int, p: Optional[int]) -> tuple:
-    zero = _scalar(0, p)
-    return tuple(row.get(j, zero) for j in range(ncols))
-
-
-def _normalize_vector(vec: Sequence[Fraction]) -> Tuple[Fraction, ...]:
-    """Scale to a primitive integer vector whose first nonzero entry is positive."""
-    mult = lcm(*(f.denominator for f in vec)) if vec else 1
-    ints = [int(f * mult) for f in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    lead = next((x for x in ints if x), 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(Fraction(x) for x in ints)
+def _dense_row(c: int, row: Row, ncols: int, p: Optional[int]) -> tuple:
+    """A reduced row divided by its pivot entry, as a dense tuple."""
+    if p is not None:
+        return tuple(row.get(j, 0) for j in range(ncols))
+    zero, pv = Fraction(0), row[c]
+    return tuple(Fraction(row[j], pv) if j in row else zero for j in range(ncols))
 
 
 def solve(rows, ncols: int, rhs, p: Optional[int] = None) -> Optional[list]:
@@ -126,38 +146,48 @@ def solve(rows, ncols: int, rhs, p: Optional[int] = None) -> Optional[list]:
         b = _scalar(b, p)
         if b:
             rows[i][ncols] = b  # the augmented column
-    zero = _scalar(0, p)
+    zero = Fraction(0) if p is None else 0
     x = [zero] * ncols
     for c, row in _eliminate(rows, ncols + 1, p):
         if c == ncols:
             return None  # pivot in the augmented column: inconsistent
-        x[c] = row.get(ncols, zero)
+        if ncols in row:
+            x[c] = row[ncols] if p is not None else Fraction(row[ncols], row[c])
     return x
 
 
 def nullspace(rows, ncols: int, p: Optional[int] = None) -> List[tuple]:
     """Basis of the right nullspace: ncols - rank vectors, one per free column
-    in increasing order.  Over Q each is in primitive integer form; an empty
-    row list gives the ncols unit vectors."""
+    in increasing order.  Over Q each is a primitive integer vector (as
+    Fractions) whose first nonzero entry is positive; an empty row list gives
+    the ncols unit vectors."""
     reduced = _eliminate(_field_rows(rows, ncols, p), ncols, p)
     pivots = {c for c, _ in reduced}
     basis = []
     for f in range(ncols):
         if f in pivots:
             continue
-        x = {f: 1}
-        for c, row in reduced:
-            if f in row:
-                x[c] = -row[f] if p is None else -row[f] % p
-        vec = _dense(x, ncols, p)
-        basis.append(vec if p is not None else _normalize_vector(vec))
+        held = [(c, row) for c, row in reduced if f in row]
+        if p is not None:
+            x = {c: -row[f] % p for c, row in held}
+            x[f] = 1
+            basis.append(tuple(x.get(j, 0) for j in range(ncols)))
+            continue
+        # x_c = -den * row[f] / row[c] and x_f = den, with den the least that
+        # makes every x_c an integer; then the entries share no factor
+        den = lcm(*(row[c] // gcd(row[f], row[c]) for c, row in held))
+        x = {c: -row[f] * den // row[c] for c, row in held}
+        x[f] = den
+        sign = -1 if x[min(x)] < 0 else 1
+        basis.append(tuple(Fraction(sign * x[j]) if j in x else Fraction(0)
+                           for j in range(ncols)))
     return basis
 
 
 def rref(rows, ncols: int, p: Optional[int] = None) -> List[tuple]:
     """Nonzero rows of the reduced row echelon form (a canonical spanning set)."""
-    return [_dense(row, ncols, p)
-            for _, row in _eliminate(_field_rows(rows, ncols, p), ncols, p)]
+    return [_dense_row(c, row, ncols, p)
+            for c, row in _eliminate(_field_rows(rows, ncols, p), ncols, p)]
 
 
 def rank(rows, ncols: int, p: Optional[int] = None) -> int:

@@ -8,10 +8,23 @@ arguments as ``hodgeloci.linalg``, so the module can stand in for it.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Mapping
 
-from hodgeloci.linalg import _normalize_vector
+
+def _normalize_vector(vec):
+    """Scale to a primitive integer vector whose first nonzero entry is positive."""
+    mult = lcm(*(f.denominator for f in vec)) if vec else 1
+    ints = [int(f * mult) for f in vec]
+    g = 0
+    for x in ints:
+        g = gcd(g, x)
+    if g > 1:
+        ints = [x // g for x in ints]
+    lead = next((x for x in ints if x), 0)
+    if lead < 0:
+        ints = [-x for x in ints]
+    return tuple(Fraction(x) for x in ints)
 
 
 def _integer_rows(rows):

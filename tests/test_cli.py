@@ -914,6 +914,85 @@ class TestFoliationCommands:
         assert code == 0 and out == "YES\n"
 
 
+# tangency and pcurvature questions whose field, 1-forms or ideal have mixed
+# denominators, with their verdicts: YES (exit 0) or UNKNOWN (exit 1)
+RATIONAL_TANGENCY = [
+    (["tangency", "--vars", "x,y", "--field", "x*D(x) + 2/3*y*D(y)", "--omega",
+      "(1/3*x^2 + 5/7*y)*d(x)", "--ideal", "1/3*x^2 + 5/7*y", "--deg", "2"],
+     "YES"),
+    (["tangency", "--vars", "x,y,z", "--field", "D(x) - 3/5*D(y)", "--omega",
+      "2/9*y*d(x) + 4/11*z*d(y)", "--ideal", "1/3*y - 7/2*z", "--ideal", "5/7*z", "--deg",
+      "1"],
+     "YES"),
+    (["tangency", "--vars", "x,y", "--field", "3/4*x*D(x) - 1/6*y*D(y)", "--omega",
+      "1/3*x^2*y*d(x) + 5/7*x^3*d(y)", "--omega", "2/15*y^2*d(y)", "--ideal",
+      "1/3*x^2 + 5/7*y", "--ideal", "2/5*x*y - 1/6*y^2", "--deg", "3"],
+     "UNKNOWN"),
+    (["tangency", "--vars", "x,y", "--field", "D(y)", "--omega",
+      "1/3*x^2*d(x) + 5/7*y*d(y)", "--ideal", "1/3*x^2 + 5/7*y", "--deg", "3"],
+     "UNKNOWN"),
+    (["tangency", "--vars", "x,y", "--field", "D(x)", "--omega", "d(x)", "--ideal",
+      "1 - 1/3*x", "--deg", "4"],
+     "UNKNOWN"),
+    (["tangency", "--vars", "x,y", "--field", "1/1000003*x*D(x) + 7/999983*D(y)", "--omega",
+      "1/3*x^2*d(x) + 5/7*y*d(y)", "--ideal", "1/3*x^2 + 5/7*y", "--deg", "2"],
+     "UNKNOWN"),
+    (["tangency", "--vars", "x,y", "--field", "x*D(x)", "--omega",
+      "(1/3*x^2 + 5/7*y)*(2/9*x - 4/11*y)*d(x)", "--ideal", "1/3*x^2 + 5/7*y", "--ideal",
+      "2/9*x^2 - 4/11*x*y", "--deg", "2"],
+     "YES"),
+    (["tangency", "--vars", "x,y", "--field", "x*D(x)", "--omega",
+      "(1/3*x^2 + 5/7*y)*(2/9*x - 4/11*y)*d(x)", "--ideal", "1/3*x^2 + 5/7*y", "--ideal",
+      "2/9*x^2 - 4/11*x*y", "--deg", "1"],
+     "UNKNOWN"),
+    (["tangency", "--vars", "x,y", "--field", "1/1000003*D(x) + 7/999983*y*D(y)", "--omega",
+      "(1/3*x^2 + 5/7*y)*d(x) + 11/13*x*d(y)", "--ideal", "1/3*x^2 + 5/7*y", "--ideal",
+      "x*y", "--deg", "2"],
+     "YES"),
+    (["pcurvature", "--vars", "x,y", "--field", "1/3*x*D(x) + 5/7*y*D(y)", "--omega",
+      "(1/3*x^2 + 5/7*y)*d(x)", "--ideal", "1/3*x^2 + 5/7*y", "--p", "11", "--deg", "2"],
+     "YES"),
+    (["pcurvature", "--vars", "x,y", "--field", "D(y)", "--omega",
+      "1/3*x^2*d(x) + 5/7*y*d(y)", "--ideal", "1/3*x^2 + 5/7*y", "--p", "13", "--deg", "2"],
+     "YES"),
+]
+RATIONAL_TANGENCY_IDS = [
+    "multiple-of-generator-yes", "three-variables-yes", "two-omegas-unknown",
+    "not-in-ideal-unknown", "one-not-in-ideal-unknown", "large-denominators-unknown",
+    "cofactor-degree-2-yes", "cofactor-degree-1-unknown", "large-denominators-yes",
+    "pcurvature-yes", "pcurvature-nilpotent-yes",
+]
+
+
+@pytest.mark.parametrize("argv, verdict", RATIONAL_TANGENCY, ids=RATIONAL_TANGENCY_IDS)
+def test_rational_tangency_verdicts(capsys, argv, verdict):
+    code = 0 if verdict == "YES" else 1
+    assert run(capsys, *argv) == (code, verdict + "\n", "")
+
+
+@pytest.mark.parametrize("argv", [RATIONAL_TANGENCY[0][0], RATIONAL_TANGENCY[9][0]],
+                         ids=["tangency", "pcurvature"])
+def test_a_wrong_certificate_is_exit_four(capsys, monkeypatch, argv):
+    """Every YES multiplies its cofactors back: one changed solution entry
+    makes the command fail its check (exit 4) instead of printing YES."""
+    from hodgeloci import ideals
+
+    solve = ideals.linalg.solve
+
+    def one_entry_off(rows, ncols, rhs, p=None):
+        x = solve(rows, ncols, rhs, p=p)
+        if x is not None:
+            x[0] = (x[0] + 1) % p if p else x[0] + 1
+        return x
+
+    monkeypatch.setattr(ideals.linalg, "solve", one_entry_off)
+    code, out, err = run(capsys, *argv)
+    assert code == 4 and out == ""
+    assert [l for l in err.splitlines() if l.startswith("error:")] == [
+        "error: internal: InternalCheckFailed: the cofactors of a YES do not reproduce the "
+        "polynomial"]
+
+
 class TestHypergeoCommands:
     def test_witness_row(self, capsys):
         code, out, _ = run(capsys, "hypergeo-witness", "--N", "2", "--t1", "0.5")

@@ -1,15 +1,21 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+from form_oracles import (dense_wedge, mul_poly_mat, poly_mat_d, poly_mat_mul,
+                          unipotent_inverse, wedge_matvec, wedge_mul_dense)
+from hodgeloci.exprparse import parse_context, parse_oneform
 from hodgeloci.forms import (FormMatrix, OneForm, PolyContext, TwoForm, VectorField,
-                             d_oneform, d_poly, integrability_check, poly_mat_d,
-                             poly_mat_identity, poly_mat_mul, unipotent_inverse, wedge,
-                             wedge_matvec)
+                             d_oneform, d_poly, integrability_check, poly_mat_identity, wedge)
 from hodgeloci.modp import ModPoly
 from hodgeloci.series import SparseSeries
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
 CTX = PolyContext(("x", "y"))
 X, Y = CTX.var("x"), CTX.var("y")
 
@@ -87,7 +93,7 @@ class TestIntegrability:
                     y[i][j] = rand_poly(rng)
             yinv = unipotent_inverse(y, CTX)
             assert poly_mat_mul(y, yinv) == poly_mat_identity(CTX, n)
-            b = poly_mat_d(y, CTX).mul_poly_mat(yinv)
+            b = mul_poly_mat(poly_mat_d(y, CTX), yinv)
             assert integrability_check(b)
 
     def test_single_entry_counterexample(self):
@@ -133,12 +139,6 @@ def rand_form(rng, ctx, comp):
     return OneForm(ctx, tuple(comp(rng, ctx) for _ in range(ctx.nvars)))
 
 
-def dense_wedge(a, b):
-    n = a.ctx.nvars
-    return TwoForm(a.ctx, {(i, j): a.comps[i] * b.comps[j] - a.comps[j] * b.comps[i]
-                           for i in range(n) for j in range(i + 1, n)})
-
-
 def dense_sum(terms, zero):
     acc = zero
     for t in terms:
@@ -168,13 +168,11 @@ class TestDenseDefinitions:
     @pytest.mark.parametrize("ctx, comp", CASES)
     def test_wedge_mul_and_matvec(self, ctx, comp):
         rng = random.Random(43)
-        zero = TwoForm.zero(ctx)
         for _ in range(20):
             r, m, c = rng.randint(1, 3), rng.randint(1, 4), rng.randint(1, 3)
             a = FormMatrix(ctx, [[rand_form(rng, ctx, comp) for _ in range(m)] for _ in range(r)])
             b = FormMatrix(ctx, [[rand_form(rng, ctx, comp) for _ in range(c)] for _ in range(m)])
-            want = [[dense_sum((dense_wedge(a.entries[i][j], b.entries[j][k]) for j in range(m)),
-                               zero) for k in range(c)] for i in range(r)]
+            want = wedge_mul_dense(a, b)
             assert a.wedge_mul(b) == want
             col = [row[0] for row in b.entries]
             assert wedge_matvec(a, col) == [row[0] for row in want]
@@ -203,9 +201,61 @@ class TestDenseDefinitions:
             s = [[comp(rng, ctx) for _ in range(2)] for _ in range(c)]
             t = [[comp(rng, ctx) for _ in range(r)] for _ in range(2)]
             assert a.mul_poly_vec(xs) == [dense_scaled_sum(zip(xs, row)) for row in a.entries]
-            assert a.mul_poly_mat(s).entries == tuple(
+            assert mul_poly_mat(a, s).entries == tuple(
                 tuple(dense_scaled_sum((s[j][k], a.entries[i][j]) for j in range(c))
                       for k in range(2)) for i in range(r))
             assert a.pre_mul_poly_mat(t).entries == tuple(
                 tuple(dense_scaled_sum((t[i][j], a.entries[j][k]) for j in range(r))
                       for k in range(c)) for i in range(2))
+
+
+# -- the zero-skipping wedge product against the dense sum over every index -----------
+
+
+@st.composite
+def zero_heavy_pairs(draw):
+    """A pair (A, B) of 1-form matrices, square or rectangular, over Q (with a
+    Laurent variable) or GF(7), whose entries are mostly the zero form."""
+    ctx, p = draw(st.sampled_from([(LCTX, None), (MCTX, P)]))
+    if draw(st.booleans()):
+        r = m = c = draw(st.integers(1, 4))
+    else:
+        r, m, c = (draw(st.integers(1, 4)) for _ in range(3))
+    coeff = st.integers(1, P - 1) if p else st.builds(
+        Fraction, st.integers(-4, 4).filter(bool), st.sampled_from([1, 2, 3]))
+    exponent = st.tuples(*(st.integers(-1 if flag else 0, 2) for flag in ctx.laurent))
+    laurent = None if p else ctx.laurent
+    comp = st.dictionaries(exponent, coeff, max_size=2).map(
+        lambda terms: SparseSeries(ctx.nvars, terms, laurent=laurent, p=p))
+    zero = OneForm(ctx, (SparseSeries(ctx.nvars, {}, laurent=laurent, p=p),) * ctx.nvars)
+    form = st.tuples(*[comp] * ctx.nvars).map(lambda cs: OneForm(ctx, cs))
+    entry = st.one_of(st.just(zero), st.just(zero), form)  # at least two thirds zero
+
+    def matrix(rows, cols):
+        return FormMatrix(ctx, [[draw(entry) for _ in range(cols)] for _ in range(rows)])
+    return matrix(r, m), matrix(m, c)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(pair=zero_heavy_pairs())
+def test_wedge_mul_matches_the_dense_sum(pair):
+    a, b = pair
+    assert a.wedge_mul(b) == wedge_mul_dense(a, b)
+
+
+def golden_block_matrix(perturb=False) -> FormMatrix:
+    """The 1,8,1-block connection of ``tests/golden/gm_seed11_blocks181.json``
+    (B = dY Y^-1, so dB = B ^ B), with t1 d(t2) added to entry (9, 1) when
+    ``perturb`` is set."""
+    rows = json.loads((GOLDEN / "gm_seed11_blocks181.json").read_text())
+    if perturb:
+        rows[9][1] += " + t1*d(t2)"
+    ctx = parse_context("t1,t2,t3")
+    return FormMatrix(ctx, [[parse_oneform(e, ctx) for e in row] for row in rows])
+
+
+def test_integrability_of_the_block_matrix():
+    b = golden_block_matrix()
+    assert b.wedge_mul(b) == wedge_mul_dense(b, b)
+    assert integrability_check(b)
+    assert not integrability_check(golden_block_matrix(perturb=True))

@@ -169,18 +169,104 @@ def systems_st(draw):
     return p, sparse(dense), ncols, rhs
 
 
-@settings(max_examples=300, deadline=None)
-@given(system=systems_st(), sparse_rhs=st.booleans())
-def test_sparse_elimination_matches_the_dense_oracle(system, sparse_rhs):
-    p, rows, ncols, rhs = system
+def assert_matches_the_dense_oracle(p, rows, ncols, rhs, sparse_rhs=False):
+    """solve, nullspace, rref and rank equal the dense oracle's, a solution
+    solves the system, and every entry is a Fraction over Q, an int over GF(p)."""
+    scalar = int if p else Fraction
     b = {i: x for i, x in enumerate(rhs) if x} if sparse_rhs else rhs
     got = solve(rows, ncols, b, p=p)
     assert got == dense_linalg.solve(rows, ncols, rhs, p=p)
     if got is not None:
-        assert all(type(x) is (int if p else Fraction) for x in got)
         dense = dense_linalg.densify(rows, ncols)
         residual = [r - b for r, b in zip(mat_vec(dense, got), rhs)]
         assert all((r % p if p else r) == 0 for r in residual)
-    assert nullspace(rows, ncols, p=p) == dense_linalg.nullspace(rows, ncols, p=p)
-    assert rref(rows, ncols, p=p) == dense_linalg.rref(rows, ncols, p=p)
-    assert rank(rows, ncols, p=p) == dense_linalg.rank(rows, ncols, p=p)
+    basis = nullspace(rows, ncols, p=p)
+    assert basis == dense_linalg.nullspace(rows, ncols, p=p)
+    reduced = rref(rows, ncols, p=p)
+    assert reduced == dense_linalg.rref(rows, ncols, p=p)
+    assert all(type(x) is scalar for vec in [got or ()] + basis + reduced for x in vec)
+    assert rank(rows, ncols, p=p) == dense_linalg.rank(rows, ncols, p=p) == len(reduced)
+
+
+@settings(max_examples=300, deadline=None)
+@given(system=systems_st(), sparse_rhs=st.booleans())
+def test_sparse_elimination_matches_the_dense_oracle(system, sparse_rhs):
+    assert_matches_the_dense_oracle(*system, sparse_rhs=sparse_rhs)
+
+
+@st.composite
+def large_systems_st(draw):
+    """Sparse systems of up to 25 x 25 with numerators up to 10^12 and, over Q,
+    denominators up to 10^6: random, rank-deficient (integer combinations of a
+    few sparse rows) or all-zero, with a right-hand side that is random (often
+    inconsistent) or in the span.  Over GF(p) the entries are integers.  The
+    shape is drawn; the entries come from a drawn seed, so that a system is
+    as full as its density says."""
+    p = draw(st.sampled_from([None, None, 101, 2 ** 61 - 1]))
+    nrows, ncols = draw(st.integers(0, 25)), draw(st.integers(0, 25))
+    density = draw(st.sampled_from([0.05, 0.15, 0.4]))
+    kind = draw(st.sampled_from(["random", "rank_deficient", "zero"]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+
+    def entry():
+        num = rng.randint(-10 ** 12, 10 ** 12)
+        return num if p else Fraction(num, rng.randint(1, 10 ** 6))
+
+    def sparse_row():
+        return {j: entry() for j in range(ncols) if rng.random() < density}
+
+    if kind == "zero":
+        rows = [{} for _ in range(nrows)]
+    elif kind == "random":
+        rows = [sparse_row() for _ in range(nrows)]
+    else:
+        basis = [sparse_row() for _ in range(rng.randint(1, 4))]
+        rows = []
+        for _ in range(nrows):
+            row = {}
+            for b in basis:
+                a = rng.randint(-3, 3)
+                for j, x in b.items():
+                    row[j] = row.get(j, 0) + a * x
+            rows.append({j: x for j, x in row.items() if x})
+    if draw(st.booleans()):
+        rhs = [entry() if rng.random() < 0.5 else 0 for _ in range(nrows)]
+    else:
+        x = [entry() for _ in range(ncols)]
+        rhs = [sum((a * x[j] for j, a in row.items()), 0) for row in rows]
+    return p, rows, ncols, rhs
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(system=large_systems_st())
+def test_large_sparse_systems_match_the_dense_oracle(system):
+    assert_matches_the_dense_oracle(*system)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(system=large_systems_st().filter(lambda s: s[0] is None))
+def test_rref_and_solve_match_sympy(system):
+    """An elimination written elsewhere: sympy's exact ``Matrix.rref``."""
+    sympy = pytest.importorskip("sympy")
+    _, rows, ncols, rhs = system
+    if not (rows and ncols):
+        return
+
+    def to_sympy(x):
+        x = Fraction(x)
+        return sympy.Rational(x.numerator, x.denominator)
+
+    def rows_of(mat, count):
+        return [tuple(Fraction(int(x.p), int(x.q)) for x in mat.row(i)) for i in range(count)]
+
+    dense = dense_linalg.densify(rows, ncols)
+    reduced, pivots = sympy.Matrix([[to_sympy(x) for x in r] for r in dense]).rref()
+    assert rref(rows, ncols) == rows_of(reduced, len(pivots))
+    aug = [[to_sympy(x) for x in r + [b]] for r, b in zip(dense, rhs)]
+    reduced, pivots = sympy.Matrix(aug).rref()
+    want = None
+    if ncols not in pivots:  # else a pivot in the augmented column: inconsistent
+        want = [Fraction(0)] * ncols
+        for c, row in zip(pivots, rows_of(reduced, len(pivots))):
+            want[c] = row[ncols]
+    assert solve(rows, ncols, rhs) == want
