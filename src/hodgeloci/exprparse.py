@@ -9,7 +9,9 @@ Whitespace is insignificant.  ``d(x)`` and ``D(x)`` are the 1-form and
 vector-field basis symbols; a term may carry at most one basis symbol, and
 negative exponents are allowed only on Laurent-flagged variables.  Parsing
 produces a term map ``{(basis, exponents): coefficient}`` with merged, nonzero
-coefficients, where ``basis`` is None or ``('d'|'D', variable index)``;
+coefficients, where ``basis`` is None or ``('d'|'D', variable index)``; a
+written rational with denominator 1 is read as an int, so products of integer
+coefficients need no ``Fraction``, and any other as a ``Fraction``;
 printing a term map and parsing the text again reproduces the same map.
 ``parse_context`` and ``parse_form_matrix`` read the variables and the matrix
 files of the command line.
@@ -18,7 +20,8 @@ files of the command line.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from operator import add
+from typing import Dict, Optional, Tuple, Union
 
 from hodgeloci.errors import ParseError
 from hodgeloci.forms import FormMatrix, OneForm, PolyContext, VectorField
@@ -26,7 +29,7 @@ from hodgeloci.series import SparseSeries, grlex_key
 
 # basis symbol ('d'|'D', variable index) or None, and exponent vector
 TermKey = Tuple[Optional[Tuple[str, int]], Tuple[int, ...]]
-TermMap = Dict[TermKey, Fraction]
+TermMap = Dict[TermKey, Union[int, Fraction]]
 
 _BASIS_RANK = {None: 0, "d": 1, "D": 2}
 
@@ -128,19 +131,20 @@ class _Parser:
                     if b1[0] != b2[0]:
                         raise ParseError("mixed d/D in one term", pos)
                     raise ParseError("more than one basis symbol in a term", pos)
-                k = (b1 or b2, tuple(x + y for x, y in zip(e1, e2)))
+                k = (b1 or b2, tuple(map(add, e1, e2)))
                 out[k] = out.get(k, 0) + c1 * c2
         return out
 
-    def rational(self) -> Fraction:
+    def rational(self) -> Union[int, Fraction]:
         _, num, _ = self.expect("NUM")
         if self.toks.peek()[0] == "/":
             self.toks.next()
             _, den, pos = self.expect("NUM")
             if int(den) == 0:
                 raise ParseError("zero denominator", pos)
-            return Fraction(int(num), int(den))
-        return Fraction(int(num))
+            q = Fraction(int(num), int(den))
+            return q.numerator if q.denominator == 1 else q
+        return int(num)
 
     def factor(self) -> TermMap:
         kind, text, pos = self.toks.next()
@@ -158,7 +162,7 @@ class _Parser:
                 _, var, vpos = self.expect("NAME")
                 i = self._var_index(var, vpos)
                 self.expect(")")
-                return {((text, i), (0,) * self.ctx.nvars): Fraction(1)}
+                return {((text, i), (0,) * self.ctx.nvars): 1}
             i = self._var_index(text, pos)
             exp = 1
             if self.toks.peek()[0] == "^":
@@ -168,7 +172,7 @@ class _Parser:
                 raise ParseError(f"negative exponent on non-Laurent variable {text!r}", pos)
             e = [0] * self.ctx.nvars
             e[i] = exp
-            return {(None, tuple(e)): Fraction(1)}
+            return {(None, tuple(e)): 1}
         raise ParseError(f"expected a factor, found {text or 'end of input'!r}", pos)
 
     def integer(self) -> int:

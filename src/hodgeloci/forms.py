@@ -5,10 +5,17 @@ flagged variables) or over GF(p) (``p`` set), so every operation computes
 exactly, and ``integrability_check`` compares dB and B ^ B as they are.  The
 operations only assume ring arithmetic plus ``diff``.  Two-form components are
 stored on ordered index pairs i < j only.
+
+Most components of the forms the commands build are zero, so the operations
+work on nonzero components only: a sum or a scaling passes a zero component
+through (after checking that the operands share a ring), ``d_oneform``
+differentiates a component only by the variables its terms hold, and
+``VectorField.apply`` sums c_i * df/dx_i into one term map.
 """
 
 from __future__ import annotations
 
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from hodgeloci._value import Value
@@ -86,10 +93,11 @@ class _Components(Value):
 
     def __init__(self, ctx: PolyContext, comps):
         comps = tuple(comps)
-        if len(comps) != ctx.nvars:
-            raise ValueError(f"expected {ctx.nvars} components, got {len(comps)}")
+        n = ctx.nvars
+        if len(comps) != n:
+            raise ValueError(f"expected {n} components, got {len(comps)}")
         for c in comps:
-            if c.nvars != ctx.nvars:
+            if c.nvars != n:
                 raise ValueError("component variable count does not match context")
         self.__dict__.update(ctx=ctx, comps=comps)
 
@@ -100,31 +108,69 @@ class _Components(Value):
         if not isinstance(other, type(self)):
             return NotImplemented
         _check_ctx(self, other)
-        return type(self)(self.ctx, tuple(a + b for a, b in zip(self.comps, other.comps)))
+        return type(self)(self.ctx, tuple(map(_plus, self.comps, other.comps)))
 
     def __neg__(self):
-        return type(self)(self.ctx, tuple(-c for c in self.comps))
+        return type(self)(self.ctx, tuple(-c if c else c for c in self.comps))
 
     def __sub__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self + (-other)
+        _check_ctx(self, other)
+        return type(self)(self.ctx, tuple(map(_minus, self.comps, other.comps)))
 
     def scale(self, f):
         """Multiply by a polynomial (or scalar) coefficient."""
+        if isinstance(f, SparseSeries):
+            return type(self)(self.ctx, tuple(f * c if c else _same_ring(c, f)
+                                              for c in self.comps))
         return type(self)(self.ctx, tuple(f * c for c in self.comps))
+
+
+def _same_ring(c: SparseSeries, other: SparseSeries) -> SparseSeries:
+    """``c``, once it is known to share a ring with ``other``."""
+    c._check_compatible(other)
+    return c
+
+
+def _plus(a: SparseSeries, b: SparseSeries) -> SparseSeries:
+    if not b:
+        return _same_ring(a, b)
+    return a + b if a else _same_ring(b, a)
+
+
+def _minus(a: SparseSeries, b: SparseSeries) -> SparseSeries:
+    if not b:
+        return _same_ring(a, b)
+    return a - b if a else -b
 
 
 class VectorField(_Components):
     """Derivation sum_i c_i d/dx_i with polynomial components."""
 
     def apply(self, f):
-        """v(f) = sum_i c_i * df/dx_i."""
-        out = None
-        for i, c in enumerate(self.comps):
-            term = c * f.diff(i)
-            out = term if out is None else out + term
-        return out if out is not None else f.ring_zero()
+        """v(f) = sum_i c_i * df/dx_i, summed in one pass into one term map:
+        each term a x^e of f gives a * e_i * x^(e - 1_i) * c_i for every i
+        with e_i != 0."""
+        comps = self.comps
+        for c in comps:
+            f._check_compatible(c)
+        out = {}
+        for e, a in f.terms.items():
+            for i, k in enumerate(e):
+                if not k or not comps[i]:
+                    continue
+                de = e[:i] + (k - 1,) + e[i + 1:]
+                ak = a * k
+                for e2, c2 in comps[i].terms.items():
+                    e3 = tuple(map(add, de, e2))
+                    s = out.get(e3)
+                    s = ak * c2 if s is None else s + ak * c2
+                    if s:
+                        out[e3] = s
+                    else:
+                        del out[e3]
+        return f._result(out)
 
     def evaluate(self, point) -> tuple:
         """The tangent vector at a point: componentwise evaluation."""
@@ -198,16 +244,21 @@ def d_poly(f, ctx: PolyContext) -> OneForm:
 
 
 def d_oneform(w: OneForm) -> TwoForm:
-    """d(sum w_i dx_i) = sum_{i<j} (dw_j/dx_i - dw_i/dx_j) dx_i ^ dx_j."""
-    n = w.ctx.nvars
+    """d(sum w_j dx_j) = sum_{i<j} (dw_j/dx_i - dw_i/dx_j) dx_i ^ dx_j.
+
+    Each nonzero w_j is differentiated only by the variables x_i (i != j)
+    that its terms hold: dw_j/dx_i goes to component (i, j) when i < j, and
+    with a minus sign to (j, i) when i > j."""
     comps = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not (w.comps[i] or w.comps[j]):
-                continue
-            c = w.comps[j].diff(i) - w.comps[i].diff(j)
-            if not c.is_zero():
-                comps[(i, j)] = c
+    for j, wj in enumerate(w.comps):
+        if not wj:
+            continue
+        held = {i for e in wj.terms for i, k in enumerate(e) if k}
+        held.discard(j)
+        for i in held:
+            key, c = ((i, j), wj.diff(i)) if i < j else ((j, i), -wj.diff(i))
+            s = comps.get(key)
+            comps[key] = c if s is None else s + c
     return TwoForm(w.ctx, comps)
 
 

@@ -4,7 +4,11 @@ Membership is decided by exact linear algebra on monomial coefficients with
 cofactor degrees capped by the caller, so a positive answer is a certificate
 (YES) while failure of the bounded search is only UNKNOWN, never a disproof.
 Each YES is checked by multiplying the cofactors back (InternalCheckFailed
-when they do not give the polynomial).
+when they do not give the polynomial).  The system depends only on the
+generators, the cofactor degree and the row degree, so
+``ideal_memberships_bounded`` decides several polynomials from one
+elimination, each its own right-hand side; ``tangency_check`` asks it about
+every contraction at once.
 The same linear-algebra reduction computes degree-bounded generating sets of
 the annihilator of a list of 1-forms, optionally relative to an ideal.
 
@@ -24,6 +28,7 @@ their ``--deg``, and ``tangency_output`` is the body of ``tangency``.
 
 from __future__ import annotations
 
+from operator import add
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from hodgeloci import linalg
@@ -74,7 +79,7 @@ def _product_rows(row_index: Dict[Tuple[int, ...], int],
     rows = [{} for _ in range(len(row_index))]
     for k, (g_terms, m) in enumerate(cols):
         for e, c in g_terms.items():
-            rows[row_index[tuple(x + y for x, y in zip(e, m))]][k] = c
+            rows[row_index[tuple(map(add, e, m))]][k] = c
     return rows
 
 
@@ -93,31 +98,47 @@ def check_degree_bound(deg: int) -> None:
 
 def ideal_membership_bounded(f, gens: IdealGens, deg: int) -> str:
     """YES iff f = sum c_i g_i has a solution with cofactor degrees <= deg."""
+    return ideal_memberships_bounded([f], gens, deg)[0]
+
+
+def ideal_memberships_bounded(fs: Sequence, gens: IdealGens, deg: int) -> List[str]:
+    """``ideal_membership_bounded`` of each polynomial in ``fs``, from one
+    elimination of the system whose row degree is the largest any of them
+    needs: each nonzero f is its own right-hand side."""
     check_degree_bound(deg)
     if gens.is_zero_ideal:
-        return YES if f.is_zero() else UNKNOWN
-    if f.is_zero():
-        return YES
-    _reject_laurent([f, *gens.gens])
-    nv = f.nvars
-    p = _field_of([f, *gens.gens])
-    rowdeg = max(f.degree(), deg + gens.max_degree())
+        return [YES if f.is_zero() else UNKNOWN for f in fs]
+    asked = [f for f in fs if not f.is_zero()]
+    if not asked:
+        return [YES] * len(fs)
+    _reject_laurent([*asked, *gens.gens])
+    nv = asked[0].nvars
+    p = _field_of([*asked, *gens.gens])
+    rowdeg = max(max(f.degree() for f in asked), deg + gens.max_degree())
     row_index = {rm: r for r, rm in enumerate(monomials_upto(nv, rowdeg))}
     monos = monomials_upto(nv, deg)
     cols = [(g.terms, m) for g in gens.gens for m in monos]
-    b = {row_index[e]: c for e, c in f.terms.items()}
-    sol = linalg.solve(_product_rows(row_index, cols), len(cols), b, p=p)
-    if sol is None:
-        return UNKNOWN
-    # the certificate: the cofactors times the generators must give f back
-    total = f.ring_zero()
-    for gi, g in enumerate(gens.gens):
-        coeffs = zip(monos, sol[gi * len(monos):])
-        cofactor = SparseSeries._trusted(nv, {m: x for m, x in coeffs if x}, g.laurent, p)
-        total = total + cofactor * g
-    if total != f:
-        raise InternalCheckFailed("the cofactors of a YES do not reproduce the polynomial")
-    return YES
+    rhss = [{row_index[e]: c for e, c in f.terms.items()} for f in asked]
+    sols = iter(linalg.solve_many(_product_rows(row_index, cols), len(cols), rhss, p=p))
+    verdicts = []
+    for f in fs:
+        if f.is_zero():
+            verdicts.append(YES)
+            continue
+        sol = next(sols)
+        if sol is None:
+            verdicts.append(UNKNOWN)
+            continue
+        # the certificate: the cofactors times the generators must give f back
+        total = f.ring_zero()
+        for gi, g in enumerate(gens.gens):
+            coeffs = zip(monos, sol[gi * len(monos):])
+            cofactor = SparseSeries._trusted(nv, {m: x for m, x in coeffs if x}, g.laurent, p)
+            total = total + cofactor * g
+        if total != f:
+            raise InternalCheckFailed("the cofactors of a YES do not reproduce the polynomial")
+        verdicts.append(YES)
+    return verdicts
 
 
 def dual_theta_bounded(omega_gens: Sequence[OneForm], deg: Optional[int] = None,
@@ -192,17 +213,16 @@ def dual_theta_bounded(omega_gens: Sequence[OneForm], deg: Optional[int] = None,
 def tangency_check(v: VectorField, omega_gens: Sequence[OneForm],
                    ibar: IdealGens, deg: int) -> str:
     """YES iff every contraction omega(v) lies in the ideal within the degree
-    bound; a zero ideal means the contraction must vanish identically."""
+    bound, all decided from one elimination; a zero ideal means every
+    contraction must vanish identically."""
     for w in omega_gens:
         if w.ctx != v.ctx:
             raise ValueError("context mismatch")
-        contraction = w.contract(v)
-        if ibar is None or ibar.is_zero_ideal:
-            if not contraction.is_zero():
-                return UNKNOWN
-        elif ideal_membership_bounded(contraction, ibar, deg) != YES:
-            return UNKNOWN
-    return YES
+    contractions = [w.contract(v) for w in omega_gens]
+    if ibar is None or ibar.is_zero_ideal:
+        return YES if all(c.is_zero() for c in contractions) else UNKNOWN
+    verdicts = ideal_memberships_bounded(contractions, ibar, deg)
+    return YES if all(x == YES for x in verdicts) else UNKNOWN
 
 
 def tangency_problem(names: str, field: str, omegas: Sequence[str], ideal: Optional[Sequence[str]]

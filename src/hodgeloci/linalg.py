@@ -15,6 +15,12 @@ lexicographically first independent set whichever row is picked, so the
 reduced rows, the solution with every free variable set to 0 and the
 nullspace vector of each free column are unique.
 
+``solve_many`` eliminates once for several right-hand sides: each is an
+augmented column that the elimination carries but never pivots on.  Once
+every coefficient column is eliminated, a row without a pivot holds no
+coefficient column, and right-hand side k is inconsistent exactly when such
+a row holds its augmented column.  Each solution equals ``solve``'s.
+
 Over Q the elimination is fraction-free (Bareiss-style; von zur Gathen and
 Gerhard, *Modern Computer Algebra*, ch. 5): each row is scaled to a primitive
 integer row, and at each pivot a row holding the pivot column becomes
@@ -29,7 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from hodgeloci.series import residue
 
@@ -66,18 +72,21 @@ def _primitive(row: Row) -> None:
             row[j] //= g
 
 
-def _eliminate(rows: List[Row], ncols: int, p: Optional[int]) -> List[Tuple[int, Row]]:
+def _eliminate(rows: List[Row], ncols: int, p: Optional[int],
+               naug: int = 0) -> List[Tuple[int, Row]]:
     """Reduce ``rows`` (field values, no zeros) in place to reduced row echelon
-    form up to row scaling; return the nonzero rows as ``(pivot column, row)``
-    pairs in column order, each row 0 at every other pivot column.  Over GF(p)
-    a row is 1 at its pivot; over Q it is a primitive integer row."""
+    form up to row scaling, pivoting on the columns in range(ncols) only; the
+    ``naug`` columns after them are carried along.  Return the pivot rows as
+    ``(pivot column, row)`` pairs in column order, each row 0 at every other
+    pivot column.  Over GF(p) a row is 1 at its pivot; over Q it is a
+    primitive integer row."""
     if p is None:
         for row in rows:
             den = lcm(*(v.denominator for v in row.values()))
             for j, v in row.items():
                 row[j] = v.numerator * (den // v.denominator)
             _primitive(row)
-    holding = [set() for _ in range(ncols)]
+    holding = [set() for _ in range(ncols + naug)]
     for i, row in enumerate(rows):
         for j in row:
             holding[j].add(i)
@@ -135,25 +144,40 @@ def solve(rows, ncols: int, rhs, p: Optional[int] = None) -> Optional[list]:
     """One exact solution of A x = b with every free variable set to 0, or
     None when the system is inconsistent.  ``rhs`` is a sequence with one
     entry per row, or a sparse ``{row: value}`` mapping."""
+    return solve_many(rows, ncols, [rhs], p)[0]
+
+
+def solve_many(rows, ncols: int, rhss: Sequence, p: Optional[int] = None
+               ) -> List[Optional[list]]:
+    """``solve`` for each right-hand side in ``rhss`` (each a sequence or a
+    sparse mapping, as ``solve`` takes it), from one elimination."""
     rows = _field_rows(rows, ncols, p)
-    if not isinstance(rhs, Mapping):
-        if len(rhs) != len(rows):
-            raise ValueError(f"{len(rhs)} right-hand sides for {len(rows)} rows")
-        rhs = dict(enumerate(rhs))
-    for i, b in rhs.items():
-        if not (isinstance(i, int) and 0 <= i < len(rows)):
-            raise ValueError(f"right-hand side row {i!r} is outside range({len(rows)})")
-        b = _scalar(b, p)
-        if b:
-            rows[i][ncols] = b  # the augmented column
+    for k, rhs in enumerate(rhss):
+        if not isinstance(rhs, Mapping):
+            if len(rhs) != len(rows):
+                raise ValueError(f"{len(rhs)} right-hand sides for {len(rows)} rows")
+            rhs = dict(enumerate(rhs))
+        for i, b in rhs.items():
+            if not (isinstance(i, int) and 0 <= i < len(rows)):
+                raise ValueError(f"right-hand side row {i!r} is outside range({len(rows)})")
+            b = _scalar(b, p)
+            if b:
+                rows[i][ncols + k] = b  # the augmented column of this right-hand side
+    reduced = _eliminate(rows, ncols, p, len(rhss))
+    # the rows without a pivot hold augmented columns only
+    inconsistent = {j for row in rows if row and min(row) >= ncols for j in row}
     zero = Fraction(0) if p is None else 0
-    x = [zero] * ncols
-    for c, row in _eliminate(rows, ncols + 1, p):
-        if c == ncols:
-            return None  # pivot in the augmented column: inconsistent
-        if ncols in row:
-            x[c] = row[ncols] if p is not None else Fraction(row[ncols], row[c])
-    return x
+    out = []
+    for aug in range(ncols, ncols + len(rhss)):
+        if aug in inconsistent:
+            out.append(None)
+            continue
+        x = [zero] * ncols
+        for c, row in reduced:
+            if aug in row:
+                x[c] = row[aug] if p is not None else Fraction(row[aug], row[c])
+        out.append(x)
+    return out
 
 
 def nullspace(rows, ncols: int, p: Optional[int] = None) -> List[tuple]:

@@ -149,13 +149,15 @@ def sch_output(names: str, field: str, module: Sequence[str], point: Optional[st
     ws = [exprparse.parse_field(e, ctx) for e in module]
     if point is not None:
         coords = []
-        for x in point.split(","):
-            if x == "":
-                continue
+        for k, x in enumerate(point.split(","), 1):
+            if not x.strip():
+                raise ValueError(f"coordinate {k} of the point is empty")
             try:
                 coords.append(Fraction(x))
             except ZeroDivisionError:
                 raise ValueError(f"coordinate {x!r} has a zero denominator") from None
+            except ValueError:
+                raise ValueError(f"coordinate {x!r} is not a rational number") from None
         return f"contains: {'true' if sch_contains_point(v, ws, coords) else 'false'}\n"
     lines = [exprparse.poly_to_expr(g, ctx) for g in sch_ideal(v, ws).gens]
     return "".join(l + "\n" for l in lines) if lines else "0\n"

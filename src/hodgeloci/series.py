@@ -1,8 +1,10 @@
 """Sparse multivariate polynomials over Q or GF(p), and their series documents.
 
 A value is an exact polynomial: a map from exponent vectors to nonzero
-coefficients, ``Fraction``s over Q (``p`` None) or ints in ``[1, p)`` over
-GF(p), and arithmetic on values is exact.  A power series is known through a
+coefficients, an int or a ``Fraction`` over Q (``p`` None; the constructor
+stores a coefficient with denominator 1 as an int, so products of integer
+coefficients need no ``Fraction``) or an int in ``[1, p)`` over GF(p), and
+arithmetic on values is exact.  A power series is known through a
 total degree only when it is written out, so a truncation is not part of a
 value: the writers (``to_doc``, ``to_json``) print one as a label of the
 document.  Variables flagged as Laurent admit negative exponents; the total
@@ -14,6 +16,7 @@ graded-lexicographic: sort by total degree first, then by the exponent tuple.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from hodgeloci._value import Value
@@ -43,13 +46,17 @@ def monomials_upto(nvars: int, deg: int) -> List[Exponent]:
     return [e for layer in exact for e in layer]
 
 
-def _coerce(c) -> Fraction:
-    if isinstance(c, Fraction):
+def _coerce(c):
+    """An exact rational (an int, a Fraction or its string) as an int when its
+    denominator is 1, else as a Fraction."""
+    if type(c) is int:
         return c
-    if isinstance(c, int):
-        return Fraction(c)
     if isinstance(c, str):
-        return Fraction(c)
+        c = Fraction(c)
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int):  # a bool, or another int subclass
+        return int(c)
     raise TypeError(f"not an exact rational: {c!r}")
 
 
@@ -68,13 +75,15 @@ def residue(c, p: int) -> int:
 
 class SparseSeries(Value):
     """Exact sparse polynomial over Q, or over GF(p) when ``p`` is set.
+    Over Q a coefficient is an int or a Fraction, over GF(p) an int in [1, p).
 
     Values are immutable after construction; all operations return new
     objects and are safe to share between threads.  Operands of a binary
     operation must share ``nvars``, the Laurent flags and ``p``.
 
-    The public constructor coerces and checks every term; with ``p`` set it
-    maps each rational to its residue (``residue``).  Arithmetic results skip
+    The public constructor coerces and checks every term: over Q it stores a
+    coefficient with denominator 1 as an int, and with ``p`` set it maps each
+    rational to its residue (``residue``).  Arithmetic results skip
     that pass and are built with ``_trusted``: their operands are already
     valid, so their terms are distinct int tuples of the right length with
     negative entries only on Laurent variables.  Over GF(p) arithmetic
@@ -127,7 +136,8 @@ class SparseSeries(Value):
         """Adopt ``terms`` as is, with no coercion, merging or checks: for values
         whose keys are distinct int tuples of length ``nvars``, negative only on
         variables flagged in ``laurent`` (a bool tuple; default none), and whose
-        values are nonzero Fractions, or ints in [1, p) when ``p`` is set."""
+        values are nonzero ints or Fractions, or ints in [1, p) when ``p`` is
+        set."""
         self = object.__new__(cls)
         self.__dict__.update(nvars=nvars,
                              laurent=(False,) * nvars if laurent is None else laurent,
@@ -226,7 +236,7 @@ class SparseSeries(Value):
         if self.terms and other.terms:
             for e1, c1 in self.terms.items():
                 for e2, c2 in other.terms.items():
-                    e = tuple(x + y for x, y in zip(e1, e2))
+                    e = tuple(map(add, e1, e2))
                     s = out.get(e)
                     s = c1 * c2 if s is None else s + c1 * c2
                     if s:
@@ -283,7 +293,8 @@ class SparseSeries(Value):
         if len(point) != self.nvars:
             raise ValueError("point length does not match nvars")
         p = self.p
-        pt = [_coerce(x) if p is None else residue(x, p) for x in point]
+        # Fractions over Q: an int to a negative (Laurent) power would be a float
+        pt = [Fraction(_coerce(x)) if p is None else residue(x, p) for x in point]
         total = Fraction(0) if p is None else 0
         for e, c in self.sorted_terms():
             v = c

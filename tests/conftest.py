@@ -20,7 +20,7 @@ def series_st(draw, nvars: int = 2, max_deg: int = 3, max_terms: int = 4):
     terms = {}
     for _ in range(n):
         e = draw(exponent_st(nvars, max_deg))
-        terms[e] = draw(fractions_st())
+        terms[e] = draw(st.one_of(st.integers(-9, 9), fractions_st()))
     return SparseSeries(nvars, terms)
 
 

@@ -191,6 +191,10 @@ def solve(rows, ncols, rhs, p=None):
     return solve_modp(rows, rhs, p) if p else solve_rational(rows, rhs)
 
 
+def solve_many(rows, ncols, rhss, p=None):
+    return [solve(rows, ncols, rhs, p=p) for rhs in rhss]
+
+
 def nullspace(rows, ncols, p=None):
     if not rows:
         rows = [{}]

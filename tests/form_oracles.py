@@ -2,14 +2,16 @@
 
 No command runs these: the tests build Gauss-Manin connections B = dY Y^-1
 from unipotent frames with them, check ``gauss_manin``'s assembly and block
-equations against plain products, and compare ``FormMatrix.wedge_mul``, which
-skips zero entries, with the dense sum over every index.
+equations against plain products, and compare the operations that skip zero
+entries (``FormMatrix.wedge_mul``, ``d_oneform``, ``VectorField.apply`` and
+with it ``pcurvature.vf_pow_p``) with their definitions over every index.
 """
 
 from typing import List, Sequence
 
-from hodgeloci.forms import (FormMatrix, OneForm, PolyContext, TwoForm, d_poly,
+from hodgeloci.forms import (FormMatrix, OneForm, PolyContext, TwoForm, VectorField, d_poly,
                              poly_mat_identity, scaled_sum)
+from hodgeloci.modp import mod_reduce
 
 
 def mul_poly_mat(b: FormMatrix, s: Sequence[Sequence]) -> FormMatrix:
@@ -27,6 +29,34 @@ def dense_wedge(a: OneForm, b: OneForm) -> TwoForm:
     """(a ^ b)_{ij} = a_i b_j - a_j b_i for every i < j, zero factors included."""
     n = a.ctx.nvars
     return TwoForm(a.ctx, {(i, j): a.comps[i] * b.comps[j] - a.comps[j] * b.comps[i]
+                           for i in range(n) for j in range(i + 1, n)})
+
+
+def apply_dense(v: VectorField, f):
+    """v(f) = sum_i c_i * df/dx_i, every i, zero factors included."""
+    acc = f.ring_zero()
+    for i, c in enumerate(v.comps):
+        acc = acc + c * f.diff(i)
+    return acc
+
+
+def vf_pow_p_dense(v: VectorField, p: int) -> VectorField:
+    """The derivation x_i -> v(v(...v(x_i)...)), p applications of
+    ``apply_dense`` to each coordinate, with v reduced mod p first."""
+    vbar = VectorField(v.ctx, tuple(mod_reduce(c, p) for c in v.comps))
+    comps = []
+    for i in range(v.ctx.nvars):
+        f = mod_reduce(v.ctx.var(i), p)
+        for _ in range(p):
+            f = apply_dense(vbar, f)
+        comps.append(f)
+    return VectorField(v.ctx, tuple(comps))
+
+
+def d_oneform_dense(w: OneForm) -> TwoForm:
+    """d(sum w_i dx_i) = sum_{i<j} (dw_j/dx_i - dw_i/dx_j) dx_i ^ dx_j over every pair."""
+    n = w.ctx.nvars
+    return TwoForm(w.ctx, {(i, j): w.comps[j].diff(i) - w.comps[i].diff(j)
                            for i in range(n) for j in range(i + 1, n)})
 
 

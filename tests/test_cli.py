@@ -366,6 +366,17 @@ class TestExitCodes:
         # a stderr that cannot be written leaves the exit code as it is
         (["griffiths", "--d", "1", "--n", "2", "2>/dev/full"], 2, ""),
         (["griffiths", "--d", "4", "--n", "2", ">/dev/full", "2>/dev/full"], 2, ""),
+        # every coordinate of sch --point must be a rational number; none is skipped
+        (["sch", "--vars", "x,y", "--field", "D(x)", "--module", "x*D(x)", "--point", "1,,0"], 2,
+         "error: coordinate 2 of the point is empty\n"),
+        (["sch", "--vars", "x,y", "--field", "D(x)", "--module", "x*D(x)", "--point", "1,0,"], 2,
+         "error: coordinate 3 of the point is empty\n"),
+        (["sch", "--vars", "x,y", "--field", "D(x)", "--module", "x*D(x)", "--point", ",1,0"], 2,
+         "error: coordinate 1 of the point is empty\n"),
+        (["sch", "--vars", "x,y", "--field", "D(x)", "--module", "x*D(x)", "--point", "a"], 2,
+         "error: coordinate 'a' is not a rational number\n"),
+        (["sch", "--vars", "x,y", "--field", "D(x)", "--module", "x*D(x)", "--point", "1,x/2"],
+         2, "error: coordinate 'x/2' is not a rational number\n"),
     ])
     def test_exit_code_and_stderr_prefix(self, capsys, monkeypatch, tmp_path, argv, code,
                                          prefix):
@@ -977,20 +988,49 @@ def test_a_wrong_certificate_is_exit_four(capsys, monkeypatch, argv):
     makes the command fail its check (exit 4) instead of printing YES."""
     from hodgeloci import ideals
 
-    solve = ideals.linalg.solve
+    solve_many = ideals.linalg.solve_many
 
-    def one_entry_off(rows, ncols, rhs, p=None):
-        x = solve(rows, ncols, rhs, p=p)
-        if x is not None:
-            x[0] = (x[0] + 1) % p if p else x[0] + 1
-        return x
+    def one_entry_off(rows, ncols, rhss, p=None):
+        xs = solve_many(rows, ncols, rhss, p=p)
+        for x in xs:
+            if x is not None:
+                x[0] = (x[0] + 1) % p if p else x[0] + 1
+        return xs
 
-    monkeypatch.setattr(ideals.linalg, "solve", one_entry_off)
+    monkeypatch.setattr(ideals.linalg, "solve_many", one_entry_off)
     code, out, err = run(capsys, *argv)
     assert code == 4 and out == ""
     assert [l for l in err.splitlines() if l.startswith("error:")] == [
         "error: internal: InternalCheckFailed: the cofactors of a YES do not reproduce the "
         "polynomial"]
+
+
+# stdout SHA-256 and exit code of the benchmark's foliation command lines
+# (perfbench/workloads.build_foliation: gm, tangency, pcurvature) at seeds 1-3
+FOLIATION_PINS = {
+    1: [("gm", 0, "9db490497c852ae92fddb87ea14808ba9b2a695f6a5a9f8aafc8dacc90330e2e"),
+        ("tangency", 0, "a115e91c2e84c3078fa06914eff28d07590ddfaa47a55fb4f31dd7c5b3566194"),
+        ("pcurvature", 0, "a115e91c2e84c3078fa06914eff28d07590ddfaa47a55fb4f31dd7c5b3566194")],
+    2: [("gm", 0, "115058bd7427ecbf870deec1993fa3bb46ba80c8657dbe1b36f0f98c9060b378"),
+        ("tangency", 0, "a115e91c2e84c3078fa06914eff28d07590ddfaa47a55fb4f31dd7c5b3566194"),
+        ("pcurvature", 0, "a115e91c2e84c3078fa06914eff28d07590ddfaa47a55fb4f31dd7c5b3566194")],
+    3: [("gm", 0, "8b7b3224b1220c37c6d21ef9c52603ab32f13b91a9a4dd2460aeffd0b61c9361"),
+        ("tangency", 0, "a115e91c2e84c3078fa06914eff28d07590ddfaa47a55fb4f31dd7c5b3566194"),
+        ("pcurvature", 0, "a115e91c2e84c3078fa06914eff28d07590ddfaa47a55fb4f31dd7c5b3566194")],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(FOLIATION_PINS))
+def test_benchmark_foliation_outputs_are_pinned(capsys, monkeypatch, tmp_path, seed):
+    import importlib
+
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    got = []
+    for command in workloads.build_foliation(seed, workloads.FULL, tmp_path):
+        code, out, _ = run(capsys, *command.argv)
+        got.append((command.argv[0], code, hashlib.sha256(out.encode()).hexdigest()))
+    assert got == FOLIATION_PINS[seed]
 
 
 class TestHypergeoCommands:

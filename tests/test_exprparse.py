@@ -47,6 +47,16 @@ class TestGrammar:
     def test_zero(self):
         assert parse_poly("0", CTX).is_zero()
 
+    def test_integer_coefficients_are_ints(self):
+        terms = parse_expr("3*x - 1/2*y + 4/2 + 2*(1/2*x*y + 1/2*x*y)", CTX)
+        assert terms == {(None, (1, 0)): 3, (None, (0, 1)): Fraction(-1, 2),
+                         (None, (0, 0)): 2, (None, (1, 1)): 2}
+        assert [type(terms[(None, e)]) for e in ((1, 0), (0, 1), (0, 0))] == [
+            int, Fraction, int]
+        f = parse_poly("3*x - 1/2*y + 4/2 + 2*(1/2*x*y + 1/2*x*y)", CTX)
+        assert {e: type(c) for e, c in f.terms.items()} == {
+            (1, 0): int, (0, 1): Fraction, (0, 0): int, (1, 1): int}
+
 
 class TestErrors:
     def test_syntax_error_position(self):

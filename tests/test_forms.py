@@ -7,12 +7,14 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from form_oracles import (dense_wedge, mul_poly_mat, poly_mat_d, poly_mat_mul,
-                          unipotent_inverse, wedge_matvec, wedge_mul_dense)
+from form_oracles import (apply_dense, d_oneform_dense, dense_wedge, mul_poly_mat, poly_mat_d,
+                          poly_mat_mul, unipotent_inverse, vf_pow_p_dense, wedge_matvec,
+                          wedge_mul_dense)
 from hodgeloci.exprparse import parse_context, parse_oneform
 from hodgeloci.forms import (FormMatrix, OneForm, PolyContext, TwoForm, VectorField,
                              d_oneform, d_poly, integrability_check, poly_mat_identity, wedge)
 from hodgeloci.modp import ModPoly
+from hodgeloci.pcurvature import vf_pow_p
 from hodgeloci.series import SparseSeries
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -259,3 +261,124 @@ def test_integrability_of_the_block_matrix():
     assert b.wedge_mul(b) == wedge_mul_dense(b, b)
     assert integrability_check(b)
     assert not integrability_check(golden_block_matrix(perturb=True))
+
+
+# -- the zero-skipping form operations against their definitions ---------------------
+
+
+def ring_st(names, laurent_first=False):
+    """Q (with the first variable Laurent when ``laurent_first``), GF(2), GF(7)
+    or GF(101), over a context of the given variable names."""
+    lau = (laurent_first,) + (False,) * (len(names) - 1)
+    return st.sampled_from([(PolyContext(names, lau), None),
+                            (PolyContext(names), 2), (PolyContext(names), 7),
+                            (PolyContext(names), 101)])
+
+
+def poly_st(ctx, p, max_terms=3, max_exp=2):
+    """Mostly zero: ints and Fractions over Q, residues over GF(p)."""
+    laurent = None if p else ctx.laurent
+    coeff = (st.integers(1, p - 1) if p else
+             st.one_of(st.integers(-4, 4), st.builds(Fraction, st.integers(-4, 4),
+                                                     st.sampled_from([1, 2, 3]))))
+    exponent = st.tuples(*(st.integers(-1 if flag and not p else 0, max_exp)
+                           for flag in ctx.laurent))
+    terms = st.dictionaries(exponent, coeff, max_size=max_terms)
+    return st.one_of(st.just({}), st.just({}), terms).map(
+        lambda t: SparseSeries(ctx.nvars, t, laurent=laurent, p=p))
+
+
+def comps_st(ctx, p, **kw):
+    return st.tuples(*[poly_st(ctx, p, **kw)] * ctx.nvars)
+
+
+@st.composite
+def field_and_poly(draw):
+    ctx, p = draw(ring_st(("x", "y", "z", "w"), laurent_first=True))
+    return VectorField(ctx, draw(comps_st(ctx, p))), draw(poly_st(ctx, p, max_terms=5))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=field_and_poly())
+def test_apply_matches_the_defining_sum(case):
+    v, f = case
+    got = v.apply(f)
+    assert got == apply_dense(v, f)
+    assert got.p == f.p and got.laurent == f.laurent
+
+
+@st.composite
+def rational_fields(draw):
+    """A prime, and a field over Q with integer coefficients; for the larger
+    primes its components have degree at most 1, so that p-fold application
+    keeps the polynomials small."""
+    p = draw(st.sampled_from([2, 3, 7, 101]))
+    ctx = PolyContext(("x", "y", "z"))
+    comp = st.dictionaries(st.tuples(*[st.integers(0, 2 if p <= 3 else 1)] * 3),
+                           st.integers(-3, 3), max_size=2 if p <= 3 else 1)
+    comps = draw(st.tuples(*[comp] * 3))
+    if p > 3:
+        comps = tuple({e: c for e, c in t.items() if sum(e) <= 1} for t in comps)
+    return VectorField(ctx, tuple(SparseSeries(3, t) for t in comps)), p
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=rational_fields())
+def test_vf_pow_p_matches_p_fold_application(case):
+    v, p = case
+    got = vf_pow_p(v, p)
+    assert got == vf_pow_p_dense(v, p)
+    assert all(c.p == p for c in got.comps)
+
+
+@st.composite
+def zero_heavy_forms(draw):
+    """A 1-form over twelve variables (the size of the extended context of the
+    benchmark's gm), over Q with a Laurent variable or over GF(p), most of
+    whose components are zero."""
+    ctx, p = draw(ring_st(tuple(f"t{i}" for i in range(12)), laurent_first=True))
+    return OneForm(ctx, draw(comps_st(ctx, p, max_exp=1)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(w=zero_heavy_forms())
+def test_d_oneform_matches_the_all_pairs_definition(w):
+    assert d_oneform(w) == d_oneform_dense(w)
+
+
+@st.composite
+def zero_heavy_form_pairs(draw):
+    ctx, p = draw(ring_st(("x", "y", "z"), laurent_first=True))
+    cls = draw(st.sampled_from([OneForm, VectorField]))
+    a, b = (cls(ctx, draw(comps_st(ctx, p))) for _ in range(2))
+    return a, b, draw(poly_st(ctx, p))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=zero_heavy_form_pairs())
+def test_component_operations_on_zero_components(case):
+    """Sums, differences, negation and scaling pass a zero component through;
+    the result equals the componentwise definition and stays in the ring."""
+    a, b, f = case
+    cls = type(a)
+    for got, want in [(a + b, [x + y for x, y in zip(a.comps, b.comps)]),
+                      (a - b, [x - y for x, y in zip(a.comps, b.comps)]),
+                      (-a, [-x for x in a.comps]),
+                      (a.scale(f), [f * x for x in a.comps]),
+                      (a.scale(3), [x.scale(3) for x in a.comps])]:
+        assert type(got) is cls and got == cls(a.ctx, want)
+        assert all(c.p == f.p and c.laurent == f.laurent for c in got.comps)
+
+
+@pytest.mark.parametrize("nonzero", [False, True])
+def test_forms_over_different_rings_do_not_mix(nonzero):
+    ctx = PolyContext(("x", "y"))
+    q_comps = (ctx.var("x") if nonzero else ctx.zero(), ctx.zero())
+    m_comps = (ModPoly(7, 2, {(0, 1): 1} if nonzero else {}), ModPoly(7, 2, {}))
+    q, m = OneForm(ctx, q_comps), OneForm(ctx, m_comps)
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a.scale(b.comps[0])):
+        for a, b in ((q, m), (m, q)):
+            with pytest.raises(ValueError, match="mod-p ring mismatch"):
+                op(a, b)
+    with pytest.raises(ValueError, match="mod-p ring mismatch"):
+        VectorField(ctx, m_comps).apply(ctx.var("y"))

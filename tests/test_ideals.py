@@ -10,7 +10,8 @@ from conftest import series_st
 from hodgeloci import ideals
 from hodgeloci.forms import OneForm, PolyContext, VectorField
 from hodgeloci.ideals import (UNKNOWN, YES, IdealGens, _product_rows, dual_theta_bounded,
-                              ideal_membership_bounded, tangency_check)
+                              ideal_membership_bounded, ideal_memberships_bounded,
+                              tangency_check)
 from hodgeloci.modp import ModPoly, mod_reduce
 from hodgeloci.pcurvature import oneform_mod_reduce
 from hodgeloci.series import SparseSeries, monomials_upto
@@ -118,6 +119,37 @@ class TestTangency:
             assert tangency_check(v, [OMEGA], zero, 4) == YES
 
 
+    @pytest.mark.parametrize("p", [None, 7])
+    @pytest.mark.parametrize("deg, verdict", [(3, UNKNOWN), (4, YES)])
+    def test_contractions_of_different_degrees(self, p, deg, verdict):
+        # v = x d/dx: y dx contracts to x*y (cofactor 1), x^3*y^2 dx to x^4*y^2
+        # (cofactor x^3*y, degree 4), whose degree 6 sets the row degree
+        v = VectorField(CTX, (X, CTX.zero()))
+        forms = [OneForm(CTX, (Y, CTX.zero())), OneForm(CTX, (X ** 3 * Y ** 2, CTX.zero()))]
+        ideal = XY_IDEAL
+        if p:
+            v = VectorField(CTX, tuple(mod_reduce(c, p) for c in v.comps))
+            forms = [oneform_mod_reduce(w, p) for w in forms]
+            ideal = IdealGens(CTX, (mod_reduce(X * Y, p),))
+        contractions = [w.contract(v) for w in forms]
+        assert ideal_memberships_bounded(contractions, ideal, deg) == [YES, verdict]
+        assert [tangency_check(v, [w], ideal, deg) for w in forms] == [YES, verdict]
+        assert tangency_check(v, forms, ideal, deg) == verdict
+        assert tangency_check(v, forms[::-1], ideal, deg) == verdict
+
+    def test_one_contraction_in_the_ideal_and_one_not(self):
+        v = VectorField(CTX, (X, CTX.zero()))
+        inside, outside = OneForm(CTX, (Y, CTX.zero())), OneForm(CTX, (CTX.one(), CTX.zero()))
+        assert tangency_check(v, [inside, outside], XY_IDEAL, 3) == UNKNOWN
+        assert tangency_check(v, [outside, inside], XY_IDEAL, 3) == UNKNOWN
+        assert tangency_check(v, [inside, inside], XY_IDEAL, 3) == YES
+        assert tangency_check(v, [], XY_IDEAL, 3) == YES
+        zero = OneForm.zero(CTX)
+        assert ideal_memberships_bounded([CTX.zero(), X, X * Y], XY_IDEAL, 2) == [
+            YES, UNKNOWN, YES]
+        assert tangency_check(v, [zero, inside], XY_IDEAL, 0) == YES
+
+
 @st.composite
 def generators_st(draw):
     """Up to three generators over Q or over GF(7) on three variables."""
@@ -172,3 +204,38 @@ def test_dual_theta_matches_the_dense_oracle(monkeypatch, p):
     assert fields
     monkeypatch.setattr(ideals, "linalg", dense_linalg)
     assert dual_theta_bounded(forms, 4, ibar=ibar, cofactor_deg=4) == fields
+
+
+@st.composite
+def membership_questions_st(draw):
+    """Generators of ``generators_st``, a cofactor degree bound, and up to four
+    polynomials in the same field: members built from cofactors of degree up
+    to one more than the bound (so some need more than it allows), random
+    polynomials of degree up to 5, and zeros."""
+    gens, _ = draw(generators_st())
+    deg = draw(st.integers(0, 2))
+    p = gens[0].p
+    fs = []
+    for kind in draw(st.lists(st.sampled_from(["member", "random", "zero"]), max_size=4)):
+        f = gens[0].ring_zero()
+        if kind == "member":
+            monos = monomials_upto(3, deg + draw(st.sampled_from([0, 0, 1])))
+            for g in gens:
+                cofactor = {draw(st.sampled_from(monos)): draw(st.integers(-5, 5))
+                            for _ in range(draw(st.integers(0, 3)))}
+                f = f + SparseSeries(3, cofactor, p=p) * g
+        elif kind == "random":
+            f = SparseSeries(3, draw(series_st(nvars=3, max_deg=5, max_terms=3)).terms, p=p)
+        fs.append(f)
+    return fs, IdealGens(PolyContext(("x", "y", "z")), gens), deg
+
+
+@settings(max_examples=80, deadline=None)
+@given(question=membership_questions_st())
+def test_one_elimination_equals_one_membership_per_polynomial(question):
+    fs, ideal, deg = question
+    got = ideal_memberships_bounded(fs, ideal, deg)
+    assert got == [ideal_membership_bounded(f, ideal, deg) for f in fs]
+    with pytest.MonkeyPatch.context() as m:  # the dense oracle eliminates once per f
+        m.setattr(ideals, "linalg", dense_linalg)
+        assert ideal_memberships_bounded(fs, ideal, deg) == got

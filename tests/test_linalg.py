@@ -8,7 +8,7 @@ from hypothesis import given, settings
 import dense_linalg
 from conftest import fractions_st
 from hodgeloci.errors import DenominatorDivisibleByP
-from hodgeloci.linalg import nullspace, rank, rref, solve
+from hodgeloci.linalg import nullspace, rank, rref, solve, solve_many
 
 
 def sparse(rows):
@@ -270,3 +270,60 @@ def test_rref_and_solve_match_sympy(system):
         for c, row in zip(pivots, rows_of(reduced, len(pivots))):
             want[c] = row[ncols]
     assert solve(rows, ncols, rhs) == want
+
+
+@st.composite
+def several_rhs_st(draw):
+    """A system of ``large_systems_st`` with up to five more right-hand sides,
+    each in the span of the columns (consistent), random (most often
+    inconsistent) or zero, in a drawn order, some of them sparse mappings."""
+    p, rows, ncols, rhs = draw(large_systems_st())
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+
+    def entry():
+        num = rng.randint(-10 ** 9, 10 ** 9)
+        return num if p else Fraction(num, rng.randint(1, 10 ** 4))
+
+    rhss = [rhs]
+    for kind in draw(st.lists(st.sampled_from(["span", "random", "zero"]), max_size=5)):
+        if kind == "span":
+            x = [entry() for _ in range(ncols)]
+            b = [sum((a * x[j] for j, a in row.items()), 0) for row in rows]
+        elif kind == "random":
+            b = [entry() if rng.random() < 0.5 else 0 for _ in rows]
+        else:
+            b = [0] * len(rows)
+        rhss.append({i: x for i, x in enumerate(b) if x} if rng.random() < 0.5 else b)
+    rng.shuffle(rhss)
+    return p, rows, ncols, rhss
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(system=several_rhs_st())
+def test_one_elimination_equals_one_solve_per_right_hand_side(system):
+    p, rows, ncols, rhss = system
+    got = solve_many(rows, ncols, rhss, p=p)
+    assert got == [solve(rows, ncols, b, p=p) for b in rhss]
+    assert got == dense_linalg.solve_many(rows, ncols, rhss, p=p)
+
+
+def test_solve_many_mixes_consistent_and_inconsistent_columns():
+    rows = [{0: 1, 1: 1}, {0: 2, 1: 2}, {1: Fraction(1, 2)}]
+    # x + y = b0, 2x + 2y = b1, y/2 = b2: consistent exactly when b1 = 2 b0
+    rhss = [[1, 2, 1], [1, 3, 1], {2: 3}, [0, 0, 0], {0: 5, 1: 10}]
+    assert solve_many(rows, 2, rhss) == [[Fraction(-1), Fraction(2)], None,
+                                         [Fraction(-6), Fraction(6)],
+                                         [Fraction(0), Fraction(0)],
+                                         [Fraction(5), Fraction(0)]]
+    assert solve_many(rows, 2, rhss, p=7) == [[6, 2], None, [1, 6], [0, 0], [5, 0]]
+    assert solve_many(rows, 2, []) == []
+
+
+def test_integer_and_fraction_entries_give_the_same_answers():
+    """Over Q an entry may be an int or a Fraction; their values are all that count."""
+    ints = [{0: 2, 1: 3}, {0: 4, 2: -1}]
+    fracs = [{j: Fraction(x) for j, x in row.items()} for row in ints]
+    for p in (None, 5):
+        assert solve(ints, 3, [1, 2], p=p) == solve(fracs, 3, [Fraction(1), Fraction(2)], p=p)
+        assert nullspace(ints, 3, p=p) == nullspace(fracs, 3, p=p)
+        assert rref(ints, 3, p=p) == rref(fracs, 3, p=p)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import fractions_st, series_st
-from hodgeloci.series import SparseSeries, grlex_key, monomials_upto, total_degree
+from hodgeloci.series import (SparseSeries, _coerce, grlex_key, monomials_upto, residue,
+                              total_degree)
 
 
 def S(nvars, terms):
@@ -164,8 +165,8 @@ def _check_op(op, a, b, c=Fraction(2), i=0):
     want = _rebuilt(op, a, b, c, i)
     assert got == want
     assert got.laurent == a.laurent and got.p == a.p
-    if a.p is None:
-        assert all(type(v) is Fraction and v for v in got.terms.values())
+    if a.p is None:  # an int or a Fraction: arithmetic keeps whichever it computes
+        assert all(type(v) in (int, Fraction) and v for v in got.terms.values())
     else:
         assert all(type(v) is int and 0 < v < a.p for v in got.terms.values())
     assert all(type(e) is tuple and all(type(x) is int for x in e) for e in got.terms)
@@ -183,7 +184,7 @@ def compatible_pair_st(draw):
     else:
         lau = (False,) * nvars
     # GF(2) cannot invert the even denominators
-    coefficient = fractions_st(max_den=1 if p == 2 else 5)
+    coefficient = st.one_of(st.integers(-9, 9), fractions_st(max_den=1 if p == 2 else 5))
 
     def one():
         terms = {}
@@ -230,3 +231,44 @@ def test_monomials_upto_enumerates_the_simplex_in_grlex_order():
             assert len(brute) == (math.comb(n + d, n) if d >= 0 else 0)
     assert len(monomials_upto(2, 3)) == 10
     assert monomials_upto(2, 1) == [(0, 0), (0, 1), (1, 0)]
+
+
+class TestIntegerCoefficients:
+    """Over Q a coefficient with denominator 1 is stored as an int; arithmetic
+    may still produce a Fraction equal to an integer, and the two must be
+    indistinguishable as values."""
+
+    def test_int_and_fraction_coefficients_agree(self):
+        as_int = S(2, {(1, 0): 3, (0, 1): Fraction(1, 2)})
+        # Fraction(3, 2) * 2 is Fraction(3), which arithmetic keeps as it is
+        as_fraction = S(2, {(1, 0): Fraction(3, 2), (0, 1): Fraction(1, 4)}) * S(2, {(0, 0): 2})
+        assert type(as_int.terms[(1, 0)]) is int
+        assert type(as_fraction.terms[(1, 0)]) is Fraction
+        assert as_int == as_fraction and as_fraction == as_int
+        assert hash(as_int) == hash(as_fraction)
+        assert as_int.to_json() == as_fraction.to_json()
+        assert as_int.to_json(4) == as_fraction.to_json(4)
+        assert SparseSeries.from_json(as_fraction.to_json()).terms[(1, 0)] == 3
+
+    @pytest.mark.parametrize("c, want", [(3, 3), (Fraction(3), 3), (Fraction(6, 2), 3),
+                                         ("3", 3), ("6/2", 3), (True, 1), (False, 0),
+                                         (Fraction(3, 2), Fraction(3, 2)),
+                                         ("-3/2", Fraction(-3, 2))])
+    def test_coerce_stores_denominator_one_as_a_plain_int(self, c, want):
+        got = _coerce(c)
+        assert got == want and type(got) is type(want)
+        terms = S(1, {(0,): c}).terms
+        assert terms == ({(0,): want} if want else {})
+        assert all(type(v) is type(want) for v in terms.values())
+
+    @pytest.mark.parametrize("p", [2, 7, 101])
+    def test_residue_reads_ints_and_fractions_alike(self, p):
+        for n in range(-12, 13):
+            assert residue(n, p) == residue(Fraction(n), p) == residue(str(n), p) == n % p
+        assert residue(Fraction(3, 4), 7) == residue("3/4", 7) == 3 * pow(4, -1, 7) % 7
+
+    def test_exact_evaluation_is_a_fraction(self):
+        s = SparseSeries(2, {(-1, 0): 3, (0, 2): 1}, laurent=(True, False))
+        got = s.eval_exact((2, 3))
+        assert got == Fraction(21, 2) and type(got) is Fraction
+        assert type(S(1, {(0,): 3}).eval_exact((5,))) is Fraction
