@@ -8,11 +8,14 @@ and matrices are emitted in the canonical JSON document format.  Exit codes:
 error (a failed self-check or any other unexpected exception).
 
 This module keeps the argument table (``COMMANDS``), ``main`` with its exit
-codes, and one thin ``_cmd_<name>`` per command that unpacks the arguments and
-calls the command's body in the module it runs, imported only then.  A
+codes, and one thin ``_cmd_<name>(args, out)`` per command that unpacks the
+arguments, calls the command's body in the module it runs, imported only
+then, writes the output to the text stream ``out`` and returns the exit code.
+``main`` gives it stdout (``_Stdout``) or the ``--output`` file
+(``_output.OutputFile``), and maps a write that fails to exit 2.  A
 command's parser is built only when ``parse_args`` selects it
-(``_LazySubparsers``), so a process compiles, imports and builds only what its
-command runs.  ``json`` is imported only by code that reads or writes it.
+(``_LazySubparsers``), so a process compiles, imports and builds only what
+its command runs.  ``json`` is imported only by code that reads or writes it.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from hodgeloci.errors import DenominatorDivisibleByP, ResourceLimit, report
+from hodgeloci.errors import DenominatorDivisibleByP, ResourceLimit, WriteFailed, report
 
 if TYPE_CHECKING:  # for annotations only; nothing here is imported at run time
     from hodgeloci.forms import FormMatrix
@@ -33,26 +36,36 @@ if TYPE_CHECKING:  # for annotations only; nothing here is imported at run time
 _INVALID_INPUT = (ValueError, KeyError, TypeError, OSError, DenominatorDivisibleByP)
 
 
-def _write_output(text: str, path: Optional[str]) -> int:
-    """Write a command's output to ``path``, or to stdout when it is None, and
-    flush it: 0, or 2 with one ``error: cannot write`` line on an ``OSError``.
-    After a failed stdout write, fd 1 points at the null device, so that the
-    flush at interpreter exit neither raises again nor changes the exit code."""
-    try:
-        if path:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-            sys.stdout.flush()
-        return 0
-    except OSError as exc:
-        if not path:
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-        report(f"error: cannot write {path or 'stdout'}: {exc.strerror or exc}\n")
-        return 2
+class _Stdout:
+    """``sys.stdout``, as it is when ``main`` runs, as the text stream a
+    command writes to (with ``--output``, ``_output.OutputFile`` takes its
+    place).  An ``OSError`` from a write or the flush raises ``WriteFailed``,
+    and fd 1 then points at the null device, so that the flush at
+    interpreter exit neither raises again nor changes the exit code."""
+
+    def __init__(self):
+        self.stream = sys.stdout
+
+    def write(self, text: str) -> None:
+        try:
+            self.stream.write(text)
+        except OSError as exc:
+            self._fail(exc)
+
+    def commit(self) -> None:
+        try:
+            self.stream.flush()
+        except OSError as exc:
+            self._fail(exc)
+
+    def discard(self) -> None:
+        pass
+
+    def _fail(self, exc: OSError):
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, self.stream.fileno())
+        os.close(devnull)
+        raise WriteFailed(f"cannot write stdout: {exc.strerror or exc}") from None
 
 
 def _load_json(path: str):
@@ -90,75 +103,85 @@ def block_foliation_forms(b: FormMatrix, blocks: HodgeBlocks) -> BlockFoliation:
 # -- one thin body per command: unpack the arguments, call the command's module --
 
 
-def _cmd_periods(args) -> Tuple[str, int]:
+def _emit(out, text: str, code: int = 0) -> int:
+    """Write a command's whole output ``text`` to ``out``; its exit code."""
+    out.write(text)
+    return code
+
+
+def _cmd_periods(args, out) -> int:
     from hodgeloci import periods
-    return periods.run_periods_document(_load_json(args.config)), 0
+    periods.write_periods_document(_load_json(args.config), out)
+    return 0
 
 
-def _cmd_denominators(args) -> Tuple[str, int]:
+def _cmd_denominators(args, out) -> int:
     from hodgeloci import periods
-    return periods.run_denominator_table(_load_json(args.config)), 0
+    periods.write_denominator_table(_load_json(args.config), out)
+    return 0
 
 
-def _cmd_eq1(args) -> Tuple[str, int]:
+def _cmd_eq1(args, out) -> int:
     from hodgeloci import periods
     series = periods.quartic_full_family_series(args.truncation)
-    return series.to_json(args.truncation) + "\n", 0
+    return _emit(out, series.to_json(args.truncation) + "\n")
 
 
-def _cmd_griffiths(args) -> Tuple[str, int]:
+def _cmd_griffiths(args, out) -> int:
     from hodgeloci import periods
-    return periods.griffiths_table(args.d, args.n), 0
+    return _emit(out, periods.griffiths_table(args.d, args.n))
 
 
-def _cmd_steenbrink(args) -> Tuple[str, int]:
+def _cmd_steenbrink(args, out) -> int:
     from hodgeloci import periods
     ok = periods.steenbrink_hodge_tate(args.d, _ints_csv(args.weights), args.n)
-    return f"hodge_tate: {'true' if ok else 'false'}\n", 0
+    return _emit(out, f"hodge_tate: {'true' if ok else 'false'}\n")
 
 
-def _cmd_foliation_check(args) -> Tuple[str, int]:
-    return f"integrable: {'true' if integrability_check(_form_matrix(args)) else 'false'}\n", 0
+def _cmd_foliation_check(args, out) -> int:
+    ok = integrability_check(_form_matrix(args))
+    return _emit(out, f"integrable: {'true' if ok else 'false'}\n")
 
 
-def _cmd_solve_linear(args) -> Tuple[str, int]:
+def _cmd_solve_linear(args, out) -> int:
     from hodgeloci import gauss_manin
-    return gauss_manin.solve_linear_document(_form_matrix(args), args.order), 0
+    return _emit(out, gauss_manin.solve_linear_document(_form_matrix(args), args.order))
 
 
-def _cmd_gm(args) -> Tuple[str, int]:
+def _cmd_gm(args, out) -> int:
     from hodgeloci import gauss_manin
     b = _form_matrix(args)
     blocks = gauss_manin.HodgeBlocks(args.m, tuple(_ints_csv(args.blocks)))
     result = block_foliation_forms(b, blocks)
     integrable = integrability_check(b) and integrability_check(result.assembly.a)
-    return gauss_manin.gm_document(result, integrable), 0
+    return _emit(out, gauss_manin.gm_document(result, integrable))
 
 
-def _cmd_tangency(args) -> Tuple[str, int]:
+def _cmd_tangency(args, out) -> int:
     from hodgeloci import ideals
-    return ideals.tangency_output(args.vars, args.field, args.omega, args.ideal, args.deg)
+    return _emit(out, *ideals.tangency_output(args.vars, args.field, args.omega, args.ideal,
+                                              args.deg))
 
 
-def _cmd_pcurvature(args) -> Tuple[str, int]:
+def _cmd_pcurvature(args, out) -> int:
     from hodgeloci import pcurvature
-    return pcurvature.pcurvature_output(args.vars, args.field, args.omega, args.ideal,
-                                        args.p, args.deg)
+    return _emit(out, *pcurvature.pcurvature_output(args.vars, args.field, args.omega,
+                                                    args.ideal, args.p, args.deg))
 
 
-def _cmd_sch(args) -> Tuple[str, int]:
+def _cmd_sch(args, out) -> int:
     from hodgeloci import pcurvature
-    return pcurvature.sch_output(args.vars, args.field, args.module, args.point), 0
+    return _emit(out, pcurvature.sch_output(args.vars, args.field, args.module, args.point))
 
 
-def _cmd_hypergeo_locus(args) -> Tuple[str, int]:
+def _cmd_hypergeo_locus(args, out) -> int:
     from hodgeloci import hypergeo
-    return hypergeo.locus_table(args.N, hypergeo.locus_grid(args.grid), args.tol)
+    return _emit(out, *hypergeo.locus_table(args.N, hypergeo.locus_grid(args.grid), args.tol))
 
 
-def _cmd_hypergeo_witness(args) -> Tuple[str, int]:
+def _cmd_hypergeo_witness(args, out) -> int:
     from hodgeloci import hypergeo
-    return hypergeo.locus_table(args.N, [args.t1], args.tol)
+    return _emit(out, *hypergeo.locus_table(args.N, [args.t1], args.tol))
 
 
 # -- argument parsing -------------------------------------------------------------
@@ -245,8 +268,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    if args.output:
+        from hodgeloci._output import OutputFile
+        out = OutputFile(args.output)
+    else:
+        out = _Stdout()
     try:
-        text, code = args.fn(args)
+        code = args.fn(args, out)
+        out.commit()
+        return code
+    except WriteFailed as exc:
+        report(f"error: {exc}\n")
+        return 2
     except ResourceLimit as exc:
         report(f"error: {exc}\n")
         return 3
@@ -257,7 +290,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         import traceback  # only on this path: importing it costs start-up time
         report(f"error: internal: {type(exc).__name__}: {exc}\n{traceback.format_exc()}")
         return 4
-    return _write_output(text, args.output) or code
+    finally:
+        out.discard()
 
 
 if __name__ == "__main__":

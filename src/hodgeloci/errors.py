@@ -51,6 +51,11 @@ class ResourceLimit(RuntimeError):
     """Input exceeds the configured resource bound."""
 
 
+class WriteFailed(Exception):
+    """A write to a command's output failed: exit 2.  Not an ``OSError``, so
+    that it is not read as an input file that cannot be read."""
+
+
 class WorkerFailed(RuntimeError):
     """A row worker process raised, died or ended before sending all its rows:
     a fault, since every input error is raised before any worker starts."""

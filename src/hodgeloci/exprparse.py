@@ -39,21 +39,34 @@ MAX_NESTING = 100
 
 
 class _Tokenizer:
+    """The tokens of ``text`` as ``(kind, text, position)``, each scanned once:
+    ``peek`` keeps the token it scans for the next ``next``.  ``end`` is where
+    the last token ``next`` returned ends."""
+
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
+        self.pos = 0  # where scanning resumes
+        self.end = 0
+        self.ahead: Optional[Tuple[str, str, int]] = None
 
     def _skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
 
     def peek(self) -> Tuple[str, str, int]:
-        save = self.pos
-        tok = self.next()
-        self.pos = save
-        return tok
+        if self.ahead is None:
+            self.ahead = self._scan()
+        return self.ahead
 
     def next(self) -> Tuple[str, str, int]:
+        tok = self.ahead
+        if tok is None:
+            tok = self._scan()
+        self.ahead = None
+        self.end = tok[2] + len(tok[1])
+        return tok
+
+    def _scan(self) -> Tuple[str, str, int]:
         self._skip_ws()
         if self.pos >= len(self.text):
             return ("END", "", self.pos)
@@ -127,7 +140,7 @@ class _Parser:
         for (b1, e1), c1 in left.items():
             for (b2, e2), c2 in right.items():
                 if b1 and b2:
-                    pos = self.toks.pos
+                    pos = self.toks.end
                     if b1[0] != b2[0]:
                         raise ParseError("mixed d/D in one term", pos)
                     raise ParseError("more than one basis symbol in a term", pos)

@@ -6,11 +6,12 @@ exactly, and ``integrability_check`` compares dB and B ^ B as they are.  The
 operations only assume ring arithmetic plus ``diff``.  Two-form components are
 stored on ordered index pairs i < j only.
 
-Most components of the forms the commands build are zero, so the operations
-work on nonzero components only: a sum or a scaling passes a zero component
-through (after checking that the operands share a ring), ``d_oneform``
-differentiates a component only by the variables its terms hold, and
-``VectorField.apply`` sums c_i * df/dx_i into one term map.
+Every component of a form lies in one ring (the constructor checks it), and a
+sum or a scaling checks once per form that its operands share that ring.  Most
+components of the forms the commands build are zero, so the operations work
+on nonzero components only: a sum or a scaling passes a zero component
+through, ``d_oneform`` differentiates a component only by the variables its
+terms hold, and ``VectorField.apply`` sums c_i * df/dx_i into one term map.
 """
 
 from __future__ import annotations
@@ -86,7 +87,8 @@ def _check_ctx(a, b):
 
 class _Components(Value):
     """The common part of vector fields and 1-forms: one exact polynomial
-    component per variable of the context."""
+    component per variable of the context, all in one ring (the same
+    variable count, Laurent flags and ``p``)."""
 
     ctx: PolyContext
     comps: Tuple[SparseSeries, ...]
@@ -99,15 +101,22 @@ class _Components(Value):
         for c in comps:
             if c.nvars != n:
                 raise ValueError("component variable count does not match context")
+            comps[0]._check_compatible(c)
         self.__dict__.update(ctx=ctx, comps=comps)
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.comps)
 
+    def _check_ring(self, other) -> None:
+        """``other`` shares this form's context and ring."""
+        _check_ctx(self, other)
+        if self.comps:
+            self.comps[0]._check_compatible(other.comps[0])
+
     def __add__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        _check_ctx(self, other)
+        self._check_ring(other)
         return type(self)(self.ctx, tuple(map(_plus, self.comps, other.comps)))
 
     def __neg__(self):
@@ -116,32 +125,29 @@ class _Components(Value):
     def __sub__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        _check_ctx(self, other)
+        self._check_ring(other)
         return type(self)(self.ctx, tuple(map(_minus, self.comps, other.comps)))
 
     def scale(self, f):
         """Multiply by a polynomial (or scalar) coefficient."""
         if isinstance(f, SparseSeries):
-            return type(self)(self.ctx, tuple(f * c if c else _same_ring(c, f)
-                                              for c in self.comps))
+            if self.comps:
+                self.comps[0]._check_compatible(f)
+            return type(self)(self.ctx, tuple(f * c if c else c for c in self.comps))
         return type(self)(self.ctx, tuple(f * c for c in self.comps))
 
 
-def _same_ring(c: SparseSeries, other: SparseSeries) -> SparseSeries:
-    """``c``, once it is known to share a ring with ``other``."""
-    c._check_compatible(other)
-    return c
-
-
 def _plus(a: SparseSeries, b: SparseSeries) -> SparseSeries:
+    """``a + b``, for operands known to share a ring."""
     if not b:
-        return _same_ring(a, b)
-    return a + b if a else _same_ring(b, a)
+        return a
+    return a + b if a else b
 
 
 def _minus(a: SparseSeries, b: SparseSeries) -> SparseSeries:
+    """``a - b``, for operands known to share a ring."""
     if not b:
-        return _same_ring(a, b)
+        return a
     return a - b if a else -b
 
 
@@ -153,8 +159,8 @@ class VectorField(_Components):
         each term a x^e of f gives a * e_i * x^(e - 1_i) * c_i for every i
         with e_i != 0."""
         comps = self.comps
-        for c in comps:
-            f._check_compatible(c)
+        if comps:
+            f._check_compatible(comps[0])
         out = {}
         for e, a in f.terms.items():
             for i, k in enumerate(e):

@@ -42,13 +42,17 @@ directly, with no ``Fraction`` and no ``SparseSeries`` in between.  They
 equal ``denominator_profile(period_series(...))`` and
 ``period_series(...).series.to_json(family.truncation)`` row by row, and the
 tests hold them equal; ``SparseSeries.to_doc`` defines the canonical format.
-The orbits are independent, so a large table computes them in forked child
-processes (``_map_rows``), which take the next orbit when they are free and
-pickle back only the rows.
+So the table commands work on ints only, and this module imports ``fractions``
+and ``hodgeloci.series`` only inside the reference functions that use them
+(``period_series``, ``period_coefficient``, ``quartic_full_family_series``,
+...).  The orbits are independent, so a large table computes them in this
+process and forked children together (``_write_rows``), and each row is
+written as soon as it and every earlier row are done.
 
 The bodies of the table commands (``periods``, ``denominators``,
-``griffiths``) are here too, from a parsed config to the output text:
-``run_denominator_table``, ``run_periods_document`` and ``griffiths_table``.
+``griffiths``) are here too, from a parsed config to the output stream:
+``write_denominator_table``, ``write_periods_document`` and
+``griffiths_table``.
 """
 
 from __future__ import annotations
@@ -57,15 +61,18 @@ import gc
 import itertools
 import os
 import sys
-from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 from operator import itemgetter
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from hodgeloci import _coeff_kernel_py
 from hodgeloci._value import Value
 from hodgeloci.errors import NotIntegral, ResourceLimit
-from hodgeloci.series import SparseSeries, grlex_key, monomials_upto
+
+if TYPE_CHECKING:  # the table commands run on ints only: see the module docstring
+    from fractions import Fraction
+
+    from hodgeloci.series import SparseSeries
 
 # denominator profiles trial-divide by every factor up to this bound
 _TRIAL_BOUND = 10 ** 6
@@ -78,6 +85,8 @@ _PAIR_PERMUTATIONS = 720
 
 def pochhammer(x, y: int) -> Fraction:
     """Ascending product x(x+1)...(x+y-1); empty product is 1."""
+    from fractions import Fraction
+
     if y < 0:
         raise ValueError("Pochhammer length must be non-negative")
     x = Fraction(x)
@@ -89,6 +98,8 @@ def pochhammer(x, y: int) -> Fraction:
 
 def int_frac(r) -> Tuple[int, Fraction]:
     """Floor and fractional part of a rational; 0 <= frac < 1."""
+    from fractions import Fraction
+
     r = Fraction(r)
     fl = r.numerator // r.denominator
     return fl, r - fl
@@ -101,6 +112,8 @@ def pole_order(beta: Sequence[int], d: int) -> int:
     total = sum(beta) + len(beta)
     k, rem = divmod(total, d)
     if rem != 0 or k <= 0:
+        from fractions import Fraction
+
         raise NotIntegral(f"sum (beta_i+1)/{d} = {Fraction(total, d)} is not a positive integer")
     return k
 
@@ -115,6 +128,8 @@ def fractional_pair_condition(beta_check: Sequence[int], d: int) -> bool:
 
 def coefficient_product(beta_check: Sequence[int], d: int) -> Fraction:
     """Product over slots of ({(b_i+1)/d}) raised by ascending Pochhammer to [(b_i+1)/d]."""
+    from fractions import Fraction
+
     out = Fraction(1)
     for b in beta_check:
         fl, fr = int_frac(Fraction(b + 1, d))
@@ -223,6 +238,8 @@ def period_coefficient(a: Sequence[int], beta: BetaIndex, family: FamilySpec) ->
     Zero when the fractional-pair condition fails for beta + sum a_alpha*alpha
     (which also covers slots where d divides b_i + 1).
     """
+    from fractions import Fraction
+
     if len(a) != family.nparams:
         raise ValueError("tuple length does not match the number of monomials")
     if any(x < 0 for x in a):
@@ -252,6 +269,10 @@ def _kernel_terms(beta, family: FamilySpec):
 
 def period_series(beta, family: FamilySpec) -> PeriodSeries:
     """All coefficients of t^a with total degree <= family.truncation."""
+    from fractions import Fraction
+
+    from hodgeloci.series import SparseSeries
+
     beta, raw = _kernel_terms(beta, family)
     terms: Dict[Tuple[int, ...], Fraction] = {a: Fraction(num, den) for a, num, den in raw}
     series = SparseSeries._trusted(family.nparams, terms)
@@ -401,6 +422,10 @@ def quartic_full_family_series(truncation: int) -> SparseSeries:
     This path shares no code with the kernel-backed engine and is used to
     cross-check it.
     """
+    from fractions import Fraction
+
+    from hodgeloci.series import SparseSeries
+
     if truncation < 0:
         raise ValueError("truncation must be non-negative")
     monos = quartic_full_monomials()
@@ -444,6 +469,8 @@ def quartic_full_family_series(truncation: int) -> SparseSeries:
 
 def quartic_full_monomials() -> Tuple[Tuple[int, ...], ...]:
     """All 35 exponent vectors of weight 4 in four variables, graded-lex order."""
+    from hodgeloci.series import monomials_upto
+
     return tuple(e for e in monomials_upto(4, 4) if sum(e) == 4)
 
 
@@ -459,7 +486,7 @@ def griffiths_basis(d: int, n: int) -> List[BetaIndex]:
     out = [BetaIndex(beta, (sum(beta) + nv) // d)
            for beta in itertools.product(range(d - 1), repeat=nv)
            if (sum(beta) + nv) % d == 0]
-    out.sort(key=lambda b: (b.k, grlex_key(b.beta)))
+    out.sort(key=lambda b: (b.k, sum(b.beta), b.beta))
     return out
 
 
@@ -508,10 +535,10 @@ def steenbrink_hodge_tate(d: int, weights: Sequence[int], n: int) -> bool:
         raise ValueError("the first weight must be 1")
     if any(w <= 0 for w in weights):
         raise ValueError("weights must be positive")
-    return Fraction(n, 2) <= Fraction(sum(weights[1:]), d)
+    return n * d <= 2 * sum(weights[1:])  # n/2 <= sum/d, with d > 0
 
 
-# -- the table commands: from a parsed config to the output text ----------------
+# -- the table commands: from a parsed config to the output stream --------------
 
 
 def _config_int(value, field: str) -> int:
@@ -566,30 +593,37 @@ def betas_from_config(cfg: Mapping, fam: FamilySpec) -> List[BetaIndex]:
 
 # A table whose kernel runs enumerate at least this many tuples, counted as
 # orbits x C(truncation + m, m) (one run per symmetry orbit of its rows), splits
-# its orbits over forked child processes, which cost a few ms to fork, read and
-# reap.  On the 13-orbit quartic table, with the rows run with the GC off
-# (BENCH_22.json, break_even; 2 CPUs, two runs of 11 pairs), the split's median
-# was even with or above the serial one for denominators at D=14 (39,780
-# tuples; lower in 4-5 of 11 pairs), and below it for both commands at D=16
-# (62,985; lower in 7-11 of 11 pairs) and at D=18 and D=20.  With the GC on,
-# denominators at D=16 was still faster serially.
+# its orbits over this process and forked children, which cost a few ms to
+# fork, feed and reap.  On the 13-orbit quartic table, with the rows run with
+# the GC off (BENCH_22.json, break_even; 2 CPUs, two runs of 11 pairs), the
+# split's median was even with or above the serial one for denominators at
+# D=14 (39,780 tuples; lower in 4-5 of 11 pairs), and below it for both
+# commands at D=16 (62,985; lower in 7-11 of 11 pairs) and at D=18 and D=20.
+# With the GC on, denominators at D=16 was still faster serially.  Measured
+# again once the parent worked too (BENCH_25.json, break_even), the split was
+# slower than serial at D=12-18 on both trees, on a host where two busy
+# processes each ran at half speed; that cannot place the cut, so it stays.
 _POOL_TUPLES = 50_000
 
 
-def _map_rows(fn, betas: Sequence[BetaIndex], fam: FamilySpec) -> list:
-    """One row per beta, from ``fn(orbit, fam)``: the rows of one symmetry orbit
-    of the betas (``beta_orbits``), in the orbit's row order.  The orbits are
-    split over one forked child process per CPU this process may run on
-    (``_rowsplit.split_rows``, which hands each child the next orbit when it is
-    free) when there are at least two of each and their kernel runs enumerate
-    at least ``_POOL_TUPLES`` tuples; otherwise they are computed in this
-    process.  The output is the same either way.  The rows run with the cyclic
-    GC off, here and in the children, which inherit that: they make no
+def _write_rows(out, fn, betas: Sequence[BetaIndex], fam: FamilySpec, head: str,
+                tail: str) -> None:
+    """Write ``head``, the text of every row of ``betas`` in row order, then
+    ``tail`` to the text stream ``out``.  ``fn(orbit, fam)`` gives the texts
+    of the rows of one symmetry orbit of the betas (``beta_orbits``), in the
+    orbit's row order, and each row is written as soon as it and every
+    earlier row are done.  The orbits are split over this process and
+    ``cpus - 1`` forked children, where ``cpus`` counts the CPUs this process
+    may run on, at most one process per orbit (``_rowsplit.split_rows``),
+    when there are at least two of each and their kernel runs enumerate at
+    least ``_POOL_TUPLES`` tuples; otherwise they are computed in this
+    process.  The output is the same either way.  The rows run with the
+    cyclic GC off, here and in the children, which inherit that: they make no
     reference cycles, and its collections, triggered by the kernel's many
     tuples, found nothing to free.  The caller's GC state is restored on every
-    path.  Every input error, such as a beta of the wrong length, is raised by
-    ``beta_orbits`` before any row runs or any child starts; a row that raises
-    in a child is ``WorkerFailed`` (exit 4), as any fault of a serial run is.
+    path.  Every input error, such as a beta of the wrong length, is raised
+    by ``beta_orbits`` before any row runs, any child starts or any byte is
+    written; a row that raises in a child is ``WorkerFailed`` (exit 4).
     """
     orbits = beta_orbits(betas, fam)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -599,55 +633,64 @@ def _map_rows(fn, betas: Sequence[BetaIndex], fam: FamilySpec) -> list:
     gc.disable()  # forked children inherit this
     try:
         if workers < 2 or tuples < _POOL_TUPLES:
-            shares = [fn(orbit, fam) for orbit in orbits]
+            out.write(head)
+            done = {}  # row -> text of a row that waits for an earlier one
+            row = 0
+            for orbit in orbits:
+                done.update(zip(orbit.rows, fn(orbit, fam)))
+                while row in done:
+                    out.write(done.pop(row))
+                    row += 1
         else:
             from hodgeloci._rowsplit import split_rows
 
-            shares = split_rows(fn, orbits, fam, workers)
+            split_rows(fn, orbits, fam, workers, out, head)
+        out.write(tail)
     finally:
         if collecting:
             gc.enable()
-    rows: list = [None] * len(betas)
-    for orbit, share in zip(orbits, shares):
-        for row, value in zip(orbit.rows, share):
-            rows[row] = value
-    return rows
 
 
-def run_denominator_table(config: Mapping) -> str:
-    """The ``denominators`` table of a config: one row per basis element, with
-    its rendered monomial, lcm and factorization.
-
-    Rows are computed by ``_map_rows``, one kernel run per symmetry orbit, and a
-    large table's orbits are split over one forked child process per usable
-    CPU; the text is the same as a serial run's, and byte-stable across runs.
-    """
+def write_denominator_table(config: Mapping, out) -> None:
+    """Write the ``denominators`` table of a config to ``out``: one row per
+    basis element, with its rendered monomial, lcm and factorization.  The
+    rows come from ``_write_rows``, one kernel run per symmetry orbit; the
+    text is the same with the row split or without, and byte-stable across
+    runs."""
     fam = family_from_config(config)
     betas = betas_from_config(config, fam)
-    rows = []
-    for b, prof in zip(betas, _map_rows(orbit_denominator_profiles, betas, fam)):
-        rows.append(f"{b.monomial_str()},{prof.lcm},{prof.factorization_str()}\n")
-    return "monomial,lcm,factorization\n" + "".join(rows)
+
+    def rows(orbit: BetaOrbit, fam: FamilySpec) -> List[str]:
+        return [f"{betas[row].monomial_str()},{prof.lcm},{prof.factorization_str()}\n"
+                for row, prof in zip(orbit.rows, orbit_denominator_profiles(orbit, fam))]
+
+    _write_rows(out, rows, betas, fam, "monomial,lcm,factorization\n", "")
 
 
-def run_periods_document(config: Mapping) -> str:
-    """The ``periods`` document of a config: the family, then one result per
-    row, each holding its series object (``orbit_series_json``) as its last
-    key; rows are computed as in ``run_denominator_table``."""
+def write_periods_document(config: Mapping, out) -> None:
+    """Write the ``periods`` document of a config to ``out``: the family, then
+    one result per row, each holding its series object
+    (``orbit_series_json``) as its last key; rows are written as in
+    ``write_denominator_table``."""
     import json
 
     fam = family_from_config(config)
     family = {"n": fam.n, "d": fam.d, "I": [list(a) for a in fam.monomials],
               "truncation": fam.truncation}
     betas = betas_from_config(config, fam)
-    rows = []
-    for b, series in zip(betas, _map_rows(orbit_series_json, betas, fam)):
-        head = json.dumps({"beta": list(b.beta), "k": b.k, "monomial": b.monomial_str(),
-                           "normalization": normalization_text(fam.n, fam.d, b.k)},
-                          separators=(",", ":"))
-        rows.append(f'{head[:-1]},"series":{series}}}')
+
+    def rows(orbit: BetaOrbit, fam: FamilySpec) -> List[str]:
+        texts = []
+        for row, series in zip(orbit.rows, orbit_series_json(orbit, fam)):
+            b = betas[row]
+            head = json.dumps({"beta": list(b.beta), "k": b.k, "monomial": b.monomial_str(),
+                               "normalization": normalization_text(fam.n, fam.d, b.k)},
+                              separators=(",", ":"))
+            texts.append(f'{"," if row else ""}{head[:-1]},"series":{series}}}')
+        return texts
+
     family_json = json.dumps(family, separators=(",", ":"))
-    return f'{{"family":{family_json},"results":[{",".join(rows)}]}}\n'
+    _write_rows(out, rows, betas, fam, f'{{"family":{family_json},"results":[', "]}\n")
 
 
 def griffiths_table(d: int, n: int) -> str:

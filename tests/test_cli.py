@@ -1,16 +1,21 @@
 import ast
+import contextlib
 import errno
+import fcntl
 import gc
+import io
 import hashlib
 import json
 import os
 import pathlib
-import pickle
 import random
+import re
 import signal
+import stat
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 
 import hypothesis.strategies as st
@@ -19,10 +24,10 @@ from hypothesis import given, settings
 
 import hodgeloci
 from conftest import families
-from hodgeloci import _coeff_kernel_py, cli, periods
+from hodgeloci import _coeff_kernel_py, _rowsplit, cli, periods
 from hodgeloci.cli import main
 from hodgeloci.errors import InternalCheckFailed
-from hodgeloci.periods import griffiths_basis, period_series, run_denominator_table
+from hodgeloci.periods import griffiths_basis, period_series, write_denominator_table
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -35,6 +40,21 @@ TOY_CONFIG = {
 }
 
 
+def denominator_table(config):
+    """The ``denominators`` table of ``config``, as the command writes it."""
+    out = io.StringIO()
+    write_denominator_table(config, out)
+    return out.getvalue()
+
+
+TOY_TABLE = denominator_table(TOY_CONFIG)
+# an n = 6, d = 5 family whose three monomials fix every coordinate pair: its
+# 13,108 Griffiths rows are 13,108 orbits, more indices than a job pipe holds
+JOB_PIPE_OVERFLOW = {"n": 6, "d": 5, "truncation": 0, "beta": "griffiths",
+                     "I": [[1, 4, 0, 0, 0, 0, 0, 0], [0, 0, 2, 3, 0, 0, 0, 0],
+                           [0, 0, 0, 0, 3, 2, 0, 0]]}
+
+
 # Failures injected into a command body: each must exit 4, never 1 or 2.
 CRASHES = {"InternalCheckFailed": InternalCheckFailed("span identity fails"),
            "RuntimeError": RuntimeError("unexpected state"),
@@ -42,25 +62,22 @@ CRASHES = {"InternalCheckFailed": InternalCheckFailed("span identity fails"),
 
 
 def failing(exc):
-    def body(args):
+    def body(args, out):
         raise exc
     return body
 
 
 TEST_PID = os.getpid()
+REAL_PROFILES = periods.orbit_denominator_profiles
 
 
 def exit_in_worker(orbit, fam):
     """An orbit's row function that ends its worker process without a word."""
-    if os.getpid() == TEST_PID:  # never end the test process itself
-        raise AssertionError("the row ran in the test process, not in a worker")
     os._exit(1)
 
 
 def kill_in_worker(orbit, fam):
     """An orbit's row function whose worker process is killed by SIGKILL."""
-    if os.getpid() == TEST_PID:
-        raise AssertionError("the row ran in the test process, not in a worker")
     os.kill(os.getpid(), signal.SIGKILL)
 
 
@@ -79,25 +96,45 @@ class RowBroke(RuntimeError):
         self.hook = lambda: None
 
 
-def _in_worker():
-    if os.getpid() == TEST_PID:
-        raise AssertionError("the row ran in the test process, not in a worker")
-
-
 def rejected_row(orbit, fam):
-    _in_worker()
     raise RowRejected(orbit.beta.beta, "rejected")
 
 
 def broken_row(orbit, fam):
-    _in_worker()
     raise RowBroke("broken")
 
 
+def in_children(fault, marker):
+    """``periods.orbit_denominator_profiles`` that runs ``fault(orbit, fam)``
+    in the forked row workers, which first create the file ``marker``.  In
+    the test process, which is a row worker too, it gives the real profiles,
+    but its first row waits until a child has started one, so that a child
+    takes at least one orbit."""
+    def profiles(orbit, fam):
+        if os.getpid() != TEST_PID:
+            open(marker, "w").close()
+            return fault(orbit, fam)
+        deadline = time.monotonic() + 30
+        while not os.path.exists(marker) and time.monotonic() < deadline:
+            time.sleep(0.001)
+        return REAL_PROFILES(orbit, fam)
+    return profiles
+
+
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-TOY_WORKERS = min(CPUS, 13)  # the toy table's 21 rows fall into 13 symmetry orbits
+# the toy table's 21 rows fall into 13 symmetry orbits: a forced split runs them in
+# this process and TOY_CHILDREN forked children
+TOY_CHILDREN = min(CPUS, 13) - 1
+# the worker fault tests give the split three CPUs, so that it forks two children
+FAULT_CHILDREN = 2
 
 needs_two_cpus = pytest.mark.skipif(CPUS < 2, reason="the row split needs at least 2 usable CPUs")
+
+
+@pytest.fixture
+def three_cpus(monkeypatch):
+    """The row split sees three usable CPUs, so that it forks FAULT_CHILDREN children."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
 
 
 @pytest.fixture
@@ -121,29 +158,54 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-# How the row split fails -> (exit code, stderr prefix) of a forced split of
-# the toy table
+# How the row split fails -> (exit code, regular expression of the stderr line
+# of main) of a forced split of the toy table over FAULT_CHILDREN children; the
+# child that fails first, and the orbit a child drops or repeats, vary from run
+# to run
 WORKER_FAILURES = {
-    "killed": (4, f"error: internal: WorkerFailed: row worker 1 of {TOY_WORKERS} ended with "
-                  "signal 9 (SIGKILL) before sending all its rows\n"),
-    # a row that raises is a fault whatever its exception: nothing is pickled back, every
-    # child prints its row's traceback to stderr and ends with status 1
-    "unpicklable_input_error": (4, f"error: internal: WorkerFailed: row worker 1 of "
-                                   f"{TOY_WORKERS} ended with exit status 1 before sending all "
-                                   "its rows\n"),
-    "unpicklable_internal_error": (4, f"error: internal: WorkerFailed: row worker 1 of "
-                                      f"{TOY_WORKERS} ended with exit status 1 before sending "
-                                      "all its rows\n"),
+    "killed": (4, f"error: internal: WorkerFailed: row worker [12] of {FAULT_CHILDREN} ended "
+                  r"with signal 9 \(SIGKILL\) before sending all its rows\n"),
+    # a row that raises in a child is a fault whatever its exception: the child
+    # prints its row's traceback to stderr and ends with status 1
+    "unpicklable_input_error": (4, f"error: internal: WorkerFailed: row worker [12] of "
+                                   f"{FAULT_CHILDREN} ended with exit status 1 before sending "
+                                   "all its rows\n"),
+    "unpicklable_internal_error": (4, f"error: internal: WorkerFailed: row worker [12] of "
+                                      f"{FAULT_CHILDREN} ended with exit status 1 before "
+                                      "sending all its rows\n"),
+    # the parent fails on the lines its children send
     "parent_raises": (4, "error: internal: RuntimeError: the parent fails\n"),
     "pipe_fails": (3, f"error: cannot start a row worker: {os.strerror(errno.EAGAIN)}\n"),
     "second_fork_fails": (3, f"error: cannot start a row worker: {os.strerror(errno.EAGAIN)}\n"),
     # a child that takes an orbit and ends with status 0 without sending its rows, or
     # that sends them twice: the parent checks that every orbit comes back once
     "dropped_orbit": (4, "error: internal: WorkerFailed: the row workers sent no rows for "
-                         "orbit 1 of 13\n"),
-    "repeated_orbit": (4, "error: internal: WorkerFailed: the row workers sent orbit 1 of 13 "
-                          "twice\n"),
+                         "orbit [0-9]+ of 13\n"),
+    "repeated_orbit": (4, "error: internal: WorkerFailed: the row workers sent orbit [0-9]+ of "
+                          "13 twice\n"),
+    # a row that raises in the parent: WorkerFailed too, with every child killed and reaped
+    "parent_row_raises": (4, "error: internal: WorkerFailed: orbit [0-9]+ of 13 raised "
+                             "RowBroke: broken\n"),
 }
+
+
+class Hung(Exception):
+    """The code under ``deadline`` ran out of time."""
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise ``Hung`` in the test process if the block runs longer than ``seconds``."""
+    def expire(signum, frame):
+        raise Hung(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def run(capsys, *argv):
@@ -475,95 +537,134 @@ class TestExitCodes:
         assert forks == []
 
     @needs_two_cpus
-    def test_dead_worker_is_exit_four(self, capsys, forks, monkeypatch, toy_config):
+    def test_dead_worker_is_exit_four(self, capsys, forks, monkeypatch, three_cpus, toy_config,
+                                      tmp_path):
         monkeypatch.setattr(periods, "_POOL_TUPLES", 0)
-        monkeypatch.setattr(periods, "orbit_denominator_profiles", exit_in_worker)
+        monkeypatch.setattr(periods, "orbit_denominator_profiles",
+                            in_children(exit_in_worker, tmp_path / "started"))
         code, out, err = run(capsys, "denominators", "--config", toy_config)
-        assert code == 4 and out == ""
-        assert err.startswith(f"error: internal: WorkerFailed: row worker 1 of {TOY_WORKERS} "
-                              "ended with exit status 1 before sending all its rows\n")
-        assert len(forks) == TOY_WORKERS
+        # stdout holds a prefix of the table: the rows written before the fault showed
+        assert code == 4 and TOY_TABLE.startswith(out)
+        assert re.match(f"error: internal: WorkerFailed: row worker [12] of {FAULT_CHILDREN} "
+                        "ended with exit status 1 before sending all its rows\n", err)
+        assert len(forks) == FAULT_CHILDREN
         assert_no_child_left()
 
     @needs_two_cpus
     @pytest.mark.parametrize("case", list(WORKER_FAILURES))
-    def test_failing_worker_exit_code(self, capfd, forks, monkeypatch, toy_config, case):
-        code, prefix = WORKER_FAILURES[case]
+    def test_failing_worker_exit_code(self, capfd, forks, monkeypatch, three_cpus, toy_config,
+                                      tmp_path, case):
+        code, pattern = WORKER_FAILURES[case]
 
         def eagain(*args):
             raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 
-        def parent_fails(fh):
+        def parent_fails(self, data, table):
             raise RuntimeError("the parent fails")
 
         recording_fork = os.fork
-        dump = pickle.dump
+        write_all = _rowsplit._write_all
+        sent = []  # in each child: the orbit lines it has sent
 
-        def drop_first_orbit(obj, fh, *args):
-            if obj is None or obj[0] != 0:
-                dump(obj, fh, *args)
+        def orbit_line(data):
+            # a row's text holds a comma; the line "index offset lengths" does not
+            return re.fullmatch(rb"[0-9 ]+\n", data)
 
-        def repeat_first_orbit(obj, fh, *args):
-            dump(obj, fh, *args)
-            if obj is not None and obj[0] == 0:
-                dump(obj, fh, *args)
+        def drop_first_orbit(fd, data):
+            if not orbit_line(data) or sent:
+                write_all(fd, data)
+            if orbit_line(data):
+                sent.append(data)
+
+        def repeat_first_orbit(fd, data):
+            write_all(fd, data)
+            if orbit_line(data) and not sent:
+                write_all(fd, data)
+                sent.append(data)
 
         def fork_only_once():
             if forks:
                 eagain()
             return recording_fork()
 
+        def raise_in_parent(orbit, fam):
+            # the children wait until this process has started an orbit, so that it takes one
+            if os.getpid() == TEST_PID:
+                open(tmp_path / "started", "w").close()
+                raise RowBroke("broken")
+            deadline = time.monotonic() + 30
+            while not os.path.exists(tmp_path / "started") and time.monotonic() < deadline:
+                time.sleep(0.001)
+            return REAL_PROFILES(orbit, fam)
+
         rows = {"killed": kill_in_worker, "unpicklable_input_error": rejected_row,
-                "unpicklable_internal_error": broken_row}
-        raised = {"unpicklable_input_error": "RowRejected: row (0, 0, 0, 0): rejected\n",
+                "unpicklable_internal_error": broken_row, "dropped_orbit": REAL_PROFILES,
+                "repeated_orbit": REAL_PROFILES}
+        raised = {"unpicklable_input_error": r"RowRejected: row \([0-9, ]+\): rejected\n",
                   "unpicklable_internal_error": "RowBroke: broken\n"}
         if case in rows:
-            monkeypatch.setattr(periods, "orbit_denominator_profiles", rows[case])
+            monkeypatch.setattr(periods, "orbit_denominator_profiles",
+                                in_children(rows[case], tmp_path / "started"))
+        if case == "parent_row_raises":
+            monkeypatch.setattr(periods, "orbit_denominator_profiles", raise_in_parent)
         monkeypatch.setattr(periods, "_POOL_TUPLES", 0)
-        patches = {"parent_raises": (pickle, "load", parent_fails),
+        patches = {"parent_raises": (_rowsplit._Child, "take", parent_fails),
                    "pipe_fails": (os, "pipe", eagain),
                    "second_fork_fails": (os, "fork", fork_only_once),
-                   "dropped_orbit": (pickle, "dump", drop_first_orbit),
-                   "repeated_orbit": (pickle, "dump", repeat_first_orbit)}
+                   "dropped_orbit": (_rowsplit, "_write_all", drop_first_orbit),
+                   "repeated_orbit": (_rowsplit, "_write_all", repeat_first_orbit)}
         if case in patches:
             monkeypatch.setattr(*patches[case])
         got, out, err = run(capfd, "denominators", "--config", toy_config)
-        children, found, _ = err.partition(prefix)
-        assert got == code and out == "" and found
+        found = re.search(pattern, err)
+        assert got == code and found
+        children = err[:found.start()]
+        if code == 3:  # no byte is written before every child is forked
+            assert out == ""
+        else:  # the head, and then a prefix of the rows
+            assert out.startswith("monomial,lcm,factorization\n") and TOY_TABLE.startswith(out)
         if case in raised:  # the children's tracebacks reach fd 2 before main's report
             assert "Traceback (most recent call last):" in children
-            assert raised[case] in children
+            assert re.search(raised[case], children)
         else:
             assert children == ""
-        assert len(forks) == {"pipe_fails": 0, "second_fork_fails": 1}.get(case, TOY_WORKERS)
+        assert len(forks) == {"pipe_fails": 0, "second_fork_fails": 1}.get(case, FAULT_CHILDREN)
         assert_no_child_left()
 
     @needs_two_cpus
     def test_job_list_for_workers_that_are_gone_is_worker_failed(self, capfd, forks,
-                                                                  monkeypatch, toy_config):
-        # every child ends before it reads a job, and the parent writes the job list
-        # only once all of them are gone: the write fails, and how they ended is reported
-        write = os.write
-        children_at_write = []
+                                                                  monkeypatch, tmp_path):
+        # every child ends before it reads a job, and the job list is longer than the
+        # job pipe holds: the parent never blocks writing it, takes the jobs that do
+        # not fit itself, and reports how the children ended
+        read = os.read
+        config = JOB_PIPE_OVERFLOW
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(config))
+        fam = periods.family_from_config(config)
+        orbits = periods.beta_orbits(periods.betas_from_config(config, fam), fam)
+        probe = os.pipe()
+        try:
+            capacity = (fcntl.fcntl(probe[0], fcntl.F_GETPIPE_SZ)
+                        if hasattr(fcntl, "F_GETPIPE_SZ") else 65536)
+        finally:
+            os.close(probe[0])
+            os.close(probe[1])
+        assert len(orbits) * _rowsplit._RECORD > capacity
 
         def exit_before_reading(fd, size):
-            _in_worker()
-            os._exit(1)
-
-        def write_once_every_child_is_gone(fd, data):
-            children_at_write.append(len(forks))
-            for pid in forks:
-                os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
-            return write(fd, data)
+            if os.getpid() != TEST_PID:
+                os._exit(1)
+            return read(fd, size)
 
         monkeypatch.setattr(periods, "_POOL_TUPLES", 0)
         monkeypatch.setattr(os, "read", exit_before_reading)
-        monkeypatch.setattr(os, "write", write_once_every_child_is_gone)
-        code, out, err = run(capfd, "denominators", "--config", toy_config)
-        assert code == 4 and out == ""
-        assert err.startswith(f"error: internal: WorkerFailed: row worker 1 of {TOY_WORKERS} "
-                              "ended with exit status 1 before sending all its rows\n")
-        assert children_at_write == [TOY_WORKERS]  # every child forked before the first job
+        with deadline(60):
+            code, out, err = run(capfd, "denominators", "--config", str(path))
+        assert code == 4 and out.startswith("monomial,lcm,factorization\n")
+        assert re.match(f"error: internal: WorkerFailed: row worker [0-9]+ of {TOY_CHILDREN} "
+                        "ended with exit status 1 before sending all its rows\n", err)
+        assert len(forks) == TOY_CHILDREN
         assert_no_child_left()
 
 
@@ -600,8 +701,8 @@ def test_toy_periods_output_is_pinned(capsys, toy_config):
 
 
 # name -> (config, its count of symmetry orbits): once the cut is 0 a table is
-# split over min(CPUs, orbits) children, and a table of fewer than two orbits
-# is not split
+# split over this process and min(CPUs, orbits) - 1 children, and a table of
+# fewer than two orbits is not split
 POOL_CONFIGS = {
     "toy": (TOY_CONFIG, 13),
     "repeated_row": (dict(TOY_CONFIG, beta=[[1, 1, 1, 1], [0, 0, 0, 0], [1, 1, 1, 1]]), 2),
@@ -621,20 +722,20 @@ def test_pool_rows_equal_serial_rows(capsys, monkeypatch, forks, tmp_path, comma
     assert serial[0] == 0 and forks == []
     monkeypatch.setattr(periods, "_POOL_TUPLES", 0)
     assert run(capsys, command, "--config", str(path)) == serial
-    assert len(forks) == (min(CPUS, orbits) if orbits >= 2 else 0)
+    assert len(forks) == (min(CPUS, orbits) - 1 if orbits >= 2 else 0)
     assert_no_child_left()
 
 
 @needs_two_cpus
 def test_a_slow_orbit_holds_up_only_its_worker(capsys, monkeypatch, forks, toy_config, tmp_path):
-    # orbits are handed out on demand: while one child computes the slow first
-    # orbit, the others take every other orbit, and the rows still land in order
+    # orbits are handed out on demand: while one process (this one or a child)
+    # computes the slow first orbit, the others take every other orbit, and the
+    # rows still land in order
     serial = run(capsys, "denominators", "--config", toy_config)
     taken = tmp_path / "taken"
     profiles = periods.orbit_denominator_profiles
 
     def slow_first_orbit(orbit, fam):
-        _in_worker()
         with open(taken, "a") as fh:
             fh.write(f"{os.getpid()} {orbit.rows[0]}\n")
         if orbit.rows[0] == 0:
@@ -647,13 +748,42 @@ def test_a_slow_orbit_holds_up_only_its_worker(capsys, monkeypatch, forks, toy_c
     pids = dict(line.split()[::-1] for line in taken.read_text().splitlines())
     assert len(pids) == 13  # each orbit computed once, named by its first row
     assert list(pids.values()).count(pids["0"]) == 1
-    assert len(forks) == TOY_WORKERS
+    assert len(forks) == TOY_CHILDREN
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("command", ["denominators", "periods"])
+def test_rows_of_an_ended_child_wait_for_a_slow_one(capsys, monkeypatch, forks, three_cpus,
+                                                    toy_config, command):
+    # the children take the first orbits while this process sleeps; the child with
+    # orbit 0 (rows 0 and 4) is slow, so another child ends while rows it spooled
+    # still wait for that orbit, and they are read back from its spool file after
+    serial = run(capsys, command, "--config", toy_config)
+    hand_out = _rowsplit._hand_out
+    fn = {"denominators": "orbit_denominator_profiles", "periods": "orbit_series_json"}[command]
+    real = getattr(periods, fn)
+
+    def late_hand_out(fd, first, count):
+        handed = hand_out(fd, first, count)
+        time.sleep(0.2)  # in this process only: the children read the job pipe first
+        return handed
+
+    def slow_first_orbit(orbit, fam):
+        if orbit.rows[0] == 0 and os.getpid() != TEST_PID:
+            time.sleep(0.6)
+        return real(orbit, fam)
+
+    monkeypatch.setattr(_rowsplit, "_hand_out", late_hand_out)
+    monkeypatch.setattr(periods, fn, slow_first_orbit)
+    monkeypatch.setattr(periods, "_POOL_TUPLES", 0)
+    assert run(capsys, command, "--config", toy_config) == serial
+    assert len(forks) == FAULT_CHILDREN
     assert_no_child_left()
 
 
 @pytest.mark.parametrize("fn", [periods.orbit_denominator_profiles, periods.orbit_series_json])
 def test_toy_rows_leave_no_garbage_cycles(fn):
-    # _map_rows runs the rows with the cyclic GC off: they must leave nothing it would free
+    # _write_rows runs the rows with the cyclic GC off: they must leave nothing it would free
     fam = periods.family_from_config(TOY_CONFIG)
     orbits = periods.beta_orbits(periods.betas_from_config(TOY_CONFIG, fam), fam)
     gc.collect()
@@ -668,7 +798,16 @@ def test_toy_rows_leave_no_garbage_cycles(fn):
 
 def gc_state_row(orbit, fam):
     """Each row of ``orbit`` is whether the cyclic GC was on while it ran."""
-    return [gc.isenabled()] * len(orbit.rows)
+    return [f"{gc.isenabled()}\n"] * len(orbit.rows)
+
+
+def written_rows(fn, betas, fam):
+    """The rows ``periods._write_rows`` writes from ``fn``, whose texts are
+    the values ``fn`` gives, one line each."""
+    out = io.StringIO()
+    periods._write_rows(out, lambda orbit, fam: [f"{v}\n" for v in fn(orbit, fam)], betas, fam,
+                        "", "")
+    return out.getvalue().splitlines()
 
 
 def raising_row(orbit, fam):
@@ -685,15 +824,17 @@ def test_rows_run_with_the_gc_off_and_its_state_is_restored(capfd, monkeypatch, 
         monkeypatch.setattr(periods, "_POOL_TUPLES", 0)
     (gc.enable if enabled else gc.disable)()
     try:
-        assert periods._map_rows(gc_state_row, betas, fam) == [False] * len(betas)
+        out = io.StringIO()
+        periods._write_rows(out, gc_state_row, betas, fam, "", "")
+        assert out.getvalue() == "False\n" * len(betas)
         assert gc.isenabled() is enabled
-        # a row that raises: RowBroke in this process, WorkerFailed from a child
+        # a row that raises: RowBroke in a serial run, WorkerFailed in a split
         with pytest.raises(RuntimeError):
-            periods._map_rows(raising_row, betas, fam)
+            periods._write_rows(io.StringIO(), raising_row, betas, fam, "", "")
         assert gc.isenabled() is enabled
     finally:
         gc.enable()
-    assert len(forks) == (2 * TOY_WORKERS if split and TOY_WORKERS >= 2 else 0)
+    assert len(forks) == (2 * TOY_CHILDREN if split else 0)
     assert_no_child_left()
 
 
@@ -722,13 +863,131 @@ def test_orbit_rows_equal_the_per_row_functions(monkeypatch, forks, name, split)
     assert len(periods.beta_orbits(betas, fam)) == orbits
     if split:
         monkeypatch.setattr(periods, "_POOL_TUPLES", 0)
-    assert periods._map_rows(periods.orbit_denominator_profiles, betas, fam) == \
-        [periods.denominator_profile(period_series(b, fam)) for b in betas]
-    assert periods._map_rows(periods.orbit_series_json, betas, fam) == \
+    assert written_rows(periods.orbit_denominator_profiles, betas, fam) == \
+        [str(periods.denominator_profile(period_series(b, fam))) for b in betas]
+    assert written_rows(periods.orbit_series_json, betas, fam) == \
         [period_series(b, fam).series.to_json(fam.truncation) for b in betas]
-    # two tables, each split over min(CPUs, orbits) children
-    assert len(forks) == (2 * min(CPUS, orbits) if split and min(CPUS, orbits) >= 2 else 0)
+    # two tables, each split over this process and min(CPUs, orbits) - 1 children
+    children = min(CPUS, orbits) - 1
+    assert len(forks) == (2 * children if split and children else 0)
     assert_no_child_left()
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
+@pytest.mark.parametrize("command", ["denominators", "periods"])
+@pytest.mark.parametrize("name", list(ORBIT_CONFIGS))
+def test_streamed_rows_equal_the_reference_document(capsys, monkeypatch, forks, tmp_path, name,
+                                                    command, split):
+    # the command streams its rows in row order, with the split forced on or off;
+    # the reference is built row by row from period_series
+    config, orbits = ORBIT_CONFIGS[name]
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(config))
+    fam = periods.family_from_config(config)
+    if command == "periods":
+        expected = to_doc_periods_document(fam, config)
+    else:
+        expected = "monomial,lcm,factorization\n" + "".join(
+            f"{b.monomial_str()},{prof.lcm},{prof.factorization_str()}\n"
+            for b, prof in ((b, periods.denominator_profile(period_series(b, fam)))
+                            for b in periods.betas_from_config(config, fam)))
+    monkeypatch.setattr(periods, "_POOL_TUPLES", 0 if split else 10 ** 18)
+    assert run(capsys, command, "--config", str(path)) == (0, expected, "")
+    assert len(forks) == (min(CPUS, orbits) - 1 if split else 0)
+    assert_no_child_left()
+
+
+class BrokenPipeAfter:
+    """A stdout whose reader goes away after it has read ``writes`` writes."""
+
+    def __init__(self, writes, fd):
+        self.written = []
+        self.writes = writes
+        self.fd = fd
+
+    def write(self, text):
+        if len(self.written) == self.writes:
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+        self.written.append(text)
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
+@pytest.mark.parametrize("command", ["denominators", "periods"])
+def test_stdout_closed_after_the_first_rows_is_exit_two(capsys, monkeypatch, forks, toy_config,
+                                                        command, split):
+    # the head and two rows reach the reader, then the pipe is closed: one error
+    # line, exit 2, and every child killed and reaped
+    monkeypatch.setattr(periods, "_POOL_TUPLES", 0 if split else 10 ** 18)
+    with open(os.devnull, "w") as sink:
+        stdout = BrokenPipeAfter(3, sink.fileno())
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = main([command, "--config", toy_config])
+    assert (code, capsys.readouterr().err) == (2, "error: cannot write stdout: Broken pipe\n")
+    assert len(stdout.written) == 3
+    assert len(forks) == (TOY_CHILDREN if split else 0)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("case", ["ok", "invalid_input", "resource_limit", "fault_before_output",
+                                  "fault_mid_stream"])
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_output_file_appears_only_on_success(capsys, monkeypatch, tmp_path, case, existing):
+    # exits 2, 3 and 4 leave no --output file and an existing one as it was, also
+    # after the first rows are written; success replaces it, keeping its mode
+    argv = {"ok": ["denominators", "--config", "{toy}"],
+            "invalid_input": ["denominators", "--config", "{bad}"],
+            "resource_limit": ["periods", "--config", "{giant}"],
+            "fault_before_output": ["griffiths", "--d", "4", "--n", "2"],
+            "fault_mid_stream": ["denominators", "--config", "{toy}"]}[case]
+    files = {"toy": TOY_CONFIG, "bad": {"n": 2}, "giant": dict(TOY_CONFIG, truncation=10 ** 19)}
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    for name, config in files.items():
+        (configs / f"{name}.json").write_text(json.dumps(config))
+    argv = [a.format(**{name: configs / f"{name}.json" for name in files}) for a in argv]
+    target = tmp_path / "out" / "table.csv"
+    target.parent.mkdir()
+    if existing:
+        target.write_text("old\n")
+        target.chmod(0o640)
+    if case == "fault_before_output":
+        monkeypatch.setattr(cli, "_cmd_griffiths", failing(RuntimeError("unexpected state")))
+    if case == "fault_mid_stream":  # a serial row fails after five rows are written
+        def fail_late(orbit, fam):
+            if orbit.rows[0] >= 5:
+                raise RuntimeError("unexpected state")
+            return REAL_PROFILES(orbit, fam)
+        monkeypatch.setattr(periods, "orbit_denominator_profiles", fail_late)
+    code, out, _ = run(capsys, *argv, "--output", str(target))
+    assert (code, out) == ({"ok": 0, "invalid_input": 2, "resource_limit": 3}.get(case, 4), "")
+    assert os.listdir(target.parent) == (["table.csv"] if existing or case == "ok" else [])
+    if case == "ok":
+        assert target.read_text() == TOY_TABLE
+    elif existing:
+        assert target.read_text() == "old\n"
+    if existing:
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+
+
+def test_output_to_a_fifo_is_written_in_place(capsys, tmp_path):
+    # a path that is not a regular file, such as a FIFO or a device, is written
+    # as it is, not replaced by a renamed file
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    code = main(["griffiths", "--d", "4", "--n", "2", "--output", str(fifo)])
+    reader.join(timeout=30)
+    assert code == 0 and stat.S_ISFIFO(fifo.stat().st_mode)
+    assert got == [run(capsys, "griffiths", "--d", "4", "--n", "2")[1]]
+    assert os.listdir(tmp_path) == ["fifo"]
 
 
 @pytest.mark.parametrize("truncation", [0, 3, 9])
@@ -1127,7 +1386,8 @@ TANGENCY_ARGS = ["--vars", "x,y", "--field", "x*D(x)", "--omega", "x*d(y) + y*d(
                  "--ideal", "x*y", "--deg", "3"]
 
 
-PERIOD_MODULES = {"_value", "periods", "series", "_coeff_kernel_py"}
+# the table commands work on ints only: they load neither series nor fractions
+PERIOD_MODULES = {"_value", "periods", "_coeff_kernel_py"}
 
 
 @pytest.mark.parametrize("argv, code, modules, split", [
@@ -1163,15 +1423,16 @@ def test_command_imports_only_the_modules_it_runs(tmp_path, argv, code, modules,
     expected = {"hodgeloci", "hodgeloci.cli", "hodgeloci.errors"}
     assert set(got["modules"]) == expected | {f"hodgeloci.{m}" for m in modules}
     # json only where a command reads or writes JSON; fractions wherever exact
-    # arithmetic runs, which the float locus sampling never does
+    # arithmetic runs on rationals, which neither the float locus sampling nor
+    # the integer period tables do
     command = argv[0] if argv else None
     assert got["loaded"] == [m for m, used in (
         ("json", command in ("denominators", "periods", "gm")),
-        ("fractions", command not in (None, "hypergeo-locus"))) if used]
+        ("fractions", command not in (None, "hypergeo-locus", "denominators", "periods"))) if used]
     assert got["pool"] == []  # the row split forks plain children at any size
     # the top-level parser, and a subparser only for the command that runs
     assert got["parsers"] == ["hodgeloci"] + ([f"hodgeloci {command}"] if command else [])
-    assert got["forks"] == (TOY_WORKERS if split else 0)
+    assert got["forks"] == (TOY_CHILDREN if split else 0)
 
 
 # stdout, stderr and exit code of `hodgeloci -h`, of `-h` for every command, of
@@ -1191,5 +1452,4 @@ def test_parser_text_is_pinned(capsys, monkeypatch, case):
 @pytest.mark.slow
 def test_reference_quartic_table_matches_golden(capsys):
     config = json.loads((ROOT / "configs" / "quartic_surfaces_d4.json").read_text())
-    table = run_denominator_table(config)
-    assert table == (GOLDEN / "quartic_d4_D30_denominators.csv").read_text()
+    assert denominator_table(config) == (GOLDEN / "quartic_d4_D30_denominators.csv").read_text()

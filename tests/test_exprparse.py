@@ -213,3 +213,28 @@ def test_parse_context_strips_names_and_checks_each():
     for bad in ("2x", "x y", "x-1", "d(x)"):
         with pytest.raises(ValueError, match=re.escape(f"variable name {bad!r} is not a letter")):
             parse_context(f"t,{bad}")
+
+
+def test_each_token_is_scanned_once(monkeypatch):
+    # the parser's one-token lookahead keeps the token it peeks at, so parsing the
+    # benchmark's gm matrix (seed 11, blocks 1,8,1) scans every token once, and the
+    # end of each entry once
+    import json
+    from pathlib import Path
+
+    from hodgeloci import exprparse
+
+    rows = json.loads((Path(__file__).parent / "golden" / "gm_seed11_blocks181.json").read_text())
+    ctx = parse_context("t1,t2,t3")
+    scans = []
+    scan = exprparse._Tokenizer._scan
+
+    def counted(self):
+        scans.append(scan(self))
+        return scans[-1]
+
+    monkeypatch.setattr(exprparse._Tokenizer, "_scan", counted)
+    exprparse.parse_form_matrix(rows, ctx)
+    token = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z0-9_]*|[-+*^()/]")
+    assert len(scans) == sum(len(token.findall(entry)) + 1 for row in rows for entry in row)
+    assert sum(kind == "END" for kind, _, _ in scans) == sum(map(len, rows))

@@ -382,3 +382,18 @@ def test_forms_over_different_rings_do_not_mix(nonzero):
                 op(a, b)
     with pytest.raises(ValueError, match="mod-p ring mismatch"):
         VectorField(ctx, m_comps).apply(ctx.var("y"))
+
+
+@pytest.mark.parametrize("cls", [OneForm, VectorField])
+@pytest.mark.parametrize("other, message", [
+    (ModPoly(7, 2, {(1, 0): 1}), "mod-p ring mismatch"),
+    (ModPoly(7, 2, {}), "mod-p ring mismatch"),
+    (SparseSeries(2, {(0, -1): 1}, laurent=(False, True)), "Laurent flag mismatch"),
+], ids=["mod-p", "mod-p-zero", "laurent"])
+def test_components_in_different_rings_are_rejected(cls, other, message):
+    # a form's components lie in one ring, so that its operations check the ring
+    # once per form; a mixed form is refused where it is built
+    ctx = PolyContext(("x", "y"))
+    for comps in ((other, ctx.var("y")), (ctx.var("y"), other)):
+        with pytest.raises(ValueError, match=message):
+            cls(ctx, comps)
