@@ -1,8 +1,7 @@
 """Period-coefficient kernel: the residue-class enumeration of the period engine.
 
-Returns, for every deformation exponent tuple ``a`` with total degree at most
-``trunc`` that passes the fractional-pair condition, the signed integer
-numerator and denominator of its coefficient:
+For every deformation exponent tuple ``a`` with total degree at most ``trunc``
+that passes the fractional-pair condition, the coefficient is
 
     num/den = (-1)^E * prod_i ({(b_i+1)/d})_[(b_i+1)/d]  /  a!
 
@@ -25,19 +24,104 @@ loop: one run of it fixes ``k`` for every other monomial, so the slots the last
 monomial does not move give one product per run, and each step of the run
 multiplies in only the slots it moves.
 
-Terms come back in graded-lexicographic order of ``a`` (total degree, then
-the tuple), the canonical order of ``SparseSeries``.
+The descent and the walk (``_enumerate``) are shared by the two entry points,
+which differ only in that last level, chosen once per call:
+
+- ``coefficient_terms`` returns the signed integer numerator and denominator of
+  every term, in graded-lexicographic order of ``a`` (total degree, then the
+  tuple), the canonical order of ``SparseSeries``;
+- ``denominator_lcm`` folds each term into the lcm of the reduced denominators
+  as it is made, and builds no term.  An lcm does not depend on the order of
+  its arguments, so it sorts nothing.
 """
 
 from __future__ import annotations
 
-from math import prod
+from math import gcd, lcm, prod
 from operator import add, getitem
 from typing import List, Sequence, Tuple
 
 
 def coefficient_terms(beta: Sequence[int], d: int, alphas: Sequence[Sequence[int]],
                       trunc: int) -> List[Tuple[Tuple[int, ...], int, int]]:
+    """Every surviving term ``(a, num, den)`` of degree at most ``trunc``, in
+    graded-lexicographic order of ``a``."""
+    out = {}  # grlex sort key -> (a, num, den)
+
+    def level(c, fixed_rows, moved_rows, dpow, fact, deg_place):
+        dd = d ** d  # one step of the last monomial multiplies d^{sum q} by this
+        step = deg_place + 1  # a step of v adds v to the degree and to the last digit
+
+        def run(idx, left, deg, key, afact, pre, qv):
+            v = c[idx]
+            num0 = 1
+            for j, row in fixed_rows:
+                num0 *= row[qv[j]]
+            den = dpow[sum(qv)] * afact
+            key += deg * deg_place
+            for k in range(left + 1):
+                num = num0
+                for j, row, s in moved_rows:
+                    num *= row[qv[j] + k * s]
+                out[key + v * step] = (pre + (v,), num, den * fact[v])
+                v += d
+                den *= dd
+
+        def single(num, den):
+            out[0] = ((), num, den)
+
+        return run, single
+
+    _enumerate(beta, d, alphas, trunc, level)
+    return [out[key] for key in sorted(out)]
+
+
+def denominator_lcm(beta: Sequence[int], d: int, alphas: Sequence[Sequence[int]],
+                    trunc: int) -> int:
+    """``lcm(*(den // gcd(num, den) for _, num, den in coefficient_terms(...)))``,
+    1 when no term survives: a term whose reduced denominator already divides
+    the running lcm costs no gcd."""
+    total = 1
+
+    def level(c, fixed_rows, moved_rows, dpow, fact, deg_place):
+        dd = d ** d
+
+        def run(idx, left, deg, key, afact, pre, qv):
+            nonlocal total
+            v = c[idx]
+            num0 = 1
+            for j, row in fixed_rows:
+                num0 *= row[qv[j]]
+            den = dpow[sum(qv)] * afact
+            acc = total
+            for k in range(left + 1):
+                num = num0
+                for j, row, s in moved_rows:
+                    num *= row[qv[j] + k * s]
+                den_a = den * fact[v]
+                if num * acc % den_a:
+                    acc = lcm(acc, den_a // gcd(num, den_a))
+                v += d
+                den *= dd
+            total = acc
+
+        def single(num, den):
+            nonlocal total
+            total = den // gcd(num, den)
+
+        return run, single
+
+    _enumerate(beta, d, alphas, trunc, level)
+    return total
+
+
+def _enumerate(beta: Sequence[int], d: int, alphas: Sequence[Sequence[int]], trunc: int,
+               level) -> None:
+    """Run the residue descent and the walk of every class that passes.
+    ``level(c, fixed_rows, moved_rows, dpow, fact, deg_place)`` is called once
+    and gives ``(run, single)``: ``run(m - 1, left, deg, key, afact, pre, qv)``
+    is one run of the last monomial, and ``single(num, den)`` the one term
+    ``a = ()`` when there is no monomial."""
     nv = len(beta)
     m = len(alphas)
     alphas = [tuple(al) for al in alphas]
@@ -64,40 +148,25 @@ def coefficient_terms(beta: Sequence[int], d: int, alphas: Sequence[Sequence[int
     # grlex sort key: degree, then a_0, a_1, ... as digits in base trunc + 1
     radix = trunc + 1
     place = [radix ** (m - 1 - i) for i in range(m)]
-    deg_place = radix ** m
 
-    out = {}  # sort key -> (a, num, den)
     c = [0] * m  # the residue vector
     bc = [b + 1 for b in beta]  # b_i + 1 at the residue vector, maintained incrementally
     # in the residue class being walked: (slot, table) of each slot the last
     # monomial leaves fixed, and (slot, table, step) of each slot it moves
     fixed_rows: List[Tuple[int, List[int]]] = []
     moved_rows: List[Tuple[int, List[int], int]] = []
-    dd = d ** d  # one step of the last monomial multiplies d^{sum q} by this
+    run, single = level(c, fixed_rows, moved_rows, dpow, fact, radix ** m)
 
     def walk(idx: int, left: int, deg: int, key: int, afact: int, pre: tuple,
              qv: tuple) -> None:
         # a_alpha = c_alpha + d*k_alpha for alpha >= idx, with sum k <= left;
         # pre is a_0 .. a_{idx-1} and qv the quotients q_i there
-        v = c[idx]
-        if idx == m - 1:
-            num0 = 1
-            for j, row in fixed_rows:
-                num0 *= row[qv[j]]
-            den = dpow[sum(qv)] * afact
-            key += deg * deg_place
-            for k in range(left + 1):
-                num = num0
-                for j, row, s in moved_rows:
-                    num *= row[qv[j] + k * s]
-                out[key + v * (deg_place + 1)] = (pre + (v,), num, den * fact[v])
-                v += d
-                den *= dd
-            return
+        inner = walk if idx < m - 2 else run
         alpha = alphas[idx]
         w = place[idx]
+        v = c[idx]
         for k in range(left + 1):
-            walk(idx + 1, left - k, deg + v, key + v * w, afact * fact[v], pre + (v,), qv)
+            inner(idx + 1, left - k, deg + v, key + v * w, afact * fact[v], pre + (v,), qv)
             v += d
             qv = tuple(map(add, qv, alpha))
 
@@ -110,9 +179,9 @@ def coefficient_terms(beta: Sequence[int], d: int, alphas: Sequence[Sequence[int
                     last = alphas[-1]
                     fixed_rows[:] = [(j, row) for j, row in enumerate(rows) if not last[j]]
                     moved_rows[:] = [(j, row, last[j]) for j, row in enumerate(rows) if last[j]]
-                    walk(0, rem // d, 0, 0, 1, (), qv)
+                    (walk if m > 1 else run)(0, rem // d, 0, 0, 1, (), qv)
                 else:  # the one tuple is a = ()
-                    out[0] = ((), prod(map(getitem, rows, qv)), dpow[sum(qv)])
+                    single(prod(map(getitem, rows, qv)), dpow[sum(qv)])
             return
         alpha = alphas[idx]
         top = min(d - 1, rem)
@@ -127,6 +196,5 @@ def coefficient_terms(beta: Sequence[int], d: int, alphas: Sequence[Sequence[int
 
     residues(0, trunc)
     # the nested functions reach themselves through their closure cells; emptying
-    # the cells frees `out` and the tables on return, not at a later cyclic GC
+    # the cells frees the tables on return, not at a later cyclic GC
     del walk, residues
-    return [out[key] for key in sorted(out)]

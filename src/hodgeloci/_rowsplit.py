@@ -25,14 +25,15 @@ Every input error is raised before this module is reached
 (``periods.beta_orbits`` checks each beta), so a row that raises is a fault: in
 a child, the child prints the traceback to stderr and ends with status 1; in
 the parent, the exception is raised as ``WorkerFailed``.  A child that fails
-or dies, or ends its stream early, and an orbit whose rows come back never or
-twice are ``WorkerFailed`` (exit 4); a pipe, spool file or child that cannot be
-made is ``ResourceLimit`` (exit 3).  Nothing is written before every child is
-forked.  Every child is killed if need be and reaped, and every pipe and spool
-file closed, on every path; each child ends with ``os._exit``, so it flushes
-none of the parent's buffers.  Only ``periods._write_rows`` imports this
-module, on the split branch; the command starts no thread before it, so
-forking is safe, and the children reuse the loaded package.
+or dies, or ends its stream early, an orbit whose rows come back never or
+twice, and a spool file that cannot be read back are ``WorkerFailed`` (exit
+4); a pipe, spool file or child that cannot be made is ``ResourceLimit`` (exit
+3).  Nothing is written before every child is forked.  Every child is killed
+if need be and reaped, and every pipe and spool file closed, on every path;
+each child ends with ``os._exit``, so it flushes none of the parent's buffers.
+Only ``periods._write_rows`` imports this module, on the split branch; the
+command starts no thread before it, so forking is safe, and the children reuse
+the loaded package.
 """
 
 from __future__ import annotations
@@ -144,10 +145,14 @@ def _collect(poller, children: dict, table: "_Table", wait: bool) -> None:
 
 
 def _read_all(fd: int, offset: int, length: int) -> bytes:
-    """``length`` bytes of the file ``fd`` from ``offset``, over partial reads."""
+    """``length`` bytes of the file ``fd`` from ``offset``, over partial reads.
+    The spool files are this program's own, so a read that fails is a fault."""
     parts = []
     while length:
-        data = os.pread(fd, length, offset)
+        try:
+            data = os.pread(fd, length, offset)
+        except OSError as exc:
+            raise WorkerFailed(f"cannot read back a spooled row: {exc.strerror or exc}") from None
         if not data:
             raise WorkerFailed("a row worker's spool file ends before its rows")
         parts.append(data)

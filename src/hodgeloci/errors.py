@@ -57,8 +57,9 @@ class WriteFailed(Exception):
 
 
 class WorkerFailed(RuntimeError):
-    """A row worker process raised, died or ended before sending all its rows:
-    a fault, since every input error is raised before any worker starts."""
+    """A row worker process raised, died or ended before sending all its rows,
+    or a spooled row cannot be read back: a fault, since every input error is
+    raised before any worker starts."""
 
 
 class InternalCheckFailed(RuntimeError):

@@ -17,9 +17,10 @@ as text metadata only: it is not a rational number.
 
 The tuple enumeration is the package's hot loop.  It lives in
 ``_coeff_kernel_py``, which walks only the residue classes of ``a mod d`` that
-pass the pair condition and returns integer (numerator, denominator) pairs
-already in graded-lexicographic order, so the engine adds no sort and no
-re-validation on top of it.
+pass the pair condition.  ``coefficient_terms`` returns integer (numerator,
+denominator) pairs already in graded-lexicographic order, so the engine adds no
+sort and no re-validation on top of it; ``denominator_lcm`` returns only the
+lcm of the reduced denominators, from the same walk.
 
 The two tables run the kernel once per symmetry orbit of their rows.  Let
 sigma permute the coordinate pairs (slot 2e -> 2pi(e), slot 2e+1 ->
@@ -37,9 +38,10 @@ wrong length, so that every input error is raised before any row runs.
 
 ``orbit_denominator_profiles`` (the ``denominators`` table) and
 ``orbit_series_json`` (the series objects of the ``periods`` document) give
-every row of one orbit from one kernel run, and read the kernel's integers
-directly, with no ``Fraction`` and no ``SparseSeries`` in between.  They
-equal ``denominator_profile(period_series(...))`` and
+every row of one orbit from one kernel run, with no ``Fraction`` and no
+``SparseSeries`` in between: the first from the kernel's lcm pass, which
+builds no term at all, the second from its terms' integers.  They equal
+``denominator_profile(period_series(...))`` and
 ``period_series(...).series.to_json(family.truncation)`` row by row, and the
 tests hold them equal; ``SparseSeries.to_doc`` defines the canonical format.
 So the table commands work on ints only, and this module imports ``fractions``
@@ -257,12 +259,18 @@ def period_coefficient(a: Sequence[int], beta: BetaIndex, family: FamilySpec) ->
     return sign * dcoef / afact
 
 
-def _kernel_terms(beta, family: FamilySpec):
-    """The validated beta and the kernel's (a, num, den) list, in grlex order."""
+def _checked_beta(beta, family: FamilySpec) -> BetaIndex:
+    """``beta`` (a BetaIndex or a tuple) validated for ``family``."""
     raw_beta = beta.beta if isinstance(beta, BetaIndex) else beta
     beta = BetaIndex.make(raw_beta, family.d)  # propagates NotIntegral
     if len(beta.beta) != family.n + 2:
         raise ValueError(f"beta {beta.beta} does not have {family.n + 2} entries")
+    return beta
+
+
+def _kernel_terms(beta, family: FamilySpec):
+    """The validated beta and the kernel's (a, num, den) list, in grlex order."""
+    beta = _checked_beta(beta, family)
     return beta, _coeff_kernel_py.coefficient_terms(beta.beta, family.d, family.monomials,
                                                     family.truncation)
 
@@ -278,16 +286,6 @@ def period_series(beta, family: FamilySpec) -> PeriodSeries:
     series = SparseSeries._trusted(family.nparams, terms)
     return PeriodSeries(family, beta, series,
                         normalization_text(family.n, family.d, beta.k))
-
-
-def _denominator_lcm(raw) -> int:
-    """``lcm(*(den // gcd(num, den) for _, num, den in raw))``: a term whose
-    reduced denominator already divides the running lcm costs no gcd."""
-    total = 1
-    for _, num, den in raw:
-        if num * total % den:
-            total = lcm(total, den // gcd(num, den))
-    return total
 
 
 def _series_doc(family: FamilySpec, terms: List[str]) -> str:
@@ -369,10 +367,14 @@ def beta_orbits(betas: Sequence[BetaIndex], family: FamilySpec) -> List[BetaOrbi
 
 def orbit_denominator_profiles(orbit: BetaOrbit, family: FamilySpec) -> List[DenominatorProfile]:
     """``denominator_profile(period_series(beta, family))`` of each row of
-    ``orbit``, from one kernel run and without building Fractions or a series:
-    a pair symmetry keeps every coefficient, so the rows share a profile."""
-    _, raw = _kernel_terms(orbit.beta, family)
-    return [_factor_lcm(_denominator_lcm(raw), _TRIAL_BOUND)] * len(orbit.rows)
+    ``orbit``, from one run of the kernel's lcm pass
+    (``_coeff_kernel_py.denominator_lcm``), which builds no term, no Fraction
+    and no series: a pair symmetry keeps every coefficient, so the rows share a
+    profile."""
+    beta = _checked_beta(orbit.beta, family)
+    total = _coeff_kernel_py.denominator_lcm(beta.beta, family.d, family.monomials,
+                                             family.truncation)
+    return [_factor_lcm(total, _TRIAL_BOUND)] * len(orbit.rows)
 
 
 def orbit_series_json(orbit: BetaOrbit, family: FamilySpec) -> List[str]:
@@ -603,6 +605,11 @@ def betas_from_config(cfg: Mapping, fam: FamilySpec) -> List[BetaIndex]:
 # again once the parent worked too (BENCH_25.json, break_even), the split was
 # slower than serial at D=12-18 on both trees, on a host where two busy
 # processes each ran at half speed; that cannot place the cut, so it stays.
+# Once denominators ran the kernel's lcm pass (BENCH_26.json, break_even), the
+# split was slower than serial at D=12-20 for both commands in both rounds, and
+# at D=30 it was slower for denominators (1.06x) but even with or faster than
+# serial for periods, with two busy processes each at half to full speed
+# (cpu_probe): no one cut fits both commands, so it stays.
 _POOL_TUPLES = 50_000
 
 

@@ -781,6 +781,27 @@ def test_rows_of_an_ended_child_wait_for_a_slow_one(capsys, monkeypatch, forks, 
     assert_no_child_left()
 
 
+@pytest.mark.parametrize("command", ["denominators", "periods"])
+def test_unreadable_spool_file_is_exit_four(capsys, monkeypatch, forks, three_cpus, toy_config,
+                                            tmp_path, command):
+    # the spool files are the row split's own: a failed read-back is a fault, not
+    # bad input, and the --output file is not left behind
+    def eio(*args):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    monkeypatch.setattr(periods, "_POOL_TUPLES", 0)
+    monkeypatch.setattr(_rowsplit.os, "pread", eio)
+    target = tmp_path / "out" / "table"
+    target.parent.mkdir()
+    code, out, err = run(capsys, command, "--config", toy_config, "--output", str(target))
+    assert (code, out) == (4, "")
+    assert err.startswith("error: internal: WorkerFailed: cannot read back a spooled row: "
+                          f"{os.strerror(errno.EIO)}\n")
+    assert os.listdir(target.parent) == []
+    assert len(forks) == FAULT_CHILDREN
+    assert_no_child_left()
+
+
 @pytest.mark.parametrize("fn", [periods.orbit_denominator_profiles, periods.orbit_series_json])
 def test_toy_rows_leave_no_garbage_cycles(fn):
     # _write_rows runs the rows with the cyclic GC off: they must leave nothing it would free
@@ -993,15 +1014,18 @@ def test_output_to_a_fifo_is_written_in_place(capsys, tmp_path):
 @pytest.mark.parametrize("truncation", [0, 3, 9])
 @pytest.mark.parametrize("command", ["denominators", "periods"])
 def test_one_kernel_run_per_orbit(capsys, monkeypatch, tmp_path, command, truncation):
-    # the quartic table's 21 rows fall into 13 orbits of the pair swap
+    # the quartic table's 21 rows fall into 13 orbits of the pair swap; a run of
+    # either kernel entry point (the terms, or the lcm pass) counts
     runs = []
-    kernel = _coeff_kernel_py.coefficient_terms
 
-    def counted(beta, *args):
-        runs.append(tuple(beta))
-        return kernel(beta, *args)
+    def counted(kernel):
+        def counted_kernel(beta, *args):
+            runs.append(tuple(beta))
+            return kernel(beta, *args)
+        return counted_kernel
 
-    monkeypatch.setattr(_coeff_kernel_py, "coefficient_terms", counted)
+    for name in ("coefficient_terms", "denominator_lcm"):
+        monkeypatch.setattr(_coeff_kernel_py, name, counted(getattr(_coeff_kernel_py, name)))
     path = tmp_path / "family.json"
     path.write_text(json.dumps(dict(TOY_CONFIG, truncation=truncation)))
     assert run(capsys, command, "--config", str(path))[0] == 0
@@ -1453,3 +1477,21 @@ def test_parser_text_is_pinned(capsys, monkeypatch, case):
 def test_reference_quartic_table_matches_golden(capsys):
     config = json.loads((ROOT / "configs" / "quartic_surfaces_d4.json").read_text())
     assert denominator_table(config) == (GOLDEN / "quartic_d4_D30_denominators.csv").read_text()
+
+
+# SHA-256 of `denominators` on the quartic config at truncation 40, the stress size
+D40_DENOMINATORS_SHA256 = "1140755eab7fbad9dcfc1cd5fc227cbdceea5cccafc1dc7268f146fc6115c102"
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
+def test_stress_size_denominators_are_pinned(capsys, monkeypatch, forks, tmp_path, split):
+    config = json.loads((ROOT / "configs" / "quartic_surfaces_d4.json").read_text())
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(dict(config, truncation=40)))
+    monkeypatch.setattr(periods, "_POOL_TUPLES", 0 if split else 10 ** 18)
+    code, out, err = run(capsys, "denominators", "--config", str(path))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == D40_DENOMINATORS_SHA256
+    assert len(forks) == (TOY_CHILDREN if split else 0)
+    assert_no_child_left()

@@ -11,10 +11,9 @@ from hypothesis import example, given, settings
 
 from conftest import families
 from hodgeloci import _coeff_kernel_py
-from hodgeloci.periods import (BetaIndex, FamilySpec, _denominator_lcm, beta_orbits,
-                               denominator_profile, griffiths_basis, orbit_denominator_profiles,
-                               orbit_series_json, period_coefficient, period_series,
-                               quartic_full_monomials)
+from hodgeloci.periods import (BetaIndex, FamilySpec, beta_orbits, denominator_profile,
+                               griffiths_basis, orbit_denominator_profiles, orbit_series_json,
+                               period_coefficient, period_series, quartic_full_monomials)
 from hodgeloci.series import SparseSeries, grlex_key
 
 
@@ -37,15 +36,31 @@ def table_rows(fn, betas, fam):
 QUARTIC_MONOMIALS = ((1, 3, 0, 0), (0, 1, 3, 0), (0, 0, 1, 3), (3, 0, 0, 1))
 
 
+def edge_families(test):
+    """``test`` with the families whose cases each last level of the kernel
+    must handle as examples."""
+    for fam in [
+        # m = 0: beta 0 passes the pair test at d = 2; at d = 4 it fails and
+        # (2, 0, 2, 0) passes
+        FamilySpec(2, 2, (), 0),
+        FamilySpec(2, 4, (), 3),
+        FamilySpec(2, 4, ((1, 3, 0, 0),), 8),  # m = 1: the inline level is the only one
+        FamilySpec(2, 4, QUARTIC_MONOMIALS, 3),  # truncation below d: every run has length 1
+        FamilySpec(2, 4, ((1, 3, 0, 0), (0, 0, 0, 4)), 9),  # the last monomial moves one slot
+        FamilySpec(2, 4, ((0, 1, 3, 0), (1, 1, 1, 1)), 9),  # ... and every slot
+    ]:
+        test = example(fam)(test)
+    return test
+
+
+def reduced_lcm(terms):
+    """The reference lcm of the reduced denominators of kernel terms."""
+    return lcm(*(den // gcd(num, den) for _, num, den in terms))
+
+
 @settings(max_examples=100, deadline=None)
 @given(families())
-# m = 0: beta 0 passes the pair test at d = 2; at d = 4 it fails and (2, 0, 2, 0) passes
-@example(FamilySpec(2, 2, (), 0))
-@example(FamilySpec(2, 4, (), 3))
-@example(FamilySpec(2, 4, ((1, 3, 0, 0),), 8))  # m = 1: the inline level is the only one
-@example(FamilySpec(2, 4, QUARTIC_MONOMIALS, 3))  # truncation below d: every run has length 1
-@example(FamilySpec(2, 4, ((1, 3, 0, 0), (0, 0, 0, 4)), 9))  # the last monomial moves one slot
-@example(FamilySpec(2, 4, ((0, 1, 3, 0), (1, 1, 1, 1)), 9))  # ... and every slot
+@edge_families
 def test_kernel_matches_closed_formula_on_the_simplex(fam):
     for beta in griffiths_basis(fam.d, fam.n):
         terms = _coeff_kernel_py.coefficient_terms(beta.beta, fam.d, fam.monomials,
@@ -85,16 +100,39 @@ def test_series_writer_matches_to_json(fam):
         [period_series(beta, fam).series.to_json(fam.truncation) for beta in basis]
 
 
-@pytest.mark.parametrize("truncation", [4, 12])
+@pytest.mark.parametrize("truncation", [0, 3, 4, 12, 30])
 def test_denominator_lcm_equals_the_lcm_of_reduced_denominators(truncation):
-    # every row of the quartic table; the loop skips the gcd of a term whose
-    # reduced denominator already divides the running lcm
+    # every row of the quartic table; the lcm pass skips the gcd of a term
+    # whose reduced denominator already divides the running lcm
     negative = 0
     for beta in griffiths_basis(4, 2):
         raw = _coeff_kernel_py.coefficient_terms(beta.beta, 4, QUARTIC_MONOMIALS, truncation)
         negative += any(num < 0 for _, num, _ in raw)
-        assert _denominator_lcm(raw) == lcm(*(den // gcd(num, den) for _, num, den in raw))
-    assert negative  # rows with negative numerators are among them
+        assert _coeff_kernel_py.denominator_lcm(beta.beta, 4, QUARTIC_MONOMIALS,
+                                                truncation) == reduced_lcm(raw)
+    # rows with negative numerators are among them, once a term moves beta:
+    # every q_i of a quartic Griffiths beta is 0, so the constant terms are positive
+    assert negative or truncation == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(families())
+@edge_families
+def test_denominator_lcm_equals_the_lcm_of_reduced_denominators_on_families(fam):
+    for beta in griffiths_basis(fam.d, fam.n):
+        raw = _coeff_kernel_py.coefficient_terms(beta.beta, fam.d, fam.monomials,
+                                                 fam.truncation)
+        assert _coeff_kernel_py.denominator_lcm(beta.beta, fam.d, fam.monomials,
+                                                fam.truncation) == reduced_lcm(raw)
+
+
+def test_denominator_lcm_reduces_the_one_term_of_no_monomials():
+    # m = 0 with q_0 = 1: every Griffiths beta has all q_i = 0, and so denominator 1
+    fam = FamilySpec(2, 4, (), 3)
+    beta = BetaIndex.make((5, 1, 1, 1), 4)
+    assert period_coefficient((), beta, fam) == Fraction(-1, 2)
+    assert _coeff_kernel_py.coefficient_terms(beta.beta, 4, (), 3) == [((), -2, 4)]
+    assert _coeff_kernel_py.denominator_lcm(beta.beta, 4, (), 3) == 2
 
 
 @settings(max_examples=60, deadline=None)
