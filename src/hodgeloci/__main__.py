@@ -1,6 +1,4 @@
-import sys
-
-from hodgeloci.cli import main
+from hodgeloci.cli import run
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -14,8 +14,12 @@ then, writes the output to the text stream ``out`` and returns the exit code.
 ``main`` gives it stdout (``_Stdout``) or the ``--output`` file
 (``_output.OutputFile``), and maps a write that fails to exit 2.  A
 command's parser is built only when ``parse_args`` selects it
-(``_LazySubparsers``), so a process compiles, imports and builds only what
-its command runs.  ``json`` is imported only by code that reads or writes it.
+(``_LazySubparsers``), and a command imports only the modules it runs; code
+that only other commands or the checks run sits in modules of its own
+(``forms``, ``sch``, ``solve_linear``, ``duals``), so a process compiles
+little that it never runs.  ``json`` is imported only by code that reads or
+writes it.  ``run``, the process entry, ends the process after ``main``
+without the interpreter's teardown.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, NoReturn, Optional, Sequence
 
 from hodgeloci.errors import DenominatorDivisibleByP, ResourceLimit, WriteFailed, report
 
@@ -40,10 +44,13 @@ class _Stdout:
     """``sys.stdout``, as it is when ``main`` runs, as the text stream a
     command writes to (with ``--output``, ``_output.OutputFile`` takes its
     place).  An ``OSError`` from a write or the flush raises ``WriteFailed``,
-    and fd 1 then points at the null device, so that the flush at
-    interpreter exit neither raises again nor changes the exit code."""
+    and fd 1 then points at the null device, so that ``run``'s last flush
+    does not fail again.  A stdout that is None (fd 1 was closed when the
+    interpreter started) raises ``WriteFailed`` at once."""
 
     def __init__(self):
+        if sys.stdout is None:
+            raise WriteFailed("cannot write stdout: Bad file descriptor")
         self.stream = sys.stdout
 
     def write(self, text: str) -> None:
@@ -144,8 +151,8 @@ def _cmd_foliation_check(args, out) -> int:
 
 
 def _cmd_solve_linear(args, out) -> int:
-    from hodgeloci import gauss_manin
-    return _emit(out, gauss_manin.solve_linear_document(_form_matrix(args), args.order))
+    from hodgeloci import solve_linear
+    return _emit(out, solve_linear.solve_linear_document(_form_matrix(args), args.order))
 
 
 def _cmd_gm(args, out) -> int:
@@ -170,8 +177,8 @@ def _cmd_pcurvature(args, out) -> int:
 
 
 def _cmd_sch(args, out) -> int:
-    from hodgeloci import pcurvature
-    return _emit(out, pcurvature.sch_output(args.vars, args.field, args.module, args.point))
+    from hodgeloci import sch
+    return _emit(out, sch.sch_output(args.vars, args.field, args.module, args.point))
 
 
 def _cmd_hypergeo_locus(args, out) -> int:
@@ -228,6 +235,18 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def _print_message(self, message, file=None):
+        """Help text goes to stdout through ``_Stdout``, so that a failed write
+        raises ``WriteFailed``; argparse would drop the ``OSError``."""
+        if message and file is sys.stdout:
+            out = _Stdout()
+            out.write(message)
+            out.commit()
+        else:
+            super()._print_message(message, file)
+
+
 class _LazySubparsers(argparse._SubParsersAction):
     """Subparsers that ``add_command`` registers by name and help line; each is
     built from its ``COMMANDS`` row only when ``parse_args`` selects it.  The
@@ -251,7 +270,7 @@ class _LazySubparsers(argparse._SubParsersAction):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="hodgeloci",
         description="Exact period series, foliation tangency and Frobenius-power "
                     "checks, and hypergeometric isogeny-locus sampling.")
@@ -263,20 +282,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    """Run the command line ``argv`` (default ``sys.argv[1:]``) in process
+    and return its exit code; it never exits."""
+    out = None
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    if args.output:
-        from hodgeloci._output import OutputFile
-        out = OutputFile(args.output)
-    else:
-        out = _Stdout()
-    try:
+        args = build_parser().parse_args(argv)
+        if args.output:
+            from hodgeloci._output import OutputFile
+            out = OutputFile(args.output)
+        else:
+            out = _Stdout()
         code = args.fn(args, out)
         out.commit()
         return code
+    except SystemExit as exc:  # argparse has written the help or a usage error
+        return int(exc.code or 0)
     except WriteFailed as exc:
         report(f"error: {exc}\n")
         return 2
@@ -291,8 +311,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         report(f"error: internal: {type(exc).__name__}: {exc}\n{traceback.format_exc()}")
         return 4
     finally:
-        out.discard()
+        if out is not None:
+            out.discard()
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def run() -> NoReturn:
+    """The entry of ``python -m hodgeloci`` and the ``hodgeloci`` script:
+    ``main``, a flush of stdout (exit 2 if it fails after a run that did not
+    fail) and stderr, then ``os._exit``, which skips the interpreter's
+    teardown.  That loses nothing while the package registers no ``atexit``
+    handler, ``__del__`` or ``weakref`` callback: keep it so.  Code that
+    embeds the package calls ``main``."""
+    code = main()
+    try:
+        _Stdout().commit()
+    except WriteFailed as exc:
+        if code < 2:  # a failed run has reported its own error
+            report(f"error: {exc}\n")
+            code = 2
+    report("")  # flushes stderr
+    os._exit(code)

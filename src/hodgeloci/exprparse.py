@@ -21,11 +21,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import add
-from typing import Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
 from hodgeloci.errors import ParseError
-from hodgeloci.forms import FormMatrix, OneForm, PolyContext, VectorField
+from hodgeloci.oneforms import OneForm, PolyContext, VectorField
 from hodgeloci.series import SparseSeries, grlex_key
+
+if TYPE_CHECKING:
+    from hodgeloci.forms import FormMatrix
 
 # basis symbol ('d'|'D', variable index) or None, and exponent vector
 TermKey = Tuple[Optional[Tuple[str, int]], Tuple[int, ...]]
@@ -319,6 +322,8 @@ def parse_context(names: str, laurent: Optional[str] = None) -> PolyContext:
 def parse_form_matrix(doc, ctx: PolyContext) -> FormMatrix:
     """A matrix of 1-forms from a JSON document: an array of arrays of 1-form
     expression strings."""
+    from hodgeloci.forms import FormMatrix  # only the matrix commands load forms
+
     if not isinstance(doc, list) or not all(isinstance(r, list) for r in doc):
         raise ValueError("matrix file must be a JSON array of arrays of 1-form expressions")
     for i, row in enumerate(doc):

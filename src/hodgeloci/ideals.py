@@ -1,4 +1,4 @@
-"""Degree-bounded ideal membership and bounded duals of 1-form modules.
+"""Degree-bounded ideal membership, and the tangency check built on it.
 
 Membership is decided by exact linear algebra on monomial coefficients with
 cofactor degrees capped by the caller, so a positive answer is a certificate
@@ -8,9 +8,8 @@ when they do not give the polynomial).  The system depends only on the
 generators, the cofactor degree and the row degree, so
 ``ideal_memberships_bounded`` decides several polynomials from one
 elimination, each its own right-hand side; ``tangency_check`` asks it about
-every contraction at once.
-The same linear-algebra reduction computes degree-bounded generating sets of
-the annihilator of a list of 1-forms, optionally relative to an ideal.
+every contraction at once.  ``duals`` computes degree-bounded generating
+sets of the annihilator of a list of 1-forms by the same reduction.
 
 Each system is sparse, one ``{column: value}`` row per monomial up to the row
 degree, and is filled column by column from the generators' terms: column
@@ -34,7 +33,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from hodgeloci import linalg
 from hodgeloci._value import Value
 from hodgeloci.errors import InternalCheckFailed
-from hodgeloci.forms import OneForm, PolyContext, VectorField
+from hodgeloci.oneforms import OneForm, PolyContext, VectorField
 from hodgeloci.series import SparseSeries, monomials_upto
 
 YES = "YES"
@@ -139,75 +138,6 @@ def ideal_memberships_bounded(fs: Sequence, gens: IdealGens, deg: int) -> List[s
             raise InternalCheckFailed("the cofactors of a YES do not reproduce the polynomial")
         verdicts.append(YES)
     return verdicts
-
-
-def dual_theta_bounded(omega_gens: Sequence[OneForm], deg: Optional[int] = None,
-                       ibar: Optional[IdealGens] = None,
-                       cofactor_deg: Optional[int] = None) -> List[VectorField]:
-    """Degree-bounded generating set of the fields annihilating every listed
-    1-form — or, when ``ibar`` is given, contracting into that ideal.
-
-    Unknown field components of degree <= deg (default: twice the maximal
-    generator degree) and, with ibar, unknown ideal cofactors of degree
-    <= cofactor_deg make a homogeneous linear system on monomial
-    coefficients; the nullspace, projected to the field unknowns and
-    reduced, is returned as vector fields.
-    """
-    if not omega_gens:
-        raise ValueError("need at least one 1-form generator")
-    ctx = omega_gens[0].ctx
-    if any(w.ctx != ctx for w in omega_gens):
-        raise ValueError("context mismatch")
-    if deg is None:
-        deg = 2 * max(1, max(c.degree() for w in omega_gens for c in w.comps))
-    nv = ctx.nvars
-    all_polys = [c for w in omega_gens for c in w.comps]
-    ideal_gens: Tuple = ()
-    if ibar is not None and not ibar.is_zero_ideal:
-        ideal_gens = ibar.gens
-        all_polys += list(ideal_gens)
-    p = _field_of(all_polys)
-    if p is None:
-        _reject_laurent(all_polys)
-
-    omega_deg = max((c.degree() for w in omega_gens for c in w.comps), default=0)
-    if cofactor_deg is None:
-        cofactor_deg = deg + omega_deg
-    v_monos = monomials_upto(nv, deg)
-    v_cols = [(i, m) for i in range(nv) for m in v_monos]
-    cof_monos = monomials_upto(nv, cofactor_deg) if ideal_gens else []
-    # the cofactor columns of 1-form wi: -g_j * x^m, nonzero only in block wi
-    h_cols = [({e: -c for e, c in g.terms.items()}, m) for g in ideal_gens for m in cof_monos]
-    no_h_cols = [({}, m) for _, m in h_cols]
-
-    rowdeg = deg + omega_deg
-    if ideal_gens:
-        rowdeg = max(rowdeg, cofactor_deg + max(g.degree() for g in ideal_gens))
-    row_index = {rm: r for r, rm in enumerate(monomials_upto(nv, rowdeg))}
-
-    rows = []
-    for wi, w in enumerate(omega_gens):
-        cols = [(w.comps[i].terms, m) for i, m in v_cols]
-        for other in range(len(omega_gens)):
-            cols += h_cols if other == wi else no_h_cols
-        rows += _product_rows(row_index, cols)
-
-    null = linalg.nullspace(rows, len(cols), p=p)
-    nval = len(v_cols)
-    v_parts = [{j: x for j, x in enumerate(vec[:nval]) if x} for vec in null]
-    reduced = linalg.rref([part for part in v_parts if part], nval, p=p)
-
-    fields = []
-    for vec in reduced:
-        comps = []
-        for i in range(nv):
-            terms = {}
-            for ci, (vi, m) in enumerate(v_cols):
-                if vi == i and vec[ci]:
-                    terms[m] = vec[ci]
-            comps.append(SparseSeries(nv, terms, laurent=None if p else ctx.laurent, p=p))
-        fields.append(VectorField(ctx, tuple(comps)))
-    return fields
 
 
 def tangency_check(v: VectorField, omega_gens: Sequence[OneForm],

@@ -1,7 +1,9 @@
-"""Exact sparse linear algebra over Q and over GF(p).
+"""Exact sparse linear algebra over Q and over GF(p): ``solve_many``, the
+solver the commands run, and the one elimination that it and ``duals``'
+``solve``, ``nullspace``, ``rref`` and ``rank`` share.
 
 A matrix is a list of rows, each a ``{column: value}`` dict over
-``range(ncols)``; a missing column is zero.  Every public function takes
+``range(ncols)``; a missing column is zero.  Each of those functions takes
 ``(rows, ncols, ..., p=None)``: with ``p`` None the values are read as exact
 rationals, otherwise as their residues mod the prime ``p``
 (``series.residue``: a rational a/b is a * b^-1, and DenominatorDivisibleByP
@@ -19,7 +21,8 @@ nullspace vector of each free column are unique.
 augmented column that the elimination carries but never pivots on.  Once
 every coefficient column is eliminated, a row without a pivot holds no
 coefficient column, and right-hand side k is inconsistent exactly when such
-a row holds its augmented column.  Each solution equals ``solve``'s.
+a row holds its augmented column.  Each solution is the one with every free
+variable set to 0, and equals ``duals.solve``'s for that right-hand side.
 
 Over Q the elimination is fraction-free (Bareiss-style; von zur Gathen and
 Gerhard, *Modern Computer Algebra*, ch. 5): each row is scaled to a primitive
@@ -132,25 +135,12 @@ def _eliminate(rows: List[Row], ncols: int, p: Optional[int],
     return reduced
 
 
-def _dense_row(c: int, row: Row, ncols: int, p: Optional[int]) -> tuple:
-    """A reduced row divided by its pivot entry, as a dense tuple."""
-    if p is not None:
-        return tuple(row.get(j, 0) for j in range(ncols))
-    zero, pv = Fraction(0), row[c]
-    return tuple(Fraction(row[j], pv) if j in row else zero for j in range(ncols))
-
-
-def solve(rows, ncols: int, rhs, p: Optional[int] = None) -> Optional[list]:
-    """One exact solution of A x = b with every free variable set to 0, or
-    None when the system is inconsistent.  ``rhs`` is a sequence with one
-    entry per row, or a sparse ``{row: value}`` mapping."""
-    return solve_many(rows, ncols, [rhs], p)[0]
-
-
 def solve_many(rows, ncols: int, rhss: Sequence, p: Optional[int] = None
                ) -> List[Optional[list]]:
-    """``solve`` for each right-hand side in ``rhss`` (each a sequence or a
-    sparse mapping, as ``solve`` takes it), from one elimination."""
+    """One exact solution of A x = b for each right-hand side b in ``rhss``,
+    from one elimination: every free variable set to 0, or None when that
+    system is inconsistent.  Each b is a sequence with one entry per row, or a
+    sparse ``{row: value}`` mapping."""
     rows = _field_rows(rows, ncols, p)
     for k, rhs in enumerate(rhss):
         if not isinstance(rhs, Mapping):
@@ -178,41 +168,3 @@ def solve_many(rows, ncols: int, rhss: Sequence, p: Optional[int] = None
                 x[c] = row[aug] if p is not None else Fraction(row[aug], row[c])
         out.append(x)
     return out
-
-
-def nullspace(rows, ncols: int, p: Optional[int] = None) -> List[tuple]:
-    """Basis of the right nullspace: ncols - rank vectors, one per free column
-    in increasing order.  Over Q each is a primitive integer vector (as
-    Fractions) whose first nonzero entry is positive; an empty row list gives
-    the ncols unit vectors."""
-    reduced = _eliminate(_field_rows(rows, ncols, p), ncols, p)
-    pivots = {c for c, _ in reduced}
-    basis = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        held = [(c, row) for c, row in reduced if f in row]
-        if p is not None:
-            x = {c: -row[f] % p for c, row in held}
-            x[f] = 1
-            basis.append(tuple(x.get(j, 0) for j in range(ncols)))
-            continue
-        # x_c = -den * row[f] / row[c] and x_f = den, with den the least that
-        # makes every x_c an integer; then the entries share no factor
-        den = lcm(*(row[c] // gcd(row[f], row[c]) for c, row in held))
-        x = {c: -row[f] * den // row[c] for c, row in held}
-        x[f] = den
-        sign = -1 if x[min(x)] < 0 else 1
-        basis.append(tuple(Fraction(sign * x[j]) if j in x else Fraction(0)
-                           for j in range(ncols)))
-    return basis
-
-
-def rref(rows, ncols: int, p: Optional[int] = None) -> List[tuple]:
-    """Nonzero rows of the reduced row echelon form (a canonical spanning set)."""
-    return [_dense_row(c, row, ncols, p)
-            for c, row in _eliminate(_field_rows(rows, ncols, p), ncols, p)]
-
-
-def rank(rows, ncols: int, p: Optional[int] = None) -> int:
-    return len(_eliminate(_field_rows(rows, ncols, p), ncols, p))

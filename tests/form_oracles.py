@@ -9,9 +9,9 @@ with it ``pcurvature.vf_pow_p``) with their definitions over every index.
 
 from typing import List, Sequence
 
-from hodgeloci.forms import (FormMatrix, OneForm, PolyContext, TwoForm, VectorField, d_poly,
-                             poly_mat_identity, scaled_sum)
+from hodgeloci.forms import FormMatrix, TwoForm, d_poly, poly_mat_identity, scaled_sum
 from hodgeloci.modp import mod_reduce
+from hodgeloci.oneforms import OneForm, PolyContext, VectorField
 
 
 def mul_poly_mat(b: FormMatrix, s: Sequence[Sequence]) -> FormMatrix:

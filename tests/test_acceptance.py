@@ -10,18 +10,20 @@ from fractions import Fraction
 import pytest
 
 from form_oracles import mul_poly_mat, poly_mat_d, poly_mat_mul, unipotent_inverse, wedge_matvec
-from hodgeloci.forms import (OneForm, PolyContext, VectorField, d_oneform,
-                             integrability_check, poly_mat_identity)
-from hodgeloci.gauss_manin import HodgeBlocks, block_foliation_forms, linear_solve_series
+from hodgeloci.duals import dual_theta_bounded
+from hodgeloci.forms import d_oneform, integrability_check, poly_mat_identity
+from hodgeloci.gauss_manin import HodgeBlocks, block_foliation_forms
 from hodgeloci.hypergeo import invert_tau, locus_function, sample_locus, tau_of_t
-from hodgeloci.ideals import YES, IdealGens, dual_theta_bounded, tangency_check
+from hodgeloci.ideals import YES, IdealGens, tangency_check
 from hodgeloci.modp import ModPoly
+from hodgeloci.oneforms import OneForm, PolyContext, VectorField
 from hodgeloci.pcurvature import vf_mod_reduce, vf_pow_p
 from hodgeloci.periods import (FamilySpec, denominator_profile,
                                griffiths_basis, period_series,
                                quartic_full_family_series, quartic_full_monomials,
                                steenbrink_hodge_tate)
 from hodgeloci.series import SparseSeries
+from hodgeloci.solve_linear import linear_solve_series
 
 
 def report(num, desc, fn):

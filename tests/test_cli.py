@@ -214,10 +214,10 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def run_redirected(argv, redirects):
-    """Exit code, stdout and stderr of the command in a fresh process, with each
-    redirection ``>path`` (stdout) or ``2>path`` (stderr) applied; what goes to
-    a file reads as empty."""
+def run_redirected(argv, redirects, entry=("-m", "hodgeloci")):
+    """Exit code, stdout and stderr of the command in a fresh process, started
+    as ``python *entry *argv``, with each redirection ``>path`` (stdout) or
+    ``2>path`` (stderr) applied; what goes to a file reads as empty."""
     sinks = {1: subprocess.PIPE, 2: subprocess.PIPE}
     for redirect in redirects:
         fd, _, path = redirect.partition(">")
@@ -225,7 +225,7 @@ def run_redirected(argv, redirects):
             pytest.skip(f"no {path} on this system")
         sinks[int(fd or 1)] = open(path, "w")
     try:
-        proc = subprocess.run([sys.executable, "-m", "hodgeloci", *argv], stdout=sinks[1],
+        proc = subprocess.run([sys.executable, *entry, *argv], stdout=sinks[1],
                               stderr=sinks[2], text=True,
                               env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
     finally:
@@ -481,18 +481,32 @@ class TestExitCodes:
             passing = [a if a != "1e-300" else "1e-8" for a in argv]
             assert run(capsys, *passing)[:2] == (0, out)
 
-    @pytest.mark.parametrize("sink", ["closed_pipe", "dev_full"])
-    @pytest.mark.parametrize("command", ["griffiths", "denominators"])
+    @pytest.mark.parametrize("sink", ["closed_pipe", "dev_full", "closed"])
+    @pytest.mark.parametrize("command", ["griffiths", "denominators", "help", "help-buffered",
+                                         "griffiths-help", "griffiths-help-buffered"])
     def test_failed_stdout_write_is_exit_two(self, toy_config, command, sink):
         # a write to stdout that fails is one error line and exit 2, with no
-        # traceback and no second message from the flush at interpreter exit
-        argv = (["griffiths", "--d", "6", "--n", "4"] if command == "griffiths"
-                else ["denominators", "--config", toy_config])
+        # traceback and no second message from the last flush.  That holds for
+        # the help text too, whose write argparse makes: with stdout unbuffered
+        # it would drop the error (exit 0), buffered it would leave it to the
+        # flush at interpreter exit (exit 120).  A stdout closed before the
+        # interpreter starts (sys.stdout is None) cannot be written either
+        base = command.removesuffix("-buffered")
+        argv = {"griffiths": ["griffiths", "--d", "6", "--n", "4"],
+                "denominators": ["denominators", "--config", toy_config],
+                "help": ["--help"], "griffiths-help": ["griffiths", "--help"]}[base]
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        if base.endswith("help"):
+            env.pop("PYTHONUNBUFFERED", None)
+            if base == command:
+                env["PYTHONUNBUFFERED"] = "1"
         if sink == "closed_pipe":
             read_end, stdout = os.pipe()
             os.close(read_end)
             reason = "Broken pipe"
+        elif sink == "closed":
+            stdout = os.open(os.devnull, os.O_WRONLY)  # closed again in the child
+            reason = "Bad file descriptor"
         else:
             if not os.path.exists("/dev/full"):
                 pytest.skip("no /dev/full on this system")
@@ -500,7 +514,8 @@ class TestExitCodes:
             reason = "No space left on device"
         try:
             proc = subprocess.run([sys.executable, "-m", "hodgeloci", *argv], stdout=stdout,
-                                  stderr=subprocess.PIPE, text=True, env=env)
+                                  stderr=subprocess.PIPE, text=True, env=env,
+                                  preexec_fn=(lambda: os.close(1)) if sink == "closed" else None)
         finally:
             os.close(stdout)
         assert (proc.returncode, proc.stderr) == (2, f"error: cannot write stdout: {reason}\n")
@@ -1365,6 +1380,73 @@ def test_module_invocation_subprocess(tmp_path):
     assert bad.returncode == 2
 
 
+def test_installed_script_is_the_module_entry():
+    # the installed script runs the function that python -m hodgeloci runs
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    module, _, name = pyproject["project"]["scripts"]["hodgeloci"].partition(":")
+    tree = ast.parse((ROOT / "src" / "hodgeloci" / "__main__.py").read_text())
+    calls = [node.func.id for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    imported = {alias.name: node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert (module, name) == ("hodgeloci.cli", "run")
+    assert calls == [name] and imported[name] == module
+
+
+# python -c: replace griffiths' body by one that writes, then fails; then the entry
+FAILING_ENTRY = """
+from hodgeloci import cli
+def broken(args, out):
+    out.write("partial\\n")
+    raise RuntimeError("unexpected state")
+cli._cmd_griffiths = broken
+cli.run()
+"""
+
+
+@pytest.mark.parametrize("code", [0, 1, 2, 3, 4])
+def test_process_entry_keeps_every_exit_code(capsys, monkeypatch, toy_config, tmp_path, code):
+    # python -m hodgeloci ends the process with os._exit after main: stdout is
+    # flushed first (also what a failing command wrote), a successful --output
+    # is renamed into place, and exits 2-4 write one error line and leave no
+    # --output file
+    argv = {0: ["periods", "--config", toy_config],
+            1: ["tangency", "--vars", "x,y", "--field", "D(x)", "--omega", "x*d(y) + y*d(x)",
+                "--ideal", "x*y", "--deg", "3"],
+            2: ["denominators", "--config", str(tmp_path / "missing.json")],
+            3: ["pcurvature", "--vars", "x,y", "--field", "x*D(x)", "--omega", "d(x)",
+                "--p", "103", "--deg", "2"],
+            4: ["griffiths", "--d", "4", "--n", "2"]}[code]
+    entry = ("-c", FAILING_ENTRY) if code == 4 else ("-m", "hodgeloci")
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)  # stdout holds what is unflushed
+
+    def one_error_line(err):
+        lines = err.splitlines()
+        return lines[0].startswith("error: ") and sum(l.startswith("error:") for l in lines) == 1
+
+    got, out, err = run_redirected(argv, [], entry)
+    assert got == code
+    if code == 0:
+        assert main(argv) == 0 and out == capsys.readouterr().out
+    elif code == 1:
+        assert (out, err) == ("UNKNOWN\n", "")
+    else:
+        assert out == ("partial\n" if code == 4 else "") and one_error_line(err)
+    if code == 4:  # the write that the last flush makes fails too: still exit 4
+        got, _, err = run_redirected(argv, [">/dev/full"], entry)
+        assert got == 4 and one_error_line(err)
+    stdout = out
+    target = tmp_path / "out" / "result"
+    target.parent.mkdir()
+    got, out, err = run_redirected(argv + ["--output", str(target)], [], entry)
+    assert (got, out) == (code, "")
+    if code in (0, 1):
+        assert os.listdir(target.parent) == ["result"]
+        assert target.read_bytes() == stdout.encode()
+    else:
+        assert os.listdir(target.parent) == [] and one_error_line(err)
+
+
 # Run in a fresh interpreter: the hodgeloci modules a command leaves in
 # sys.modules, whether it loaded dataclasses, json or fractions (none of which
 # the interpreter or the probe loads), which process-pool modules it loaded,
@@ -1405,7 +1487,8 @@ print(repr({"code": code, "preloaded": preloaded,
             "pool": [m for m in POOL if m in sys.modules],
             "parsers": built, "forks": len(forks)}))
 """
-FOLIATION_MODULES = {"_value", "exprparse", "forms", "series"}
+# tangency and pcurvature load no forms: 2-forms and form matrices are gm's
+FOLIATION_MODULES = {"_value", "exprparse", "oneforms", "series"}
 TANGENCY_ARGS = ["--vars", "x,y", "--field", "x*D(x)", "--omega", "x*d(y) + y*d(x)",
                  "--ideal", "x*y", "--deg", "3"]
 
@@ -1420,13 +1503,19 @@ PERIOD_MODULES = {"_value", "periods", "_coeff_kernel_py"}
     (["denominators", "--config", "{config}"], 0, PERIOD_MODULES, False),
     (["periods", "--config", "{config}"], 0, PERIOD_MODULES, False),
     (["gm", "--vars", "t1,t2", "--matrix", "{matrix}", "--m", "2", "--blocks", "1,2,1"], 0,
-     FOLIATION_MODULES | {"gauss_manin"}, False),
+     FOLIATION_MODULES | {"forms", "gauss_manin"}, False),
     (["tangency"] + TANGENCY_ARGS, 0, FOLIATION_MODULES | {"ideals", "linalg"}, False),
     (["pcurvature", "--p", "5"] + TANGENCY_ARGS, 0,
      FOLIATION_MODULES | {"ideals", "linalg", "modp", "pcurvature"}, False),
     (["denominators", "--config", "{config}"], 0, PERIOD_MODULES | {"_rowsplit"}, True),
+    (["sch", "--vars", "x,y", "--field", "x*D(x)", "--module", "y*D(y)"], 0,
+     FOLIATION_MODULES | {"ideals", "linalg", "sch"}, False),
+    (["solve-linear", "--vars", "t1,t2", "--matrix", "{matrix}", "--order", "2"], 0,
+     FOLIATION_MODULES | {"forms", "solve_linear"}, False),
+    (["foliation-check", "--vars", "t1,t2", "--matrix", "{matrix}"], 0,
+     FOLIATION_MODULES | {"forms"}, False),
 ], ids=["build_parser", "hypergeo-locus", "denominators", "periods", "gm", "tangency",
-        "pcurvature", "denominators-split"])
+        "pcurvature", "denominators-split", "sch", "solve-linear", "foliation-check"])
 def test_command_imports_only_the_modules_it_runs(tmp_path, argv, code, modules, split):
     config = tmp_path / "family.json"
     config.write_text(json.dumps(TOY_CONFIG))
@@ -1451,7 +1540,8 @@ def test_command_imports_only_the_modules_it_runs(tmp_path, argv, code, modules,
     # the integer period tables do
     command = argv[0] if argv else None
     assert got["loaded"] == [m for m, used in (
-        ("json", command in ("denominators", "periods", "gm")),
+        ("json", command in ("denominators", "periods", "gm", "solve-linear",
+                             "foliation-check")),
         ("fractions", command not in (None, "hypergeo-locus", "denominators", "periods"))) if used]
     assert got["pool"] == []  # the row split forks plain children at any size
     # the top-level parser, and a subparser only for the command that runs

@@ -9,7 +9,7 @@ from hodgeloci.errors import ParseError
 from hodgeloci.exprparse import (field_to_expr, oneform_to_expr, parse_context, parse_expr,
                                  parse_field, parse_oneform, parse_poly, poly_to_expr,
                                  print_expr)
-from hodgeloci.forms import OneForm, PolyContext, VectorField
+from hodgeloci.oneforms import OneForm, PolyContext, VectorField
 
 CTX = PolyContext(("x", "y"))
 LCTX = PolyContext(("x", "y"), (True, False))

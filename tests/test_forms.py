@@ -11,9 +11,10 @@ from form_oracles import (apply_dense, d_oneform_dense, dense_wedge, mul_poly_ma
                           poly_mat_mul, unipotent_inverse, vf_pow_p_dense, wedge_matvec,
                           wedge_mul_dense)
 from hodgeloci.exprparse import parse_context, parse_oneform
-from hodgeloci.forms import (FormMatrix, OneForm, PolyContext, TwoForm, VectorField,
-                             d_oneform, d_poly, integrability_check, poly_mat_identity, wedge)
+from hodgeloci.forms import (FormMatrix, TwoForm, d_oneform, d_poly, integrability_check,
+                             poly_mat_identity, wedge)
 from hodgeloci.modp import ModPoly
+from hodgeloci.oneforms import OneForm, PolyContext, VectorField
 from hodgeloci.pcurvature import vf_pow_p
 from hodgeloci.series import SparseSeries
 

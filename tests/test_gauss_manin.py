@@ -7,11 +7,12 @@ from hodgeloci import gauss_manin
 from hodgeloci.errors import InternalCheckFailed, NotIntegrable, TransversalityViolation
 from form_oracles import (mul_poly_mat, poly_mat_d, poly_mat_mul, unipotent_inverse,
                           wedge_matvec)
-from hodgeloci.forms import (FormMatrix, OneForm, PolyContext, d_oneform, d_poly,
-                             integrability_check, poly_mat_identity, scaled_sum)
-from hodgeloci.gauss_manin import (GMAssembly, HodgeBlocks, block_foliation_forms,
-                                   gm_assemble, linear_solve_series)
+from hodgeloci.forms import (FormMatrix, d_oneform, d_poly, integrability_check,
+                             poly_mat_identity, scaled_sum)
+from hodgeloci.gauss_manin import GMAssembly, HodgeBlocks, block_foliation_forms, gm_assemble
+from hodgeloci.oneforms import OneForm, PolyContext
 from hodgeloci.series import SparseSeries
+from hodgeloci.solve_linear import linear_solve_series
 
 CTX = PolyContext(("t1", "t2"))
 T1, T2 = CTX.var(0), CTX.var(1)

@@ -9,11 +9,12 @@ from hypothesis import given, settings
 
 from hodgeloci.errors import OutOfDomain, TargetOutOfRange
 from hodgeloci.exprparse import parse_field, parse_oneform
-from hodgeloci.forms import FormMatrix, PolyContext, TwoForm
+from hodgeloci.forms import FormMatrix, TwoForm
 from hodgeloci.gauss_manin import HodgeBlocks, block_foliation_forms
 from hodgeloci.hypergeo import (DELTA, HypParams, LocusSample, TruncSeries1D, _agm, eval_2f1,
                                 hyp2f1, invert_tau, locus_function, sample_locus, tau_of_t)
 from hodgeloci.ideals import IdealGens
+from hodgeloci.oneforms import PolyContext
 from hodgeloci.periods import (BetaIndex, DenominatorProfile, FamilySpec, PeriodSeries,
                                period_series, pochhammer)
 from hodgeloci.series import SparseSeries

@@ -8,11 +8,11 @@ from hypothesis import given, settings
 import dense_linalg
 from conftest import series_st
 from hodgeloci import ideals
-from hodgeloci.forms import OneForm, PolyContext, VectorField
-from hodgeloci.ideals import (UNKNOWN, YES, IdealGens, _product_rows, dual_theta_bounded,
-                              ideal_membership_bounded, ideal_memberships_bounded,
-                              tangency_check)
+from hodgeloci.duals import dual_theta_bounded
+from hodgeloci.ideals import (UNKNOWN, YES, IdealGens, _product_rows, ideal_membership_bounded,
+                              ideal_memberships_bounded, tangency_check)
 from hodgeloci.modp import ModPoly, mod_reduce
+from hodgeloci.oneforms import OneForm, PolyContext, VectorField
 from hodgeloci.pcurvature import oneform_mod_reduce
 from hodgeloci.series import SparseSeries, monomials_upto
 

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 
 import dense_linalg
 from conftest import fractions_st
+from hodgeloci.duals import nullspace, rank, rref, solve
 from hodgeloci.errors import DenominatorDivisibleByP
-from hodgeloci.linalg import nullspace, rank, rref, solve, solve_many
+from hodgeloci.linalg import solve_many
 
 
 def sparse(rows):

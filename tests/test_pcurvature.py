@@ -3,12 +3,12 @@ import random
 import pytest
 
 from hodgeloci.errors import ResourceLimit
-from hodgeloci.forms import OneForm, PolyContext, VectorField
+from hodgeloci.duals import rank
 from hodgeloci.ideals import UNKNOWN, YES, IdealGens
-from hodgeloci.linalg import rank
 from hodgeloci.modp import ModPoly
-from hodgeloci.pcurvature import (pcurvature_tangency, sch_contains_point, sch_ideal,
-                                  vf_mod_reduce, vf_pow_p)
+from hodgeloci.oneforms import OneForm, PolyContext, VectorField
+from hodgeloci.pcurvature import pcurvature_tangency, vf_mod_reduce, vf_pow_p
+from hodgeloci.sch import sch_contains_point, sch_ideal
 
 CTX = PolyContext(("x", "y"))
 X, Y = CTX.var("x"), CTX.var("y")
