@@ -10,16 +10,16 @@ vector-field basis symbols; a term may carry at most one basis symbol, and
 negative exponents are allowed only on Laurent-flagged variables.  Parsing
 produces a term map ``{(basis, exponents): coefficient}`` with merged, nonzero
 coefficients, where ``basis`` is None or ``('d'|'D', variable index)``; a
-written rational with denominator 1 is read as an int, so products of integer
-coefficients need no ``Fraction``, and any other as a ``Fraction``;
-printing a term map and parsing the text again reproduces the same map.
+written rational whose denominator divides its numerator is read as an int,
+so products of integer coefficients need no ``Fraction``, and any other as a
+``Fraction`` (only then is ``fractions`` imported); printing a term map and
+parsing the text again reproduces the same map.
 ``parse_context`` and ``parse_form_matrix`` read the variables and the matrix
 files of the command line.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import add
 from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
@@ -28,11 +28,13 @@ from hodgeloci.oneforms import OneForm, PolyContext, VectorField
 from hodgeloci.series import SparseSeries, grlex_key
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from hodgeloci.forms import FormMatrix
 
 # basis symbol ('d'|'D', variable index) or None, and exponent vector
 TermKey = Tuple[Optional[Tuple[str, int]], Tuple[int, ...]]
-TermMap = Dict[TermKey, Union[int, Fraction]]
+TermMap = Dict[TermKey, Union[int, "Fraction"]]
 
 _BASIS_RANK = {None: 0, "d": 1, "D": 2}
 
@@ -156,10 +158,14 @@ class _Parser:
         if self.toks.peek()[0] == "/":
             self.toks.next()
             _, den, pos = self.expect("NUM")
-            if int(den) == 0:
+            n, d = int(num), int(den)
+            if d == 0:
                 raise ParseError("zero denominator", pos)
-            q = Fraction(int(num), int(den))
-            return q.numerator if q.denominator == 1 else q
+            if n % d == 0:
+                return n // d
+            from fractions import Fraction
+
+            return Fraction(n, d)
         return int(num)
 
     def factor(self) -> TermMap:

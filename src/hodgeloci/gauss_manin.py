@@ -97,10 +97,13 @@ def extend_context(ctx: PolyContext, blocks: HodgeBlocks) -> Tuple[PolyContext, 
 
 
 def _embed_matrix(b: FormMatrix, ctx_ext: PolyContext) -> FormMatrix:
+    """B over the extended context; every component, embedded or zero, is in
+    the extended context's ring."""
     base = b.ctx
-    return FormMatrix(ctx_ext, [[OneForm(ctx_ext,
-                                         tuple(base.embed(c, ctx_ext) for c in f.comps)
-                                         + (ctx_ext.zero(),) * (ctx_ext.nvars - base.nvars))
+    zeros = (ctx_ext.zero(),) * (ctx_ext.nvars - base.nvars)
+    return FormMatrix(ctx_ext, [[OneForm._of(ctx_ext,
+                                             tuple(base.embed(c, ctx_ext) for c in f.comps)
+                                             + zeros)
                                  for f in row] for row in b.entries])
 
 

@@ -1,5 +1,9 @@
 """Degree-bounded ideal membership, and the tangency check built on it.
 
+An ideal is an ``IdealGens``, a list of generators; it is defined in
+``oneforms`` (``ideals.IdealGens`` names the same class), so that ``sch``,
+which only lists generators, loads neither this module nor ``linalg``.
+
 Membership is decided by exact linear algebra on monomial coefficients with
 cofactor degrees capped by the caller, so a positive answer is a certificate
 (YES) while failure of the bounded search is only UNKNOWN, never a disproof.
@@ -31,30 +35,12 @@ from operator import add
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from hodgeloci import linalg
-from hodgeloci._value import Value
 from hodgeloci.errors import InternalCheckFailed
-from hodgeloci.oneforms import OneForm, PolyContext, VectorField
+from hodgeloci.oneforms import IdealGens, OneForm, VectorField
 from hodgeloci.series import SparseSeries, monomials_upto
 
 YES = "YES"
 UNKNOWN = "UNKNOWN"
-
-
-class IdealGens(Value):
-    """A finite list of nonzero polynomial generators of an ideal."""
-
-    ctx: PolyContext
-    gens: Tuple[object, ...]
-
-    def __init__(self, ctx, gens):
-        self.__dict__.update(ctx=ctx, gens=tuple(g for g in gens if not g.is_zero()))
-
-    @property
-    def is_zero_ideal(self) -> bool:
-        return not self.gens
-
-    def max_degree(self) -> int:
-        return max((g.degree() for g in self.gens), default=0)
 
 
 def _field_of(polys) -> Optional[int]:

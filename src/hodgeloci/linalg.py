@@ -30,17 +30,18 @@ integer row, and at each pivot a row holding the pivot column becomes
 (pv/g) row - (f/g) pivot row, g = gcd(pv, f), divided by the gcd of its
 entries.  Every row stays a nonzero multiple of the row that Fraction
 arithmetic would hold, so it has the same zeros and the same pivots are
-chosen.  ``Fraction`` appears only at the boundary, where a reduced row is
-divided by its pivot entry.
+chosen.  A ``Fraction`` appears only at the boundary, where a reduced row is
+divided by its pivot entry: ``solve_many`` gives an int where that quotient
+is exact and a ``Fraction`` otherwise, so a system of ints with an integral
+solution never loads ``fractions``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from hodgeloci.series import residue
+from hodgeloci.series import is_fraction, residue
 
 Row = Dict[int, object]
 
@@ -49,7 +50,11 @@ def _scalar(value, p: Optional[int]):
     """An exact rational (int or Fraction) over Q, a residue over GF(p)."""
     if p is not None:
         return residue(value, p)
-    return value if type(value) is int or type(value) is Fraction else Fraction(value)
+    if type(value) is int or is_fraction(value):
+        return value
+    from fractions import Fraction
+
+    return Fraction(value)
 
 
 def _field_rows(rows, ncols: int, p: Optional[int]) -> List[Row]:
@@ -140,7 +145,8 @@ def solve_many(rows, ncols: int, rhss: Sequence, p: Optional[int] = None
     """One exact solution of A x = b for each right-hand side b in ``rhss``,
     from one elimination: every free variable set to 0, or None when that
     system is inconsistent.  Each b is a sequence with one entry per row, or a
-    sparse ``{row: value}`` mapping."""
+    sparse ``{row: value}`` mapping.  Over Q an entry is an int where it is
+    integral and a Fraction otherwise."""
     rows = _field_rows(rows, ncols, p)
     for k, rhs in enumerate(rhss):
         if not isinstance(rhs, Mapping):
@@ -156,15 +162,23 @@ def solve_many(rows, ncols: int, rhss: Sequence, p: Optional[int] = None
     reduced = _eliminate(rows, ncols, p, len(rhss))
     # the rows without a pivot hold augmented columns only
     inconsistent = {j for row in rows if row and min(row) >= ncols for j in row}
-    zero = Fraction(0) if p is None else 0
     out = []
     for aug in range(ncols, ncols + len(rhss)):
         if aug in inconsistent:
             out.append(None)
             continue
-        x = [zero] * ncols
+        x = [0] * ncols
         for c, row in reduced:
             if aug in row:
-                x[c] = row[aug] if p is not None else Fraction(row[aug], row[c])
+                x[c] = row[aug] if p is not None else _quotient(row[aug], row[c])
         out.append(x)
     return out
+
+
+def _quotient(a: int, b: int):
+    """a / b exactly: an int when b divides a, else a Fraction."""
+    if a % b == 0:
+        return a // b
+    from fractions import Fraction
+
+    return Fraction(a, b)

@@ -1,14 +1,15 @@
-"""Polynomial contexts, vector fields and 1-forms: what every foliation
-command works on.
+"""Polynomial contexts, vector fields, 1-forms and the generator lists of
+ideals: what every foliation command works on.
 
 Components are exact polynomials: ``SparseSeries`` over Q (Laurent in the
 flagged variables) or over GF(p) (``p`` set).  Every component of a field or a
 form lies in one ring (the constructor checks it), and a sum or a scaling
-checks once per form that its operands share that ring.  Most components are
-zero, so a sum or a scaling passes a zero component through, and
-``VectorField.apply`` sums c_i * df/dx_i into one term map.  The 2-forms and
-the matrices of 1-forms, which only ``gm``, ``foliation-check`` and
-``solve-linear`` run, are in ``forms``.
+checks once per form that its operands share that ring; its result, whose
+components come from checked ones, is built by ``_of`` with no further check.
+Most components are zero, so a sum or a scaling passes a zero component
+through, and ``VectorField.apply`` sums c_i * df/dx_i into one term map.
+The 2-forms and the matrices of 1-forms, which only ``gm``,
+``foliation-check`` and ``solve-linear`` run, are in ``forms``.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ class PolyContext(Value):
         return SparseSeries(self.nvars, {tuple(e): c}, laurent=self.laurent)
 
     def zero(self) -> SparseSeries:
-        return SparseSeries(self.nvars, {}, laurent=self.laurent)
+        return SparseSeries._trusted(self.nvars, {}, self.laurent)
 
     def one(self) -> SparseSeries:
         return self.constant(1)
@@ -101,6 +102,14 @@ class _Components(Value):
             comps[0]._check_compatible(c)
         self.__dict__.update(ctx=ctx, comps=comps)
 
+    @classmethod
+    def _of(cls, ctx: PolyContext, comps: Tuple[SparseSeries, ...]):
+        """Adopt ``comps`` with no checks: for a tuple of one component per
+        variable of ``ctx``, all in one ring."""
+        self = object.__new__(cls)
+        self.__dict__.update(ctx=ctx, comps=comps)
+        return self
+
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.comps)
 
@@ -114,24 +123,24 @@ class _Components(Value):
         if not isinstance(other, type(self)):
             return NotImplemented
         self._check_ring(other)
-        return type(self)(self.ctx, tuple(map(_plus, self.comps, other.comps)))
+        return self._of(self.ctx, tuple(map(_plus, self.comps, other.comps)))
 
     def __neg__(self):
-        return type(self)(self.ctx, tuple(-c if c else c for c in self.comps))
+        return self._of(self.ctx, tuple(-c if c else c for c in self.comps))
 
     def __sub__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
         self._check_ring(other)
-        return type(self)(self.ctx, tuple(map(_minus, self.comps, other.comps)))
+        return self._of(self.ctx, tuple(map(_minus, self.comps, other.comps)))
 
     def scale(self, f):
         """Multiply by a polynomial (or scalar) coefficient."""
         if isinstance(f, SparseSeries):
             if self.comps:
                 self.comps[0]._check_compatible(f)
-            return type(self)(self.ctx, tuple(f * c if c else c for c in self.comps))
-        return type(self)(self.ctx, tuple(f * c for c in self.comps))
+            return self._of(self.ctx, tuple(f * c if c else c for c in self.comps))
+        return self._of(self.ctx, tuple(f * c for c in self.comps))
 
 
 def _plus(a: SparseSeries, b: SparseSeries) -> SparseSeries:
@@ -178,6 +187,23 @@ class VectorField(_Components):
     def evaluate(self, point) -> tuple:
         """The tangent vector at a point: componentwise evaluation."""
         return tuple(c.eval_exact(point) for c in self.comps)
+
+
+class IdealGens(Value):
+    """A finite list of nonzero polynomial generators of an ideal."""
+
+    ctx: PolyContext
+    gens: Tuple[SparseSeries, ...]
+
+    def __init__(self, ctx, gens):
+        self.__dict__.update(ctx=ctx, gens=tuple(g for g in gens if not g.is_zero()))
+
+    @property
+    def is_zero_ideal(self) -> bool:
+        return not self.gens
+
+    def max_degree(self) -> int:
+        return max((g.degree() for g in self.gens), default=0)
 
 
 class OneForm(_Components):

@@ -2,7 +2,13 @@
 
 In characteristic p the p-fold composition of a derivation is again a
 derivation; ``vf_pow_p`` assembles it from its values on the coordinates.
-``pcurvature_output`` is the body of the ``pcurvature`` command.
+A field that is affine mod p, v = A x + b (every component of degree <= 1
+after reduction), maps affine functions to affine functions, so its power
+is read off one matrix power: with M = [[A, b], [0, 0]], v^p(x_i) =
+(A^p x + A^(p-1) b)_i, row i of M^p applied to (x, 1), and M^p takes
+O(log p) products by repeated squaring mod p.  Any other field is applied
+p times to each coordinate.  ``pcurvature_output`` is the body of the
+``pcurvature`` command.
 """
 
 from __future__ import annotations
@@ -28,7 +34,8 @@ def oneform_mod_reduce(w: OneForm, p: int) -> OneForm:
 
 def vf_pow_p(v: VectorField, p: int) -> VectorField:
     """The p-th Frobenius power: the derivation with v^p(x_i) = v(...v(x_i)...)
-    (p applications), all arithmetic mod p.
+    (p applications), all arithmetic mod p; a field whose components all have
+    degree <= 1 once reduced takes ``_affine_pow_p`` instead.
 
     Input components may be rational (reduced first; DenominatorDivisibleByP
     when not p-integral) or already mod p.
@@ -45,6 +52,8 @@ def vf_pow_p(v: VectorField, p: int) -> VectorField:
         raise ValueError("vector field is reduced at a different prime")
     else:
         vbar = v
+    if all(sum(e) <= 1 for c in vbar.comps for e in c.terms):
+        return _affine_pow_p(vbar, p)
     n = v.ctx.nvars
     comps = []
     for i in range(n):
@@ -53,6 +62,40 @@ def vf_pow_p(v: VectorField, p: int) -> VectorField:
             f = vbar.apply(f)
         comps.append(f)
     return VectorField(v.ctx, tuple(comps))
+
+
+def _affine_pow_p(v: VectorField, p: int) -> VectorField:
+    """``vf_pow_p`` of a field over GF(p) whose components have degree <= 1,
+    from M^p with M = [[A, b], [0, 0]].  A matrix is a list of
+    ``{column: value}`` rows; column j < n stands for x_j, column n for 1."""
+    n = v.ctx.nvars
+    keys = [tuple(int(k == j) for k in range(n)) for j in range(n + 1)]
+    column = {e: j for j, e in enumerate(keys)}
+    m = [{column[e]: c for e, c in comp.terms.items()} for comp in v.comps] + [{}]
+    power = None
+    e = p
+    while True:
+        if e & 1:
+            power = m if power is None else _mat_mul(power, m, p)
+        e >>= 1
+        if not e:
+            break
+        m = _mat_mul(m, m, p)
+    return VectorField._of(v.ctx, tuple(
+        SparseSeries._trusted(n, {keys[j]: c for j, c in row.items()}, None, p)
+        for row in power[:n]))
+
+
+def _mat_mul(a, b, p: int):
+    """The product mod p of two sparse square matrices, zeros dropped."""
+    out = []
+    for row in a:
+        acc = {}
+        for k, x in row.items():
+            for j, y in b[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        out.append({j: r for j, s in acc.items() if (r := s % p)})
+    return out
 
 
 def pcurvature_tangency(v: VectorField, omega_gens: Sequence[OneForm],

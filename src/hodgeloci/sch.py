@@ -2,18 +2,18 @@
 
 ``sch_ideal`` builds the minor ideal cutting out the points where a field's
 value falls inside the span of a list of fields, and ``sch_output`` prints
-its generators or tests a point against them.
+its generators or tests a point against them.  It loads neither ``ideals``
+nor ``linalg`` (``IdealGens`` is in ``oneforms``), and ``fractions`` only to
+read a ``--point``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from typing import List, Optional, Sequence
 
 from hodgeloci import exprparse
-from hodgeloci.ideals import IdealGens
-from hodgeloci.oneforms import VectorField
+from hodgeloci.oneforms import IdealGens, VectorField
 
 
 def _poly_det(mat: List[List]) -> object:
@@ -75,6 +75,8 @@ def sch_output(names: str, field: str, module: Sequence[str], point: Optional[st
     v = exprparse.parse_field(field, ctx)
     ws = [exprparse.parse_field(e, ctx) for e in module]
     if point is not None:
+        from fractions import Fraction
+
         coords = []
         for k, x in enumerate(point.split(","), 1):
             if not x.strip():

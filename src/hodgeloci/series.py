@@ -11,11 +11,16 @@ document.  Variables flagged as Laurent admit negative exponents; the total
 degree of an exponent vector counts only its non-negative entries.  A GF(p)
 value has no Laurent variables.  The canonical term order everywhere is
 graded-lexicographic: sort by total degree first, then by the exponent tuple.
+
+``fractions`` is imported only where a ``Fraction`` is made (a string or a
+written-out document read, an exact evaluation), so work on integer values
+never loads it; ``is_fraction`` tells a ``Fraction`` apart without loading it,
+since none can exist before its module is.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import sys
 from operator import add
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -46,18 +51,26 @@ def monomials_upto(nvars: int, deg: int) -> List[Exponent]:
     return [e for layer in exact for e in layer]
 
 
+def is_fraction(c) -> bool:
+    """Whether ``c`` is a ``Fraction``; ``fractions`` is not loaded to tell."""
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(c, fractions.Fraction)
+
+
 def _coerce(c):
     """An exact rational (an int, a Fraction or its string) as an int when its
     denominator is 1, else as a Fraction."""
     if type(c) is int:
         return c
-    if isinstance(c, str):
-        c = Fraction(c)
-    if isinstance(c, Fraction):
-        return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):  # a bool, or another int subclass
         return int(c)
-    raise TypeError(f"not an exact rational: {c!r}")
+    if isinstance(c, str):
+        from fractions import Fraction
+
+        c = Fraction(c)
+    elif not is_fraction(c):
+        raise TypeError(f"not an exact rational: {c!r}")
+    return c.numerator if c.denominator == 1 else c
 
 
 def residue(c, p: int) -> int:
@@ -156,7 +169,7 @@ class SparseSeries(Value):
         return bool(self.terms)
 
     def coefficient(self, e):
-        return self.terms.get(tuple(e), Fraction(0) if self.p is None else 0)
+        return self.terms.get(tuple(e), 0)
 
     def constant_term(self):
         return self.coefficient((0,) * self.nvars)
@@ -227,7 +240,7 @@ class SparseSeries(Value):
         return self._result({e: c * v for e, v in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int) or is_fraction(other):
             return self.scale(other)
         if not isinstance(other, SparseSeries):
             return NotImplemented
@@ -246,7 +259,7 @@ class SparseSeries(Value):
         return self._result(out)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int) or is_fraction(other):
             return self.scale(other)
         return NotImplemented
 
@@ -293,9 +306,15 @@ class SparseSeries(Value):
         if len(point) != self.nvars:
             raise ValueError("point length does not match nvars")
         p = self.p
-        # Fractions over Q: an int to a negative (Laurent) power would be a float
-        pt = [Fraction(_coerce(x)) if p is None else residue(x, p) for x in point]
-        total = Fraction(0) if p is None else 0
+        if p is None:
+            from fractions import Fraction
+
+            # Fractions: an int to a negative (Laurent) power would be a float
+            pt = [Fraction(_coerce(x)) for x in point]
+            total = Fraction(0)
+        else:
+            pt = [residue(x, p) for x in point]
+            total = 0
         for e, c in self.sorted_terms():
             v = c
             for x, k in zip(pt, e):
@@ -316,16 +335,29 @@ class SparseSeries(Value):
     def embed(self, nvars: int, positions: Sequence[int],
               laurent: Optional[Sequence[bool]] = None) -> "SparseSeries":
         """Re-express over a larger variable list; positions[i] is the new index
-        of old variable i."""
+        of old variable i.
+
+        The positions must be distinct indices in range(nvars), so distinct
+        terms stay distinct; they are checked once, and the terms are adopted
+        as they are unless an old Laurent variable lands on a new variable
+        that is not, when the checking constructor decides."""
         if len(positions) != self.nvars:
             raise ValueError("positions length does not match nvars")
+        if (not all(isinstance(k, int) and 0 <= k < nvars for k in positions)
+                or len(set(positions)) != len(positions)):
+            raise ValueError(f"positions {list(positions)} are not distinct indices in "
+                             f"range({nvars})")
         out = {}
         for e, c in self.terms.items():
             e2 = [0] * nvars
             for old, new in enumerate(positions):
                 e2[new] = e[old]
             out[tuple(e2)] = c
-        return SparseSeries(nvars, out, laurent, self.p)
+        lau = tuple(bool(b) for b in laurent) if laurent is not None else (False,) * nvars
+        if (len(lau) == nvars and (self.p is None or not any(lau))
+                and all(lau[new] for old, new in enumerate(positions) if self.laurent[old])):
+            return SparseSeries._trusted(nvars, out, lau, self.p)
+        return SparseSeries(nvars, out, lau, self.p)
 
     # -- comparison / presentation ----------------------------------------------
 
@@ -361,6 +393,8 @@ class SparseSeries(Value):
     @classmethod
     def from_doc(cls, doc: Mapping) -> "SparseSeries":
         """The polynomial of a document's terms; its truncation label is not read."""
+        from fractions import Fraction
+
         p = doc.get("p")
         terms = {tuple(int(x) for x in t["e"]): Fraction(t["c"]) for t in doc["terms"]}
         return cls(int(doc["nvars"]), terms, doc.get("laurent"), None if p is None else int(p))

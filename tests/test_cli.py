@@ -1497,26 +1497,32 @@ TANGENCY_ARGS = ["--vars", "x,y", "--field", "x*D(x)", "--omega", "x*d(y) + y*d(
 PERIOD_MODULES = {"_value", "periods", "_coeff_kernel_py"}
 
 
-@pytest.mark.parametrize("argv, code, modules, split", [
-    (None, None, set(), False),
-    (["hypergeo-locus", "--N", "2", "--grid", "5"], 0, {"_value", "hypergeo"}, False),
-    (["denominators", "--config", "{config}"], 0, PERIOD_MODULES, False),
-    (["periods", "--config", "{config}"], 0, PERIOD_MODULES, False),
+@pytest.mark.parametrize("argv, code, modules, split, fractions", [
+    (None, None, set(), False, False),
+    (["hypergeo-locus", "--N", "2", "--grid", "5"], 0, {"_value", "hypergeo"}, False, False),
+    (["denominators", "--config", "{config}"], 0, PERIOD_MODULES, False, False),
+    (["periods", "--config", "{config}"], 0, PERIOD_MODULES, False, False),
     (["gm", "--vars", "t1,t2", "--matrix", "{matrix}", "--m", "2", "--blocks", "1,2,1"], 0,
-     FOLIATION_MODULES | {"forms", "gauss_manin"}, False),
-    (["tangency"] + TANGENCY_ARGS, 0, FOLIATION_MODULES | {"ideals", "linalg"}, False),
+     FOLIATION_MODULES | {"forms", "gauss_manin"}, False, False),
+    (["tangency"] + TANGENCY_ARGS, 0, FOLIATION_MODULES | {"ideals", "linalg"}, False, False),
     (["pcurvature", "--p", "5"] + TANGENCY_ARGS, 0,
-     FOLIATION_MODULES | {"ideals", "linalg", "modp", "pcurvature"}, False),
-    (["denominators", "--config", "{config}"], 0, PERIOD_MODULES | {"_rowsplit"}, True),
+     FOLIATION_MODULES | {"ideals", "linalg", "modp", "pcurvature"}, False, False),
+    (["denominators", "--config", "{config}"], 0, PERIOD_MODULES | {"_rowsplit"}, True, False),
     (["sch", "--vars", "x,y", "--field", "x*D(x)", "--module", "y*D(y)"], 0,
-     FOLIATION_MODULES | {"ideals", "linalg", "sch"}, False),
+     FOLIATION_MODULES | {"sch"}, False, False),
     (["solve-linear", "--vars", "t1,t2", "--matrix", "{matrix}", "--order", "2"], 0,
-     FOLIATION_MODULES | {"forms", "solve_linear"}, False),
+     FOLIATION_MODULES | {"forms", "solve_linear"}, False, True),
     (["foliation-check", "--vars", "t1,t2", "--matrix", "{matrix}"], 0,
-     FOLIATION_MODULES | {"forms"}, False),
+     FOLIATION_MODULES | {"forms"}, False, False),
+    (["tangency"] + TANGENCY_ARGS[:3] + ["1/2*x*D(x)"] + TANGENCY_ARGS[4:], 0,
+     FOLIATION_MODULES | {"ideals", "linalg"}, False, True),
+    (["sch", "--vars", "x,y", "--field", "x*D(x)", "--module", "y*D(y)", "--point", "1,0"], 0,
+     FOLIATION_MODULES | {"sch"}, False, True),
 ], ids=["build_parser", "hypergeo-locus", "denominators", "periods", "gm", "tangency",
-        "pcurvature", "denominators-split", "sch", "solve-linear", "foliation-check"])
-def test_command_imports_only_the_modules_it_runs(tmp_path, argv, code, modules, split):
+        "pcurvature", "denominators-split", "sch", "solve-linear", "foliation-check",
+        "tangency-rational", "sch-point"])
+def test_command_imports_only_the_modules_it_runs(tmp_path, argv, code, modules, split,
+                                                  fractions):
     config = tmp_path / "family.json"
     config.write_text(json.dumps(TOY_CONFIG))
     matrix = tmp_path / "B.json"
@@ -1535,14 +1541,14 @@ def test_command_imports_only_the_modules_it_runs(tmp_path, argv, code, modules,
     assert got["code"] == code and got["preloaded"] == []
     expected = {"hodgeloci", "hodgeloci.cli", "hodgeloci.errors"}
     assert set(got["modules"]) == expected | {f"hodgeloci.{m}" for m in modules}
-    # json only where a command reads or writes JSON; fractions wherever exact
-    # arithmetic runs on rationals, which neither the float locus sampling nor
-    # the integer period tables do
+    # json only where a command reads or writes JSON; fractions only once a
+    # rational value appears: a rational in the input, or solve-linear's
+    # series solution, whose coefficients have factorial denominators
     command = argv[0] if argv else None
     assert got["loaded"] == [m for m, used in (
         ("json", command in ("denominators", "periods", "gm", "solve-linear",
                              "foliation-check")),
-        ("fractions", command not in (None, "hypergeo-locus", "denominators", "periods"))) if used]
+        ("fractions", fractions)) if used]
     assert got["pool"] == []  # the row split forks plain children at any size
     # the top-level parser, and a subparser only for the command that runs
     assert got["parsers"] == ["hodgeloci"] + ([f"hodgeloci {command}"] if command else [])

@@ -172,7 +172,9 @@ def systems_st(draw):
 
 def assert_matches_the_dense_oracle(p, rows, ncols, rhs, sparse_rhs=False):
     """solve, nullspace, rref and rank equal the dense oracle's, a solution
-    solves the system, and every entry is a Fraction over Q, an int over GF(p)."""
+    solves the system, and every entry is an int over GF(p); over Q a
+    solution entry is an int where it is integral and a Fraction otherwise,
+    and every other entry is a Fraction."""
     scalar = int if p else Fraction
     b = {i: x for i, x in enumerate(rhs) if x} if sparse_rhs else rhs
     got = solve(rows, ncols, b, p=p)
@@ -185,7 +187,8 @@ def assert_matches_the_dense_oracle(p, rows, ncols, rhs, sparse_rhs=False):
     assert basis == dense_linalg.nullspace(rows, ncols, p=p)
     reduced = rref(rows, ncols, p=p)
     assert reduced == dense_linalg.rref(rows, ncols, p=p)
-    assert all(type(x) is scalar for vec in [got or ()] + basis + reduced for x in vec)
+    assert all(type(x) is scalar for vec in basis + reduced for x in vec)
+    assert all(type(x) is (int if p or x.denominator == 1 else Fraction) for x in got or ())
     assert rank(rows, ncols, p=p) == dense_linalg.rank(rows, ncols, p=p) == len(reduced)
 
 

@@ -1,7 +1,12 @@
 import random
+from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+from hodgeloci import pcurvature
+from hodgeloci.cli import main
 from hodgeloci.errors import ResourceLimit
 from hodgeloci.duals import rank
 from hodgeloci.ideals import UNKNOWN, YES, IdealGens
@@ -9,6 +14,7 @@ from hodgeloci.modp import ModPoly
 from hodgeloci.oneforms import OneForm, PolyContext, VectorField
 from hodgeloci.pcurvature import pcurvature_tangency, vf_mod_reduce, vf_pow_p
 from hodgeloci.sch import sch_contains_point, sch_ideal
+from hodgeloci.series import SparseSeries
 
 CTX = PolyContext(("x", "y"))
 X, Y = CTX.var("x"), CTX.var("y")
@@ -147,3 +153,86 @@ class TestPCurvatureTangency:
         # contraction xy + y is not in <xy>
         w = VectorField(CTX, (X + CTX.one(), CTX.zero()))
         assert pcurvature_tangency(w, [omega], ibar, 5, 3) == UNKNOWN
+
+
+P_AFFINE = (2, 3, 5, 7, 101)
+
+
+@st.composite
+def affine_fields_st(draw):
+    """A prime from P_AFFINE and a field of 1-4 variables whose components
+    have degree <= 1 mod p: integer or p-integral rational coefficients, and
+    sometimes a degree-2 term whose coefficient p kills."""
+    p = draw(st.sampled_from(P_AFFINE))
+    n = draw(st.integers(1, 4))
+    ctx = PolyContext(tuple(f"x{i}" for i in range(n)))
+    units = [tuple(int(k == i) for k in range(n)) for i in range(n)] + [(0,) * n]
+    coeff = st.one_of(st.integers(-300, 300),
+                      st.builds(Fraction, st.integers(-300, 300),
+                                st.integers(1, 50).filter(lambda d: d % p)))
+    comps = []
+    for _ in range(n):
+        terms = {e: draw(coeff) for e in draw(st.lists(st.sampled_from(units), max_size=n + 1))}
+        if draw(st.booleans()):
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            e = tuple(int(k == i) + int(k == j) for k in range(n))
+            terms[e] = p * draw(st.integers(-3, 3))
+        comps.append(SparseSeries(n, terms))
+    return VectorField(ctx, comps), p
+
+
+def iterated_pow_p(v, p):
+    """The p-fold application of v mod p to each coordinate."""
+    vbar = vf_mod_reduce(v, p)
+    n = v.ctx.nvars
+    comps = []
+    for i in range(n):
+        f = ModPoly(p, n, {tuple(int(k == i) for k in range(n)): 1})
+        for _ in range(p):
+            f = vbar.apply(f)
+        comps.append(f)
+    return VectorField(v.ctx, comps)
+
+
+@pytest.fixture
+def affine_calls(monkeypatch):
+    """The fields passed to the affine path of vf_pow_p."""
+    calls = []
+    affine = pcurvature._affine_pow_p
+
+    def spy(v, p):
+        calls.append(v)
+        return affine(v, p)
+    monkeypatch.setattr(pcurvature, "_affine_pow_p", spy)
+    return calls
+
+
+class TestAffineFrobeniusPower:
+    @settings(max_examples=150, deadline=None)
+    @given(case=affine_fields_st())
+    def test_matches_the_iterated_application(self, case):
+        v, p = case
+        assert vf_pow_p(v, p) == iterated_pow_p(v, p)
+
+    def test_affine_field_takes_the_matrix_path(self, affine_calls):
+        v = VectorField(CTX, (X + CTX.one(), 5 * X * X + Y))  # affine mod 5 only
+        assert vf_pow_p(v, 5) == iterated_pow_p(v, 5)
+        assert len(affine_calls) == 1
+        assert vf_pow_p(v, 7) == iterated_pow_p(v, 7)
+        assert len(affine_calls) == 1
+
+    def test_degree_two_field_takes_the_iterated_path(self, affine_calls):
+        v = VectorField(CTX, (X * Y, X + CTX.one()))
+        assert vf_pow_p(v, 3) == iterated_pow_p(v, 3)
+        assert affine_calls == []
+
+    @pytest.mark.parametrize("p, field, code, error", [
+        (5, "1/5*x*D(x) + D(y)", 2, "denominator divisible by 5"),
+        (103, "x*D(x) + D(y)", 3, "exceeds the iterated-application bound 101"),
+    ], ids=["denominator-divisible-by-p", "p-above-the-bound"])
+    def test_exit_codes_are_unchanged(self, capsys, p, field, code, error):
+        argv = ["pcurvature", "--vars", "x,y", "--field", field, "--omega", "d(x)",
+                "--p", str(p), "--deg", "2"]
+        assert main(argv) == code
+        out = capsys.readouterr()
+        assert out.out == "" and error in out.err

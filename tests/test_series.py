@@ -272,3 +272,23 @@ class TestIntegerCoefficients:
         got = s.eval_exact((2, 3))
         assert got == Fraction(21, 2) and type(got) is Fraction
         assert type(S(1, {(0,): 3}).eval_exact((5,))) is Fraction
+
+
+class TestEmbed:
+    F = S(2, {(1, 0): 2, (0, 1): 3})  # 2*x0 + 3*x1
+
+    def test_positions_place_each_variable(self):
+        assert self.F.embed(3, [2, 0]) == S(3, {(0, 0, 1): 2, (1, 0, 0): 3})
+
+    def test_laurent_variable_keeps_negative_exponents(self):
+        f = SparseSeries(2, {(-1, 1): 5}, laurent=(True, False))
+        got = f.embed(3, [1, 2], laurent=(False, True, False))
+        assert got == SparseSeries(3, {(0, -1, 1): 5}, laurent=(False, True, False))
+        with pytest.raises(ValueError, match="negative exponent"):
+            f.embed(3, [1, 2])
+
+    @pytest.mark.parametrize("positions", [[0, 0], [0, -1], [0, 3]],
+                             ids=["repeated", "negative", "out-of-range"])
+    def test_positions_must_be_distinct_indices_in_range(self, positions):
+        with pytest.raises(ValueError, match="distinct indices"):
+            self.F.embed(3, positions)
