@@ -12,9 +12,12 @@ codes, and one thin ``_cmd_<name>(args, out)`` per command that unpacks the
 arguments, calls the command's body in the module it runs, imported only
 then, writes the output to the text stream ``out`` and returns the exit code.
 ``main`` gives it stdout (``_Stdout``) or the ``--output`` file
-(``_output.OutputFile``), and maps a write that fails to exit 2.  A
-command's parser is built only when ``parse_args`` selects it
-(``_LazySubparsers``), and a command imports only the modules it runs; code
+(``_output.OutputFile``), and maps a write that fails to exit 2.
+``build_parser().parse_args`` reads a command line of a command name and
+``FLAG VALUE`` pairs straight from ``COMMANDS`` (``_plain_args``); any other
+command line, such as ``-h``, an abbreviated flag or a usage error, goes to
+argparse (``_usage``), which is imported only then and prints the help and
+usage texts.  A command imports only the modules it runs; code
 that only other commands or the checks run sits in modules of its own
 (``forms``, ``sch``, ``solve_linear``, ``duals``), so a process compiles
 little that it never runs.  ``json`` is imported only by code that reads or
@@ -24,9 +27,9 @@ without the interpreter's teardown.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, List, NoReturn, Optional, Sequence
 
 from hodgeloci.errors import DenominatorDivisibleByP, ResourceLimit, WriteFailed, report
@@ -35,9 +38,9 @@ if TYPE_CHECKING:  # for annotations only; nothing here is imported at run time
     from hodgeloci.forms import FormMatrix
     from hodgeloci.gauss_manin import BlockFoliation, HodgeBlocks
 
-# ValueError also covers json.JSONDecodeError and every input error of errors.py
-# except DenominatorDivisibleByP
-_INVALID_INPUT = (ValueError, KeyError, TypeError, OSError, DenominatorDivisibleByP)
+# ValueError also covers json.JSONDecodeError, an input file that cannot be read
+# (_load_json) and every input error of errors.py except DenominatorDivisibleByP
+_INVALID_INPUT = (ValueError, KeyError, TypeError, DenominatorDivisibleByP)
 
 
 class _Stdout:
@@ -76,16 +79,32 @@ class _Stdout:
 
 
 def _load_json(path: str):
+    """The JSON document in the file ``path``; a file that cannot be opened or
+    read is an input error (exit 2)."""
     import json
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"JSON nested too deeply: {path}") from None
+
+
+def _ints_csv(flag: str, text: str) -> List[int]:
+    """The comma-separated integers of ``--flag``; an entry that is empty or
+    not an integer is an input error (exit 2)."""
+    values = []
+    for k, x in enumerate(text.split(","), 1):
+        if not x.strip():
+            raise ValueError(f"--{flag} entry {k} is empty")
         try:
-            return json.load(fh)
-        except RecursionError:
-            raise ValueError(f"JSON nested too deeply: {path}") from None
-
-
-def _ints_csv(text: str) -> List[int]:
-    return [int(x) for x in text.split(",") if x != ""]
+            values.append(int(x))
+        except ValueError:
+            raise ValueError(f"--{flag} entry {x!r} is not an integer") from None
+    return values
 
 
 def _form_matrix(args) -> FormMatrix:
@@ -141,7 +160,7 @@ def _cmd_griffiths(args, out) -> int:
 
 def _cmd_steenbrink(args, out) -> int:
     from hodgeloci import periods
-    ok = periods.steenbrink_hodge_tate(args.d, _ints_csv(args.weights), args.n)
+    ok = periods.steenbrink_hodge_tate(args.d, _ints_csv("weights", args.weights), args.n)
     return _emit(out, f"hodge_tate: {'true' if ok else 'false'}\n")
 
 
@@ -158,7 +177,7 @@ def _cmd_solve_linear(args, out) -> int:
 def _cmd_gm(args, out) -> int:
     from hodgeloci import gauss_manin
     b = _form_matrix(args)
-    blocks = gauss_manin.HodgeBlocks(args.m, tuple(_ints_csv(args.blocks)))
+    blocks = gauss_manin.HodgeBlocks(args.m, tuple(_ints_csv("blocks", args.blocks)))
     result = block_foliation_forms(b, blocks)
     integrable = integrability_check(b) and integrability_check(result.assembly.a)
     return _emit(out, gauss_manin.gm_document(result, integrable))
@@ -203,6 +222,8 @@ _TOL = ("--tol", {"type": float, "default": 1e-8})
 
 # The argument table: each command's help line, then its arguments after
 # ``--output`` as (flag, ``add_argument`` keywords); its body is ``_cmd_<name>``.
+# ``_plain_args`` reads the keywords ``type``, ``action`` (``append`` only),
+# ``required`` and ``default``: a row that needs another must be read there too.
 COMMANDS = {
     "periods": ("period series for a deformation family config", [("--config", _REQUIRED)]),
     "denominators": ("denominator table, one row per basis form", [("--config", _REQUIRED)]),
@@ -235,50 +256,79 @@ COMMANDS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    def _print_message(self, message, file=None):
-        """Help text goes to stdout through ``_Stdout``, so that a failed write
-        raises ``WriteFailed``; argparse would drop the ``OSError``."""
-        if message and file is sys.stdout:
-            out = _Stdout()
-            out.write(message)
-            out.commit()
+def _is_value(text: str) -> bool:
+    """Whether argparse surely reads ``text``, given after a flag, as that
+    flag's value: ``text`` does not start with ``-``; or it is a negative
+    number, ``-`` and ASCII digits with at most one ``.`` between digits; or
+    its second character is an ASCII digit and it holds a space.  argparse
+    reads the last two as values because no option string here is ``-``
+    followed by a digit."""
+    if not text.startswith("-"):
+        return True
+    second = text[1:2]
+    if second.isascii() and second.isdigit() and " " in text:
+        return True
+    whole, dot, part = text[1:].partition(".")
+    return (whole.isascii() and whole.isdigit()
+            and (not dot or (part.isascii() and part.isdigit())))
+
+
+def _plain_args(argv: List[str]) -> Optional[SimpleNamespace]:
+    """The namespace argparse builds from ``argv``, if ``argv`` is a command
+    name and then ``FLAG VALUE`` pairs, each ``FLAG`` ``--output`` or one of
+    the command's flags, spelled in full, each ``VALUE`` one that
+    ``_is_value`` takes and its flag's ``type`` converts, with every
+    required flag given; None for any other ``argv``."""
+    if not argv or argv[0] not in COMMANDS or len(argv) % 2 == 0:
+        return None
+    name = argv[0]
+    flags = {"--output": {}, **dict(COMMANDS[name][1])}
+    given = {}
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        keywords = flags.get(flag)
+        if keywords is None or not _is_value(value):
+            return None
+        if "type" in keywords:
+            try:
+                value = keywords["type"](value)
+            except ValueError:
+                return None
+        if keywords.get("action") == "append":
+            given.setdefault(flag, []).append(value)
         else:
-            super()._print_message(message, file)
+            given[flag] = value
+    args = SimpleNamespace(command=name)
+    for flag, keywords in flags.items():
+        if flag not in given and keywords.get("required"):
+            return None
+        setattr(args, flag[2:].replace("-", "_"), given.get(flag, keywords.get("default")))
+    args.fn = _body(name)
+    return args
 
 
-class _LazySubparsers(argparse._SubParsersAction):
-    """Subparsers that ``add_command`` registers by name and help line; each is
-    built from its ``COMMANDS`` row only when ``parse_args`` selects it.  The
-    help and error texts are those of subparsers built up front."""
-
-    def add_command(self, name: str, help: str) -> None:
-        self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))
-        self._name_parser_map[name] = None
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        name = values[0]  # argparse has checked it against the registered names
-        if self._name_parser_map[name] is None:
-            sub = self._parser_class(prog=f"{self._prog_prefix} {name}")
-            sub.add_argument("--output", default=None, help="write output to this path")
-            for flag, keywords in COMMANDS[name][1]:
-                sub.add_argument(flag, **keywords)
-            # looked up now, so that a replaced _cmd_* (tracer, tests) is the one run
-            sub.set_defaults(fn=globals()["_cmd_" + name.replace("-", "_")])
-            self._name_parser_map[name] = sub
-        super().__call__(parser, namespace, values, option_string)
+def _body(name: str):
+    """``_cmd_<name>``, looked up when a command line is parsed, so that a
+    replaced one (tracer, tests) is the one run."""
+    return globals()["_cmd_" + name.replace("-", "_")]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    top = _Parser(
-        prog="hodgeloci",
-        description="Exact period series, foliation tangency and Frobenius-power "
-                    "checks, and hypergeometric isogeny-locus sampling.")
-    top.register("action", "lazy_parsers", _LazySubparsers)
-    sub = top.add_subparsers(dest="command", required=True, action="lazy_parsers")
-    for name, (help_, _) in COMMANDS.items():
-        sub.add_command(name, help_)
-    return top
+class _CommandLine:
+    """The parser ``build_parser`` returns."""
+
+    def parse_args(self, argv: Optional[Sequence[str]] = None):
+        """The namespace of ``argv`` (default ``sys.argv[1:]``): from
+        ``_plain_args`` if it takes ``argv``, else from argparse
+        (``_usage.parser``), which exits with the help or a usage error."""
+        argv = sys.argv[1:] if argv is None else list(argv)
+        args = _plain_args(argv)
+        if args is None:
+            from hodgeloci import _usage
+            args = _usage.parser().parse_args(argv)
+        return args
+
+
+def build_parser() -> _CommandLine:
+    return _CommandLine()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -20,11 +20,11 @@ import time
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 
 import hodgeloci
 from conftest import families
-from hodgeloci import _coeff_kernel_py, _rowsplit, cli, periods
+from hodgeloci import _coeff_kernel_py, _rowsplit, _usage, cli, periods
 from hodgeloci.cli import main
 from hodgeloci.errors import InternalCheckFailed
 from hodgeloci.periods import griffiths_basis, period_series, write_denominator_table
@@ -58,11 +58,12 @@ JOB_PIPE_OVERFLOW = {"n": 6, "d": 5, "truncation": 0, "beta": "griffiths",
 # Failures injected into a command body: each must exit 4, never 1 or 2.
 CRASHES = {"InternalCheckFailed": InternalCheckFailed("span identity fails"),
            "RuntimeError": RuntimeError("unexpected state"),
-           "ZeroDivisionError": ZeroDivisionError("division by zero")}
+           "ZeroDivisionError": ZeroDivisionError("division by zero"),
+           "OSError": OSError(errno.EIO, "Input/output error")}
 
 
 def failing(exc):
-    def body(args, out):
+    def body(*args, **kwargs):
         raise exc
     return body
 
@@ -439,6 +440,29 @@ class TestExitCodes:
          "error: coordinate 'a' is not a rational number\n"),
         (["sch", "--vars", "x,y", "--field", "D(x)", "--module", "x*D(x)", "--point", "1,x/2"],
          2, "error: coordinate 'x/2' is not a rational number\n"),
+        # every entry of --blocks and --weights must be an integer; none is skipped
+        (["gm", "--vars", "t", "--matrix", "{dt}", "--m", "2", "--blocks", "1,,8,1"], 2,
+         "error: --blocks entry 2 is empty\n"),
+        (["gm", "--vars", "t", "--matrix", "{dt}", "--m", "2", "--blocks", ",1,8,1,"], 2,
+         "error: --blocks entry 1 is empty\n"),
+        (["gm", "--vars", "t", "--matrix", "{dt}", "--m", "2", "--blocks", "1,8,1,"], 2,
+         "error: --blocks entry 4 is empty\n"),
+        (["gm", "--vars", "t", "--matrix", "{dt}", "--m", "2", "--blocks", "1,x,1"], 2,
+         "error: --blocks entry 'x' is not an integer\n"),
+        (["steenbrink", "--d", "3", "--n", "2", "--weights", ",1,1,1,1,"], 2,
+         "error: --weights entry 1 is empty\n"),
+        (["steenbrink", "--d", "3", "--n", "2", "--weights", "1,1, ,1,1"], 2,
+         "error: --weights entry 3 is empty\n"),
+        (["steenbrink", "--d", "3", "--n", "2", "--weights", "1,a,1,1"], 2,
+         "error: --weights entry 'a' is not an integer\n"),
+        # an input file that cannot be read is invalid input; an OSError anywhere
+        # else is a fault
+        (["denominators", "--config", "{missing}"], 2,
+         "error: cannot read {missing}: No such file or directory\n"),
+        (["gm", "--vars", "t", "--matrix", "{dir}", "--m", "2", "--blocks", "0,1,0"], 2,
+         "error: cannot read {dir}: Is a directory\n"),
+        (["tangency", "--vars", "x,y", "--field", "D(x)", "--omega", "x*d(y) + y*d(x)",
+          "--ideal", "x*y", "--deg", "3"], 4, "error: internal: OSError: "),
     ])
     def test_exit_code_and_stderr_prefix(self, capsys, monkeypatch, tmp_path, argv, code,
                                          prefix):
@@ -467,8 +491,15 @@ class TestExitCodes:
         argv = [a.format(missing=tmp_path / "missing" / "x", dir=tmp_path,
                          **{name: tmp_path / f"{name}.json" for name in files})
                 for a in argv]
+        prefix = prefix.replace("{missing}", str(tmp_path / "missing" / "x")).replace(
+            "{dir}", str(tmp_path))
         if code == 4:  # the command body fails with the exception the prefix names
-            monkeypatch.setattr(cli, "_cmd_griffiths", failing(CRASHES[prefix.split(": ")[2]]))
+            crash = failing(CRASHES[prefix.split(": ")[2]])
+            if argv[0] == "griffiths":
+                monkeypatch.setattr(cli, "_cmd_griffiths", crash)
+            else:
+                from hodgeloci import linalg
+                monkeypatch.setattr(linalg, "solve_many", crash)
         redirects = [a for a in argv if a.startswith((">", "2>"))]
         if redirects:  # a shell redirection: the command runs in a fresh process
             got, out, err = run_redirected([a for a in argv if a not in redirects], redirects)
@@ -1550,9 +1581,40 @@ def test_command_imports_only_the_modules_it_runs(tmp_path, argv, code, modules,
                              "foliation-check")),
         ("fractions", fractions)) if used]
     assert got["pool"] == []  # the row split forks plain children at any size
-    # the top-level parser, and a subparser only for the command that runs
-    assert got["parsers"] == ["hodgeloci"] + ([f"hodgeloci {command}"] if command else [])
+    # a valid command line is parsed without argparse: no ArgumentParser is built
+    assert got["parsers"] == []
     assert got["forks"] == (TOY_CHILDREN if split else 0)
+
+
+# Run in a fresh interpreter that does not import argparse itself: the exit
+# code of the command line, and which of argparse, gettext and locale were
+# loaded before it ran and after
+ARGPARSE_PROBE = """
+import ast, io, sys
+PARSING = ("argparse", "gettext", "locale")
+preloaded = [m for m in PARSING if m in sys.modules]
+from hodgeloci import cli
+sys.stdout = io.StringIO()
+code = cli.main(ast.literal_eval(sys.argv[1]))
+sys.stdout = sys.__stdout__
+print(repr((code, preloaded, [m for m in PARSING if m in sys.modules])))
+"""
+
+
+@pytest.mark.parametrize("argv, code, loaded", [
+    (["hypergeo-locus", "--N", "2", "--grid", "5", "--tol", "1e-8"], 0, []),
+    (["tangency", "--vars", "x,y", "--field", "-2*x*D(x) - 2*y*D(y)",
+      "--omega", "-1*x*d(y) + y*d(x)", "--ideal", "x*y", "--deg", "3"], 0, []),
+    (["griffiths", "--d", "1", "--n", "2"], 2, []),
+    # a usage error is argparse's to print, so it loads all three
+    (["griffiths", "--d", "4", "--n", "2", "--bogus", "1"], 2,
+     ["argparse", "gettext", "locale"]),
+], ids=["hypergeo-locus", "tangency", "invalid-input", "usage-error"])
+def test_a_valid_command_line_loads_no_argparse(argv, code, loaded):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", ARGPARSE_PROBE, repr(argv)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert ast.literal_eval(proc.stdout) == (code, [], loaded)
 
 
 # stdout, stderr and exit code of `hodgeloci -h`, of `-h` for every command, of
@@ -1567,6 +1629,148 @@ PARSER_TEXTS = json.loads((GOLDEN / "parser_texts.json").read_text())
 def test_parser_text_is_pinned(capsys, monkeypatch, case):
     monkeypatch.setenv("COLUMNS", "80")
     assert run(capsys, *case["argv"]) == (case["code"], case["stdout"], case["stderr"])
+
+
+# Values given after a flag: ones that start with "-" and that argparse reads
+# as a value ("-1", "-1.5", "-3*x - y"; also "-.5", which the plain parse leaves
+# to argparse) or as an option ("-x", "-h x"), and numbers that int() and
+# float() read in ways of their own (spaces, "_", an Arabic-Indic digit)
+FLAG_VALUES = ["", "-1", "-1.5", "-.5", "-x", "-3*x - y", "-h x", "x y", "1e-8", "nan",
+               " 3 ", "3_0", "\u0663"]
+TYPED_VALUES = {int: ["-1", " 3 ", "3_0", "\u0663", "7"],
+                float: ["-1", "-1.5", "1e-8", "nan", " 3 ", "3_0", "\u0663"]}
+
+
+@st.composite
+def command_lines(draw):
+    """An argv for one ``COMMANDS`` row: its flags and ``--output``, each with
+    a value and some left out, in any order, with up to two edits: a flag
+    dropped, repeated, abbreviated or unknown, ``--flag=value``, ``-h`` or
+    ``--help``, ``--``, a lone value, or a command name that is not one."""
+    name = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    flags = [("--output", {})] + cli.COMMANDS[name][1]
+
+    def value(keywords):
+        typed = TYPED_VALUES.get(keywords.get("type"))
+        pools = [FLAG_VALUES] + [typed] * 3 if typed else [FLAG_VALUES]
+        return draw(st.sampled_from(draw(st.sampled_from(pools))))
+
+    groups = [[flag, value(keywords)] for flag, keywords in flags
+              if draw(st.integers(0, 19)) < (19 if keywords.get("required") else 8)]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 0, 0, 1, 2]))):
+        flag, keywords = draw(st.sampled_from(flags))
+        edit = draw(st.sampled_from(["drop", "repeat", "abbreviate", "unknown", "equals",
+                                     "help", "dashdash", "lone", "command"]))
+        if edit == "drop" and groups:
+            groups.pop(draw(st.integers(0, len(groups) - 1)))
+        elif edit == "repeat":
+            groups.append([flag, value(keywords)])
+        elif edit == "abbreviate" and len(flag) > 3:
+            groups.append([flag[:-1], value(keywords)])
+        elif edit == "unknown":
+            groups.append(["--bogus", value(keywords)])
+        elif edit == "equals":
+            groups.append([f"{flag}={value(keywords)}"])
+        elif edit in ("help", "dashdash", "lone"):
+            groups.append([draw(st.sampled_from({"help": ["-h", "--help"], "dashdash": ["--"],
+                                                 "lone": FLAG_VALUES}[edit]))])
+        elif edit == "command":
+            name = draw(st.sampled_from([name[:-1], "bogus", "-h"]))
+    argv = [name] + [a for group in draw(st.permutations(groups)) for a in group]
+    return argv[draw(st.sampled_from([0] * 9 + [1])):]  # now and then no command
+
+
+@pytest.fixture
+def stubbed_commands(monkeypatch, tmp_path):
+    """Every ``_cmd_*`` replaced by a stub that records its namespace and exits
+    0, the working directory a fresh one (for ``--output``), COLUMNS=80, and the
+    argparse parser built after that, as the reference."""
+    seen = []
+
+    def stub(args, out):
+        seen.append(attributes(args))
+        return 0
+
+    for attr in [a for a in vars(cli) if a.startswith("_cmd_")]:
+        monkeypatch.setattr(cli, attr, stub)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    return _usage.parser(), seen
+
+
+def attributes(namespace):
+    """The attributes of ``namespace`` by name, each as its ``repr``: so nan is
+    nan, and 3 is not 3.0."""
+    return {name: repr(value) for name, value in vars(namespace).items()}
+
+
+def argparse_result(parser, capsys, argv):
+    """``attributes`` of argparse's namespace of ``argv`` (None if it exits),
+    its exit code (None if it does not), and what it wrote to stdout and
+    stderr."""
+    try:
+        namespace, code = attributes(parser.parse_args(argv)), None
+    except SystemExit as exc:
+        namespace, code = None, int(exc.code or 0)
+    out = capsys.readouterr()
+    return namespace, code, out.out, out.err
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=command_lines())
+def test_plain_parse_is_argparse_or_declines(capsys, stubbed_commands, argv):
+    # where the parser takes argv, its namespace is argparse's; where it
+    # declines, main exits with argparse's code and texts, or runs argparse's
+    # namespace
+    reference, seen = stubbed_commands
+    namespace, code, out, err = argparse_result(reference, capsys, argv)
+    plain = cli._plain_args(argv)
+    if plain is not None:
+        assert attributes(plain) == namespace
+    else:
+        del seen[:]
+        got = run(capsys, *argv)
+        if namespace is None:
+            assert got == (code, out, err)
+        else:
+            assert got == (0, "", "") and seen == [namespace]
+
+
+def _fail(*args):
+    raise AssertionError("argparse was asked to parse a benchmark command line")
+
+
+def test_benchmark_command_lines_take_the_plain_parse(capsys, monkeypatch, stubbed_commands,
+                                                      tmp_path):
+    import importlib
+
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    argvs = [
+        ["hypergeo-locus", "--N", "2", "--grid", "200", "--tol", "1e-08"],
+        ["gm", "--vars", "t1,t2,t3", "--matrix", "gm_connection.json", "--m", "2",
+         "--blocks", "1,8,1"],
+        ["tangency", "--vars", "x,y,z",
+         "--field", "-1*z*D(x) - 2*y*D(x) - 1*x*D(x) + 1*z*D(z) - 2*y*D(z) + 1*x*D(z)",
+         "--omega", "-3*x*d(x) + 6*z^2*d(x) + 5*y*z*d(x) - 3*z*d(y) + 3*x*d(z)",
+         "--omega", "3*z*d(y) - 3*z^2*d(y) + 2*y*z*d(z)",
+         "--ideal", "3*x + 2*y*z + 1*x^2", "--ideal", "-3*z + 1*y^2 - 2*x*z", "--deg", "6"],
+        ["pcurvature", "--vars", "x,y,z", "--field", "1*z*D(x) + 2*y*D(x) - 2*x*D(y)",
+         "--omega", "-3*x*d(x) - 6*z^2*d(x) + 3*z*d(y) + 3*x*d(z)",
+         "--ideal", "-3*x - 2*y*z - 1*x^2", "--ideal", "3*z + 1*y^2 - 2*x*z",
+         "--p", "101", "--deg", "8"],
+        ["griffiths", "--d", "4", "--n", "2", "--output", "table.csv"],
+    ]
+    for seed in (1, 2, 3):
+        for build in (workloads.build_quartic, workloads.build_isogeny,
+                      workloads.build_foliation):
+            argvs += [command.argv for command in build(seed, workloads.FULL, tmp_path)]
+    reference, _ = stubbed_commands
+    expected = [argparse_result(reference, capsys, argv)[0] for argv in argvs]
+    assert None not in expected
+    monkeypatch.setattr(_usage, "parser", _fail)
+    assert [attributes(cli.build_parser().parse_args(argv)) for argv in argvs] == expected
 
 
 @pytest.mark.slow
