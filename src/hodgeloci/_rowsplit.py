@@ -3,37 +3,41 @@ symmetry orbits (``periods.BetaOrbit``) to a text stream in row order, with
 this process and ``workers - 1`` forked children computing ``fn(orbit, fam)``,
 the texts of one orbit's rows.
 
-The orbits are handed out on demand through one job pipe, which this process
-reads too.  Once every child is forked, the parent writes the table's head,
-then each orbit's index, in order, as a fixed-size record, through its own
-non-blocking end of the pipe.  While the pipe is full, the parent computes the
-next orbit not yet written to it itself; once every index is written, it
-closes its end and takes its orbits from the pipe like a child.  So it never
-blocks on the pipe, and a slow orbit holds up only the process that took it.
+The orbits are handed out on demand through one job file.  Before forking,
+the parent writes every orbit's index, in order, as a fixed-size record to an
+unlinked temporary file and rewinds it; the parent and every child then take
+the next index with one ``os.read`` of a record on that shared open file,
+whenever they are free.  Since Linux 3.14, read(2) updates a shared file
+offset atomically (POSIX XSI 2.9.7), so each record reaches exactly one
+process at any table size, and a slow orbit holds up only the process that
+took it.  ``periods._write_rows`` splits a table only where
+``os.sched_getaffinity`` exists, which in practice means Linux.
 
 A child writes the rows of each orbit it takes to its own unlinked spool file,
 and only then sends the line ``index offset length ...`` (the orbit, where its
 rows start in the spool file, the byte length of each row) through its own
-result pipe; an empty line ends its stream.  The pipe carries only these
-lines, so a child never waits on the parent.  The parent writes each row as
-soon as it and every earlier row are done: a row of its own at once, or from
-its own spool file when it must wait, and a child's row read back from that
-child's spool file.  Between its own orbits, and once the job pipe is empty,
-it reads the result pipes; so no process holds more than one orbit's rows.
+result pipe.  The pipe carries only these lines, so a child never waits on the
+parent.  A child exits with status 0 only after it has sent the line of every
+orbit it took, so its exit status tells whether its stream is whole.  The
+parent writes each row as soon as it and every earlier row are done: a row of
+its own at once, or from its own spool file when it must wait, and a child's
+row read back from that child's spool file.  Between its own orbits, and once
+the job file is drained, it reads the result pipes; so no process holds more
+than one orbit's rows.
 
 Every input error is raised before this module is reached
 (``periods.beta_orbits`` checks each beta), so a row that raises is a fault: in
 a child, the child prints the traceback to stderr and ends with status 1; in
 the parent, the exception is raised as ``WorkerFailed``.  A child that fails
-or dies, or ends its stream early, an orbit whose rows come back never or
-twice, and a spool file that cannot be read back are ``WorkerFailed`` (exit
-4); a pipe, spool file or child that cannot be made is ``ResourceLimit`` (exit
-3).  Nothing is written before every child is forked.  Every child is killed
-if need be and reaped, and every pipe and spool file closed, on every path;
-each child ends with ``os._exit``, so it flushes none of the parent's buffers.
-Only ``periods._write_rows`` imports this module, on the split branch; the
-command starts no thread before it, so forking is safe, and the children reuse
-the loaded package.
+or dies, an orbit whose rows come back never or twice, and a spool file that
+cannot be read back are ``WorkerFailed`` (exit 4); a job file, pipe, spool
+file or child that cannot be made is ``ResourceLimit`` (exit 3).  Nothing is
+written before every child is forked.  Every child is killed if need be and
+reaped, and every file and pipe closed, on every path; each child ends with
+``os._exit``, so it flushes none of the parent's buffers.  Only
+``periods._write_rows`` imports this module, on the split branch; the command
+starts no thread before it, so forking is safe, and the children reuse the
+loaded package.
 """
 
 from __future__ import annotations
@@ -46,10 +50,7 @@ import tempfile
 
 from hodgeloci.errors import ResourceLimit, WorkerFailed
 
-_RECORD = 8  # bytes of one orbit index in the job pipe
-# records per write: POSIX makes a pipe write of at most 512 bytes atomic, so the
-# pipe holds whole records only and a child's read of one record gets all of it
-_CHUNK = 512 // _RECORD
+_RECORD = 8  # bytes of one orbit index in the job file
 
 
 def split_rows(fn, orbits, fam, workers: int, out, head: str) -> None:
@@ -57,35 +58,25 @@ def split_rows(fn, orbits, fam, workers: int, out, head: str) -> None:
     in row order, to ``out``, computed by this process and ``workers - 1``
     forked children."""
     table = _Table(orbits, out)
-    jobs = []  # the open ends of the job pipe: the read end, then the write end
+    jobs = None  # the job file
     children = {}  # read end of its result pipe -> each child not yet reaped
     try:
         try:
-            jobs += os.pipe()
+            jobs = tempfile.TemporaryFile()
+            jobs.write(b"".join(i.to_bytes(_RECORD, "little") for i in range(len(orbits))))
+            jobs.seek(0)  # flushes the records; from here on, every process reads the fd
         except OSError as exc:
             raise ResourceLimit(f"cannot start a row worker: {exc.strerror or exc}") from None
         for number in range(1, workers):
-            child = _fork(fn, orbits, fam, jobs, number, workers - 1)
+            child = _fork(fn, orbits, fam, jobs.fileno(), number, workers - 1)
             children[child.fd] = child
             table.spools.append(child.spool)
-        os.set_blocking(jobs[1], False)
         out.write(head)
         poller = select.poll()
         for fd in children:
             poller.register(fd, select.POLLIN)
-        handed = 0  # orbits written to the job pipe or taken before it
         while True:
-            index = None
-            if len(jobs) == 2:
-                handed = _hand_out(jobs[1], handed, len(orbits))
-                if handed == len(orbits):
-                    os.close(jobs.pop())
-                else:  # the pipe is full: take the next orbit not in it
-                    index = handed
-                    handed += 1
-            if len(jobs) == 1:
-                record = os.read(jobs[0], _RECORD)
-                index = int.from_bytes(record, "little") if record else None
+            index = _next_job(jobs.fileno())
             if index is not None:
                 table.own(index, _own_rows(fn, orbits, fam, index))
             if children:
@@ -94,7 +85,7 @@ def split_rows(fn, orbits, fam, workers: int, out, head: str) -> None:
                 break
         table.check_complete()
     finally:
-        # each child is killed before its pipes close: a child that wrote to a
+        # each child is killed before its pipe closes: a child that wrote to a
         # closed pipe would print a traceback about it
         for child in children.values():
             try:
@@ -103,9 +94,16 @@ def split_rows(fn, orbits, fam, workers: int, out, head: str) -> None:
                 pass
             os.waitpid(child.pid, 0)
             os.close(child.fd)
-        for fd in jobs:
-            os.close(fd)
+        if jobs is not None:
+            jobs.close()
         table.close()
+
+
+def _next_job(fd: int):
+    """The orbit index of the next record of the job file ``fd``, which moves
+    the offset that every process shares past it; None once it is drained."""
+    record = os.read(fd, _RECORD)
+    return int.from_bytes(record, "little") if record else None
 
 
 def _own_rows(fn, orbits, fam, index: int) -> list:
@@ -115,19 +113,6 @@ def _own_rows(fn, orbits, fam, index: int) -> list:
     except Exception as exc:
         raise WorkerFailed(f"orbit {index + 1} of {len(orbits)} raised "
                            f"{type(exc).__name__}: {exc}") from exc
-
-
-def _hand_out(fd: int, first: int, count: int) -> int:
-    """Write the indices ``first, first + 1, ...`` below ``count`` to the
-    non-blocking job pipe ``fd`` until it is full; the first not written."""
-    while first < count:
-        last = min(first + _CHUNK, count)
-        try:
-            os.write(fd, b"".join(i.to_bytes(_RECORD, "little") for i in range(first, last)))
-        except BlockingIOError:
-            break
-        first = last
-    return first
 
 
 def _collect(poller, children: dict, table: "_Table", wait: bool) -> None:
@@ -235,33 +220,29 @@ class _Child:
         self.spool = spool  # its spool file, which the table closes
         self.name = f"row worker {number} of {count}"
         self.pending = b""  # the start of a line not yet complete
-        self.ended = False  # whether its stream has ended
 
     def take(self, data: bytes, table: _Table) -> None:
         """Pass each complete line of ``data`` on to ``table``."""
         *lines, self.pending = (self.pending + data).split(b"\n")
         for line in lines:
-            if not line:
-                self.ended = True
-                continue
             index, offset, *lengths = map(int, line.split())
             table.spooled(index, self.spool.fileno(), offset, lengths)
 
     def reap(self) -> None:
         """Wait for the child, whose result pipe has ended; ``WorkerFailed``
-        unless it ended its stream and exited with status 0."""
+        unless it exited with status 0, which it does only once it has sent
+        the line of every orbit it took."""
         status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
         os.close(self.fd)
-        if status or not self.ended:
+        if status:
             how = (f"exit status {status}" if status >= 0
                    else f"signal {-status} ({signal.Signals(-status).name})")
-            lost = "" if self.ended else " before sending all its rows"
-            raise WorkerFailed(f"{self.name} ended with {how}{lost}")
+            raise WorkerFailed(f"{self.name} ended with {how} before sending all its rows")
 
 
-def _fork(fn, orbits, fam, jobs: list, number: int, count: int) -> _Child:
+def _fork(fn, orbits, fam, jobs: int, number: int, count: int) -> _Child:
     """Fork a child that computes the orbits whose indices it reads from the
-    job pipe ``jobs`` (read end, write end).  The child never returns."""
+    job file ``jobs``.  The child never returns."""
     spool = ends = None
     try:
         spool = tempfile.TemporaryFile()
@@ -279,8 +260,7 @@ def _fork(fn, orbits, fam, jobs: list, number: int, count: int) -> _Child:
     status = 1
     try:
         os.close(ends[0])
-        os.close(jobs[1])
-        _serve(fn, orbits, fam, jobs[0], spool.fileno(), ends[1])
+        _serve(fn, orbits, fam, jobs, spool.fileno(), ends[1])
         status = 0
     except Exception:  # a fault: the parent reports the exit status as WorkerFailed
         import traceback
@@ -295,8 +275,7 @@ def _serve(fn, orbits, fam, jobs: int, spool: int, results: int) -> None:
     """A child's work: each orbit whose index it reads from ``jobs``, its rows
     written to ``spool`` and then their line sent to ``results``."""
     end = 0
-    while record := os.read(jobs, _RECORD):
-        index = int.from_bytes(record, "little")
+    while (index := _next_job(jobs)) is not None:
         start = end
         lengths = []
         for text in fn(orbits[index], fam):
@@ -305,7 +284,6 @@ def _serve(fn, orbits, fam, jobs: int, spool: int, results: int) -> None:
             end += len(data)
             lengths.append(str(len(data)))
         _write_all(results, f"{index} {start} {' '.join(lengths)}\n".encode())
-    _write_all(results, b"\n")
 
 
 def _write_all(fd: int, data: bytes) -> None:

@@ -4,8 +4,9 @@ Subcommands: periods, denominators, eq1, griffiths, foliation-check, gm,
 pcurvature, sch, tangency, solve-linear, hypergeo-locus, hypergeo-witness,
 steenbrink.  All tabular output is comma-delimited with a header row; series
 and matrices are emitted in the canonical JSON document format.  Exit codes:
-0 success, 1 UNKNOWN verdict, 2 invalid input, 3 resource limit, 4 internal
-error (a failed self-check or any other unexpected exception).
+0 success, 1 UNKNOWN verdict, 2 invalid input (a ``ValueError``) or an
+output that cannot be written, 3 resource limit, 4 internal error (a failed
+self-check or any other unexpected exception).
 
 This module keeps the argument table (``COMMANDS``), ``main`` with its exit
 codes, and one thin ``_cmd_<name>(args, out)`` per command that unpacks the
@@ -32,15 +33,11 @@ import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, List, NoReturn, Optional, Sequence
 
-from hodgeloci.errors import DenominatorDivisibleByP, ResourceLimit, WriteFailed, report
+from hodgeloci.errors import ResourceLimit, WriteFailed, report
 
 if TYPE_CHECKING:  # for annotations only; nothing here is imported at run time
     from hodgeloci.forms import FormMatrix
     from hodgeloci.gauss_manin import BlockFoliation, HodgeBlocks
-
-# ValueError also covers json.JSONDecodeError, an input file that cannot be read
-# (_load_json) and every input error of errors.py except DenominatorDivisibleByP
-_INVALID_INPUT = (ValueError, KeyError, TypeError, DenominatorDivisibleByP)
 
 
 class _Stdout:
@@ -337,7 +334,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     out = None
     try:
         args = build_parser().parse_args(argv)
-        if args.output:
+        if args.output == "":
+            raise ValueError("--output is empty: an empty path names no file")
+        if args.output is not None:
             from hodgeloci._output import OutputFile
             out = OutputFile(args.output)
         else:
@@ -353,7 +352,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ResourceLimit as exc:
         report(f"error: {exc}\n")
         return 3
-    except _INVALID_INPUT as exc:
+    except ValueError as exc:  # invalid input; json.JSONDecodeError is one too
         report(f"error: {exc}\n")
         return 2
     except Exception as exc:  # InternalCheckFailed, or a bug: never exit 1 (UNKNOWN)

@@ -16,7 +16,7 @@ def report(text: str) -> None:
         pass
 
 
-class DenominatorDivisibleByP(ArithmeticError):
+class DenominatorDivisibleByP(ValueError):
     """A rational coefficient is not p-integral: its denominator is divisible by p."""
 
 

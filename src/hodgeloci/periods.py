@@ -596,20 +596,11 @@ def betas_from_config(cfg: Mapping, fam: FamilySpec) -> List[BetaIndex]:
 # A table whose kernel runs enumerate at least this many tuples, counted as
 # orbits x C(truncation + m, m) (one run per symmetry orbit of its rows), splits
 # its orbits over this process and forked children, which cost a few ms to
-# fork, feed and reap.  On the 13-orbit quartic table, with the rows run with
-# the GC off (BENCH_22.json, break_even; 2 CPUs, two runs of 11 pairs), the
-# split's median was even with or above the serial one for denominators at
-# D=14 (39,780 tuples; lower in 4-5 of 11 pairs), and below it for both
-# commands at D=16 (62,985; lower in 7-11 of 11 pairs) and at D=18 and D=20.
-# With the GC on, denominators at D=16 was still faster serially.  Measured
-# again once the parent worked too (BENCH_25.json, break_even), the split was
-# slower than serial at D=12-18 on both trees, on a host where two busy
-# processes each ran at half speed; that cannot place the cut, so it stays.
-# Once denominators ran the kernel's lcm pass (BENCH_26.json, break_even), the
-# split was slower than serial at D=12-20 for both commands in both rounds, and
-# at D=30 it was slower for denominators (1.06x) but even with or faster than
-# serial for periods, with two busy processes each at half to full speed
-# (cpu_probe): no one cut fits both commands, so it stays.
+# fork, feed and reap.  No one cut fits both commands, so this one stands: on
+# the quartic table the split pays for periods at D=30 and for both commands
+# at D=40, while at D=30 denominators, whose orbits cost less, is about even
+# with serial, and at D=12-20 the split was slower than serial for both
+# (BENCH_26.json, break_even; BENCH_30.json, split_vs_serial).
 _POOL_TUPLES = 50_000
 
 
@@ -621,10 +612,12 @@ def _write_rows(out, fn, betas: Sequence[BetaIndex], fam: FamilySpec, head: str,
     orbit's row order, and each row is written as soon as it and every
     earlier row are done.  The orbits are split over this process and
     ``cpus - 1`` forked children, where ``cpus`` counts the CPUs this process
-    may run on, at most one process per orbit (``_rowsplit.split_rows``),
-    when there are at least two of each and their kernel runs enumerate at
-    least ``_POOL_TUPLES`` tuples; otherwise they are computed in this
-    process.  The output is the same either way.  The rows run with the
+    may run on (``os.sched_getaffinity``; 1 where it does not exist), at most
+    one process per orbit, when there are at least two of each and their
+    kernel runs enumerate at least ``_POOL_TUPLES`` tuples; each process takes
+    the next orbit from one shared job file whenever it is free
+    (``_rowsplit.split_rows``).  Otherwise they are computed in this process.
+    The output is the same either way.  The rows run with the
     cyclic GC off, here and in the children, which inherit that: they make no
     reference cycles, and its collections, triggered by the kernel's many
     tuples, found nothing to free.  The caller's GC state is restored on every

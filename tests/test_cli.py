@@ -1,7 +1,6 @@
 import ast
 import contextlib
 import errno
-import fcntl
 import gc
 import io
 import hashlib
@@ -49,7 +48,8 @@ def denominator_table(config):
 
 TOY_TABLE = denominator_table(TOY_CONFIG)
 # an n = 6, d = 5 family whose three monomials fix every coordinate pair: its
-# 13,108 Griffiths rows are 13,108 orbits, more indices than a job pipe holds
+# 13,108 Griffiths rows are 13,108 orbits, the largest table the tests split, whose
+# job list of 8-byte records is longer than a 64 KiB pipe buffer holds
 JOB_PIPE_OVERFLOW = {"n": 6, "d": 5, "truncation": 0, "beta": "griffiths",
                      "I": [[1, 4, 0, 0, 0, 0, 0, 0], [0, 0, 2, 3, 0, 0, 0, 0],
                            [0, 0, 0, 0, 3, 2, 0, 0]]}
@@ -59,7 +59,10 @@ JOB_PIPE_OVERFLOW = {"n": 6, "d": 5, "truncation": 0, "beta": "griffiths",
 CRASHES = {"InternalCheckFailed": InternalCheckFailed("span identity fails"),
            "RuntimeError": RuntimeError("unexpected state"),
            "ZeroDivisionError": ZeroDivisionError("division by zero"),
-           "OSError": OSError(errno.EIO, "Input/output error")}
+           "OSError": OSError(errno.EIO, "Input/output error"),
+           # only a ValueError is invalid input: a KeyError or TypeError is a bug
+           "KeyError": KeyError("missing"),
+           "TypeError": TypeError("unsupported operand type(s) for +: 'int' and 'str'")}
 
 
 def failing(exc):
@@ -177,6 +180,7 @@ WORKER_FAILURES = {
     # the parent fails on the lines its children send
     "parent_raises": (4, "error: internal: RuntimeError: the parent fails\n"),
     "pipe_fails": (3, f"error: cannot start a row worker: {os.strerror(errno.EAGAIN)}\n"),
+    "job_file_fails": (3, f"error: cannot start a row worker: {os.strerror(errno.ENOSPC)}\n"),
     "second_fork_fails": (3, f"error: cannot start a row worker: {os.strerror(errno.EAGAIN)}\n"),
     # a child that takes an orbit and ends with status 0 without sending its rows, or
     # that sends them twice: the parent checks that every orbit comes back once
@@ -463,6 +467,15 @@ class TestExitCodes:
          "error: cannot read {dir}: Is a directory\n"),
         (["tangency", "--vars", "x,y", "--field", "D(x)", "--omega", "x*d(y) + y*d(x)",
           "--ideal", "x*y", "--deg", "3"], 4, "error: internal: OSError: "),
+        # an empty --output names no file: exit 2 before the command runs
+        (["griffiths", "--d", "2", "--n", "2", "--output", ""], 2,
+         "error: --output is empty: an empty path names no file\n"),
+        (["griffiths", "--d", "2", "--n", "2", "--output="], 2,
+         "error: --output is empty: an empty path names no file\n"),
+        (["tangency", "--vars", "x,y", "--field", "D(x)", "--omega", "x*d(y) + y*d(x)",
+          "--ideal", "x*y", "--deg", "3"], 4, "error: internal: KeyError: "),
+        (["tangency", "--vars", "x,y", "--field", "D(x)", "--omega", "x*d(y) + y*d(x)",
+          "--ideal", "x*y", "--deg", "3"], 4, "error: internal: TypeError: "),
     ])
     def test_exit_code_and_stderr_prefix(self, capsys, monkeypatch, tmp_path, argv, code,
                                          prefix):
@@ -605,6 +618,9 @@ class TestExitCodes:
         def eagain(*args):
             raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 
+        def enospc(*args, **kwargs):  # the first temporary file made is the job file
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
         def parent_fails(self, data, table):
             raise RuntimeError("the parent fails")
 
@@ -656,6 +672,7 @@ class TestExitCodes:
         monkeypatch.setattr(periods, "_POOL_TUPLES", 0)
         patches = {"parent_raises": (_rowsplit._Child, "take", parent_fails),
                    "pipe_fails": (os, "pipe", eagain),
+                   "job_file_fails": (tempfile, "TemporaryFile", enospc),
                    "second_fork_fails": (os, "fork", fork_only_once),
                    "dropped_orbit": (_rowsplit, "_write_all", drop_first_orbit),
                    "repeated_orbit": (_rowsplit, "_write_all", repeat_first_orbit)}
@@ -674,29 +691,18 @@ class TestExitCodes:
             assert re.search(raised[case], children)
         else:
             assert children == ""
-        assert len(forks) == {"pipe_fails": 0, "second_fork_fails": 1}.get(case, FAULT_CHILDREN)
+        assert len(forks) == {"pipe_fails": 0, "job_file_fails": 0,
+                              "second_fork_fails": 1}.get(case, FAULT_CHILDREN)
         assert_no_child_left()
 
     @needs_two_cpus
     def test_job_list_for_workers_that_are_gone_is_worker_failed(self, capfd, forks,
                                                                   monkeypatch, tmp_path):
-        # every child ends before it reads a job, and the job list is longer than the
-        # job pipe holds: the parent never blocks writing it, takes the jobs that do
-        # not fit itself, and reports how the children ended
+        # every child ends before it reads a job: the parent takes every job of the
+        # largest table itself, and reports how the children ended
         read = os.read
-        config = JOB_PIPE_OVERFLOW
         path = tmp_path / "family.json"
-        path.write_text(json.dumps(config))
-        fam = periods.family_from_config(config)
-        orbits = periods.beta_orbits(periods.betas_from_config(config, fam), fam)
-        probe = os.pipe()
-        try:
-            capacity = (fcntl.fcntl(probe[0], fcntl.F_GETPIPE_SZ)
-                        if hasattr(fcntl, "F_GETPIPE_SZ") else 65536)
-        finally:
-            os.close(probe[0])
-            os.close(probe[1])
-        assert len(orbits) * _rowsplit._RECORD > capacity
+        path.write_text(json.dumps(JOB_PIPE_OVERFLOW))
 
         def exit_before_reading(fd, size):
             if os.getpid() != TEST_PID:
@@ -772,6 +778,22 @@ def test_pool_rows_equal_serial_rows(capsys, monkeypatch, forks, tmp_path, comma
     assert_no_child_left()
 
 
+@pytest.mark.parametrize("command", ["denominators", "periods"])
+def test_more_workers_than_cpus_take_each_orbit_once(capsys, monkeypatch, forks, tmp_path,
+                                                     command):
+    # six processes race on the job file's one offset over 13,108 orbits: a record
+    # read by two of them, or by none, would be exit 4 ("twice" or "no rows")
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(JOB_PIPE_OVERFLOW))
+    serial = run(capsys, command, "--config", str(path))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(6)))
+    monkeypatch.setattr(periods, "_POOL_TUPLES", 0)
+    with deadline(60):
+        assert run(capsys, command, "--config", str(path)) == serial
+    assert serial[0] == 0 and len(forks) == 5
+    assert_no_child_left()
+
+
 @needs_two_cpus
 def test_a_slow_orbit_holds_up_only_its_worker(capsys, monkeypatch, forks, toy_config, tmp_path):
     # orbits are handed out on demand: while one process (this one or a child)
@@ -801,29 +823,43 @@ def test_a_slow_orbit_holds_up_only_its_worker(capsys, monkeypatch, forks, toy_c
 @pytest.mark.parametrize("command", ["denominators", "periods"])
 def test_rows_of_an_ended_child_wait_for_a_slow_one(capsys, monkeypatch, forks, three_cpus,
                                                     toy_config, command):
-    # the children take the first orbits while this process sleeps; the child with
-    # orbit 0 (rows 0 and 4) is slow, so another child ends while rows it spooled
-    # still wait for that orbit, and they are read back from its spool file after
+    # orbit 0 (rows 0 and 4) is slow in whichever process takes it, so a child ends
+    # while rows it spooled still wait for that orbit, and they are read back from
+    # its spool file after it has ended (and, if this process is not the slow one,
+    # after it has been reaped)
     serial = run(capsys, command, "--config", toy_config)
-    hand_out = _rowsplit._hand_out
     fn = {"denominators": "orbit_denominator_profiles", "periods": "orbit_series_json"}[command]
     real = getattr(periods, fn)
-
-    def late_hand_out(fd, first, count):
-        handed = hand_out(fd, first, count)
-        time.sleep(0.2)  # in this process only: the children read the job pipe first
-        return handed
+    reap, read_all = _rowsplit._Child.reap, _rowsplit._read_all
+    reaped = {}  # spool fd -> pid of each child that _Child.reap reaps
+    reads = []  # (spool fd, pids of the children ended by then) of each row read back
 
     def slow_first_orbit(orbit, fam):
-        if orbit.rows[0] == 0 and os.getpid() != TEST_PID:
-            time.sleep(0.6)
+        # every orbit takes a while, so that each process gets some
+        time.sleep(0.6 if orbit.rows[0] == 0 else 0.02)
         return real(orbit, fam)
 
-    monkeypatch.setattr(_rowsplit, "_hand_out", late_hand_out)
+    def recording_reap(child):
+        reaped[child.spool.fileno()] = child.pid
+        reap(child)
+
+    def ended(pid):
+        try:
+            return os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is not None
+        except ChildProcessError:  # reaped already
+            return True
+
+    def recording_read_all(fd, offset, length):
+        reads.append((fd, {pid for pid in forks if ended(pid)}))
+        return read_all(fd, offset, length)
+
     monkeypatch.setattr(periods, fn, slow_first_orbit)
+    monkeypatch.setattr(_rowsplit._Child, "reap", recording_reap)
+    monkeypatch.setattr(_rowsplit, "_read_all", recording_read_all)
     monkeypatch.setattr(periods, "_POOL_TUPLES", 0)
     assert run(capsys, command, "--config", toy_config) == serial
-    assert len(forks) == FAULT_CHILDREN
+    assert len(forks) == FAULT_CHILDREN and sorted(reaped.values()) == sorted(forks)
+    assert any(reaped.get(fd) in gone for fd, gone in reads)
     assert_no_child_left()
 
 
@@ -915,7 +951,7 @@ ORBIT_CONFIGS = {
     "duplicates": (dict(TOY_CONFIG, beta=[[2, 2, 0, 0], [1, 1, 1, 1], [0, 0, 2, 2],
                                           [2, 2, 0, 0], [1, 1, 1, 1]]), 2),
     "one_member": (dict(TOY_CONFIG, beta=[[0, 0, 2, 2], [1, 0, 1, 2]]), 2),
-    # more orbits than one atomic write of the job pipe holds (64 records)
+    # many more orbits than processes
     "many_orbits": ({"n": 4, "d": 4, "truncation": 2, "beta": "griffiths",
                      "I": [[1, 3, 0, 0, 0, 0], [0, 1, 3, 0, 0, 0], [0, 0, 0, 0, 1, 3]]}, 183),
 }
