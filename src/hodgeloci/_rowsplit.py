@@ -1,39 +1,41 @@
 """The row split of a large table: ``split_rows`` writes the rows of a table's
-symmetry orbits (``periods.BetaOrbit``) to a text stream in row order, with
-this process and ``workers - 1`` forked children computing ``fn(orbit, fam)``,
-the texts of one orbit's rows.
+symmetry orbits (``periods.BetaOrbit``) to a text stream in row order, once
+this process and ``workers - 1`` forked children have computed
+``texts(index)``, the texts of the rows of each orbit ``orbits[index]``.
 
-The orbits are handed out on demand through one job file.  Before forking,
-the parent writes every orbit's index, in order, as a fixed-size record to an
-unlinked temporary file and rewinds it; the parent and every child then take
-the next index with one ``os.read`` of a record on that shared open file,
-whenever they are free.  Since Linux 3.14, read(2) updates a shared file
-offset atomically (POSIX XSI 2.9.7), so each record reaches exactly one
-process at any table size, and a slow orbit holds up only the process that
-took it.  ``periods._write_rows`` splits a table only where
-``os.sched_getaffinity`` exists, which in practice means Linux.
+It runs in two phases: compute, then write.  The orbits are handed out on
+demand through one job file.  Before forking, the parent writes every orbit's
+index, in order, as a fixed-size record to an unlinked temporary file and
+rewinds it; the parent and every child then take the next index with one
+``os.read`` of a record on that shared open file, whenever they are free.
+Since Linux 3.14, read(2) updates a shared file offset atomically (POSIX XSI
+2.9.7), so each record reaches exactly one process at any table size, and a
+slow orbit holds up only the process that took it.  ``periods._write_rows``
+splits a table only where ``os.sched_getaffinity`` exists, which in practice
+means Linux.
 
-A child writes the rows of each orbit it takes to its own unlinked spool file,
-and only then sends the line ``index offset length ...`` (the orbit, where its
-rows start in the spool file, the byte length of each row) through its own
-result pipe.  The pipe carries only these lines, so a child never waits on the
-parent.  A child exits with status 0 only after it has sent the line of every
-orbit it took, so its exit status tells whether its stream is whole.  The
-parent writes each row as soon as it and every earlier row are done: a row of
-its own at once, or from its own spool file when it must wait, and a child's
-row read back from that child's spool file.  Between its own orbits, and once
-the job file is drained, it reads the result pipes; so no process holds more
-than one orbit's rows.
+Each process appends the rows of every orbit it takes to its own unlinked
+spool file, and records ``index offset lengths`` for it: the orbit, where its
+rows start in the spool file, and the byte length of each row.  A child
+writes its records to a second unlinked file, its index file, once the job
+file is drained, and only then exits with status 0; the parent keeps its own
+records in memory.  Once the job file is drained, the parent reaps every
+child, reading its index file once it has exited with status 0, and checks
+that every orbit was computed exactly once.  Only then does it write ``head`` and every row in row order,
+each read back with ``os.pread`` from the spool file that holds it; so no
+process holds more than one orbit's rows.
 
 Every input error is raised before this module is reached
-(``periods.beta_orbits`` checks each beta), so a row that raises is a fault: in
-a child, the child prints the traceback to stderr and ends with status 1; in
-the parent, the exception is raised as ``WorkerFailed``.  A child that fails
-or dies, an orbit whose rows come back never or twice, and a spool file that
-cannot be read back are ``WorkerFailed`` (exit 4); a job file, pipe, spool
-file or child that cannot be made is ``ResourceLimit`` (exit 3).  Nothing is
-written before every child is forked.  Every child is killed if need be and
-reaped, and every file and pipe closed, on every path; each child ends with
+(``periods.beta_orbits`` checks each beta), so a row that raises is a fault:
+``texts`` raises it as ``WorkerFailed``, which the parent passes on and a
+child prints to stderr with its traceback before it ends with status 1.  A
+child that fails or dies, an orbit computed never or twice, and a spool or
+index file that cannot be read back are ``WorkerFailed`` (exit 4); a job,
+spool or index file or a child that cannot be made is ``ResourceLimit``
+(exit 3).  Each of these is raised before the first byte is written, so it
+leaves ``out`` empty; only a spool file that fails part-way through its
+read-back would leave a prefix of the table.  Every child is killed if need
+be and reaped, and every file closed, on every path; each child ends with
 ``os._exit``, so it flushes none of the parent's buffers.  Only
 ``periods._write_rows`` imports this module, on the split branch; the command
 starts no thread before it, so forking is safe, and the children reuse the
@@ -43,7 +45,6 @@ loaded package.
 from __future__ import annotations
 
 import os
-import select
 import signal
 import sys
 import tempfile
@@ -53,214 +54,108 @@ from hodgeloci.errors import ResourceLimit, WorkerFailed
 _RECORD = 8  # bytes of one orbit index in the job file
 
 
-def split_rows(fn, orbits, fam, workers: int, out, head: str) -> None:
-    """Write ``head`` and then the texts ``fn(o, fam)`` of every orbit's rows,
-    in row order, to ``out``, computed by this process and ``workers - 1``
-    forked children."""
-    table = _Table(orbits, out)
-    jobs = None  # the job file
-    children = {}  # read end of its result pipe -> each child not yet reaped
+def split_rows(texts, orbits, workers: int, out, head: str) -> None:
+    """Write ``head`` and then the texts ``texts(i)`` of the rows of every
+    orbit ``orbits[i]``, in row order, to ``out``, computed by this process
+    and ``workers - 1`` forked children."""
+    files = []  # every temporary file made here
+    children = {}  # pid -> (name, spool fd, index fd) of each child not yet reaped
     try:
-        try:
-            jobs = tempfile.TemporaryFile()
-            jobs.write(b"".join(i.to_bytes(_RECORD, "little") for i in range(len(orbits))))
-            jobs.seek(0)  # flushes the records; from here on, every process reads the fd
-        except OSError as exc:
-            raise ResourceLimit(f"cannot start a row worker: {exc.strerror or exc}") from None
+        jobs = _file(files, b"".join(i.to_bytes(_RECORD, "little") for i in range(len(orbits))))
         for number in range(1, workers):
-            child = _fork(fn, orbits, fam, jobs.fileno(), number, workers - 1)
-            children[child.fd] = child
-            table.spools.append(child.spool)
-        out.write(head)
-        poller = select.poll()
-        for fd in children:
-            poller.register(fd, select.POLLIN)
-        while True:
-            index = _next_job(jobs.fileno())
-            if index is not None:
-                table.own(index, _own_rows(fn, orbits, fam, index))
-            if children:
-                _collect(poller, children, table, wait=index is None)
-            elif index is None:
-                break
-        table.check_complete()
-    finally:
-        # each child is killed before its pipe closes: a child that wrote to a
-        # closed pipe would print a traceback about it
-        for child in children.values():
+            spool, index = _file(files), _file(files)
             try:
-                os.kill(child.pid, signal.SIGKILL)
+                pid = os.fork()
+            except OSError as exc:
+                raise _cannot_start(exc) from None
+            if not pid:
+                _child(texts, jobs, spool, index)
+            children[pid] = (f"row worker {number} of {workers - 1}", spool, index)
+        own = _file(files)
+        found = [None] * len(orbits)  # index -> (spool fd, offset, lengths) of each orbit
+        _take(found, own, _serve(texts, jobs, own))
+        for pid, (name, spool, index) in list(children.items()):
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            if status:
+                how = (f"exit status {status}" if status >= 0
+                       else f"signal {-status} ({signal.Signals(-status).name})")
+                raise WorkerFailed(f"{name} ended with {how} before sending all its rows")
+            lines = _read_all(index, 0, os.fstat(index).st_size).splitlines()
+            _take(found, spool, [(i, offset, lengths) for i, offset, *lengths
+                                 in (map(int, line.split()) for line in lines)])
+        if None in found:
+            raise WorkerFailed(f"the row workers sent no rows for orbit "
+                               f"{found.index(None) + 1} of {len(orbits)}")
+        rows = [None] * sum(len(orbit.rows) for orbit in orbits)
+        for orbit, (spool, offset, lengths) in zip(orbits, found):
+            for row, length in zip(orbit.rows, lengths):
+                rows[row] = (spool, offset, length)
+                offset += length
+        out.write(head)
+        for where in rows:
+            out.write(_read_all(*where).decode())
+    finally:
+        for pid in children:
+            try:
+                os.kill(pid, signal.SIGKILL)
             except ProcessLookupError:
                 pass
-            os.waitpid(child.pid, 0)
-            os.close(child.fd)
-        if jobs is not None:
-            jobs.close()
-        table.close()
+            os.waitpid(pid, 0)
+        for file in files:
+            file.close()
 
 
-def _next_job(fd: int):
-    """The orbit index of the next record of the job file ``fd``, which moves
-    the offset that every process shares past it; None once it is drained."""
-    record = os.read(fd, _RECORD)
-    return int.from_bytes(record, "little") if record else None
+def _cannot_start(exc: OSError) -> ResourceLimit:
+    return ResourceLimit(f"cannot start a row worker: {exc.strerror or exc}")
 
 
-def _own_rows(fn, orbits, fam, index: int) -> list:
-    """``fn(orbits[index], fam)`` in this process; a row that raises is a fault."""
+def _file(files: list, data: bytes = b"") -> int:
+    """The fd of a new unlinked temporary file, which joins ``files``,
+    holding ``data`` and rewound to its start."""
     try:
-        return fn(orbits[index], fam)
-    except Exception as exc:
-        raise WorkerFailed(f"orbit {index + 1} of {len(orbits)} raised "
-                           f"{type(exc).__name__}: {exc}") from exc
-
-
-def _collect(poller, children: dict, table: "_Table", wait: bool) -> None:
-    """Take the lines the children have sent, and reap each child whose
-    result pipe has ended; with ``wait``, block until one of them is ready."""
-    for fd, _ in poller.poll(None if wait else 0):
-        child = children[fd]
-        data = os.read(fd, 1 << 16)
-        if data:
-            child.take(data, table)
-            continue
-        poller.unregister(fd)
-        del children[fd]
-        child.reap()
-
-
-def _read_all(fd: int, offset: int, length: int) -> bytes:
-    """``length`` bytes of the file ``fd`` from ``offset``, over partial reads.
-    The spool files are this program's own, so a read that fails is a fault."""
-    parts = []
-    while length:
-        try:
-            data = os.pread(fd, length, offset)
-        except OSError as exc:
-            raise WorkerFailed(f"cannot read back a spooled row: {exc.strerror or exc}") from None
-        if not data:
-            raise WorkerFailed("a row worker's spool file ends before its rows")
-        parts.append(data)
-        offset += len(data)
-        length -= len(data)
-    return b"".join(parts)
-
-
-class _Table:
-    """The rows of a table as they come in, written to ``out`` in row order."""
-
-    def __init__(self, orbits, out):
-        self.orbits = orbits
-        self.out = out
-        self.done = [False] * len(orbits)
-        self.waiting = {}  # row -> (spool fd, offset, length) of a done row not yet written
-        self.row = 0  # the first row not yet written
-        # every spool file, open until the table is closed: a child's rows can wait
-        # for an earlier orbit after the child has ended
-        self.spools = []
-        self.spool = None  # this process's spool file, made when a row of its own first waits
-        self.end = 0  # bytes written to it
-
-    def _take(self, index: int) -> None:
-        if self.done[index]:
-            raise WorkerFailed(f"the row workers sent orbit {index + 1} of {len(self.orbits)} "
-                               "twice")
-        self.done[index] = True
-
-    def own(self, index: int, texts) -> None:
-        """The texts of orbit ``index``'s rows, computed in this process."""
-        self._take(index)
-        for row, text in zip(self.orbits[index].rows, texts):
-            if row == self.row:
-                self.out.write(text)
-                self.row += 1
-                self._flush()
-                continue
-            data = text.encode()
-            try:
-                if self.spool is None:
-                    self.spool = tempfile.TemporaryFile()
-                    self.spools.append(self.spool)
-                _write_all(self.spool.fileno(), data)
-            except OSError as exc:
-                raise ResourceLimit(f"cannot spool a row: {exc.strerror or exc}") from None
-            self.waiting[row] = (self.spool.fileno(), self.end, len(data))
-            self.end += len(data)
-
-    def spooled(self, index: int, fd: int, offset: int, lengths) -> None:
-        """Orbit ``index``'s rows, ``lengths`` bytes each from ``offset`` on in
-        the spool file ``fd``."""
-        self._take(index)
-        for row, length in zip(self.orbits[index].rows, lengths):
-            self.waiting[row] = (fd, offset, length)
-            offset += length
-        self._flush()
-
-    def _flush(self) -> None:
-        while self.row in self.waiting:
-            self.out.write(_read_all(*self.waiting.pop(self.row)).decode())
-            self.row += 1
-
-    def check_complete(self) -> None:
-        if not all(self.done):
-            raise WorkerFailed(f"the row workers sent no rows for orbit "
-                               f"{self.done.index(False) + 1} of {len(self.orbits)}")
-
-    def close(self) -> None:
-        for spool in self.spools:
-            spool.close()
-
-
-class _Child:
-    """A forked row worker, as the parent sees it."""
-
-    def __init__(self, pid: int, fd: int, spool, number: int, count: int):
-        self.pid = pid
-        self.fd = fd  # read end of its result pipe
-        self.spool = spool  # its spool file, which the table closes
-        self.name = f"row worker {number} of {count}"
-        self.pending = b""  # the start of a line not yet complete
-
-    def take(self, data: bytes, table: _Table) -> None:
-        """Pass each complete line of ``data`` on to ``table``."""
-        *lines, self.pending = (self.pending + data).split(b"\n")
-        for line in lines:
-            index, offset, *lengths = map(int, line.split())
-            table.spooled(index, self.spool.fileno(), offset, lengths)
-
-    def reap(self) -> None:
-        """Wait for the child, whose result pipe has ended; ``WorkerFailed``
-        unless it exited with status 0, which it does only once it has sent
-        the line of every orbit it took."""
-        status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-        os.close(self.fd)
-        if status:
-            how = (f"exit status {status}" if status >= 0
-                   else f"signal {-status} ({signal.Signals(-status).name})")
-            raise WorkerFailed(f"{self.name} ended with {how} before sending all its rows")
-
-
-def _fork(fn, orbits, fam, jobs: int, number: int, count: int) -> _Child:
-    """Fork a child that computes the orbits whose indices it reads from the
-    job file ``jobs``.  The child never returns."""
-    spool = ends = None
-    try:
-        spool = tempfile.TemporaryFile()
-        ends = os.pipe()
-        pid = os.fork()
+        files.append(tempfile.TemporaryFile())
+        files[-1].write(data)
+        files[-1].seek(0)  # flushes ``data``; from here on, only the fd is used
     except OSError as exc:
-        for fd in ends or ():
-            os.close(fd)
-        if spool is not None:
-            spool.close()
-        raise ResourceLimit(f"cannot start a row worker: {exc.strerror or exc}") from None
-    if pid:
-        os.close(ends[1])
-        return _Child(pid, ends[0], spool, number, count)
+        raise _cannot_start(exc) from None
+    return files[-1].fileno()
+
+
+def _take(found: list, spool: int, records) -> None:
+    """Enter the ``(index, offset, lengths)`` of each orbit in ``records``,
+    whose rows lie in ``spool``, into ``found``."""
+    for index, offset, lengths in records:
+        if found[index] is not None:
+            raise WorkerFailed(f"the row workers sent orbit {index + 1} of {len(found)} twice")
+        found[index] = (spool, offset, lengths)
+
+
+def _serve(texts, jobs: int, spool: int) -> list:
+    """A process's work: the rows of each orbit whose index it reads from the
+    job file ``jobs``, appended to ``spool``.  Each read moves the offset that
+    every process shares past one record.  Returns the orbits' records
+    ``(index, offset, lengths)``."""
+    records = []
+    end = 0
+    while record := os.read(jobs, _RECORD):
+        index = int.from_bytes(record, "little")
+        # a comprehension, whose variable dies with it: a row kept alive into
+        # the next orbit's run would add its size to this process's peak
+        lengths = [_write_all(spool, text.encode()) for text in texts(index)]
+        records.append((index, end, lengths))
+        end += sum(lengths)
+    return records
+
+
+def _child(texts, jobs: int, spool: int, index: int) -> None:
+    """A forked child's life: ``_serve``, then its records written to the
+    index file ``index`` as ``index offset lengths`` lines.  It never returns."""
     status = 1
     try:
-        os.close(ends[0])
-        _serve(fn, orbits, fam, jobs, spool.fileno(), ends[1])
+        records = _serve(texts, jobs, spool)
+        _write_all(index, "".join(f"{i} {offset} {' '.join(map(str, lengths))}\n"
+                                  for i, offset, lengths in records).encode())
         status = 0
     except Exception:  # a fault: the parent reports the exit status as WorkerFailed
         import traceback
@@ -271,25 +166,31 @@ def _fork(fn, orbits, fam, jobs: int, number: int, count: int) -> _Child:
         os._exit(status)
 
 
-def _serve(fn, orbits, fam, jobs: int, spool: int, results: int) -> None:
-    """A child's work: each orbit whose index it reads from ``jobs``, its rows
-    written to ``spool`` and then their line sent to ``results``."""
-    end = 0
-    while (index := _next_job(jobs)) is not None:
-        start = end
-        lengths = []
-        for text in fn(orbits[index], fam):
-            data = text.encode()
-            _write_all(spool, data)
-            end += len(data)
-            lengths.append(str(len(data)))
-        _write_all(results, f"{index} {start} {' '.join(lengths)}\n".encode())
+def _read_all(fd: int, offset: int, length: int) -> bytes:
+    """``length`` bytes of the file ``fd`` from ``offset``, over partial reads.
+    The spool and index files are this program's own, so a read that fails
+    is a fault."""
+    parts = []
+    while length:
+        try:
+            data = os.pread(fd, length, offset)
+        except OSError as exc:
+            raise WorkerFailed(f"cannot read back a spool or index file: "
+                               f"{exc.strerror or exc}") from None
+        if not data:
+            raise WorkerFailed("a spool or index file ends before its records")
+        parts.append(data)
+        offset += len(data)
+        length -= len(data)
+    return b"".join(parts)
 
 
-def _write_all(fd: int, data: bytes) -> None:
-    """Write ``data`` to ``fd``, over partial writes.  A spool file is only
-    appended to, by the one process that writes it, and read back with
-    ``os.pread``, which leaves the shared file offset alone."""
+def _write_all(fd: int, data: bytes) -> int:
+    """Write ``data`` to ``fd``, over partial writes, and return its length.
+    A spool or index file is only appended to, by the one process that
+    writes it, and read back with ``os.pread``, which leaves the shared file
+    offset alone."""
     view = memoryview(data)
     while view:
         view = view[os.write(fd, view):]
+    return len(data)

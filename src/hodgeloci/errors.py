@@ -57,9 +57,10 @@ class WriteFailed(Exception):
 
 
 class WorkerFailed(RuntimeError):
-    """A row worker process raised, died or ended before sending all its rows,
-    or a spooled row cannot be read back: a fault, since every input error is
-    raised before any worker starts."""
+    """A table row raised, in this process or a forked row worker; a row
+    worker died or ended before sending all its rows; or a spool or index
+    file cannot be read back: a fault, since every input error is raised
+    before any row runs."""
 
 
 class InternalCheckFailed(RuntimeError):

@@ -47,9 +47,10 @@ tests hold them equal; ``SparseSeries.to_doc`` defines the canonical format.
 So the table commands work on ints only, and this module imports ``fractions``
 and ``hodgeloci.series`` only inside the reference functions that use them
 (``period_series``, ``period_coefficient``, ``quartic_full_family_series``,
-...).  The orbits are independent, so a large table computes them in this
-process and forked children together (``_write_rows``), and each row is
-written as soon as it and every earlier row are done.
+...).  The orbits are independent, so a large table computes them all in this
+process and forked children together, and then writes its rows in row order;
+a smaller one computes them here and writes each row as soon as it and every
+earlier row are done (``_write_rows``).
 
 The bodies of the table commands (``periods``, ``denominators``,
 ``griffiths``) are here too, from a parsed config to the output stream:
@@ -69,7 +70,7 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from hodgeloci import _coeff_kernel_py
 from hodgeloci._value import Value
-from hodgeloci.errors import NotIntegral, ResourceLimit
+from hodgeloci.errors import NotIntegral, ResourceLimit, WorkerFailed
 
 if TYPE_CHECKING:  # the table commands run on ints only: see the module docstring
     from fractions import Fraction
@@ -609,26 +610,35 @@ def _write_rows(out, fn, betas: Sequence[BetaIndex], fam: FamilySpec, head: str,
     """Write ``head``, the text of every row of ``betas`` in row order, then
     ``tail`` to the text stream ``out``.  ``fn(orbit, fam)`` gives the texts
     of the rows of one symmetry orbit of the betas (``beta_orbits``), in the
-    orbit's row order, and each row is written as soon as it and every
-    earlier row are done.  The orbits are split over this process and
+    orbit's row order.  The orbits are split over this process and
     ``cpus - 1`` forked children, where ``cpus`` counts the CPUs this process
     may run on (``os.sched_getaffinity``; 1 where it does not exist), at most
     one process per orbit, when there are at least two of each and their
     kernel runs enumerate at least ``_POOL_TUPLES`` tuples; each process takes
-    the next orbit from one shared job file whenever it is free
-    (``_rowsplit.split_rows``).  Otherwise they are computed in this process.
-    The output is the same either way.  The rows run with the
-    cyclic GC off, here and in the children, which inherit that: they make no
-    reference cycles, and its collections, triggered by the kernel's many
-    tuples, found nothing to free.  The caller's GC state is restored on every
-    path.  Every input error, such as a beta of the wrong length, is raised
-    by ``beta_orbits`` before any row runs, any child starts or any byte is
-    written; a row that raises in a child is ``WorkerFailed`` (exit 4).
+    the next orbit from one shared job file whenever it is free, and the
+    table is written once every orbit is done (``_rowsplit.split_rows``).
+    Otherwise they are computed in this process, and each row is written as
+    soon as it and every earlier row are done.  The output is the same either
+    way.  The rows run with the cyclic GC off, here and in the children,
+    which inherit that: they make no reference cycles, and its collections,
+    triggered by the kernel's many tuples, found nothing to free.  The
+    caller's GC state is restored on every path.  Every input error, such as
+    a beta of the wrong length, is raised by ``beta_orbits`` before any row
+    runs, any child starts or any byte is written, so a row that raises is a
+    fault, ``WorkerFailed`` (exit 4), in this process or a child alike.
     """
     orbits = beta_orbits(betas, fam)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, len(orbits))
     tuples = len(orbits) * comb(fam.truncation + fam.nparams, fam.nparams)
+
+    def texts(index: int) -> List[str]:
+        try:
+            return fn(orbits[index], fam)
+        except Exception as exc:
+            raise WorkerFailed(f"orbit {index + 1} of {len(orbits)} raised "
+                               f"{type(exc).__name__}: {exc}") from exc
+
     collecting = gc.isenabled()
     gc.disable()  # forked children inherit this
     try:
@@ -636,15 +646,15 @@ def _write_rows(out, fn, betas: Sequence[BetaIndex], fam: FamilySpec, head: str,
             out.write(head)
             done = {}  # row -> text of a row that waits for an earlier one
             row = 0
-            for orbit in orbits:
-                done.update(zip(orbit.rows, fn(orbit, fam)))
+            for index, orbit in enumerate(orbits):
+                done.update(zip(orbit.rows, texts(index)))
                 while row in done:
                     out.write(done.pop(row))
                     row += 1
         else:
             from hodgeloci._rowsplit import split_rows
 
-            split_rows(fn, orbits, fam, workers, out, head)
+            split_rows(texts, orbits, workers, out, head)
         out.write(tail)
     finally:
         if collecting:

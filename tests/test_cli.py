@@ -165,7 +165,7 @@ def assert_no_child_left():
 # How the row split fails -> (exit code, regular expression of the stderr line
 # of main) of a forced split of the toy table over FAULT_CHILDREN children; the
 # child that fails first, and the orbit a child drops or repeats, vary from run
-# to run
+# to run.  Each is found before the first byte is written: stdout stays empty.
 WORKER_FAILURES = {
     "killed": (4, f"error: internal: WorkerFailed: row worker [12] of {FAULT_CHILDREN} ended "
                   r"with signal 9 \(SIGKILL\) before sending all its rows\n"),
@@ -177,13 +177,14 @@ WORKER_FAILURES = {
     "unpicklable_internal_error": (4, f"error: internal: WorkerFailed: row worker [12] of "
                                       f"{FAULT_CHILDREN} ended with exit status 1 before "
                                       "sending all its rows\n"),
-    # the parent fails on the lines its children send
-    "parent_raises": (4, "error: internal: RuntimeError: the parent fails\n"),
-    "pipe_fails": (3, f"error: cannot start a row worker: {os.strerror(errno.EAGAIN)}\n"),
+    # the parent fails while it reads back the records of its children's orbits
+    "merge_fails": (4, "error: internal: RuntimeError: the parent fails\n"),
     "job_file_fails": (3, f"error: cannot start a row worker: {os.strerror(errno.ENOSPC)}\n"),
+    # a spool or index file made after the first child is forked
+    "spool_file_fails": (3, f"error: cannot start a row worker: {os.strerror(errno.ENOSPC)}\n"),
     "second_fork_fails": (3, f"error: cannot start a row worker: {os.strerror(errno.EAGAIN)}\n"),
-    # a child that takes an orbit and ends with status 0 without sending its rows, or
-    # that sends them twice: the parent checks that every orbit comes back once
+    # a child that takes an orbit and ends with status 0 without recording its rows, or
+    # that records them twice: the parent checks that every orbit comes back once
     "dropped_orbit": (4, "error: internal: WorkerFailed: the row workers sent no rows for "
                          "orbit [0-9]+ of 13\n"),
     "repeated_orbit": (4, "error: internal: WorkerFailed: the row workers sent orbit [0-9]+ of "
@@ -192,6 +193,78 @@ WORKER_FAILURES = {
     "parent_row_raises": (4, "error: internal: WorkerFailed: orbit [0-9]+ of 13 raised "
                              "RowBroke: broken\n"),
 }
+
+
+def inject_worker_failure(case, monkeypatch, forks, tmp_path):
+    """Patch the WORKER_FAILURES ``case`` into a forced split of the toy table;
+    the number of children that os.fork then starts."""
+    def eagain(*args):
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    def enospc(*args, **kwargs):  # the first temporary file made is the job file
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def parent_fails(*args):
+        raise RuntimeError("the parent fails")
+
+    recording_fork = os.fork
+    temporary_file = tempfile.TemporaryFile
+    write_all = _rowsplit._write_all
+
+    def index_file(data):
+        # a child's index file holds "index offset lengths" lines; a row's text holds a comma
+        return re.fullmatch(rb"([0-9 ]+\n)+", data)
+
+    def drop_first_orbit(fd, data):
+        return write_all(fd, data.partition(b"\n")[2] if index_file(data) else data)
+
+    def repeat_first_orbit(fd, data):
+        return write_all(fd, data + data.partition(b"\n")[0] + b"\n" if index_file(data) else data)
+
+    def fork_only_once():
+        if forks:
+            eagain()
+        return recording_fork()
+
+    def no_file_after_a_fork(*args, **kwargs):
+        if forks:
+            enospc()
+        return temporary_file(*args, **kwargs)
+
+    def raise_in_parent(orbit, fam):
+        # the children wait until this process has started an orbit, so that it takes one
+        if os.getpid() == TEST_PID:
+            open(tmp_path / "started", "w").close()
+            raise RowBroke("broken")
+        deadline = time.monotonic() + 30
+        while not os.path.exists(tmp_path / "started") and time.monotonic() < deadline:
+            time.sleep(0.001)
+        return REAL_PROFILES(orbit, fam)
+
+    rows = {"killed": kill_in_worker, "unpicklable_input_error": rejected_row,
+            "unpicklable_internal_error": broken_row, "dropped_orbit": REAL_PROFILES,
+            "repeated_orbit": REAL_PROFILES}
+    if case in rows:
+        monkeypatch.setattr(periods, "orbit_denominator_profiles",
+                            in_children(rows[case], tmp_path / "started"))
+    if case == "parent_row_raises":
+        monkeypatch.setattr(periods, "orbit_denominator_profiles", raise_in_parent)
+    monkeypatch.setattr(periods, "_POOL_TUPLES", 0)
+    patches = {"merge_fails": (_rowsplit, "_read_all", parent_fails),
+               "job_file_fails": (tempfile, "TemporaryFile", enospc),
+               "spool_file_fails": (tempfile, "TemporaryFile", no_file_after_a_fork),
+               "second_fork_fails": (os, "fork", fork_only_once),
+               "dropped_orbit": (_rowsplit, "_write_all", drop_first_orbit),
+               "repeated_orbit": (_rowsplit, "_write_all", repeat_first_orbit)}
+    if case in patches:
+        monkeypatch.setattr(*patches[case])
+    return {"job_file_fails": 0, "spool_file_fails": 1,
+            "second_fork_fails": 1}.get(case, FAULT_CHILDREN)
+
+
+def open_fds():
+    """The file descriptors this process has open (the listing's own included)."""
+    return sorted(os.listdir("/proc/self/fd"))
 
 
 class Hung(Exception):
@@ -602,11 +675,38 @@ class TestExitCodes:
         monkeypatch.setattr(periods, "orbit_denominator_profiles",
                             in_children(exit_in_worker, tmp_path / "started"))
         code, out, err = run(capsys, "denominators", "--config", toy_config)
-        # stdout holds a prefix of the table: the rows written before the fault showed
-        assert code == 4 and TOY_TABLE.startswith(out)
+        # the split writes no row before every orbit is done
+        assert (code, out) == (4, "")
         assert re.match(f"error: internal: WorkerFailed: row worker [12] of {FAULT_CHILDREN} "
                         "ended with exit status 1 before sending all its rows\n", err)
         assert len(forks) == FAULT_CHILDREN
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
+    @pytest.mark.parametrize("command", ["denominators", "periods"])
+    def test_row_raising_value_error_is_exit_four(self, capfd, monkeypatch, forks, toy_config,
+                                                  command, split):
+        # every input error is raised before any row runs, so a row's ValueError is a
+        # fault: exit 4 in a serial run as in a split, never 2
+        fn = {"denominators": "orbit_denominator_profiles", "periods": "orbit_series_json"}[command]
+        real = getattr(periods, fn)
+        serial = run(capfd, command, "--config", toy_config)[1]
+
+        def last_row_fails(orbit, fam):
+            if 20 in orbit.rows:
+                raise ValueError("bad row")
+            return real(orbit, fam)
+
+        monkeypatch.setattr(periods, fn, last_row_fails)
+        monkeypatch.setattr(periods, "_POOL_TUPLES", 0 if split else 10 ** 18)
+        code, out, err = run(capfd, command, "--config", toy_config)
+        parent = "orbit [0-9]+ of 13 raised ValueError: bad row\n"
+        child = f"row worker [0-9]+ of {TOY_CHILDREN} ended with exit status 1 "
+        assert code == 4
+        assert re.search(f"^error: internal: WorkerFailed: ({parent}|{child})", err, re.M)
+        # a serial run has written the rows before the failing one; a split writes nothing
+        assert out == "" if split and TOY_CHILDREN else serial.startswith(out)
+        assert len(forks) == (TOY_CHILDREN if split else 0)
         assert_no_child_left()
 
     @needs_two_cpus
@@ -614,85 +714,36 @@ class TestExitCodes:
     def test_failing_worker_exit_code(self, capfd, forks, monkeypatch, three_cpus, toy_config,
                                       tmp_path, case):
         code, pattern = WORKER_FAILURES[case]
-
-        def eagain(*args):
-            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-
-        def enospc(*args, **kwargs):  # the first temporary file made is the job file
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
-        def parent_fails(self, data, table):
-            raise RuntimeError("the parent fails")
-
-        recording_fork = os.fork
-        write_all = _rowsplit._write_all
-        sent = []  # in each child: the orbit lines it has sent
-
-        def orbit_line(data):
-            # a row's text holds a comma; the line "index offset lengths" does not
-            return re.fullmatch(rb"[0-9 ]+\n", data)
-
-        def drop_first_orbit(fd, data):
-            if not orbit_line(data) or sent:
-                write_all(fd, data)
-            if orbit_line(data):
-                sent.append(data)
-
-        def repeat_first_orbit(fd, data):
-            write_all(fd, data)
-            if orbit_line(data) and not sent:
-                write_all(fd, data)
-                sent.append(data)
-
-        def fork_only_once():
-            if forks:
-                eagain()
-            return recording_fork()
-
-        def raise_in_parent(orbit, fam):
-            # the children wait until this process has started an orbit, so that it takes one
-            if os.getpid() == TEST_PID:
-                open(tmp_path / "started", "w").close()
-                raise RowBroke("broken")
-            deadline = time.monotonic() + 30
-            while not os.path.exists(tmp_path / "started") and time.monotonic() < deadline:
-                time.sleep(0.001)
-            return REAL_PROFILES(orbit, fam)
-
-        rows = {"killed": kill_in_worker, "unpicklable_input_error": rejected_row,
-                "unpicklable_internal_error": broken_row, "dropped_orbit": REAL_PROFILES,
-                "repeated_orbit": REAL_PROFILES}
+        children = inject_worker_failure(case, monkeypatch, forks, tmp_path)
         raised = {"unpicklable_input_error": r"RowRejected: row \([0-9, ]+\): rejected\n",
                   "unpicklable_internal_error": "RowBroke: broken\n"}
-        if case in rows:
-            monkeypatch.setattr(periods, "orbit_denominator_profiles",
-                                in_children(rows[case], tmp_path / "started"))
-        if case == "parent_row_raises":
-            monkeypatch.setattr(periods, "orbit_denominator_profiles", raise_in_parent)
-        monkeypatch.setattr(periods, "_POOL_TUPLES", 0)
-        patches = {"parent_raises": (_rowsplit._Child, "take", parent_fails),
-                   "pipe_fails": (os, "pipe", eagain),
-                   "job_file_fails": (tempfile, "TemporaryFile", enospc),
-                   "second_fork_fails": (os, "fork", fork_only_once),
-                   "dropped_orbit": (_rowsplit, "_write_all", drop_first_orbit),
-                   "repeated_orbit": (_rowsplit, "_write_all", repeat_first_orbit)}
-        if case in patches:
-            monkeypatch.setattr(*patches[case])
+        fds = open_fds()
         got, out, err = run(capfd, "denominators", "--config", toy_config)
         found = re.search(pattern, err)
-        assert got == code and found
-        children = err[:found.start()]
-        if code == 3:  # no byte is written before every child is forked
-            assert out == ""
-        else:  # the head, and then a prefix of the rows
-            assert out.startswith("monomial,lcm,factorization\n") and TOY_TABLE.startswith(out)
+        assert (got, out) == (code, "") and found
+        before = err[:found.start()]
         if case in raised:  # the children's tracebacks reach fd 2 before main's report
-            assert "Traceback (most recent call last):" in children
-            assert re.search(raised[case], children)
+            assert "Traceback (most recent call last):" in before
+            assert re.search(raised[case], before)
         else:
-            assert children == ""
-        assert len(forks) == {"pipe_fails": 0, "job_file_fails": 0,
-                              "second_fork_fails": 1}.get(case, FAULT_CHILDREN)
+            assert before == ""
+        assert len(forks) == children
+        assert_no_child_left()
+        assert open_fds() == fds
+
+    @needs_two_cpus
+    @pytest.mark.parametrize("case", list(WORKER_FAILURES))
+    def test_failed_split_leaves_no_output_file(self, capsys, forks, monkeypatch, three_cpus,
+                                                toy_config, tmp_path, case):
+        code, pattern = WORKER_FAILURES[case]
+        children = inject_worker_failure(case, monkeypatch, forks, tmp_path)
+        target = tmp_path / "out" / "table.csv"
+        target.parent.mkdir()
+        got, out, err = run(capsys, "denominators", "--config", toy_config,
+                            "--output", str(target))
+        assert (got, out) == (code, "") and re.search(pattern, err)
+        assert os.listdir(target.parent) == []
+        assert len(forks) == children
         assert_no_child_left()
 
     @needs_two_cpus
@@ -713,7 +764,7 @@ class TestExitCodes:
         monkeypatch.setattr(os, "read", exit_before_reading)
         with deadline(60):
             code, out, err = run(capfd, "denominators", "--config", str(path))
-        assert code == 4 and out.startswith("monomial,lcm,factorization\n")
+        assert (code, out) == (4, "")
         assert re.match(f"error: internal: WorkerFailed: row worker [0-9]+ of {TOY_CHILDREN} "
                         "ended with exit status 1 before sending all its rows\n", err)
         assert len(forks) == TOY_CHILDREN
@@ -773,9 +824,11 @@ def test_pool_rows_equal_serial_rows(capsys, monkeypatch, forks, tmp_path, comma
     serial = run(capsys, command, "--config", str(path))
     assert serial[0] == 0 and forks == []
     monkeypatch.setattr(periods, "_POOL_TUPLES", 0)
+    fds = open_fds()
     assert run(capsys, command, "--config", str(path)) == serial
     assert len(forks) == (min(CPUS, orbits) - 1 if orbits >= 2 else 0)
     assert_no_child_left()
+    assert open_fds() == fds
 
 
 @pytest.mark.parametrize("command", ["denominators", "periods"])
@@ -824,42 +877,42 @@ def test_a_slow_orbit_holds_up_only_its_worker(capsys, monkeypatch, forks, toy_c
 def test_rows_of_an_ended_child_wait_for_a_slow_one(capsys, monkeypatch, forks, three_cpus,
                                                     toy_config, command):
     # orbit 0 (rows 0 and 4) is slow in whichever process takes it, so a child ends
-    # while rows it spooled still wait for that orbit, and they are read back from
-    # its spool file after it has ended (and, if this process is not the slow one,
-    # after it has been reaped)
+    # while rows it spooled still wait for that orbit; every row is read back from
+    # its spool file only once every child has ended and been reaped, and the
+    # table is written only then
     serial = run(capsys, command, "--config", toy_config)
     fn = {"denominators": "orbit_denominator_profiles", "periods": "orbit_series_json"}[command]
     real = getattr(periods, fn)
-    reap, read_all = _rowsplit._Child.reap, _rowsplit._read_all
-    reaped = {}  # spool fd -> pid of each child that _Child.reap reaps
-    reads = []  # (spool fd, pids of the children ended by then) of each row read back
+    read_all = _rowsplit._read_all
+    reads = []  # whether every child was reaped, and the stdout so far, at each read-back
 
     def slow_first_orbit(orbit, fam):
         # every orbit takes a while, so that each process gets some
         time.sleep(0.6 if orbit.rows[0] == 0 else 0.02)
         return real(orbit, fam)
 
-    def recording_reap(child):
-        reaped[child.spool.fileno()] = child.pid
-        reap(child)
-
-    def ended(pid):
+    def reaped(pid):
         try:
-            return os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is not None
-        except ChildProcessError:  # reaped already
+            os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+        except ChildProcessError:
             return True
+        return False
 
     def recording_read_all(fd, offset, length):
-        reads.append((fd, {pid for pid in forks if ended(pid)}))
+        reads.append((all(reaped(pid) for pid in forks), sys.stdout.getvalue()))
         return read_all(fd, offset, length)
 
     monkeypatch.setattr(periods, fn, slow_first_orbit)
-    monkeypatch.setattr(_rowsplit._Child, "reap", recording_reap)
     monkeypatch.setattr(_rowsplit, "_read_all", recording_read_all)
     monkeypatch.setattr(periods, "_POOL_TUPLES", 0)
-    assert run(capsys, command, "--config", toy_config) == serial
-    assert len(forks) == FAULT_CHILDREN and sorted(reaped.values()) == sorted(forks)
-    assert any(reaped.get(fd) in gone for fd, gone in reads)
+    monkeypatch.setattr(sys, "stdout", io.StringIO())
+    assert main([command, "--config", toy_config]) == serial[0]
+    assert sys.stdout.getvalue() == serial[1]
+    assert len(forks) == FAULT_CHILDREN
+    # one read of each child's index file as it is reaped, with nothing written yet;
+    # then one of each of the 21 rows, with every child reaped
+    assert [written for _, written in reads[:FAULT_CHILDREN]] == [""] * FAULT_CHILDREN
+    assert len(reads) == FAULT_CHILDREN + 21 and all(done for done, _ in reads[FAULT_CHILDREN:])
     assert_no_child_left()
 
 
@@ -877,8 +930,8 @@ def test_unreadable_spool_file_is_exit_four(capsys, monkeypatch, forks, three_cp
     target.parent.mkdir()
     code, out, err = run(capsys, command, "--config", toy_config, "--output", str(target))
     assert (code, out) == (4, "")
-    assert err.startswith("error: internal: WorkerFailed: cannot read back a spooled row: "
-                          f"{os.strerror(errno.EIO)}\n")
+    assert err.startswith("error: internal: WorkerFailed: cannot read back a spool or index "
+                          f"file: {os.strerror(errno.EIO)}\n")
     assert os.listdir(target.parent) == []
     assert len(forks) == FAULT_CHILDREN
     assert_no_child_left()
@@ -1829,5 +1882,26 @@ def test_stress_size_denominators_are_pinned(capsys, monkeypatch, forks, tmp_pat
     code, out, err = run(capsys, "denominators", "--config", str(path))
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == D40_DENOMINATORS_SHA256
+    assert len(forks) == (TOY_CHILDREN if split else 0)
+    assert_no_child_left()
+
+
+# SHA-256 of `periods` on the quartic config at truncation 30 (the reference size)
+# and 40 (the stress size)
+PERIODS_SHA256 = {30: "81e1fe22fd5dd6fbc5ac21dab35b79fcaece4e14c033b4e5877a2335e133030d",
+                  40: "006fe4573f12dd95e1b0cec86f351e0a7711a39a9ed9e7ad5ae07303aba95cf8"}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("truncation, split", [(30, False), (30, True), (40, True)],
+                         ids=["D30-serial", "D30-split", "D40-split"])
+def test_quartic_periods_are_pinned(capsys, monkeypatch, forks, tmp_path, truncation, split):
+    config = json.loads((ROOT / "configs" / "quartic_surfaces_d4.json").read_text())
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(dict(config, truncation=truncation)))
+    monkeypatch.setattr(periods, "_POOL_TUPLES", 0 if split else 10 ** 18)
+    code, out, err = run(capsys, "periods", "--config", str(path))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PERIODS_SHA256[truncation]
     assert len(forks) == (TOY_CHILDREN if split else 0)
     assert_no_child_left()

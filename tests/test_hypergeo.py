@@ -259,7 +259,8 @@ def test_record_without_its_own_init_takes_every_field_in_order():
         BetaIndex((1, 1, 1, 1))
 
 
-# the row pool sends these through its forked workers
+# value records pickle to equal, frozen copies (the row split sends none between processes:
+# its forked children share the parent's objects and send back only spooled text)
 @pytest.mark.parametrize("name", ["FamilySpec", "BetaIndex", "DenominatorProfile"])
 def test_pool_records_survive_pickling(name):
     value, _, other, field = VALUES[name]
